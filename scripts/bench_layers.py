@@ -1,0 +1,90 @@
+"""Per-layer timings on one seeded 1000-state sparse model.
+
+    PYTHONPATH=src python scripts/bench_layers.py [--n 1000] [--k 5] [--seed 7]
+
+Generates ``GenSpec(structure="sparse", n_states=n, sparse_k=k,
+max_actions=8, gamma=0.95)`` and times four layers, each over a fixed
+number of repeats:
+
+- ``bellman_optimal``: one greedy backup at random values;
+- ``vi_iteration``: the marginal cost of one synchronous value-iteration
+  step, from runs of 1 and 21 steps;
+- ``filter_appendix``: one filtering pass at V_100 of a run started from the
+  upper bound, where part of the actions are provably suboptimal;
+- ``mdp_to_json``: writing the whole model as JSON.
+
+Prints one JSON object: the machine, the model size and, per layer, the
+median and the quartiles in milliseconds.  Uses numpy and the package only,
+so it runs unchanged on older checkouts for before/after comparisons.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import time
+
+import numpy as np
+
+from mdpgeo.cli import mdp_to_json
+from mdpgeo.core import bellman_optimal
+from mdpgeo.gen import GenSpec, generate
+from mdpgeo.solvers import ViConfig, filter_appendix, value_iteration
+
+
+def _times(fn, repeats: int) -> list[float]:
+    out = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        out.append(time.perf_counter() - t0)
+    return out
+
+
+def _summary(seconds: list[float]) -> dict:
+    ms = sorted(1e3 * s for s in seconds)
+    q1, median, q3 = statistics.quantiles(ms, n=4) if len(ms) > 1 else (ms[0],) * 3
+    return {"median_ms": median, "q1_ms": q1, "q3_ms": q3, "repeats": len(ms)}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--n", type=int, default=1000)
+    ap.add_argument("--k", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=7)
+    args = ap.parse_args()
+
+    mdp = generate(GenSpec(n_states=args.n, gamma=0.95, seed=args.seed, structure="sparse",
+                           sparse_k=args.k, max_actions=8))
+    v = np.random.default_rng([args.seed, 1]).uniform(0.0, 1.0, size=mdp.n_states)
+    bellman_optimal(mdp, v)  # fills the model's cached arrays
+
+    def steps(t: int) -> float:
+        t0 = time.perf_counter()
+        value_iteration(mdp, ViConfig(stop="time", t_max=t))
+        return time.perf_counter() - t0
+
+    vi = [(steps(21) - steps(1)) / 20 for _ in range(5)]
+
+    v100 = value_iteration(mdp, ViConfig(stop="time", t_max=100, v0="upper_bound")).values[100]
+    active = np.ones(mdp.m, dtype=bool)
+    layers = {
+        "bellman_optimal": _summary(_times(lambda: bellman_optimal(mdp, v), 50)),
+        "vi_iteration": _summary(vi),
+        "filter_appendix": _summary(_times(lambda: filter_appendix(mdp, 100, v100, active), 20)),
+        "mdp_to_json": _summary(_times(lambda: mdp_to_json(mdp), 3)),
+    }
+    print(json.dumps({
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__},
+        "model": {"n": mdp.n_states, "m": mdp.m, "k": args.k, "seed": args.seed},
+        "dropped_by_filter": int(mdp.m - filter_appendix(mdp, 100, v100, active)[0].sum()),
+        "layers": layers,
+    }, indent=2))
+
+
+if __name__ == "__main__":
+    main()

@@ -19,12 +19,13 @@ bound.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, asdict
-from math import log
+from math import inf, isfinite, log
 
 import numpy as np
 
-from .core import Mdp, ModelError, as_values, policy_rows, span
+from .core import Mdp, ModelError, as_values, greedy, policy_rows, span
 from .solvers import ExactSolution, RunTrace, solve_exact
 from . import transforms
 
@@ -153,18 +154,13 @@ def _verify_sync_recurrence(mdp: Mdp, values: np.ndarray, alpha: float) -> None:
     """Check that a trace is a synchronous greedy run with the given rate."""
     for t in range(values.shape[0] - 1):
         q = mdp.rewards + mdp.gamma * (mdp.P @ values[t])
-        u = np.array([np.max(q[rows]) for rows in mdp.state_rows])
+        u, _ = greedy(mdp, q)
         expect = (1.0 - alpha) * values[t] + alpha * u
         if np.max(np.abs(values[t + 1] - expect)) > RECURRENCE_TOL:
             raise CertificationError(
                 f"trace is not a synchronous greedy run with alpha={alpha} "
                 f"(recurrence breaks at step {t})"
             )
-
-
-def _greedy_rows_at(mdp: Mdp, v: np.ndarray) -> np.ndarray:
-    q = mdp.rewards + mdp.gamma * (mdp.P @ v)
-    return np.array([rows[int(np.argmax(q[rows]))] for rows in mdp.state_rows], dtype=np.intp)
 
 
 def _require_assumptions(mdp: Mdp, need_normalized: bool) -> tuple[ExactSolution, np.ndarray]:
@@ -196,7 +192,8 @@ def certify(mdp: Mdp, trace: RunTrace, epsilon: float = 1e-6) -> ConvergenceCert
     Requires a normalized MDP whose optimal transition matrix is primitive
     with a unique optimum, and a trace of at least N standard iterations
     (the recurrence is re-verified from the values, so traces loaded from
-    files certify the same way as fresh ones).
+    files certify the same way as fresh ones); a block whose mixing factor
+    phi is not a finite float is rejected.
     """
     sol, p_star = _require_assumptions(mdp, need_normalized=True)
     prim = primitivity(p_star)
@@ -216,7 +213,16 @@ def certify(mdp: Mdp, trace: RunTrace, epsilon: float = 1e-6) -> ConvergenceCert
     block = spans[0:N]
     if np.any(block <= 0.0):
         raise CertificationError("a span inside the certified block vanished")
-    phi = omega * sol.delta**N / (gamma**N * float(np.prod(block)))
+    denom = gamma**N * float(np.prod(block))
+    if not denom >= sys.float_info.min:
+        raise CertificationError(
+            f"gamma^N times the block's span product underflows to {denom:.3e} at N={N}")
+    try:
+        phi = omega * sol.delta**N / denom
+    except OverflowError:  # delta**N
+        phi = inf
+    if not isfinite(phi):
+        raise CertificationError(f"the mixing factor phi overflows at N={N}")
     tau = 1.0 - mdp.n_states * phi
     rhs = gamma**N * tau * spans[0]
     margin = float(rhs - spans[N])
@@ -372,8 +378,7 @@ def check_error_recursion(
     worst_eq = 0.0
     eq_checks = 0
     for t in range(trace.iterations):
-        ids = trace.policies[t]
-        rows = np.array([mdp.row_of[a] for a in ids], dtype=np.intp)
+        rows = np.array([mdp.row_of[a] for a in trace.policies[t]], dtype=np.intp)
         bound = mdp.gamma * (mdp.P[rows] @ errors[t])
         diff = errors[t + 1] - bound
         worst = max(worst, float(np.max(diff)))
@@ -403,8 +408,7 @@ def check_update_sandwich(
     p_star = mdp.P[policy_rows(mdp, sol.policy)]
     worst = 0.0
     for t in range(trace.iterations):
-        ids = trace.policies[t]
-        rows = np.array([mdp.row_of[a] for a in ids], dtype=np.intp)
+        rows = np.array([mdp.row_of[a] for a in trace.policies[t]], dtype=np.intp)
         lower = mdp.gamma * (p_star @ trace.values[t])
         upper = mdp.gamma * (mdp.P[rows] @ trace.values[t])
         v_next = trace.values[t + 1]
@@ -449,8 +453,7 @@ def check_mixing_bound(
         if sp <= 1e-13:
             skipped += mdp.n_states
             continue
-        ids = trace.policies[t]
-        rows = np.array([mdp.row_of[a] for a in ids], dtype=np.intp)
+        rows = np.array([mdp.row_of[a] for a in trace.policies[t]], dtype=np.intp)
         star = p_star @ v
         cur = mdp.P[rows] @ v
         for s in range(mdp.n_states):

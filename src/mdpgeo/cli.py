@@ -32,6 +32,7 @@ from .solvers import (
     ConfigError,
     RunTrace,
     ViConfig,
+    max_reward_policy,
     policy_iteration,
     value_iteration,
 )
@@ -52,22 +53,38 @@ _ACTION_KEYS = {"id", "state", "probs", "reward"}
 # file formats
 
 
+_ITEM = ",\n        "  # between two probabilities at indent=2
+_PROBS = json.JSONEncoder(separators=(_ITEM, ": "))  # no indent: json's C encoder
+
+
+def _probs_items(p: np.ndarray) -> str:
+    nz = np.flatnonzero((p != 0.0) | np.signbit(p))
+    if 4 * nz.size >= p.size:
+        return _PROBS.encode(p.tolist())[1:-1]
+    items = ["0.0"] * p.size  # mostly +0.0: encode the other entries only
+    for k, x in zip(nz.tolist(), _PROBS.encode(p[nz].tolist())[1:-1].split(_ITEM)):
+        items[k] = x
+    return _ITEM.join(items)
+
+
 def mdp_to_json(mdp: Mdp) -> str:
-    doc = {
-        "version": 1,
-        "n_states": mdp.n_states,
-        "gamma": mdp.gamma,
-        "actions": [
-            {
-                "id": a.id,
-                "state": a.state,
-                "probs": [float(p) for p in a.probs],
-                "reward": a.reward,
-            }
-            for a in mdp.actions
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The model exactly as ``json.dumps(doc, indent=2) + "\\n"`` prints it.
+
+    Each probability row is encoded on its own and spliced into the fixed
+    indent=2 layout; ids, states and rewards go through ``json.dumps``.
+    """
+    parts = [f'{{\n  "version": 1,\n  "n_states": {json.dumps(mdp.n_states)},\n'
+             f'  "gamma": {json.dumps(mdp.gamma)},\n  "actions": [']
+    sep = "\n"
+    for a in mdp.actions:
+        probs = f"[\n        {_probs_items(a.probs)}\n      ]" if a.probs.size else "[]"
+        parts.append(
+            f'{sep}    {{\n      "id": {json.dumps(a.id)},\n      "state": {json.dumps(a.state)},'
+            f'\n      "probs": {probs},\n      "reward": {json.dumps(a.reward)}\n    }}'
+        )
+        sep = ",\n"
+    parts.append("\n  ]\n}\n" if mdp.actions else "]\n}\n")
+    return "".join(parts)
 
 
 def mdp_from_json(text: str) -> Mdp:
@@ -351,17 +368,12 @@ def _cmd_solve_vi(args) -> int:
 def _cmd_solve_pi(args) -> int:
     mdp, mdp_hash = _load_mdp(args.mdp)
     if args.pi0 == "maxreward":
-        ids = []
-        for s in range(mdp.n_states):
-            rows = mdp.state_rows[s]
-            ids.append(mdp.ids[rows[int(np.argmax(mdp.rewards[rows]))]])
-        policy, trace = policy_iteration(mdp, Policy(choice=tuple(ids)))
+        pi0 = max_reward_policy(mdp)
     elif args.pi0 == "first":
-        ids = tuple(mdp.ids[rows[0]] for rows in mdp.state_rows)
-        policy, trace = policy_iteration(mdp, Policy(choice=ids))
+        pi0 = Policy(choice=tuple(mdp.ids[rows[0]] for rows in mdp.state_rows))
     else:
-        ids = tuple(json.loads(_read_text(args.pi0)))
-        policy, trace = policy_iteration(mdp, policy_from_ids(mdp, ids))
+        pi0 = policy_from_ids(mdp, tuple(json.loads(_read_text(args.pi0))))
+    policy, trace = policy_iteration(mdp, pi0)
     _emit(
         {
             "version": 1,

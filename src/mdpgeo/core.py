@@ -8,6 +8,11 @@ embeds into an (n+1)-vector ``(reward, coeffs)`` whose coefficients are
 the inner product of ``coeffs`` with a value vector plus the reward is the
 action's advantage at those values.
 
+Every greedy backup runs on one kernel, :func:`greedy`, over the action rows
+grouped by state in id order (``Mdp.groups``, built once per model): a
+``np.maximum.reduceat`` per-state maximum, then the first row attaining it,
+so ties go to the lowest action id exactly as ``np.argmax`` per state would.
+
 All types are immutable after construction and every operation here is a
 pure function of its inputs, so instances can be shared freely across
 threads.
@@ -32,6 +37,7 @@ __all__ = [
     "advantages",
     "bellman_optimal",
     "bellman_policy",
+    "greedy",
     "policy_from_ids",
     "span",
     "validate",
@@ -145,15 +151,20 @@ class Mdp:
         return _freeze(c)
 
     @cached_property
+    def groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(order, starts, sizes)``: state s owns rows ``order[starts[s]:][:sizes[s]]``,
+        sorted by action id; rows naming an unknown state are left out."""
+        acts = self.actions
+        known = [k for k, a in enumerate(acts) if 0 <= a.state < self.n_states]
+        order = np.array(sorted(known, key=lambda k: (acts[k].state, acts[k].id)), dtype=np.intp)
+        sizes = np.bincount(self.state_of[order], minlength=self.n_states)
+        return _freeze(order), _freeze(np.cumsum(sizes) - sizes), _freeze(sizes)
+
+    @cached_property
     def state_rows(self) -> tuple[np.ndarray, ...]:
         """Per state, the action row indices sorted by action id."""
-        buckets: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
-        for k, a in enumerate(self.actions):
-            if 0 <= a.state < self.n_states:
-                buckets[a.state].append((a.id, k))
-        return tuple(
-            _freeze(np.array([k for _, k in sorted(b)], dtype=np.intp)) for b in buckets
-        )
+        order, starts, sizes = self.groups
+        return tuple(order[a : a + k] for a, k in zip(starts.tolist(), sizes.tolist()))
 
     @cached_property
     def row_of(self) -> dict[str, int]:
@@ -164,9 +175,6 @@ class Mdp:
             return self.actions[self.row_of[action_id]]
         except KeyError:
             raise ModelError(f"unknown action id {action_id!r}") from None
-
-    def actions_at(self, state: int) -> tuple[Action, ...]:
-        return tuple(self.actions[k] for k in self.state_rows[state])
 
 
 @dataclass(frozen=True)
@@ -236,12 +244,9 @@ def validate(mdp: Mdp) -> None:
             raise ModelError(f"action {a.id!r} row sums to {rs!r}, not 1")
         if not np.isfinite(a.reward):
             raise ModelError(f"action {a.id!r} has non-finite reward")
-    counts = np.zeros(mdp.n_states, dtype=int)
-    for a in mdp.actions:
-        counts[a.state] += 1
-    empty = np.nonzero(counts == 0)[0]
-    if empty.size:
-        raise ModelError(f"state {int(empty[0])} has no actions")
+    counts = np.bincount(mdp.state_of, minlength=mdp.n_states)
+    if not counts.all():
+        raise ModelError(f"state {int(np.argmin(counts))} has no actions")
 
 
 def action_vector(mdp: Mdp, action_id: str) -> ActionVector:
@@ -291,6 +296,29 @@ def active_mask(mdp: Mdp, active: Iterable[str] | np.ndarray | None) -> np.ndarr
     return mask
 
 
+def greedy(mdp: Mdp, q: np.ndarray, incumbent=None, tol: float = 0.0,
+           error=ModelError) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state maximum of ``q`` (one entry per action row) and its argmax rows.
+
+    Ties go to the lowest action id.  With ``incumbent`` (one row per state)
+    a state keeps its incumbent row whenever that row's entry is within
+    ``tol`` of the maximum.  Inactive rows are marked -inf; a state with no
+    rows, or with only -inf entries, raises ``error``.
+    """
+    order, starts, sizes = mdp.groups
+    if not sizes.all():  # reduceat reads an element, not the identity, on empty runs
+        raise error(f"state {int(np.argmin(sizes))} has no actions")
+    qs = q[order]
+    u = np.maximum.reduceat(qs, starts)
+    if (u == -np.inf).any():
+        raise error(f"state {int(np.argmax(u == -np.inf))} has no active action")
+    hit = (qs == np.repeat(u, sizes)) | np.isnan(qs)  # np.argmax picks the first NaN
+    rows = order[np.minimum.reduceat(np.where(hit, np.arange(qs.size), qs.size), starts)]
+    if incumbent is not None:
+        rows = np.where(q[incumbent] >= u - tol, incumbent, rows)
+    return u, rows
+
+
 def bellman_optimal(
     mdp: Mdp, v, active: Iterable[str] | np.ndarray | None = None
 ) -> tuple[np.ndarray, Policy]:
@@ -300,19 +328,6 @@ def bellman_optimal(
     values and the argmax policy.
     """
     v = as_values(v, mdp.n_states)
-    mask = active_mask(mdp, active)
     q = mdp.rewards + mdp.gamma * (mdp.P @ v)
-    q = np.where(mask, q, -np.inf)
-    out = np.empty(mdp.n_states)
-    choice: list[str] = []
-    for s in range(mdp.n_states):
-        rows = mdp.state_rows[s]
-        if rows.size == 0:
-            raise ModelError(f"state {s} has no actions")
-        vals = q[rows]
-        j = int(np.argmax(vals))
-        if vals[j] == -np.inf:
-            raise ModelError(f"state {s} has no active action")
-        out[s] = vals[j]
-        choice.append(mdp.ids[rows[j]])
-    return out, Policy(choice=tuple(choice))
+    u, rows = greedy(mdp, np.where(active_mask(mdp, active), q, -np.inf))
+    return u, Policy(choice=tuple(mdp.ids[k] for k in rows))

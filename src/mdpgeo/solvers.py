@@ -27,6 +27,8 @@ from .core import (
     Mdp,
     Policy,
     as_values,
+    bellman_optimal,
+    greedy,
     policy_from_ids,
     policy_rows,
     span,
@@ -45,6 +47,7 @@ __all__ = [
     "evaluate_policy",
     "filter_appendix",
     "hard_iteration_cap",
+    "max_reward_policy",
     "policy_iteration",
     "solve_exact",
     "value_iteration",
@@ -212,8 +215,8 @@ def filter_appendix(mdp: Mdp, t: int, v, active: np.ndarray) -> tuple[np.ndarray
     the cross-state error span weighted by (1 - p_own) plus (1 - gamma)
     times the own-state error; a plain (1 - p_own) weight would understate
     it for self-loop-heavy actions and could discard an optimal action.
-    The last surviving action of a state is never dropped.  Returns the new
-    mask and the ids that were dropped.
+    The last surviving action of a state is never dropped; every state needs
+    an active action on entry.  Returns the new mask and the dropped ids.
     """
     v = as_values(v, mdp.n_states)
     adv = mdp.rewards + mdp.coeffs @ v
@@ -223,29 +226,13 @@ def filter_appendix(mdp: Mdp, t: int, v, active: np.ndarray) -> tuple[np.ndarray
     if not np.any(drop):
         return active, ()
     new = active & ~drop
-    for s in range(mdp.n_states):
-        rows = mdp.state_rows[s]
-        if not np.any(new[rows]):
-            keep = rows[np.argmax(np.where(active[rows], adv[rows], -np.inf))]
-            new[keep] = True
-            drop[keep] = False
-    removed = tuple(mdp.ids[k] for k in np.nonzero(drop)[0])
+    order, starts, sizes = mdp.groups
+    left = np.logical_or.reduceat(new[order], starts) if sizes.all() else sizes > 0
+    if not left.all():  # keep the best formerly active row of each emptied state
+        keep = greedy(mdp, np.where(active, adv, -np.inf), error=SolverError)[1][~left]
+        new[keep] = True
+    removed = tuple(mdp.ids[k] for k in np.nonzero(active & ~new)[0])
     return new, removed
-
-
-def _greedy(mdp: Mdp, q: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Per-state max and argmax ids of a masked action-value vector."""
-    u = np.empty(mdp.n_states)
-    ids: list[str] = []
-    for s in range(mdp.n_states):
-        rows = mdp.state_rows[s]
-        vals = q[rows]
-        j = int(np.argmax(vals))
-        if vals[j] == -np.inf:
-            raise SolverError(f"state {s} has no active action")
-        u[s] = vals[j]
-        ids.append(mdp.ids[rows[j]])
-    return u, ids
 
 
 def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
@@ -299,8 +286,7 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
         t0 = time.perf_counter() if cfg.record_wall_clock else 0.0
         sel = cfg.states_for(t, n)
         q = mdp.rewards + gamma * (mdp.P @ v)
-        q = np.where(active, q, -np.inf)
-        u, greedy_ids = _greedy(mdp, q)
+        u, rows = greedy(mdp, np.where(active, q, -np.inf), error=SolverError)
         v_new = v.copy()
         v_new[sel] = (1.0 - alpha) * v[sel] + alpha * u[sel]
         removed: tuple[str, ...] = ()
@@ -310,14 +296,14 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
         span_v.append(span(v_new))
         span_dv.append(span(v_new - v))
         counts.append(int(active.sum()))
-        policies.append(tuple(greedy_ids))
+        policies.append(tuple(mdp.ids[k] for k in rows))
         filtered.append(removed)
         if cfg.record_wall_clock:
             wall.append(time.perf_counter() - t0)
         v = v_new
         t += 1
 
-    _, final = bellman_optimal_masked(mdp, v, active)
+    _, final = bellman_optimal(mdp, v, active)
     return RunTrace(
         gamma=gamma,
         alpha=alpha,
@@ -332,13 +318,6 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
         final_policy=final,
         wall_clock=np.array(wall) if cfg.record_wall_clock else None,
     )
-
-
-def bellman_optimal_masked(mdp: Mdp, v, active: np.ndarray) -> tuple[np.ndarray, Policy]:
-    q = mdp.rewards + mdp.gamma * (mdp.P @ v)
-    q = np.where(active, q, -np.inf)
-    u, ids = _greedy(mdp, q)
-    return u, Policy(choice=tuple(ids))
 
 
 def evaluate_policy(mdp: Mdp, policy: Policy) -> np.ndarray:
@@ -365,22 +344,10 @@ class PiTrace:
     iterations: int
 
 
-def _improve(mdp: Mdp, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Greedy improvement; the incumbent survives ties within tolerance."""
-    adv = mdp.rewards + mdp.coeffs @ v
-    out = rows.copy()
-    for s in range(mdp.n_states):
-        cand = mdp.state_rows[s]
-        best = float(np.max(adv[cand]))
-        if adv[rows[s]] >= best - PI_TIE_TOL:
-            continue
-        out[s] = cand[int(np.argmax(adv[cand]))]
-    return out
-
-
 def policy_iteration(mdp: Mdp, pi0: Policy) -> tuple[Policy, PiTrace]:
     """Howard policy iteration: evaluate exactly, improve everywhere, repeat.
 
+    A state keeps its action while it is within 1e-9 of the best advantage.
     Stops when the improved policy equals the current one.  The iteration
     count includes that confirming round, so a fixed point costs one
     iteration.
@@ -393,7 +360,8 @@ def policy_iteration(mdp: Mdp, pi0: Policy) -> tuple[Policy, PiTrace]:
         v = evaluate_rows(mdp, rows)
         pols.append(tuple(mdp.ids[k] for k in rows))
         vals.append(v)
-        nxt = _improve(mdp, rows, v)
+        adv = mdp.rewards + mdp.coeffs @ v
+        _, nxt = greedy(mdp, adv, incumbent=rows, tol=PI_TIE_TOL, error=SolverError)
         if np.array_equal(nxt, rows):
             break
         rows = nxt
@@ -427,6 +395,12 @@ def brute_force_solve(mdp: Mdp) -> tuple[Policy, np.ndarray]:
     return Policy(choice=ids, values=all_vals[best]), all_vals[best]
 
 
+def max_reward_policy(mdp: Mdp) -> Policy:
+    """Per state, the action with the largest reward (lowest id on ties)."""
+    _, rows = greedy(mdp, mdp.rewards, error=SolverError)
+    return Policy(choice=tuple(mdp.ids[k] for k in rows))
+
+
 @dataclass(frozen=True)
 class ExactSolution:
     """Optimal policy and values plus the optimality gap of the runner-up.
@@ -451,11 +425,7 @@ def solve_exact(mdp: Mdp, brute_check: bool | None = None) -> ExactSolution:
     raises ConsistencyError.
     """
     validate(mdp)
-    start_ids = []
-    for s in range(mdp.n_states):
-        rows = mdp.state_rows[s]
-        start_ids.append(mdp.ids[rows[int(np.argmax(mdp.rewards[rows]))]])
-    pol, _ = policy_iteration(mdp, Policy(choice=tuple(start_ids)))
+    pol, _ = policy_iteration(mdp, max_reward_policy(mdp))
     values = pol.values
 
     if brute_check is None:

@@ -37,6 +37,14 @@ def normalized_trace(t_max=10, v0=(1.0, 0.0), alpha=1.0):
     return norm, value_iteration(norm, cfg)
 
 
+def zero_optimum(gap):
+    """Normalized by construction: optimal rewards 0 on the all-halves rows,
+    the alternatives cost ``gap``, so V* = 0 exactly and delta = gap."""
+    half = (0.5, 0.5)
+    return Mdp(2, (Action("a1", 0, half, 0.0), Action("a2", 0, (1.0, 0.0), -gap),
+                   Action("b1", 1, half, 0.0), Action("b2", 1, (0.0, 1.0), -gap)), 0.9)
+
+
 def block_cycle_instance():
     """Three states whose optimal matrix needs two steps to go positive."""
     actions = (
@@ -92,6 +100,28 @@ class TestCertify:
         assert cert.N == 2
         assert cert.omega == pytest.approx(0.25)
         assert cert.margin > 0.0
+
+    def test_phi_keeps_its_expression(self):
+        norm, trace = normalized_trace()
+        cert = certify(norm, trace)
+        block = float(np.prod(trace.span_v[: cert.N]))
+        assert cert.phi == cert.omega * cert.delta**cert.N / (norm.gamma**cert.N * block)
+
+    def test_underflowing_span_product_rejected(self):
+        # a subnormal starting span leaves gamma^N * prod(spans) below the normal range
+        mdp = zero_optimum(gap=0.01)
+        trace = value_iteration(mdp, ViConfig(stop="time", t_max=3, v0="given",
+                                              v0_values=(1e-310, 0.0)))
+        assert 0.0 < trace.span_v[0] < np.finfo(float).tiny
+        with pytest.raises(CertificationError, match=r"underflows .* at N=1"):
+            certify(mdp, trace)
+
+    def test_overflowing_phi_rejected(self):
+        mdp = zero_optimum(gap=1e9)
+        trace = value_iteration(mdp, ViConfig(stop="time", t_max=3, v0="given",
+                                              v0_values=(1e-300, 0.0)))
+        with pytest.raises(CertificationError, match="phi overflows at N=1"):
+            certify(mdp, trace)
 
     def test_periodic_optimum_rejected(self):
         mdp = generate(

@@ -17,6 +17,7 @@ from mdpgeo.cli import (
     trace_from_csv,
     trace_to_csv,
 )
+from mdpgeo.core import Action, Mdp
 from mdpgeo.fixtures import m2, m2_mix
 from mdpgeo.solvers import ViConfig, solve_exact, value_iteration
 from mdpgeo.transforms import normalize
@@ -50,6 +51,36 @@ class TestModelFile:
             np.array_equal(a.probs, b.probs) and a.reward == b.reward
             for a, b in zip(mdp.actions, again.actions)
         )
+
+    @pytest.mark.parametrize("aid", ["s0", 'say "hi"', "back\\slash", "naïve", "日本\t"])
+    def test_writer_matches_json_dumps(self, aid):
+        odd = (5e-324, -0.0, 1e16, 0.0, float("nan"), float("inf"), -1e-300, 0.1)
+        sparse = (0.0,) * 5 + (-0.0, 0.0, 5e-324) + (0.0,) * 8 + (1.0,)
+        mdp = Mdp(len(sparse), (
+            Action(aid, 0, sparse, -0.0),
+            Action(aid + "2", 1, odd + (0.0,) * (len(sparse) - len(odd)), 1e16),
+            Action("x", -3, (0.0,) * len(sparse), float("nan")),
+        ), 5e-324)
+        doc = {
+            "version": 1,
+            "n_states": mdp.n_states,
+            "gamma": mdp.gamma,
+            "actions": [
+                {"id": a.id, "state": a.state, "probs": [float(p) for p in a.probs],
+                 "reward": a.reward}
+                for a in mdp.actions
+            ],
+        }
+        assert mdp_to_json(mdp) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "mdp", [Mdp(0, (), 0.9), Mdp(2, (), 0.9), Mdp(0, (Action("a", 0, (), 1.0),), 0.9)]
+    )
+    def test_writer_matches_json_dumps_when_empty(self, mdp):
+        doc = {"version": 1, "n_states": mdp.n_states, "gamma": mdp.gamma,
+               "actions": [{"id": a.id, "state": a.state, "probs": [], "reward": a.reward}
+                           for a in mdp.actions]}
+        assert mdp_to_json(mdp) == json.dumps(doc, indent=2) + "\n"
 
     def test_unknown_field_rejected(self):
         doc = json.loads(mdp_to_json(m2()))
@@ -266,6 +297,22 @@ class TestCommands:
         assert solve_exact(mdp, brute_check=False).policy.choice == (
             "s00a00", "s01a00", "s02a00"
         )
+
+    def test_certify_underflow_exit_code(self, tmp_path, capsys):
+        half = (0.5, 0.5)
+        mdp = Mdp(2, (Action("a1", 0, half, 0.0), Action("a2", 0, (1.0, 0.0), -0.01),
+                      Action("b1", 1, half, 0.0), Action("b2", 1, (0.0, 1.0), -0.01)), 0.9)
+        model = tmp_path / "norm.json"
+        model.write_text(mdp_to_json(mdp))
+        trace_path = str(tmp_path / "trace.csv")
+        code, _ = run(capsys, "solve-vi", "--mdp", str(model), "--stop", "time:3",
+                      "--v0", f"file:{_values_file(tmp_path, [1e-310, 0.0])}",
+                      "--trace", trace_path)
+        assert code == EX_OK
+        code, cap = run(capsys, "certify", "--mdp", str(model), "--trace", trace_path)
+        assert code == EX_DATAERR
+        assert cap.err.startswith("error:CertificationError:")
+        assert "N=1" in cap.err
 
     def test_certify_alpha_through_cli(self, tmp_path, capsys):
         norm, _, _ = normalize(m2_mix())
