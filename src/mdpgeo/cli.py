@@ -59,9 +59,7 @@ _PROBS = json.JSONEncoder(separators=(_ITEM, ": "))  # no indent: json's C encod
 
 def _probs_items(p: np.ndarray) -> str:
     nz = np.flatnonzero((p != 0.0) | np.signbit(p))
-    if 4 * nz.size >= p.size:
-        return _PROBS.encode(p.tolist())[1:-1]
-    items = ["0.0"] * p.size  # mostly +0.0: encode the other entries only
+    items = ["0.0"] * p.size  # encode the entries other than +0.0 only
     for k, x in zip(nz.tolist(), _PROBS.encode(p[nz].tolist())[1:-1].split(_ITEM)):
         items[k] = x
     return _ITEM.join(items)

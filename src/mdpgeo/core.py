@@ -296,14 +296,11 @@ def active_mask(mdp: Mdp, active: Iterable[str] | np.ndarray | None) -> np.ndarr
     return mask
 
 
-def greedy(mdp: Mdp, q: np.ndarray, incumbent=None, tol: float = 0.0,
-           error=ModelError) -> tuple[np.ndarray, np.ndarray]:
+def greedy(mdp: Mdp, q: np.ndarray, error=ModelError) -> tuple[np.ndarray, np.ndarray]:
     """Per-state maximum of ``q`` (one entry per action row) and its argmax rows.
 
-    Ties go to the lowest action id.  With ``incumbent`` (one row per state)
-    a state keeps its incumbent row whenever that row's entry is within
-    ``tol`` of the maximum.  Inactive rows are marked -inf; a state with no
-    rows, or with only -inf entries, raises ``error``.
+    Ties go to the lowest action id.  Inactive rows are marked -inf; a state
+    with no rows, or with only -inf entries, raises ``error``.
     """
     order, starts, sizes = mdp.groups
     if not sizes.all():  # reduceat reads an element, not the identity, on empty runs
@@ -314,8 +311,6 @@ def greedy(mdp: Mdp, q: np.ndarray, incumbent=None, tol: float = 0.0,
         raise error(f"state {int(np.argmax(u == -np.inf))} has no active action")
     hit = (qs == np.repeat(u, sizes)) | np.isnan(qs)  # np.argmax picks the first NaN
     rows = order[np.minimum.reduceat(np.where(hit, np.arange(qs.size), qs.size), starts)]
-    if incumbent is not None:
-        rows = np.where(q[incumbent] >= u - tol, incumbent, rows)
     return u, rows
 
 

@@ -226,8 +226,7 @@ def filter_appendix(mdp: Mdp, t: int, v, active: np.ndarray) -> tuple[np.ndarray
     if not np.any(drop):
         return active, ()
     new = active & ~drop
-    order, starts, sizes = mdp.groups
-    left = np.logical_or.reduceat(new[order], starts) if sizes.all() else sizes > 0
+    left = np.bincount(mdp.state_of[new], minlength=mdp.n_states) > 0
     if not left.all():  # keep the best formerly active row of each emptied state
         keep = greedy(mdp, np.where(active, adv, -np.inf), error=SolverError)[1][~left]
         new[keep] = True
@@ -361,7 +360,8 @@ def policy_iteration(mdp: Mdp, pi0: Policy) -> tuple[Policy, PiTrace]:
         pols.append(tuple(mdp.ids[k] for k in rows))
         vals.append(v)
         adv = mdp.rewards + mdp.coeffs @ v
-        _, nxt = greedy(mdp, adv, incumbent=rows, tol=PI_TIE_TOL, error=SolverError)
+        u, best = greedy(mdp, adv, error=SolverError)
+        nxt = np.where(adv[rows] >= u - PI_TIE_TOL, rows, best)
         if np.array_equal(nxt, rows):
             break
         rows = nxt

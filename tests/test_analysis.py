@@ -116,6 +116,17 @@ class TestCertify:
         with pytest.raises(CertificationError, match=r"underflows .* at N=1"):
             certify(mdp, trace)
 
+    def test_single_action_per_state_has_no_delta(self):
+        # no competing action: delta is infinite, rejected before phi is formed
+        mdp = Mdp(2, (Action("a", 0, (0.5, 0.5), 0.0), Action("b", 1, (0.5, 0.5), 0.0)), 0.9)
+        assert solve_exact(mdp).delta == float("inf")
+        trace = value_iteration(mdp, ViConfig(stop="time", t_max=3, v0="given",
+                                              v0_values=(1.0, 0.0)))
+        with pytest.raises(AssumptionError, match="delta is undefined"):
+            certify(mdp, trace)
+        with pytest.raises(AssumptionError, match="delta is undefined"):
+            certify_alpha(mdp, trace, alpha=0.5)
+
     def test_overflowing_phi_rejected(self):
         mdp = zero_optimum(gap=1e9)
         trace = value_iteration(mdp, ViConfig(stop="time", t_max=3, v0="given",

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given
 
 from conftest import mdps
-from mdpgeo.core import Action, Mdp, ModelError, bellman_optimal, greedy
+from mdpgeo.core import (Action, Mdp, ModelError, Policy, bellman_optimal, greedy,
+                         policy_rows)
 from mdpgeo.fixtures import m2
-from mdpgeo.solvers import SolverError, filter_appendix
+from mdpgeo.solvers import PI_TIE_TOL, SolverError, filter_appendix, policy_iteration
 
 
 def reference(mdp, q, incumbent=None, tol=0.0):
@@ -31,9 +32,9 @@ def reference(mdp, q, incumbent=None, tol=0.0):
     return np.array(u), np.array(rows, dtype=np.intp)
 
 
-def assert_same(mdp, q, **kw):
-    u, rows = greedy(mdp, q, **kw)
-    ru, rrows = reference(mdp, q, **kw)
+def assert_same(mdp, q):
+    u, rows = greedy(mdp, q)
+    ru, rrows = reference(mdp, q)
     np.testing.assert_array_equal(u, ru)
     np.testing.assert_array_equal(rows, rrows)
 
@@ -75,12 +76,24 @@ class TestAgainstReference:
     def test_masked_rows(self, case):
         assert_same(*case)
 
-    @given(tied_cases(), st.data(), st.sampled_from([0.0, 1e-9, 0.5, 2.0]))
-    def test_incumbent_kept_within_tolerance(self, case, data, tol):
-        mdp, q = case
-        incumbent = np.array([rows[data.draw(st.integers(0, rows.size - 1))]
-                              for rows in mdp.state_rows], dtype=np.intp)
-        assert_same(mdp, q, incumbent=incumbent, tol=tol)
+    @given(mdps(max_actions_per_state=4), st.data())
+    def test_howard_improvement_keeps_incumbent_within_tolerance(self, mdp, data):
+        start = Policy(choice=tuple(mdp.ids[rows[data.draw(st.integers(0, rows.size - 1))]]
+                                    for rows in mdp.state_rows))
+        _, trace = policy_iteration(mdp, start)
+        nxt = trace.policies[1:] + trace.policies[-1:]  # the last round confirms
+        for pol, v, after in zip(trace.policies, trace.values, nxt):
+            rows = policy_rows(mdp, Policy(choice=pol))
+            _, expect = reference(mdp, mdp.rewards + mdp.coeffs @ v,
+                                  incumbent=rows, tol=PI_TIE_TOL)
+            assert after == tuple(mdp.ids[k] for k in expect)
+
+    def test_howard_keeps_a_tied_higher_id_incumbent(self):
+        same = dict(state=0, probs=(0.5, 0.5), reward=1.0)
+        mdp = Mdp(2, (Action("a", **same), Action("b", **same),
+                      Action("c", 1, (0.5, 0.5), 0.0)), 0.9)
+        pol, trace = policy_iteration(mdp, Policy(choice=("b", "c")))
+        assert pol.choice == ("b", "c") and trace.iterations == 1
 
     @given(tied_cases())
     def test_bellman_optimal_policy(self, case):
