@@ -1,9 +1,9 @@
-"""Per-layer timings on one seeded 1000-state sparse model.
+"""Per-layer timings on one seeded 1000-state sparse model and one dense model.
 
     PYTHONPATH=src python scripts/bench_layers.py [--n 1000] [--k 5] [--seed 7]
 
 Generates ``GenSpec(structure="sparse", n_states=n, sparse_k=k,
-max_actions=8, gamma=0.95)`` and times four layers, each over a fixed
+max_actions=8, gamma=0.95)`` and times four layers on it, each over a fixed
 number of repeats:
 
 - ``bellman_optimal``: one greedy backup at random values;
@@ -12,6 +12,16 @@ number of repeats:
 - ``filter_appendix``: one filtering pass at V_100 of a run started from the
   upper bound, where part of the actions are provably suboptimal;
 - ``mdp_to_json``: writing the whole model as JSON.
+
+Two more layers run on ``GenSpec(structure="dense", n_states=100,
+gamma=0.95)`` with the same seed, where every state has slack, so each makes
+one transform step per state:
+
+- ``normalize``: the exact solve plus one reward shift per state;
+- ``effective_gamma``: one discount change per state.
+
+The dense size is fixed: dense generation does not finish for n of about 150
+and more.
 
 Prints one JSON object: the machine, the model size and, per layer, the
 median and the quartiles in milliseconds.  Uses numpy and the package only,
@@ -33,6 +43,9 @@ from mdpgeo.cli import mdp_to_json
 from mdpgeo.core import bellman_optimal
 from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import ViConfig, filter_appendix, value_iteration
+from mdpgeo.transforms import effective_gamma, normalize
+
+DENSE_N = 100
 
 
 def _times(fn, repeats: int) -> list[float]:
@@ -77,10 +90,14 @@ def main() -> None:
         "filter_appendix": _summary(_times(lambda: filter_appendix(mdp, 100, v100, active), 20)),
         "mdp_to_json": _summary(_times(lambda: mdp_to_json(mdp), 3)),
     }
+    dense = generate(GenSpec(n_states=DENSE_N, gamma=0.95, seed=args.seed, structure="dense"))
+    layers["normalize"] = _summary(_times(lambda: normalize(dense), 5))
+    layers["effective_gamma"] = _summary(_times(lambda: effective_gamma(dense), 5))
     print(json.dumps({
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
         "model": {"n": mdp.n_states, "m": mdp.m, "k": args.k, "seed": args.seed},
+        "dense_model": {"n": dense.n_states, "m": dense.m, "seed": args.seed},
         "dropped_by_filter": int(mdp.m - filter_appendix(mdp, 100, v100, active)[0].sum()),
         "layers": layers,
     }, indent=2))

@@ -152,6 +152,8 @@ class ConvergenceCertificate:
 
 def _verify_sync_recurrence(mdp: Mdp, values: np.ndarray, alpha: float) -> None:
     """Check that a trace is a synchronous greedy run with the given rate."""
+    if values.ndim != 2 or values.shape[1] != mdp.n_states:
+        raise ModelError(f"trace values have shape {values.shape}, expected (T, {mdp.n_states})")
     for t in range(values.shape[0] - 1):
         q = mdp.rewards + mdp.gamma * (mdp.P @ values[t])
         u, _ = greedy(mdp, q)

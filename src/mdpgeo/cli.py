@@ -25,7 +25,7 @@ import tempfile
 
 import numpy as np
 
-from .analysis import AssumptionError, CertificationError, certify, certify_alpha
+from .analysis import certify, certify_alpha
 from .core import Action, Mdp, ModelError, Policy, policy_from_ids, validate
 from .gen import STRUCTURES, GenSpec, generate
 from .solvers import (
@@ -36,7 +36,7 @@ from .solvers import (
     policy_iteration,
     value_iteration,
 )
-from .transforms import GAMMA_FLOOR, UnsafeTransformError, effective_gamma, normalize
+from .transforms import GAMMA_FLOOR, effective_gamma, normalize
 
 EX_OK = 0
 EX_CAP = 2
@@ -85,39 +85,37 @@ def mdp_to_json(mdp: Mdp) -> str:
     return "".join(parts)
 
 
-def mdp_from_json(text: str) -> Mdp:
-    doc = json.loads(text)
+def _fields(doc, keys: set[str], what: str) -> None:
     if not isinstance(doc, dict):
-        raise ModelError("model file must hold a JSON object")
-    unknown = set(doc) - _MDP_KEYS
-    if unknown:
-        raise ModelError(f"model file has unknown fields: {sorted(unknown)}")
-    missing = _MDP_KEYS - set(doc)
-    if missing:
-        raise ModelError(f"model file is missing fields: {sorted(missing)}")
+        raise ModelError(f"{what} must be a JSON object")
+    for problem, names in (("unknown", set(doc) - keys), ("missing", keys - set(doc))):
+        if names:
+            raise ModelError(f"{what} has {problem} fields: {sorted(names)}")
+
+
+def mdp_from_json(text: str) -> Mdp:
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ModelError(f"model file is not valid JSON: {exc}") from None
+    _fields(doc, _MDP_KEYS, "model file")
     if doc["version"] != 1:
         raise ModelError(f"unsupported model file version {doc['version']!r}")
+    if not isinstance(doc["actions"], list):
+        raise ModelError("model actions must be a JSON list")
     actions = []
     for entry in doc["actions"]:
-        if not isinstance(entry, dict):
-            raise ModelError("each action must be a JSON object")
-        unknown = set(entry) - _ACTION_KEYS
-        if unknown:
-            raise ModelError(f"action has unknown fields: {sorted(unknown)}")
-        missing = _ACTION_KEYS - set(entry)
-        if missing:
-            raise ModelError(f"action is missing fields: {sorted(missing)}")
+        _fields(entry, _ACTION_KEYS, "action")
         if not isinstance(entry["id"], str):
             raise ModelError("action id must be a string")
-        actions.append(
-            Action(
-                id=entry["id"],
-                state=int(entry["state"]),
-                probs=entry["probs"],
-                reward=float(entry["reward"]),
-            )
-        )
-    mdp = Mdp(n_states=int(doc["n_states"]), actions=tuple(actions), gamma=float(doc["gamma"]))
+        try:  # int(state), np.array(probs), float(reward); validate checks the rest
+            actions.append(Action(**entry))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ModelError(f"action {entry['id']!r} has a malformed field: {exc}") from None
+    try:
+        mdp = Mdp(n_states=doc["n_states"], actions=tuple(actions), gamma=doc["gamma"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelError(f"model n_states or gamma is malformed: {exc}") from None
     validate(mdp)
     return mdp
 
@@ -147,28 +145,37 @@ def trace_to_csv(trace: RunTrace) -> str:
 def trace_from_csv(text: str, gamma: float = float("nan")) -> RunTrace:
     """Rebuild a trace from CSV; per-step policies are not stored on disk."""
     lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
+    header = lines[0].split(",") if lines else []
     expected = ["t", "span_v", "span_dv", "active_actions", "stop_reason_final"]
     if header[: len(expected)] != expected:
         raise ModelError("trace file has an unexpected header")
-    n = len(header) - len(expected)
     values, span_v, span_dv, counts = [], [], [], []
     stop_reason = ""
-    for ln in lines[1:]:
+    for t, ln in enumerate(lines[1:]):
         parts = ln.split(",")
-        span_v.append(float(parts[1]))
-        span_dv.append(float(parts[2]))
-        counts.append(int(parts[3]))
+        if len(parts) != len(header):
+            raise ModelError(f"trace row {t} has {len(parts)} fields, expected {len(header)}")
+        try:
+            if int(parts[0]) != t:
+                raise ValueError(f"t={parts[0]}, expected {t}")
+            span_v.append(float(parts[1]))
+            span_dv.append(float(parts[2]))
+            counts.append(np.intp(parts[3]))
+            values.append([float(x) for x in parts[5:]])
+        except (ValueError, OverflowError) as exc:
+            raise ModelError(f"trace row {t} is malformed: {exc}") from None
         stop_reason = parts[4]
-        values.append([float(x) for x in parts[5 : 5 + n]])
     if not values:
         raise ModelError("trace file has no data rows")
+    values, span_v = np.array(values), np.array(span_v)
+    if not (np.isfinite(values).all() and np.isfinite(span_v).all()):
+        raise ModelError("trace file has non-finite values or spans")
     return RunTrace(
         gamma=gamma,
         alpha=float("nan"),
         schedule="unknown",
-        values=np.array(values),
-        span_v=np.array(span_v),
+        values=values,
+        span_v=span_v,
         span_dv=np.array(span_dv),
         active_counts=np.array(counts, dtype=np.intp),
         policies=(),
@@ -561,13 +568,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"error:config:{exc}\n")
         return EX_USAGE
-    except (
-        ModelError,
-        AssumptionError,
-        CertificationError,
-        UnsafeTransformError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # ModelError, AssumptionError, CertificationError, ...
         sys.stderr.write(f"error:{type(exc).__name__}:{exc}\n")
         return EX_DATAERR
 

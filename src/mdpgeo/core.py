@@ -244,6 +244,8 @@ def validate(mdp: Mdp) -> None:
             raise ModelError(f"action {a.id!r} row sums to {rs!r}, not 1")
         if not np.isfinite(a.reward):
             raise ModelError(f"action {a.id!r} has non-finite reward")
+    if not mdp.actions:  # no probs row bounds n_states, which bincount would allocate
+        raise ModelError("state 0 has no actions")
     counts = np.bincount(mdp.state_of, minlength=mdp.n_states)
     if not counts.all():
         raise ModelError(f"state {int(np.argmin(counts))} has no actions")

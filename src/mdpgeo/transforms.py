@@ -11,6 +11,10 @@ untouched; values move through the affine rule carried by the returned
 On top of the primitives: :func:`normalize` shifts an MDP so its optimal
 values are identically zero, and :func:`effective_gamma` drives the discount
 factor as low as the per-state coefficient slack allows.
+
+Steps act on arrays, ``(P, rewards, gamma)`` to new arrays, forming the
+coefficients exactly as ``Mdp.coeffs`` does; each public call builds one
+:class:`~mdpgeo.core.Mdp`, at the end, and :func:`effective_gamma` builds none.
 """
 
 from __future__ import annotations
@@ -47,16 +51,12 @@ class NonUniqueOptimumWarning(UserWarning):
     """Normalization found more than one optimal policy within tolerance."""
 
 
-def _rebuild(mdp: Mdp, rewards: np.ndarray | None = None, probs: np.ndarray | None = None,
-             gamma: float | None = None) -> Mdp:
-    r = mdp.rewards if rewards is None else rewards
-    p = mdp.P if probs is None else probs
+def _rebuild(mdp: Mdp, probs: np.ndarray, rewards: np.ndarray, gamma: float) -> Mdp:
     actions = tuple(
-        Action(id=a.id, state=a.state, probs=p[k], reward=float(r[k]))
+        Action(id=a.id, state=a.state, probs=probs[k], reward=float(rewards[k]))
         for k, a in enumerate(mdp.actions)
     )
-    return Mdp(n_states=mdp.n_states, actions=actions,
-               gamma=mdp.gamma if gamma is None else gamma)
+    return Mdp(n_states=mdp.n_states, actions=actions, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,14 @@ class LShift:
     state: int
     delta: float
 
-    def apply(self, mdp: Mdp) -> Mdp:
-        return apply_L(mdp, self.state, self.delta)
+    def _step(self, mdp: Mdp, arrays: tuple) -> tuple:
+        """``r <- r - coeffs[:, state] * delta``, forming that one column only."""
+        if not (0 <= self.state < mdp.n_states):
+            raise ValueError(f"unknown state {self.state}")
+        P, r, g = arrays
+        col = g * P[:, self.state]
+        col[mdp.state_of == self.state] -= 1.0
+        return P, r - col * float(self.delta), g
 
     def map_values(self, v: np.ndarray) -> np.ndarray:
         out = np.array(v, dtype=np.float64)
@@ -91,13 +97,56 @@ class DiscountChange:
     gamma_from: float
     gamma_to: float
 
-    def apply(self, mdp: Mdp) -> Mdp:
-        if abs(mdp.gamma - self.gamma_from) > 1e-9:
+    def _step(self, mdp: Mdp, arrays: tuple, force: bool = False) -> tuple:
+        """The coefficient rewrite of :func:`apply_J` on ``(P, rewards, gamma)``."""
+        if not (0 <= self.state < mdp.n_states):
+            raise ValueError(f"unknown state {self.state}")
+        P, r, g = arrays
+        if abs(g - self.gamma_from) > 1e-9:
             raise UnsafeTransformError(
-                f"discount step expects gamma={self.gamma_from!r}, mdp has {mdp.gamma!r}"
+                f"discount step expects gamma={self.gamma_from!r}, mdp has {g!r}"
             )
-        new, _ = apply_J(mdp, self.state, self.gamma_to)
-        return new
+        state, g2 = self.state, self.gamma_to
+        if not (0.0 < g2 < 1.0):
+            raise ValueError(f"new discount factor must lie strictly inside (0, 1), got {g2}")
+        if g2 == g:
+            return arrays
+
+        own = mdp.state_of
+        rows = np.arange(mdp.m)
+        cbar = g * P
+        cbar[rows, own] -= 1.0  # the coefficients, exactly as Mdp.coeffs forms them
+        cbar[:, state] -= g - g2
+        cross = cbar.copy()
+        cross[rows, own] += 1.0  # own-state column in gamma'*prob units
+
+        bad_cross = (own != state) & (cbar[:, state] < -_PROB_TOL)
+        if np.any(bad_cross) and not force:
+            k = int(np.nonzero(bad_cross)[0][0])
+            raise UnsafeTransformError(
+                f"unsafe transform: action {mdp.ids[k]!r} would get coefficient "
+                f"{cbar[k, state]!r} at state {state}; only the own-state "
+                f"coefficient may be negative"
+            )
+        bad_own = (own == state) & (cross[:, state] < -_PROB_TOL * g2)
+        if np.any(bad_own) and not force:
+            k = int(np.nonzero(bad_own)[0][0])
+            raise UnsafeTransformError(
+                f"unsafe transform: action {mdp.ids[k]!r} would get own-state "
+                f"probability {cross[k, state] / g2!r} < 0 at state {state}"
+            )
+
+        probs = cross / g2
+        if not force:
+            probs[probs < 0.0] = 0.0  # boundary steps may leave -1e-17 residue
+        # absorb rounding into the own-state entry so each row sums to 1 exactly
+        probs[rows, own] = 0.0
+        probs[rows, own] = 1.0 - probs.sum(axis=1)
+        if not force:  # dividing by a small gamma' can push that entry to -1e-12
+            low = np.flatnonzero(probs[rows, own] < 0.0)
+            probs[low, own[low]] = 0.0
+            probs[low] /= probs[low].sum(axis=1, keepdims=True)
+        return probs, r, g2
 
     def map_values(self, v: np.ndarray) -> np.ndarray:
         out = np.array(v, dtype=np.float64)
@@ -122,10 +171,11 @@ class TransformLog:
     steps: tuple[Step, ...]
 
     def replay(self, mdp: Mdp) -> Mdp:
-        out = mdp
+        """Apply every step to ``mdp``'s arrays in order, then build one model."""
+        arrays = mdp.P, mdp.rewards, mdp.gamma
         for step in self.steps:
-            out = step.apply(out)
-        return out
+            arrays = step._step(mdp, arrays)
+        return _rebuild(mdp, *arrays)
 
     def inverted(self) -> "TransformLog":
         gamma_end = self.original_gamma
@@ -152,10 +202,7 @@ def apply_L(mdp: Mdp, state: int, delta: float) -> Mdp:
     unique linear reward rule under which all advantages are unchanged when
     values at ``state`` move by delta.
     """
-    if not (0 <= state < mdp.n_states):
-        raise ValueError(f"unknown state {state}")
-    rewards = mdp.rewards - mdp.coeffs[:, state] * float(delta)
-    return _rebuild(mdp, rewards=rewards)
+    return TransformLog(mdp.gamma, (LShift(state, delta),)).replay(mdp)
 
 
 def apply_J(mdp: Mdp, state: int, gamma_new: float,
@@ -173,47 +220,9 @@ def apply_J(mdp: Mdp, state: int, gamma_new: float,
     ``force=True`` the step is applied anyway (the result may then fail
     :func:`mdpgeo.core.validate`).
     """
-    if not (0 <= state < mdp.n_states):
-        raise ValueError(f"unknown state {state}")
-    g, g2 = mdp.gamma, float(gamma_new)
-    if not (0.0 < g2 < 1.0):
-        raise ValueError(f"new discount factor must lie strictly inside (0, 1), got {g2}")
-    change = DiscountChange(state=state, gamma_from=g, gamma_to=g2)
-    if g2 == g:
-        return _rebuild(mdp), change
-
-    shift = g - g2
-    cbar = np.array(mdp.coeffs)
-    cbar[:, state] -= shift
-
-    own = mdp.state_of
-    rows = np.arange(mdp.m)
-    cross = cbar.copy()
-    cross[rows, own] += 1.0  # own-state column in gamma'*prob units
-
-    bad_cross = (own != state) & (cbar[:, state] < -_PROB_TOL)
-    if np.any(bad_cross) and not force:
-        k = int(np.nonzero(bad_cross)[0][0])
-        raise UnsafeTransformError(
-            f"unsafe transform: action {mdp.ids[k]!r} would get coefficient "
-            f"{cbar[k, state]!r} at state {state}; only the own-state "
-            f"coefficient may be negative"
-        )
-    bad_own = (own == state) & (cross[:, state] < -_PROB_TOL * g2)
-    if np.any(bad_own) and not force:
-        k = int(np.nonzero(bad_own)[0][0])
-        raise UnsafeTransformError(
-            f"unsafe transform: action {mdp.ids[k]!r} would get own-state "
-            f"probability {cross[k, state] / g2!r} < 0 at state {state}"
-        )
-
-    probs = cross / g2
-    if not force:
-        probs[probs < 0.0] = 0.0  # boundary steps may leave -1e-17 residue
-    # absorb rounding into the own-state entry so each row sums to 1 exactly
-    probs[rows, own] = 0.0
-    probs[rows, own] = 1.0 - probs.sum(axis=1)
-    return _rebuild(mdp, probs=probs, gamma=g2), change
+    change = DiscountChange(state=state, gamma_from=mdp.gamma, gamma_to=float(gamma_new))
+    arrays = change._step(mdp, (mdp.P, mdp.rewards, mdp.gamma), force=force)
+    return _rebuild(mdp, *arrays), change
 
 
 def normalize(mdp: Mdp) -> tuple[Mdp, Policy, TransformLog]:
@@ -265,19 +274,22 @@ def effective_gamma(mdp: Mdp, floor: float = GAMMA_FLOOR) -> tuple[float, Transf
     States are processed in ascending index; each step touches only its own
     coordinate, so the reachable value gamma - sum(slack) is order
     independent.  The result is clamped at ``floor`` to stay inside (0, 1).
-    Returns the final discount factor and the log of applied steps.
+    Returns the final discount factor and the log of the steps.
+
+    Builds no model (``log.replay(mdp)`` does): a step leaves the other
+    states' coefficients, and so their slack, as they were.
     """
     validate(mdp)
+    if not floor > 0.0:
+        raise ValueError(f"floor must be positive, got {floor}")
     floor = min(float(floor), mdp.gamma)
     slack = state_slack(mdp)
     steps: list[DiscountChange] = []
-    cur = mdp
     g = mdp.gamma
     for s in range(mdp.n_states):
         if slack[s] <= 1e-15 or g <= floor:
             continue
         target = max(g - float(slack[s]), floor)
-        cur, step = apply_J(cur, s, target)
-        steps.append(step)
+        steps.append(DiscountChange(s, g, target))
         g = target
     return g, TransformLog(original_gamma=mdp.gamma, steps=tuple(steps))

@@ -1,8 +1,10 @@
 import json
 import os
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from mdpgeo.cli import (
     EX_CANTCREAT,
@@ -336,3 +338,103 @@ def _values_file(tmp_path, values):
     path = tmp_path / "v0.json"
     path.write_text(json.dumps(values))
     return str(path)
+
+
+DOCUMENTED_CODES = {EX_OK, EX_CAP, EX_USAGE, EX_DATAERR, EX_NOINPUT, EX_CANTCREAT}
+
+
+def _model_text(edit) -> str:
+    doc = json.loads(mdp_to_json(m2_mix()))
+    edit(doc)
+    return json.dumps(doc)
+
+
+MALFORMED_MODELS = {
+    "actions_not_a_list": lambda: _model_text(lambda d: d.update(actions=5)),
+    "reward_is_a_list": lambda: _model_text(lambda d: d["actions"][0].update(reward=[1.0])),
+    "n_states_null": lambda: _model_text(lambda d: d.update(n_states=None)),
+    "n_states_infinite": lambda: _model_text(lambda d: d.update(n_states=float("inf"))),
+    "state_is_an_object": lambda: _model_text(lambda d: d["actions"][1].update(state={})),
+    "probs_ragged": lambda: _model_text(lambda d: d["actions"][0].update(probs=[[1.0], []])),
+    "no_actions_for_a_huge_model": lambda: _model_text(
+        lambda d: d.update(n_states=10**12, actions=[])),
+    "nested_too_deep_for_the_parser": lambda: "[" * 100_000 + "]" * 100_000,
+}
+
+
+def _trace_lines(tmp_path) -> tuple[str, list[str]]:
+    norm, _, _ = normalize(m2_mix())
+    model = tmp_path / "norm.json"
+    model.write_text(mdp_to_json(norm))
+    trace = value_iteration(
+        norm, ViConfig(stop="time", t_max=10, v0="given", v0_values=(1.0, 0.0))
+    )
+    return str(model), trace_to_csv(trace).splitlines()
+
+
+def _set_field(lines, row, col, text):
+    parts = lines[row].split(",")
+    parts[col] = text
+    lines[row] = ",".join(parts)
+    return lines
+
+
+MALFORMED_TRACES = {
+    "truncated_row": lambda ls: ls[:2] + [",".join(ls[2].split(",")[:3])] + ls[3:],
+    "width_is_not_n_states": lambda ls: [ls[0] + ",value_2"] + [ln + ",0.0" for ln in ls[1:]],
+    "infinite_value": lambda ls: _set_field(ls, 3, -1, "inf"),
+    "nan_value": lambda ls: _set_field(ls, 3, 5, "nan"),
+    "non_numeric_value": lambda ls: _set_field(ls, 2, -1, "abc"),
+    "non_numeric_span": lambda ls: _set_field(ls, 2, 1, "wide"),
+    "non_numeric_step": lambda ls: _set_field(ls, 4, 0, "x3"),
+    "oversized_action_count": lambda ls: _set_field(ls, 1, 3, "9" * 30),
+    "empty_file": lambda ls: [],
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_model_exits_65_with_model_error(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(MALFORMED_MODELS[case]())
+        code, cap = run(capsys, "gamma-eff", "--mdp", str(path))
+        assert code == EX_DATAERR
+        assert cap.err.startswith("error:ModelError:")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
+    def test_trace_exits_65_with_model_error(self, case, tmp_path, capsys):
+        model, lines = _trace_lines(tmp_path)
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(ln + "\n" for ln in MALFORMED_TRACES[case](lines)))
+        code, cap = run(capsys, "certify", "--mdp", model, "--trace", str(path))
+        assert code == EX_DATAERR
+        assert cap.err.startswith("error:ModelError:")
+
+    def test_well_formed_trace_still_certifies(self, tmp_path, capsys):
+        model, lines = _trace_lines(tmp_path)
+        path = tmp_path / "good.csv"
+        path.write_text("".join(ln + "\n" for ln in lines))
+        code, _ = run(capsys, "certify", "--mdp", model, "--trace", str(path))
+        assert code == EX_OK
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        field=st.sampled_from(["version", "n_states", "gamma", "actions",
+                               "id", "state", "probs", "reward"]),
+        action=st.integers(0, 3),
+        junk=st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+            st.lists(st.one_of(st.none(), st.integers(-2, 2), st.floats()), max_size=3),
+            st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+        ),
+    )
+    def test_junk_in_any_field_gives_a_documented_code(self, tmp_path, capsys,
+                                                        field, action, junk):
+        doc = json.loads(mdp_to_json(m2_mix()))
+        (doc if field in doc else doc["actions"][action])[field] = junk
+        path = tmp_path / "junk.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["gamma-eff"], ["solve-vi", "--stop", "time:3"]):
+            code, cap = run(capsys, *argv, "--mdp", str(path))
+            assert code in DOCUMENTED_CODES
+            assert code == EX_OK or cap.err.startswith("error:")

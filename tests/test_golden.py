@@ -4,8 +4,10 @@ One pipeline of commands runs through ``mdpgeo.cli.main`` in a temporary
 directory; every command's stdout and every file it writes is reduced to its
 sha256 and compared against the digests below.  The digests were taken from
 the implementation before the grouped-rows greedy kernel and the spliced
-model writer replaced the per-state loops, so any change to a printed or
-written byte, including float formatting and tie-breaking, fails here.
+model writer replaced the per-state loops, and the ``normalize``/``gamma-eff``
+pins on the dense and sparse models from the implementation that rebuilt the
+model after every transform step, so any change to a printed or written byte,
+including float formatting and tie-breaking, fails here.
 """
 
 from __future__ import annotations
@@ -30,8 +32,12 @@ GOLDEN = {
     "dense_normalized.json": "82e15ddf9fb604e9ae3d6572939f2162833b5581ab48468c70f54ef1218a4dcc",
     "gamma_eff.exit": 0,
     "gamma_eff.stdout": "7bcd1fa41e761a146c795ad5b6140eb691a038af41395e07d9849b534dd0e108",
+    "gamma_eff_dense.exit": 0,
+    "gamma_eff_dense.stdout": "64eb5d7b15574848fef8999bbb51c178bd88696ccaa4aee55dc99df507cbcb89",
     "gamma_eff_m2.exit": 0,
     "gamma_eff_m2.stdout": "3736b1cceacfdb7aa278ece9bbd44eb2e808f1fa55653d7758490c2ac46cff77",
+    "gamma_eff_sparse.exit": 0,
+    "gamma_eff_sparse.stdout": "769cd042818360ad74b2ae4b00350be28d77d17bf77b01ec10f116b7498a420e",
     "generate_dense.exit": 0,
     "generate_dense.stdout": "4b666b4cd9cacf05a7ebb342daed559760e52f2fd56d2ceeb8f42695a56b8308",
     "generate_sparse.exit": 0,
@@ -42,6 +48,8 @@ GOLDEN = {
     "normalize.stdout": "5606e23f55af7f714949a53ab713b837baa89605362c45c064713b2d157d81cb",
     "normalize_dense.exit": 0,
     "normalize_dense.stdout": "f1db4dc915613a4e51b9cdf70a9d03de05aa6ac5cfc7b3af279f67c4cdb963bd",
+    "normalize_sparse.exit": 0,
+    "normalize_sparse.stdout": "f3778fcb5fd4ca3dafceaa69ac27021c288787789f6072246f5fc93cf8574d30",
     "normalized.csv": "b55a4853bb0ea910bce837e79aee8ae499b6e1716277305d309e47b3de34500b",
     "solve_pi_dense.exit": 0,
     "solve_pi_dense.stdout": "fb0f3d40bfc4283fd6ac44b7364a5fce66288a35d78b4b590b8c7c39b72e5159",
@@ -58,6 +66,7 @@ GOLDEN = {
     "solve_vi_normalized.exit": 0,
     "solve_vi_normalized.stdout": "19777c90782128570c4835b202b2f60797e445c73e1fbb907b44bc764fef8038",
     "sparse.json": "bd13699881657ee4f58a5f250f0669481aa6acec03614de9d9f6268d69c05629",
+    "sparse_normalized.json": "ae7e4292713d2a669c170987afac382ccfce911695fe451a59abe8ffd0fa6c91",
     "vi.csv": "f4e1b44e42d66174a166af7e7dbc69084042a8d09140bfc8e59fdccca3f8e752",
     "vi_filtered.csv": "4912c0ac15084ac8abaa6bb66b0abd0d1c766e9c2b410061a742c8dcab000e8c",
 }
@@ -105,9 +114,12 @@ def observed(tmp_path_factory) -> dict:
     run("normalize", "normalize", "--mdp", p("m2_mix.json"), "--out", p("m2_mix_normalized.json"))
     run("normalize_dense", "normalize", "--mdp", p("dense.json"),
         "--out", p("dense_normalized.json"))
-    record("m2_mix_normalized.json", "dense_normalized.json")
+    run("normalize_sparse", "normalize", *sparse, "--out", p("sparse_normalized.json"))
+    record("m2_mix_normalized.json", "dense_normalized.json", "sparse_normalized.json")
     run("gamma_eff", "gamma-eff", "--mdp", p("m2_mix.json"))
     run("gamma_eff_m2", "gamma-eff", "--mdp", p("m2.json"))
+    run("gamma_eff_dense", "gamma-eff", "--mdp", p("dense.json"))
+    run("gamma_eff_sparse", "gamma-eff", *sparse)
 
     (d / "v0.json").write_text(json.dumps([1.0, 0.0]), encoding="utf-8")
     norm = ["--mdp", p("m2_mix_normalized.json")]

@@ -8,7 +8,9 @@ from mdpgeo.fixtures import m2, m2_mix
 from mdpgeo.solvers import ViConfig, evaluate_policy, policy_iteration, value_iteration
 from mdpgeo.transforms import (
     GAMMA_FLOOR,
+    LShift,
     NonUniqueOptimumWarning,
+    TransformLog,
     UnsafeTransformError,
     apply_J,
     apply_L,
@@ -19,7 +21,7 @@ from mdpgeo.transforms import (
 from mdpgeo.cli import mdp_to_json
 from mdpgeo.gen import GenSpec, generate
 
-from conftest import mdps_with_values
+from conftest import mdps, mdps_with_values
 
 
 def uniform_rows(gamma=0.9):
@@ -239,3 +241,97 @@ class TestTrajectoryInvariance:
             _, moved = policy_iteration(image, pi0)
             assert base.policies == moved.policies
             assert base.iterations == moved.iterations
+
+
+def _apply_j_chain(mdp, floor=GAMMA_FLOOR):
+    """Reference for effective_gamma: one apply_J, and one whole model, per step."""
+    slack = state_slack(mdp)
+    cur, g, steps = mdp, mdp.gamma, []
+    for s in range(mdp.n_states):
+        if slack[s] <= 1e-15 or g <= floor:
+            continue
+        target = max(g - float(slack[s]), floor)
+        cur, step = apply_J(cur, s, target)
+        steps.append(step)
+        g = target
+    return g, steps, cur
+
+
+def _dense(n, seed):
+    return generate(GenSpec(n_states=n, gamma=0.95, seed=seed, structure="dense"))
+
+
+class TestArraySteps:
+    def _matches_chain(self, mdp):
+        geff, log = effective_gamma(mdp)
+        g, steps, chained = _apply_j_chain(mdp)
+        assert geff == g
+        assert [(s.state, s.gamma_from, s.gamma_to) for s in log.steps] == [
+            (s.state, s.gamma_from, s.gamma_to) for s in steps
+        ]
+        replayed = log.replay(mdp)
+        validate(replayed)
+        assert mdp_to_json(replayed) == mdp_to_json(chained)
+
+    @given(mdps())
+    def test_effective_gamma_matches_apply_j_chain(self, mdp):
+        self._matches_chain(mdp)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_effective_gamma_matches_apply_j_chain_dense(self, n):
+        for seed in range(3):
+            self._matches_chain(_dense(n, 700 + 10 * n + seed))
+
+    def test_normalize_equals_sequential_column_shifts(self):
+        mdp = _dense(20, 7)
+        norm, _, log = normalize(mdp)
+        rewards = mdp.rewards.copy()
+        for step in log.steps:
+            rewards = rewards - mdp.coeffs[:, step.state] * step.delta
+        np.testing.assert_array_equal(norm.rewards, rewards)
+        np.testing.assert_array_equal(norm.P, mdp.P)
+
+    def test_one_model_per_call(self, monkeypatch):
+        import mdpgeo.transforms as transforms
+
+        mdp = _dense(6, 3)
+        counts = {"actions": 0, "rebuilds": 0}
+        post_init, rebuild = Action.__post_init__, transforms._rebuild
+
+        def counting_post_init(self):
+            counts["actions"] += 1
+            post_init(self)
+
+        def counting_rebuild(*args):
+            counts["rebuilds"] += 1
+            return rebuild(*args)
+
+        monkeypatch.setattr(Action, "__post_init__", counting_post_init)
+        monkeypatch.setattr(transforms, "_rebuild", counting_rebuild)
+
+        def made(call):
+            counts.update(actions=0, rebuilds=0)
+            call()
+            return counts["actions"], counts["rebuilds"]
+
+        _, _, nlog = normalize(mdp)
+        _, glog = effective_gamma(mdp)
+        assert len(nlog.steps) == mdp.n_states and len(glog.steps) == mdp.n_states
+        assert made(lambda: normalize(mdp)) == (mdp.m, 1)
+        assert made(lambda: effective_gamma(mdp)) == (0, 0)
+        assert made(lambda: nlog.replay(mdp)) == (mdp.m, 1)
+        assert made(lambda: glog.replay(mdp)) == (mdp.m, 1)
+        assert made(lambda: apply_L(mdp, 2, 0.5)) == (mdp.m, 1)
+        assert made(lambda: apply_J(mdp, 2, mdp.gamma - state_slack(mdp)[2] / 2)) == (mdp.m, 1)
+
+    def test_replay_checks_each_step(self):
+        mdp = uniform_rows()
+        _, log = effective_gamma(mdp)
+        with pytest.raises(UnsafeTransformError, match="expects gamma"):
+            TransformLog(0.9, log.steps[1:]).replay(mdp)
+        with pytest.raises(ValueError, match="unknown state"):
+            TransformLog(0.9, (LShift(5, 1.0),)).replay(mdp)
+
+    def test_floor_must_be_positive(self):
+        with pytest.raises(ValueError, match="floor"):
+            effective_gamma(uniform_rows(), floor=0.0)
