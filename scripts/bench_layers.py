@@ -3,7 +3,7 @@
     PYTHONPATH=src python scripts/bench_layers.py [--n 1000] [--k 5] [--seed 7]
 
 Generates ``GenSpec(structure="sparse", n_states=n, sparse_k=k,
-max_actions=8, gamma=0.95)`` and times four layers on it, each over a fixed
+max_actions=8, gamma=0.95)`` and times six layers on it, each over a fixed
 number of repeats:
 
 - ``bellman_optimal``: one greedy backup at random values;
@@ -11,7 +11,9 @@ number of repeats:
   step, from runs of 1 and 21 steps;
 - ``filter_appendix``: one filtering pass at V_100 of a run started from the
   upper bound, where part of the actions are provably suboptimal;
-- ``mdp_to_json``: writing the whole model as JSON.
+- ``mdp_to_json``: writing the whole model as JSON;
+- ``mdp_from_json``: reading that JSON text back (parse, build, validate);
+- ``validate``: the full invariant check of the model.
 
 Two more layers run on ``GenSpec(structure="dense", n_states=100,
 gamma=0.95)`` with the same seed, where every state has slack, so each makes
@@ -39,8 +41,8 @@ import time
 
 import numpy as np
 
-from mdpgeo.cli import mdp_to_json
-from mdpgeo.core import bellman_optimal
+from mdpgeo.cli import mdp_from_json, mdp_to_json
+from mdpgeo.core import bellman_optimal, validate
 from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import ViConfig, filter_appendix, value_iteration
 from mdpgeo.transforms import effective_gamma, normalize
@@ -90,6 +92,9 @@ def main() -> None:
         "filter_appendix": _summary(_times(lambda: filter_appendix(mdp, 100, v100, active), 20)),
         "mdp_to_json": _summary(_times(lambda: mdp_to_json(mdp), 3)),
     }
+    text = mdp_to_json(mdp)
+    layers["mdp_from_json"] = _summary(_times(lambda: mdp_from_json(text), 3))
+    layers["validate"] = _summary(_times(lambda: validate(mdp), 20))
     dense = generate(GenSpec(n_states=DENSE_N, gamma=0.95, seed=args.seed, structure="dense"))
     layers["normalize"] = _summary(_times(lambda: normalize(dense), 5))
     layers["effective_gamma"] = _summary(_times(lambda: effective_gamma(dense), 5))

@@ -22,11 +22,12 @@ import json
 import os
 import sys
 import tempfile
+import typing
 
 import numpy as np
 
 from .analysis import certify, certify_alpha
-from .core import Action, Mdp, ModelError, Policy, policy_from_ids, validate
+from .core import Mdp, ModelError, Policy, policy_from_ids, validate
 from .gen import STRUCTURES, GenSpec, generate
 from .solvers import (
     ConfigError,
@@ -47,6 +48,7 @@ EX_CANTCREAT = 73
 
 _MDP_KEYS = {"version", "n_states", "gamma", "actions"}
 _ACTION_KEYS = {"id", "state", "probs", "reward"}
+_SPEC_TYPES = typing.get_type_hints(GenSpec)
 
 
 # ---------------------------------------------------------------------------
@@ -74,48 +76,66 @@ def mdp_to_json(mdp: Mdp) -> str:
     parts = [f'{{\n  "version": 1,\n  "n_states": {json.dumps(mdp.n_states)},\n'
              f'  "gamma": {json.dumps(mdp.gamma)},\n  "actions": [']
     sep = "\n"
-    for a in mdp.actions:
-        probs = f"[\n        {_probs_items(a.probs)}\n      ]" if a.probs.size else "[]"
+    for aid, state, p, reward in zip(mdp.ids, mdp.state_of.tolist(), mdp.P,
+                                     mdp.rewards.tolist()):
+        probs = f"[\n        {_probs_items(p)}\n      ]" if p.size else "[]"
         parts.append(
-            f'{sep}    {{\n      "id": {json.dumps(a.id)},\n      "state": {json.dumps(a.state)},'
-            f'\n      "probs": {probs},\n      "reward": {json.dumps(a.reward)}\n    }}'
+            f'{sep}    {{\n      "id": {json.dumps(aid)},\n      "state": {json.dumps(state)},'
+            f'\n      "probs": {probs},\n      "reward": {json.dumps(reward)}\n    }}'
         )
         sep = ",\n"
-    parts.append("\n  ]\n}\n" if mdp.actions else "]\n}\n")
+    parts.append("\n  ]\n}\n" if mdp.m else "]\n}\n")
     return "".join(parts)
 
 
-def _fields(doc, keys: set[str], what: str) -> None:
+def _fields(doc, keys: set[str], what: str, optional: frozenset[str] = frozenset()) -> None:
     if not isinstance(doc, dict):
         raise ModelError(f"{what} must be a JSON object")
-    for problem, names in (("unknown", set(doc) - keys), ("missing", keys - set(doc))):
+    for problem, names in (("unknown", set(doc) - keys - optional), ("missing", keys - set(doc))):
         if names:
             raise ModelError(f"{what} has {problem} fields: {sorted(names)}")
 
 
-def mdp_from_json(text: str) -> Mdp:
+def _typed(value, kind: type, what: str):
+    """``value`` as ``kind`` (int, float or str) when JSON gave it that type; a bool
+    never passes and an integer passes as a float.  ModelError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ModelError(f"{what} must be a JSON {kind.__name__}, got {type(value).__name__}")
     try:
-        doc = json.loads(text)
+        return kind(value)
+    except OverflowError:
+        raise ModelError(f"{what} is out of range for a float") from None
+
+
+def _parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise ModelError(f"model file is not valid JSON: {exc}") from None
+        raise ModelError(f"{what} is not valid JSON: {exc}") from None
+
+
+def mdp_from_json(text: str) -> Mdp:
+    doc = _parse_json(text, "model file")
     _fields(doc, _MDP_KEYS, "model file")
     if doc["version"] != 1:
         raise ModelError(f"unsupported model file version {doc['version']!r}")
     if not isinstance(doc["actions"], list):
         raise ModelError("model actions must be a JSON list")
-    actions = []
+    n = _typed(doc["n_states"], int, "model n_states")
+    gamma = _typed(doc["gamma"], float, "model gamma")
+    ids, states, rewards = [], [], []
     for entry in doc["actions"]:
         _fields(entry, _ACTION_KEYS, "action")
-        if not isinstance(entry["id"], str):
-            raise ModelError("action id must be a string")
-        try:  # int(state), np.array(probs), float(reward); validate checks the rest
-            actions.append(Action(**entry))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ModelError(f"action {entry['id']!r} has a malformed field: {exc}") from None
-    try:
-        mdp = Mdp(n_states=doc["n_states"], actions=tuple(actions), gamma=doc["gamma"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelError(f"model n_states or gamma is malformed: {exc}") from None
+        ids.append(_typed(entry["id"], str, "action id"))
+        states.append(_typed(entry["state"], int, f"action {entry['id']!r} state"))
+        rewards.append(_typed(entry["reward"], float, f"action {entry['id']!r} reward"))
+    try:  # one array from all rows: its dtype tells whether every entry is a number
+        P = np.array([entry["probs"] for entry in doc["actions"]])
+    except (ValueError, OverflowError) as exc:
+        raise ModelError(f"action probs are malformed: {exc}") from None
+    if ids and P.dtype.kind not in "iuf":
+        raise ModelError("action probs must be JSON lists of numbers")
+    mdp = Mdp.from_arrays(n, gamma, ids, states, P, rewards)
     validate(mdp)
     return mdp
 
@@ -223,6 +243,14 @@ def _write_text(path: str, text: str) -> None:
         raise _OutputError(f"cannot write {path}: {exc}") from exc
 
 
+def _read_list(path: str, what: str, kind: type) -> tuple:
+    """A side input holding a JSON list whose entries are all of ``kind`` (see ``_typed``)."""
+    doc = _parse_json(_read_text(path), what)
+    if not isinstance(doc, list):
+        raise ModelError(f"{what} must be a JSON list")
+    return tuple(_typed(x, kind, f"{what} entry") for x in doc)
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -295,9 +323,10 @@ def _v0_spec(text: str):
 
 def _cmd_generate(args) -> int:
     if args.spec:
-        doc = json.loads(_read_text(args.spec))
+        doc = _parse_json(_read_text(args.spec), "spec file")
+        _fields(doc, {"n_states", "gamma"}, "spec file", optional=frozenset(_SPEC_TYPES))
         doc.setdefault("seed", args.seed)
-        spec = GenSpec(**doc)
+        spec = GenSpec(**{k: _typed(v, _SPEC_TYPES[k], f"spec {k}") for k, v in doc.items()})
     else:
         spec = GenSpec(
             n_states=args.n_states,
@@ -335,7 +364,7 @@ def _cmd_solve_vi(args) -> int:
     v0_kind, v0_arg = args.v0
     v0_values = None
     if v0_kind == "file":
-        v0_values = tuple(float(x) for x in json.loads(_read_text(v0_arg)))
+        v0_values = _read_list(v0_arg, "values file", float)
         v0_kind = "given"
     elif v0_kind == "upper":
         v0_kind = "upper_bound"
@@ -377,7 +406,7 @@ def _cmd_solve_pi(args) -> int:
     elif args.pi0 == "first":
         pi0 = Policy(choice=tuple(mdp.ids[rows[0]] for rows in mdp.state_rows))
     else:
-        pi0 = policy_from_ids(mdp, tuple(json.loads(_read_text(args.pi0))))
+        pi0 = policy_from_ids(mdp, _read_list(args.pi0, "policy file", str))
     policy, trace = policy_iteration(mdp, pi0)
     _emit(
         {

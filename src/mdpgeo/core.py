@@ -1,7 +1,9 @@
 """Finite discounted MDPs with state-unique actions.
 
-The model is deliberately small: an :class:`Mdp` is a discount factor plus a
-flat tuple of :class:`Action` records, each owned by exactly one state.
+Arrays are the model: an :class:`Mdp` holds a discount factor, one id per
+action row, the row's owning state, its next-state distribution (a row of
+``P``) and its reward.  :class:`Action` records exist only at the boundary,
+for building a model by hand and for reading one row back (``Mdp.actions``).
 Value vectors are bare float64 numpy arrays indexed by state.  Every action
 embeds into an (n+1)-vector ``(reward, coeffs)`` whose coefficients are
 ``gamma * probs`` except at the action's own state, where 1 is subtracted;
@@ -57,7 +59,9 @@ def span(v) -> float:
     return float(np.max(v) - np.min(v))
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _freeze(a, dtype=None) -> np.ndarray:
+    """A read-only view of ``a`` (as ``dtype``); the caller's own array stays writable."""
+    a = np.asarray(a, dtype=dtype).view()
     a.setflags(write=False)
     return a
 
@@ -103,45 +107,60 @@ class ActionVector:
         object.__setattr__(self, "coeffs", _freeze(np.array(self.coeffs, dtype=np.float64)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Mdp:
-    """A discounted MDP: state count, actions, discount factor.
+    """A discounted MDP as arrays: row k is action ``ids[k]`` of state ``state_of[k]``,
+    with next-state distribution ``P[k]`` and reward ``rewards[k]``.
 
-    Derived arrays (transition matrix, coefficient matrix, per-state action
-    rows sorted by action id) are computed lazily and cached.  Construction
-    does not validate; call :func:`validate` for the full invariant check.
+    The read-only arrays are set once, from :class:`Action` records by
+    ``Mdp(n_states, actions, gamma)`` or by :meth:`from_arrays`; both check
+    shapes only, so call :func:`validate` for the full invariant check.
+    Derived arrays (coefficients, per-state rows sorted by action id) are
+    computed lazily and cached; ``actions`` makes the rows into records.
     """
 
     n_states: int
-    actions: tuple[Action, ...]
     gamma: float
+    m: int
+    ids: tuple[str, ...]
+    state_of: np.ndarray
+    P: np.ndarray
+    rewards: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_states", int(self.n_states))
-        object.__setattr__(self, "actions", tuple(self.actions))
-        object.__setattr__(self, "gamma", float(self.gamma))
+    def __init__(self, n_states: int, actions: Iterable[Action], gamma: float):
+        actions = tuple(actions)
+        for a in actions:
+            if a.probs.shape != (n_states,):
+                raise ModelError(f"action {a.id!r} has probs of shape {a.probs.shape}, "
+                                 f"expected ({n_states},)")
+        self._set(n_states, gamma, [a.id for a in actions], [a.state for a in actions],
+                  [a.probs for a in actions], [a.reward for a in actions])
+
+    @classmethod
+    def from_arrays(cls, n_states: int, gamma: float, ids, state_of, P, rewards) -> Mdp:
+        """A model straight from its arrays; ``P`` must be (len(ids), n_states)."""
+        mdp = cls.__new__(cls)
+        mdp._set(n_states, gamma, ids, state_of, P, rewards)
+        return mdp
+
+    def _set(self, n_states, gamma, ids, state_of, P, rewards) -> None:
+        ids, n = tuple(ids), int(n_states)
+        try:  # with no rows, P is (0, n) and allocates nothing
+            P = _freeze(P if ids else np.empty((0, n)), np.float64)
+            state_of, rewards = _freeze(state_of, np.intp), _freeze(rewards, np.float64)
+        except (ValueError, OverflowError) as exc:
+            raise ModelError(f"model arrays are malformed: {exc}") from None
+        m, shapes = len(ids), (P.shape, state_of.shape, rewards.shape)
+        if shapes != ((m, n), (m,), (m,)):
+            raise ModelError(f"P, state_of, rewards have shapes {shapes}, "
+                             f"expected {((m, n), (m,), (m,))}")
+        vars(self).update(n_states=n, gamma=float(gamma), m=m, ids=ids, state_of=state_of, P=P,
+                          rewards=rewards)  # set once, past the frozen __setattr__
 
     @cached_property
-    def m(self) -> int:
-        """Total number of actions."""
-        return len(self.actions)
-
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.actions)
-
-    @cached_property
-    def rewards(self) -> np.ndarray:
-        return _freeze(np.array([a.reward for a in self.actions], dtype=np.float64))
-
-    @cached_property
-    def state_of(self) -> np.ndarray:
-        return _freeze(np.array([a.state for a in self.actions], dtype=np.intp))
-
-    @cached_property
-    def P(self) -> np.ndarray:
-        """(m, n) matrix of next-state distributions, one row per action."""
-        return _freeze(np.vstack([a.probs for a in self.actions]))
+    def actions(self) -> tuple[Action, ...]:
+        """The rows as :class:`Action` records."""
+        return tuple(map(Action, self.ids, self.state_of.tolist(), self.P, self.rewards.tolist()))
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -154,9 +173,9 @@ class Mdp:
     def groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(order, starts, sizes)``: state s owns rows ``order[starts[s]:][:sizes[s]]``,
         sorted by action id; rows naming an unknown state are left out."""
-        acts = self.actions
-        known = [k for k, a in enumerate(acts) if 0 <= a.state < self.n_states]
-        order = np.array(sorted(known, key=lambda k: (acts[k].state, acts[k].id)), dtype=np.intp)
+        by_id = np.array(sorted(range(self.m), key=self.ids.__getitem__), dtype=np.intp)
+        order = by_id[np.argsort(self.state_of[by_id], kind="stable")]
+        order = order[(self.state_of[order] >= 0) & (self.state_of[order] < self.n_states)]
         sizes = np.bincount(self.state_of[order], minlength=self.n_states)
         return _freeze(order), _freeze(np.cumsum(sizes) - sizes), _freeze(sizes)
 
@@ -168,13 +187,18 @@ class Mdp:
 
     @cached_property
     def row_of(self) -> dict[str, int]:
-        return {a.id: k for k, a in enumerate(self.actions)}
+        """Row index per action id (the last row, should an id repeat)."""
+        return dict(zip(self.ids, range(self.m)))
+
+    def row(self, action_id: str) -> int:
+        """Row index of an action id; ModelError if the id is unknown."""
+        k = self.row_of.get(action_id)
+        if k is None:
+            raise ModelError(f"unknown action id {action_id!r}")
+        return k
 
     def action(self, action_id: str) -> Action:
-        try:
-            return self.actions[self.row_of[action_id]]
-        except KeyError:
-            raise ModelError(f"unknown action id {action_id!r}") from None
+        return self.actions[self.row(action_id)]
 
 
 @dataclass(frozen=True)
@@ -200,9 +224,9 @@ def policy_from_ids(mdp: Mdp, ids: Sequence[str], values=None) -> Policy:
     if len(ids) != mdp.n_states:
         raise ModelError(f"policy has {len(ids)} choices for {mdp.n_states} states")
     for s, aid in enumerate(ids):
-        a = mdp.action(aid)
-        if a.state != s:
-            raise ModelError(f"action {aid!r} belongs to state {a.state}, not {s}")
+        owner = int(mdp.state_of[mdp.row(aid)])
+        if owner != s:
+            raise ModelError(f"action {aid!r} belongs to state {owner}, not {s}")
     return Policy(choice=ids, values=values)
 
 
@@ -217,54 +241,47 @@ def validate(mdp: Mdp) -> None:
     Checked: gamma strictly inside (0,1); unique action ids; each action has
     a known state, a proper distribution over next states (nonnegative,
     summing to 1 within 1e-12) and a finite reward; every state owns at
-    least one action.
+    least one action.  Each check runs over all rows at once and names the
+    lowest offending row; shapes are checked when the model is built.
     """
     if mdp.n_states < 1:
         raise ModelError(f"n_states must be >= 1, got {mdp.n_states}")
     if not (0.0 < mdp.gamma < 1.0):
         raise ModelError(f"discount factor must lie strictly inside (0, 1), got {mdp.gamma}")
-    seen: set[str] = set()
-    for a in mdp.actions:
-        if a.id in seen:
-            raise ModelError(f"duplicate action id {a.id!r}")
-        seen.add(a.id)
-        if not (0 <= a.state < mdp.n_states):
-            raise ModelError(f"action {a.id!r} names unknown state {a.state}")
-        if a.probs.shape != (mdp.n_states,):
-            raise ModelError(
-                f"action {a.id!r} has probs of shape {a.probs.shape}, "
-                f"expected ({mdp.n_states},)"
-            )
-        if not np.all(np.isfinite(a.probs)):
-            raise ModelError(f"action {a.id!r} has non-finite probabilities")
-        if np.any(a.probs < 0.0):
-            raise ModelError(f"action {a.id!r} has a negative probability")
-        rs = float(a.probs.sum())
-        if abs(rs - 1.0) > ROW_SUM_TOL:
-            raise ModelError(f"action {a.id!r} row sums to {rs!r}, not 1")
-        if not np.isfinite(a.reward):
-            raise ModelError(f"action {a.id!r} has non-finite reward")
-    if not mdp.actions:  # no probs row bounds n_states, which bincount would allocate
+    ids, states, P = mdp.ids, mdp.state_of, mdp.P
+    first = dict(zip(reversed(ids), range(mdp.m - 1, -1, -1)))  # id -> its lowest row
+    repeats = np.ones(mdp.m, dtype=bool)
+    repeats[list(first.values())] = False
+    with np.errstate(invalid="ignore"):  # inf - inf: that row fails the finiteness check
+        sums = P.sum(axis=1)
+    for bad, problem in (
+        (repeats, "duplicate action id {id!r}"),
+        ((states < 0) | (states >= mdp.n_states), "action {id!r} names unknown state {state}"),
+        (~np.isfinite(P).all(axis=1), "action {id!r} has non-finite probabilities"),
+        ((P < 0.0).any(axis=1), "action {id!r} has a negative probability"),
+        (np.abs(sums - 1.0) > ROW_SUM_TOL, "action {id!r} row sums to {sum!r}, not 1"),
+        (~np.isfinite(mdp.rewards), "action {id!r} has non-finite reward"),
+    ):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ModelError(problem.format(id=ids[k], state=states[k], sum=float(sums[k])))
+    if not mdp.m:  # no probs row bounds n_states, which bincount would allocate
         raise ModelError("state 0 has no actions")
-    counts = np.bincount(mdp.state_of, minlength=mdp.n_states)
+    counts = np.bincount(states, minlength=mdp.n_states)
     if not counts.all():
         raise ModelError(f"state {int(np.argmin(counts))} has no actions")
 
 
 def action_vector(mdp: Mdp, action_id: str) -> ActionVector:
     """Embed one action as (reward, coefficients)."""
-    a = mdp.action(action_id)
-    c = mdp.gamma * a.probs.copy()
-    c[a.state] -= 1.0
-    return ActionVector(reward=a.reward, coeffs=c)
+    k = mdp.row(action_id)
+    return ActionVector(reward=float(mdp.rewards[k]), coeffs=mdp.coeffs[k])
 
 
 def advantage(mdp: Mdp, action_id: str, v) -> float:
     """reward + coeffs . v for one action at values v."""
     v = as_values(v, mdp.n_states)
-    k = mdp.row_of.get(action_id)
-    if k is None:
-        raise ModelError(f"unknown action id {action_id!r}")
+    k = mdp.row(action_id)
     return float(mdp.rewards[k] + mdp.coeffs[k] @ v)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Action, Mdp, validate
+from .core import Mdp, validate
 from .solvers import solve_exact
 
 __all__ = ["GenSpec", "PlantingError", "generate"]
@@ -117,7 +117,7 @@ def _planted_row(rng: np.random.Generator, spec: GenSpec, s: int) -> np.ndarray:
 def _build(rng: np.random.Generator, spec: GenSpec, beta: float) -> Mdp:
     planted = spec.structure in ("planted_optimal", "periodic_optimal", "wielandt")
     counts = _action_counts(rng, spec)
-    actions = []
+    rows = []  # (id, state, probs, reward), drawn in id order
     for s in range(spec.n_states):
         for j in range(int(counts[s])):
             if planted and j == 0:
@@ -129,8 +129,9 @@ def _build(rng: np.random.Generator, spec: GenSpec, beta: float) -> Mdp:
                 else:
                     probs = _dense_row(rng, spec.n_states)
                 reward = _reward(rng, high=(1.0 - beta) if planted else 1.0)
-            actions.append(Action(id=_aid(s, j), state=s, probs=probs, reward=reward))
-    return Mdp(n_states=spec.n_states, actions=tuple(actions), gamma=spec.gamma)
+            rows.append((_aid(s, j), s, probs, reward))
+    ids, states, P, rewards = zip(*rows)
+    return Mdp.from_arrays(spec.n_states, spec.gamma, ids, states, np.array(P), rewards)
 
 
 def generate(spec: GenSpec) -> Mdp:

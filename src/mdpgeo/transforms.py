@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Action, Mdp, Policy, validate
+from .core import Mdp, Policy, validate
 
 __all__ = [
     "DiscountChange",
@@ -52,11 +52,7 @@ class NonUniqueOptimumWarning(UserWarning):
 
 
 def _rebuild(mdp: Mdp, probs: np.ndarray, rewards: np.ndarray, gamma: float) -> Mdp:
-    actions = tuple(
-        Action(id=a.id, state=a.state, probs=probs[k], reward=float(rewards[k]))
-        for k, a in enumerate(mdp.actions)
-    )
-    return Mdp(n_states=mdp.n_states, actions=actions, gamma=gamma)
+    return Mdp.from_arrays(mdp.n_states, gamma, mdp.ids, mdp.state_of, probs, rewards)
 
 
 @dataclass(frozen=True)

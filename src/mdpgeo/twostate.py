@@ -38,15 +38,16 @@ def _require_two_state(mdp: Mdp) -> None:
         raise ModelError(f"operation is defined for 2-state MDPs, got n={mdp.n_states}")
 
 
-def _check_action_set(mdp: Mdp, action_ids) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def _check_action_set(mdp: Mdp, action_ids) -> tuple[tuple[tuple[str, ...], list[int]], ...]:
+    """Per state, the set's action ids in sorted order and their rows."""
     ids = sorted(str(a) for a in action_ids)
-    per_state: list[list[str]] = [[], []]
-    for aid in ids:
-        a = mdp.action(aid)
-        per_state[a.state].append(aid)
-    if not per_state[0] or not per_state[1]:
+    rows = [mdp.row(aid) for aid in ids]
+    states = mdp.state_of[rows].tolist()
+    per_state = tuple((tuple(a for a, s in zip(ids, states) if s == t),
+                       [k for k, s in zip(rows, states) if s == t]) for t in (0, 1))
+    if not per_state[0][0] or not per_state[1][0]:
         raise ModelError("action set must contain actions on both states")
-    return tuple(per_state[0]), tuple(per_state[1])
+    return per_state
 
 
 def formed_policies(mdp: Mdp, action_ids) -> tuple[Policy, ...]:
@@ -57,12 +58,9 @@ def formed_policies(mdp: Mdp, action_ids) -> tuple[Policy, ...]:
     exhaustive suites call this in bulk).
     """
     _require_two_state(mdp)
-    ids0, ids1 = _check_action_set(mdp, action_ids)
+    (ids0, rows0), (ids1, rows1) = _check_action_set(mdp, action_ids)
     g = mdp.gamma
-    r0 = np.array([mdp.rewards[mdp.row_of[a]] for a in ids0])
-    p0 = np.array([mdp.P[mdp.row_of[a]] for a in ids0])
-    r1 = np.array([mdp.rewards[mdp.row_of[a]] for a in ids1])
-    p1 = np.array([mdp.P[mdp.row_of[a]] for a in ids1])
+    r0, p0, r1, p1 = mdp.rewards[rows0], mdp.P[rows0], mdp.rewards[rows1], mdp.P[rows1]
     a00 = (1.0 - g * p0[:, 0])[:, None]  # rows: choice at state 0
     a01 = (g * p0[:, 1])[:, None]
     b10 = (g * p1[:, 0])[None, :]  # cols: choice at state 1
@@ -84,12 +82,11 @@ def produced_actions(mdp: Mdp, policies, action_ids) -> frozenset[str]:
     included, so the elimination claim is tested against the superset.
     """
     _require_two_state(mdp)
-    ids0, ids1 = _check_action_set(mdp, action_ids)
+    per_state = _check_action_set(mdp, action_ids)
     out: set[str] = set()
     for pol in policies:
         adv = mdp.rewards + mdp.coeffs @ pol.values
-        for ids in (ids0, ids1):
-            rows = [mdp.row_of[a] for a in ids]
+        for ids, rows in per_state:
             best = max(adv[k] for k in rows)
             out.update(ids[j] for j, k in enumerate(rows) if adv[k] >= best - TIE_TOL)
     return frozenset(out)
@@ -255,14 +252,12 @@ def verify_pi_bound(mdp: Mdp) -> PiBoundReport:
     vmat = np.vstack([p.values for p in policies])
     adv_all = mdp.rewards[:, None] + mdp.coeffs @ vmat.T
 
-    ids0, ids1 = _check_action_set(mdp, mdp.ids)
-    rows0 = [mdp.row_of[a] for a in ids0]
-    rows1 = [mdp.row_of[a] for a in ids1]
+    per_state = _check_action_set(mdp, mdp.ids)
 
     def improve(choice: tuple[str, ...]) -> tuple[str, ...]:
         j = index[choice]
         out = []
-        for ids, rows, s in ((ids0, rows0, 0), (ids1, rows1, 1)):
+        for s, (ids, rows) in enumerate(per_state):
             inc_row = mdp.row_of[choice[s]]
             best = max(adv_all[k, j] for k in rows)
             if adv_all[inc_row, j] >= best - TIE_TOL:

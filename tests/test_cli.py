@@ -359,6 +359,21 @@ MALFORMED_MODELS = {
     "no_actions_for_a_huge_model": lambda: _model_text(
         lambda d: d.update(n_states=10**12, actions=[])),
     "nested_too_deep_for_the_parser": lambda: "[" * 100_000 + "]" * 100_000,
+    "probs_nested_in_every_action": lambda: _model_text(
+        lambda d: [a.update(probs=[[0.5], [0.5]]) for a in d["actions"]]),
+    "state_is_a_fraction": lambda: _model_text(lambda d: d["actions"][1].update(state=0.9)),
+    "state_is_a_bool": lambda: _model_text(lambda d: d["actions"][0].update(state=True)),
+    "n_states_is_a_fraction": lambda: _model_text(lambda d: d.update(n_states=2.5)),
+    "gamma_is_a_string": lambda: _model_text(lambda d: d.update(gamma="0.9")),
+    "reward_is_a_string": lambda: _model_text(lambda d: d["actions"][0].update(reward="1.0")),
+    "probs_are_strings": lambda: _model_text(
+        lambda d: d["actions"][0].update(probs=["0.5", "0.5"])),
+    "probs_are_bools": lambda: _model_text(
+        lambda d: [a.update(probs=[True, False]) for a in d["actions"]]),
+    "state_out_of_range_for_an_index": lambda: _model_text(
+        lambda d: d["actions"][0].update(state=10**30)),
+    "reward_out_of_range_for_a_float": lambda: _model_text(
+        lambda d: d["actions"][0].update(reward=10**400)),
 }
 
 
@@ -392,7 +407,44 @@ MALFORMED_TRACES = {
 }
 
 
+MALFORMED_SIDE_INPUTS = {
+    "v0_not_a_list": ("v0", "5"),
+    "v0_null_entry": ("v0", "[null, 1]"),
+    "v0_string_entry": ("v0", '["a", 1]'),
+    "v0_bool_entry": ("v0", "[true, 1]"),
+    "v0_out_of_range_entry": ("v0", "[1" + "0" * 400 + ", 0]"),
+    "v0_bad_json": ("v0", "[1.0,"),
+    "pi0_not_a_list": ("pi0", "5"),
+    "pi0_number_entry": ("pi0", '["a1", 2]'),
+    "pi0_bad_json": ("pi0", "{"),
+    "spec_is_a_list": ("spec", "[3, 0.9]"),
+    "spec_unknown_key": ("spec", '{"n_states": 3, "gamma": 0.9, "colour": "red"}'),
+    "spec_missing_gamma": ("spec", '{"n_states": 3}'),
+    "spec_n_states_string": ("spec", '{"n_states": "3", "gamma": 0.9}'),
+    "spec_n_states_fraction": ("spec", '{"n_states": 3.5, "gamma": 0.9}'),
+    "spec_gamma_null": ("spec", '{"n_states": 3, "gamma": null}'),
+    "spec_seed_string": ("spec", '{"n_states": 3, "gamma": 0.9, "seed": "x"}'),
+    "spec_structure_number": ("spec", '{"n_states": 3, "gamma": 0.9, "structure": 1}'),
+    "spec_bad_json": ("spec", "{'n_states': 3}"),
+}
+
+
 class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SIDE_INPUTS))
+    def test_side_input_exits_65_with_model_error(self, case, model_path, tmp_path, capsys):
+        kind, text = MALFORMED_SIDE_INPUTS[case]
+        path = tmp_path / "side.json"
+        path.write_text(text)
+        argv = {
+            "v0": ["solve-vi", "--mdp", model_path, "--v0", f"file:{path}"],
+            "pi0": ["solve-pi", "--mdp", model_path, "--pi0", str(path)],
+            "spec": ["generate", "--seed", "1", "--spec", str(path),
+                     "--out", str(tmp_path / "out.json")],
+        }[kind]
+        code, cap = run(capsys, *argv)
+        assert code == EX_DATAERR
+        assert cap.err.startswith("error:ModelError:")
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
     def test_model_exits_65_with_model_error(self, case, tmp_path, capsys):
         path = tmp_path / "bad.json"

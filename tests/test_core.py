@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from mdpgeo.core import (
@@ -16,6 +18,7 @@ from mdpgeo.core import (
     span,
     validate,
 )
+from mdpgeo.cli import mdp_to_json
 from mdpgeo.fixtures import m2, m2_mix
 from mdpgeo.solvers import evaluate_policy, solve_exact
 
@@ -55,6 +58,170 @@ class TestValidate:
         )
         with pytest.raises(ModelError, match="duplicate"):
             validate(bad)
+
+
+def reference_validate(mdp):
+    """``validate`` as a loop over Action records, each checked in turn."""
+    if mdp.n_states < 1:
+        raise ModelError(f"n_states must be >= 1, got {mdp.n_states}")
+    if not (0.0 < mdp.gamma < 1.0):
+        raise ModelError(f"discount factor must lie strictly inside (0, 1), got {mdp.gamma}")
+    seen: set[str] = set()
+    for a in mdp.actions:
+        if a.id in seen:
+            raise ModelError(f"duplicate action id {a.id!r}")
+        seen.add(a.id)
+        if not (0 <= a.state < mdp.n_states):
+            raise ModelError(f"action {a.id!r} names unknown state {a.state}")
+        if not np.all(np.isfinite(a.probs)):
+            raise ModelError(f"action {a.id!r} has non-finite probabilities")
+        if np.any(a.probs < 0.0):
+            raise ModelError(f"action {a.id!r} has a negative probability")
+        rs = float(a.probs.sum())
+        if abs(rs - 1.0) > 1e-12:
+            raise ModelError(f"action {a.id!r} row sums to {rs!r}, not 1")
+        if not np.isfinite(a.reward):
+            raise ModelError(f"action {a.id!r} has non-finite reward")
+    if not mdp.actions:
+        raise ModelError("state 0 has no actions")
+    counts = np.bincount(mdp.state_of, minlength=mdp.n_states)
+    if not counts.all():
+        raise ModelError(f"state {int(np.argmin(counts))} has no actions")
+
+
+DEFECTS = ("duplicate_id", "unknown_state", "non_finite_probability", "negative_probability",
+           "row_sum", "non_finite_reward", "state_without_actions")
+
+
+def _with_defects(mdp, kind, draw):
+    """``mdp``'s arrays with defects of one ``kind`` at one to three drawn rows."""
+    ids, states = list(mdp.ids), mdp.state_of.copy()
+    P, rewards = mdp.P.copy(), mdp.rewards.copy()
+    if kind == "duplicate_id":
+        assume(mdp.m > 1)
+    rows = draw(st.lists(st.integers(0, mdp.m - 1), min_size=1, max_size=3, unique=True))
+    for k in rows:
+        j = draw(st.integers(0, mdp.n_states - 1))
+        if kind == "duplicate_id":
+            ids[k] = ids[draw(st.integers(0, mdp.m - 1).filter(lambda i: i != k))]
+        elif kind == "unknown_state":
+            states[k] = draw(st.sampled_from([-1, mdp.n_states, mdp.n_states + 3]))
+        elif kind == "non_finite_probability":
+            P[k, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        elif kind == "negative_probability":
+            P[k, j] = -draw(st.sampled_from([0.25, 5e-324]))
+        elif kind == "row_sum":
+            P[k] *= draw(st.sampled_from([1.5, 0.5, 1 + 2e-12, 1 - 5e-13, 1 + 1e-11]))
+        elif kind == "non_finite_reward":
+            rewards[k] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        else:
+            keep = states != states[k]
+            ids = [i for i, ok in zip(ids, keep) if ok]
+            states, P, rewards = states[keep], P[keep], rewards[keep]
+            break
+    return Mdp.from_arrays(mdp.n_states, mdp.gamma, ids, states, P, rewards)
+
+
+def _outcome(check, mdp):
+    try:
+        check(mdp)
+    except ModelError as exc:
+        return str(exc)
+    return None
+
+
+class TestArrayModel:
+    @given(mdps())
+    def test_from_arrays_equals_records(self, mdp):
+        direct = Mdp.from_arrays(mdp.n_states, mdp.gamma, mdp.ids, mdp.state_of, mdp.P,
+                                 mdp.rewards)
+        records = Mdp(mdp.n_states, mdp.actions, mdp.gamma)
+        assert (direct.n_states, direct.gamma, direct.m, direct.ids) == (
+            records.n_states, records.gamma, records.m, records.ids)
+        for name in ("state_of", "P", "rewards", "coeffs"):
+            np.testing.assert_array_equal(getattr(direct, name), getattr(records, name))
+        for a, b in zip(direct.groups, records.groups):
+            np.testing.assert_array_equal(a, b)
+        assert mdp_to_json(direct) == mdp_to_json(records)
+
+    @settings(max_examples=300)
+    @given(mdps(), st.sampled_from(DEFECTS), st.data())
+    def test_validate_matches_the_per_action_loop(self, mdp, kind, data):
+        bad = _with_defects(mdp, kind, data.draw)
+        assert _outcome(validate, bad) == _outcome(reference_validate, bad)
+
+    def test_duplicate_names_the_first_row_that_repeats_an_id(self):
+        mdp = Mdp.from_arrays(2, 0.9, ("a", "b", "b", "a"), (0, 0, 1, 1), np.full((4, 2), 0.5),
+                              np.zeros(4))
+        with pytest.raises(ModelError, match="duplicate action id 'b'"):
+            validate(mdp)
+
+    @pytest.mark.parametrize("excess, flagged", [(2e-12, True), (-2e-12, True), (4e-13, False)])
+    def test_row_sum_tolerance(self, excess, flagged):
+        mdp = Mdp(1, (Action("a", 0, (1.0 + excess,), 0.0),), 0.9)
+        assert (_outcome(validate, mdp) is not None) == flagged
+        assert _outcome(validate, mdp) == _outcome(reference_validate, mdp)
+
+    @given(mdps())
+    def test_valid_models_pass_both(self, mdp):
+        reference_validate(mdp)
+        validate(mdp)
+
+    @pytest.mark.parametrize("row", [[[0.5], [0.5]], [1.0], [0.5, 0.25, 0.25], []])
+    def test_records_reject_wrong_shape_rows(self, row):
+        with pytest.raises(ModelError, match="shape"):
+            Mdp(2, (Action("a", 0, row, 0.0), Action("b", 1, (0.0, 1.0), 0.0)), 0.9)
+        with pytest.raises(ModelError, match="shape"):
+            Mdp(2, (Action("a", 0, row, 0.0), Action("b", 1, row, 0.0)), 0.9)
+
+    @pytest.mark.parametrize("row", [[[0.5], [0.5]], [1.0], [0.5, 0.25, 0.25], []])
+    def test_from_arrays_rejects_wrong_shape_rows(self, row):
+        with pytest.raises(ModelError):  # ragged
+            Mdp.from_arrays(2, 0.9, ("a", "b"), (0, 1), [row, [0.0, 1.0]], (0.0, 0.0))
+        with pytest.raises(ModelError, match="shape"):
+            Mdp.from_arrays(2, 0.9, ("a", "b"), (0, 1), [row, row], (0.0, 0.0))
+
+    def test_from_arrays_rejects_wrong_length_columns(self):
+        P = np.full((2, 2), 0.5)
+        with pytest.raises(ModelError, match="shape"):
+            Mdp.from_arrays(2, 0.9, ("a", "b"), (0,), P, (0.0, 0.0))
+        with pytest.raises(ModelError, match="shape"):
+            Mdp.from_arrays(2, 0.9, ("a", "b"), (0, 1), P, (0.0, 0.0, 0.0))
+        with pytest.raises(ModelError, match="shape"):
+            Mdp.from_arrays(2, 0.9, ("a",), (0, 1), P, (0.0, 0.0))
+
+    def test_attributes_cannot_be_assigned(self):
+        mdp = m2()
+        for name in ("n_states", "gamma", "m", "ids", "state_of", "P", "rewards", "actions"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(mdp, name, None)
+        for name in ("state_of", "P", "rewards"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(mdp, name)[0] = 0
+
+    def test_from_arrays_leaves_the_callers_arrays_writable(self):
+        P = np.full((2, 2), 0.5)
+        mdp = Mdp.from_arrays(2, 0.9, ("a", "b"), np.array([0, 1]), P, np.zeros(2))
+        P[0, 0] = 0.25
+        assert not mdp.P.flags.writeable and P.flags.writeable
+
+    def test_records_are_made_from_the_rows(self):
+        mdp = m2_mix()
+        a = mdp.action("a2")
+        assert (a.id, a.state, a.reward) == ("a2", 0, 0.9)
+        np.testing.assert_array_equal(a.probs, [1.0, 0.0])
+        assert [b.id for b in mdp.actions] == list(mdp.ids)
+
+    def test_no_actions_allocate_nothing(self):
+        for mdp in (Mdp(10**12, (), 0.9), Mdp.from_arrays(10**12, 0.9, (), (), [], ())):
+            assert mdp.P.shape == (0, 10**12) and mdp.m == 0
+            with pytest.raises(ModelError, match="state 0 has no actions"):
+                validate(mdp)
+
+    def test_equality_is_identity(self):
+        assert m2() != m2()
+        mdp = m2()
+        assert mdp == mdp and len({mdp, mdp, m2()}) == 2
 
 
 class TestActionVector:

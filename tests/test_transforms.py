@@ -18,7 +18,7 @@ from mdpgeo.transforms import (
     normalize,
     state_slack,
 )
-from mdpgeo.cli import mdp_to_json
+from mdpgeo.cli import mdp_from_json, mdp_to_json
 from mdpgeo.gen import GenSpec, generate
 
 from conftest import mdps, mdps_with_values
@@ -316,13 +316,17 @@ class TestArraySteps:
 
         _, _, nlog = normalize(mdp)
         _, glog = effective_gamma(mdp)
+        text = mdp_to_json(mdp)
         assert len(nlog.steps) == mdp.n_states and len(glog.steps) == mdp.n_states
-        assert made(lambda: normalize(mdp)) == (mdp.m, 1)
+        assert made(lambda: normalize(mdp)) == (0, 1)
         assert made(lambda: effective_gamma(mdp)) == (0, 0)
-        assert made(lambda: nlog.replay(mdp)) == (mdp.m, 1)
-        assert made(lambda: glog.replay(mdp)) == (mdp.m, 1)
-        assert made(lambda: apply_L(mdp, 2, 0.5)) == (mdp.m, 1)
-        assert made(lambda: apply_J(mdp, 2, mdp.gamma - state_slack(mdp)[2] / 2)) == (mdp.m, 1)
+        assert made(lambda: nlog.replay(mdp)) == (0, 1)
+        assert made(lambda: glog.replay(mdp)) == (0, 1)
+        assert made(lambda: apply_L(mdp, 2, 0.5)) == (0, 1)
+        assert made(lambda: apply_J(mdp, 2, mdp.gamma - state_slack(mdp)[2] / 2)) == (0, 1)
+        assert made(lambda: _dense(6, 3)) == (0, 0)
+        assert made(lambda: mdp_from_json(text)) == (0, 0)
+        assert made(lambda: mdp_to_json(mdp)) == (0, 0)
 
     def test_replay_checks_each_step(self):
         mdp = uniform_rows()
