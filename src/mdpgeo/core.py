@@ -59,9 +59,7 @@ def span(v) -> float:
     return float(np.max(v) - np.min(v))
 
 
-def _freeze(a, dtype=None) -> np.ndarray:
-    """A read-only view of ``a`` (as ``dtype``); the caller's own array stays writable."""
-    a = np.asarray(a, dtype=dtype).view()
+def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
@@ -145,9 +143,10 @@ class Mdp:
 
     def _set(self, n_states, gamma, ids, state_of, P, rewards) -> None:
         ids, n = tuple(ids), int(n_states)
-        try:  # with no rows, P is (0, n) and allocates nothing
-            P = _freeze(P if ids else np.empty((0, n)), np.float64)
-            state_of, rewards = _freeze(state_of, np.intp), _freeze(rewards, np.float64)
+        try:  # read-only views leave a caller's own arrays writable; no rows allocate nothing
+            P = _freeze(np.asarray(P if ids else np.empty((0, n)), dtype=np.float64).view())
+            state_of = _freeze(np.asarray(state_of, dtype=np.intp).view())
+            rewards = _freeze(np.asarray(rewards, dtype=np.float64).view())
         except (ValueError, OverflowError) as exc:
             raise ModelError(f"model arrays are malformed: {exc}") from None
         m, shapes = len(ids), (P.shape, state_of.shape, rewards.shape)
