@@ -3,7 +3,7 @@
     PYTHONPATH=src python scripts/bench_layers.py [--n 1000] [--k 5] [--seed 7]
 
 Generates ``GenSpec(structure="sparse", n_states=n, sparse_k=k,
-max_actions=8, gamma=0.95)`` and times six layers on it, each over a fixed
+max_actions=8, gamma=0.95)`` and times seven layers on it, each over a fixed
 number of repeats:
 
 - ``bellman_optimal``: one greedy backup at random values;
@@ -13,6 +13,8 @@ number of repeats:
   upper bound, where part of the actions are provably suboptimal;
 - ``mdp_to_json``: writing the whole model as JSON;
 - ``mdp_from_json``: reading that JSON text back (parse, build, validate);
+- ``mdp_from_json_compact_sparse``: reading a sparse ``n=1024`` model of the
+  same kind written compactly (no whitespace; most probabilities are ``0.0``);
 - ``validate``: the full invariant check of the model.
 
 Two more layers run on ``GenSpec(structure="dense", n_states=100,
@@ -21,6 +23,12 @@ one transform step per state:
 
 - ``normalize``: the exact solve plus one reward shift per state;
 - ``effective_gamma``: one discount change per state.
+
+And one layer on a compact dense model that numpy builds (``n=200``, four
+actions per state, every probability positive), since the dense generator
+does not finish at that size:
+
+- ``mdp_from_json_compact_dense``: reading its JSON text.
 
 The dense size is fixed: dense generation does not finish for n of about 150
 and more.
@@ -48,6 +56,26 @@ from mdpgeo.solvers import ViConfig, filter_appendix, value_iteration
 from mdpgeo.transforms import effective_gamma, normalize
 
 DENSE_N = 100
+READ_SPARSE_N = 1024
+READ_DENSE_N = 200
+
+
+def _compact(n: int, ids, state_of, P, rewards) -> str:
+    """Model JSON without whitespace."""
+    doc = {"version": 1, "n_states": n, "gamma": 0.95, "actions": [
+        {"id": i, "state": s, "probs": p, "reward": r}
+        for i, s, p, r in zip(ids, state_of.tolist(), P.tolist(), rewards.tolist())]}
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def _dense_text(seed: int) -> str:
+    rng = np.random.default_rng([seed, 2])
+    m = 4 * READ_DENSE_N
+    P = rng.uniform(1e-3, 1.0, size=(m, READ_DENSE_N))
+    P /= P.sum(axis=1, keepdims=True)
+    ids = [f"s{s:03d}a{k}" for s in range(READ_DENSE_N) for k in range(4)]
+    return _compact(READ_DENSE_N, ids, np.repeat(np.arange(READ_DENSE_N), 4), P,
+                    rng.uniform(0.0, 1.0, size=m))
 
 
 def _times(fn, repeats: int) -> list[float]:
@@ -94,6 +122,12 @@ def main() -> None:
     }
     text = mdp_to_json(mdp)
     layers["mdp_from_json"] = _summary(_times(lambda: mdp_from_json(text), 3))
+    wide = generate(GenSpec(n_states=READ_SPARSE_N, gamma=0.95, seed=args.seed,
+                            structure="sparse", sparse_k=args.k, max_actions=8))
+    wide_text = _compact(wide.n_states, wide.ids, wide.state_of, wide.P, wide.rewards)
+    layers["mdp_from_json_compact_sparse"] = _summary(_times(lambda: mdp_from_json(wide_text), 5))
+    dense_text = _dense_text(args.seed)
+    layers["mdp_from_json_compact_dense"] = _summary(_times(lambda: mdp_from_json(dense_text), 7))
     layers["validate"] = _summary(_times(lambda: validate(mdp), 20))
     dense = generate(GenSpec(n_states=DENSE_N, gamma=0.95, seed=args.seed, structure="dense"))
     layers["normalize"] = _summary(_times(lambda: normalize(dense), 5))

@@ -3,7 +3,20 @@
 Models travel as JSON ({"version": 1, "n_states", "gamma", "actions": [...]},
 unknown fields rejected, floats at full precision); per-iteration traces as
 CSV with one row per iterate and 17-significant-digit numbers, so every
-float round-trips exactly.  Every command emits a deterministic JSON summary
+float round-trips exactly.
+
+The model reader never makes a Python float per probability.  It cuts each
+action's ``"probs": [...]`` body out of the text (a body ends at its first
+``]`` and may hold only JSON number characters, commas and JSON whitespace),
+parses the small remaining skeleton with ``json``, and fills a preallocated
+``P`` a bounded chunk of rows at a time.  When most fields of a sample of
+rows are exactly ``0`` or ``0.0``, numpy over each chunk's bytes checks that
+every row has exactly ``n_states`` fields and that no whitespace splits a
+number, and marks those zeros; ``json`` converts only the other fields.
+Otherwise ``json`` converts every row where it stands.  Either way ``P`` holds
+the very floats ``json.loads`` gives.
+
+Every command emits a deterministic JSON summary
 on stdout carrying sha256 hashes of its input files; timestamps never enter
 any output.  Files are written atomically (temp file + rename).
 
@@ -18,8 +31,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
+import re
 import sys
 import tempfile
 import typing
@@ -114,8 +129,135 @@ def _parse_json(text: str, what: str):
         raise ModelError(f"{what} is not valid JSON: {exc}") from None
 
 
+_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_OPENS_LIST = r"[ \t\n\r]*:[ \t\n\r]*\["
+_OPENS = re.compile(_OPENS_LIST)
+# from a point outside any string: the next key whose value is a list, up to its "["
+_LIST_KEY = re.compile(rf"(?:[^\"]*{_STRING}(?!{_OPENS_LIST}))*[^\"]*({_STRING}){_OPENS_LIST}")
+_ZERO_FIELD = re.compile(r"(?:^|,)[ \t\n\r]*0(?:\.0)?[ \t\n\r]*(?=,|$)")
+_DECODE = json.JSONDecoder().raw_decode
+_WS = b" \t\n\r"
+_NUMBER = b"0123456789+-.eE"
+_CHUNK = 1 << 17  # probabilities per fill step: bounds the temporaries
+
+
+def _cut_probs(text: str) -> tuple[str, list[tuple[int, int]]]:
+    """``text`` with the body of its k-th ``"probs"`` list replaced by ``k``, and
+    the ``(start, end)`` offsets of every body in ``text``."""
+    parts, spans, pos, kept = [], [], 0, 0
+    while True:
+        k = text.find('"probs"', pos)
+        stop = k if k >= 0 else len(text)
+        if text.find("\\", pos, stop) < 0 and not text.count('"', pos, stop) % 2:
+            if k < 0:  # no escapes, so no key spelled otherwise: done
+                break
+            opens = _OPENS.match(text, k + len('"probs"'))  # k is outside any string
+            pos = opens.end() if opens else k + len('"probs"')
+            if not opens:
+                continue
+        else:  # an escape: find the strings one by one
+            key = _LIST_KEY.match(text, pos)
+            if key is None:
+                break
+            pos = key.end()
+            if key[1] != '"probs"' and _parse_json(key[1], "model file") != "probs":
+                continue
+        end = text.find("]", pos)
+        if end < 0:
+            raise ModelError("model file is not valid JSON: a probs list is not closed")
+        parts += (text[kept:pos], str(len(spans)))
+        spans.append((pos, end))
+        pos = kept = end
+    parts.append(text[kept:])
+    return "".join(parts), spans
+
+
+def _floats(values, count: int) -> np.ndarray:
+    try:
+        return np.fromiter(values, np.float64, count)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelError(f"action probs must be JSON numbers: {exc}") from None
+
+
+def _fill_with_json(out: np.ndarray, text: str, rows: list[tuple[int, int]], n: int) -> None:
+    """``json`` converts every field, each body read where it stands."""
+    lists = []
+    for a, b in rows:
+        try:
+            row = _DECODE(text, a - 1)[0]
+        except (ValueError, RecursionError) as exc:
+            raise ModelError(f"action probs are not a JSON list: {exc}") from None
+        if len(row) != n:
+            raise ModelError(f"every action's probs must hold n_states={n} numbers")
+        find = text.find  # a string, true, false, null, NaN or Infinity shows '"', t, a or n
+        if max(find('"', a, b), find("t", a, b), find("a", a, b), find("n", a, b)) >= 0:
+            raise ModelError("action probs must be JSON numbers")
+        lists.append(row)
+    out[:] = _floats(itertools.chain.from_iterable(lists), out.size)
+
+
+def _fill_skipping_zeros(out: np.ndarray, text: str, rows: list[tuple[int, int]], n: int) -> None:
+    """numpy checks the bodies, joined by ``;``, and finds the fields that are
+    exactly ``0`` or ``0.0``; ``json`` converts the others."""
+    raw = ";".join([text[a:b] for a, b in rows]).encode("ascii", "replace")
+    spaced = any(w in raw for w in (b" ", b"\n", b"\t", b"\r"))
+    c = raw.translate(None, _WS) if spaced else raw
+    if c.translate(None, _NUMBER + b",;"):
+        raise ModelError("action probs may hold only JSON numbers, commas and whitespace")
+    u = np.frombuffer(c, np.uint8)
+    joint = u == ord(";")
+    sep = np.flatnonzero((u == ord(",")) | joint)
+    if (sep.size != len(rows) * n - 1 or np.count_nonzero(joint) != len(rows) - 1
+            or (u[sep[n - 1::n]] != ord(";")).any()):
+        raise ModelError(f"every action's probs must hold n_states={n} numbers")
+    start = np.concatenate(([0], sep + 1))
+    size = np.concatenate((sep, [u.size])) - start
+    if not size.all():
+        raise ModelError("action probs must hold one number between commas")
+    if spaced:  # whitespace may surround a number, never split one
+        w = np.frombuffer(raw, np.uint8)
+        digit = ((w > ord(",")) | (w == ord("+"))) & (w != ord(";"))
+        if np.count_nonzero(digit[1:] > digit[:-1]) + digit[0] != size.size:
+            raise ModelError("action probs must hold one number between commas")
+    keep = (size != 1) | (u[start] != ord("0"))
+    three = size == 3
+    at = start[three]
+    keep[three] = (u[at] != ord("0")) | (u[at + 1] != ord(".")) | (u[at + 2] != ord("0"))
+    # each kept field with the separator before it; the first one becomes "["
+    picked = np.frombuffer(b";" + c, np.uint8)[np.repeat(keep, size + 1)]
+    picked[picked == ord(";")] = ord(",")
+    try:
+        values = json.loads(b"[" + picked[1:].tobytes() + b"]")
+    except ValueError as exc:
+        raise ModelError(f"action probs must be JSON numbers: {exc}") from None
+    out[keep] = _floats(values, np.count_nonzero(keep))
+
+
+def _probs_matrix(text: str, spans: list[tuple[int, int]], n: int) -> np.ndarray:
+    """The (len(spans), n) matrix whose row k holds the numbers of ``text[a:b]``
+    for ``(a, b) = spans[k]``; ModelError unless each body is exactly n JSON
+    numbers separated by commas.  The zeros are skipped when they are most of
+    the fields of eight rows spread over the model."""
+    if n < 0 or any(b - a < 2 * n - 1 for a, b in spans):
+        raise ModelError(f"every action's probs must hold n_states={n} numbers")
+    P = np.zeros((len(spans), n))
+    if not n:
+        if any(text[a:b].strip(" \t\n\r") for a, b in spans):
+            raise ModelError("every action's probs must hold n_states=0 numbers")
+        return P
+    sample = spans[::max(1, -(-len(spans) // 8))]
+    zeros = sum(len(_ZERO_FIELD.findall(text[a:b])) for a, b in sample)
+    fill = _fill_skipping_zeros if 2 * zeros > len(sample) * n else _fill_with_json
+    step = max(1, _CHUNK // n)
+    for r0 in range(0, len(spans), step):
+        rows = spans[r0:r0 + step]
+        fill(P[r0:r0 + len(rows)].reshape(-1), text, rows, n)
+    return P
+
+
 def mdp_from_json(text: str) -> Mdp:
-    doc = _parse_json(text, "model file")
+    skeleton, spans = _cut_probs(text)
+    doc = _parse_json(skeleton, "model file")
     _fields(doc, _MDP_KEYS, "model file")
     if doc["version"] != 1:
         raise ModelError(f"unsupported model file version {doc['version']!r}")
@@ -124,41 +266,29 @@ def mdp_from_json(text: str) -> Mdp:
     n = _typed(doc["n_states"], int, "model n_states")
     gamma = _typed(doc["gamma"], float, "model gamma")
     ids, states, rewards = [], [], []
-    for entry in doc["actions"]:
+    for k, entry in enumerate(doc["actions"]):
         _fields(entry, _ACTION_KEYS, "action")
         ids.append(_typed(entry["id"], str, "action id"))
         states.append(_typed(entry["state"], int, f"action {entry['id']!r} state"))
         rewards.append(_typed(entry["reward"], float, f"action {entry['id']!r} reward"))
-    try:  # one array from all rows: its dtype tells whether every entry is a number
-        P = np.array([entry["probs"] for entry in doc["actions"]])
-    except (ValueError, OverflowError) as exc:
-        raise ModelError(f"action probs are malformed: {exc}") from None
-    if ids and P.dtype.kind not in "iuf":
-        raise ModelError("action probs must be JSON lists of numbers")
+        if entry["probs"] != [k]:  # every list-valued "probs" key was cut, in order
+            raise ModelError(f"action {entry['id']!r} probs must be one JSON list of numbers")
+    P = _probs_matrix(text, spans, n)
     mdp = Mdp.from_arrays(n, gamma, ids, states, P, rewards)
     validate(mdp)
     return mdp
-
-
-def _f17(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def trace_to_csv(trace: RunTrace) -> str:
     n = trace.values.shape[1]
     header = ["t", "span_v", "span_dv", "active_actions", "stop_reason_final"]
     header += [f"value_{i}" for i in range(n)]
+    row = ",".join(["%d", "%.17g", "%.17g", "%d", "%s"] + ["%.17g"] * n)
     lines = [",".join(header)]
-    for t in range(trace.values.shape[0]):
-        row = [
-            str(t),
-            _f17(trace.span_v[t]),
-            _f17(trace.span_dv[t]),
-            str(int(trace.active_counts[t])),
-            trace.stop_reason,
-        ]
-        row += [_f17(x) for x in trace.values[t]]
-        lines.append(",".join(row))
+    for t, (span_v, span_dv, active, values) in enumerate(zip(
+            trace.span_v.tolist(), trace.span_dv.tolist(), trace.active_counts.tolist(),
+            trace.values.tolist())):
+        lines.append(row % (t, span_v, span_dv, active, trace.stop_reason, *values))
     return "\n".join(lines) + "\n"
 
 

@@ -1,11 +1,13 @@
 import json
 import os
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from mdpgeo import cli
 from mdpgeo.cli import (
     EX_CANTCREAT,
     EX_CAP,
@@ -19,7 +21,7 @@ from mdpgeo.cli import (
     trace_from_csv,
     trace_to_csv,
 )
-from mdpgeo.core import Action, Mdp
+from mdpgeo.core import Action, Mdp, ModelError
 from mdpgeo.fixtures import m2, m2_mix
 from mdpgeo.solvers import ViConfig, solve_exact, value_iteration
 from mdpgeo.transforms import normalize
@@ -377,6 +379,43 @@ MALFORMED_MODELS = {
 }
 
 
+def _three_states(first: str, second: str) -> str:
+    """A compact 3-state model whose first two probs lists hold ``first`` and ``second``."""
+    rows = (first, second, "0,0,1")
+    actions = ",".join(f'{{"id":"a{k}","state":{k},"probs":[{body}],"reward":0.5}}'
+                       for k, body in enumerate(rows))
+    return f'{{"version":1,"n_states":3,"gamma":0.9,"actions":[{actions}]}}'
+
+
+# the second action's probs; a plain json reader takes "0,true,0" as 0,1,0
+MALFORMED_PROBS = {
+    "bool_among_numbers": "0,true,0",
+    "leading_zero": "0,01,0",
+    "trailing_point": "0,1.,0",
+    "leading_point": ".5,.5,0",
+    "plus_sign": "0,+1,0",
+    "space_for_a_comma": "0,0.5 0.5",
+    "zero_split_by_a_space": "0,1,0 .0",
+    "nan": "NaN,1,0",
+    "infinity": "0,Infinity,0",
+    "null": "null,1,0",
+    "string_holding_a_bracket": '0,"0]",0',
+    "empty_field": "0,,1",
+    "non_ascii_space": "0,1,\u00a00",
+    "too_few_fields": "0,1",
+}
+# numpy reads the rows of a model that is mostly zeros, json those of others: try both
+FIRST_ROW = {"zero_heavy": "1,0,0", "dense": "0.5,0.25,0.25"}
+MALFORMED_MODELS.update({
+    f"probs_{case}_{order}": lambda body=body, first=first: _three_states(first, body)
+    for case, body in MALFORMED_PROBS.items() for order, first in FIRST_ROW.items()
+})
+MALFORMED_MODELS.update({  # 4 + 2 + 3 fields: m * n in all, but not n per row
+    f"probs_ragged_rows_fill_the_matrix_{order}": lambda first=first: _three_states(first, "0.00,1")
+    for order, first in {"zero_heavy": "1,0,0,0", "dense": "0.5,0.25,0.125,0.125"}.items()
+})
+
+
 def _trace_lines(tmp_path) -> tuple[str, list[str]]:
     norm, _, _ = normalize(m2_mix())
     model = tmp_path / "norm.json"
@@ -490,3 +529,73 @@ class TestMalformedInput:
             code, cap = run(capsys, *argv, "--mdp", str(path))
             assert code in DOCUMENTED_CODES
             assert code == EX_OK or cap.err.startswith("error:")
+
+
+def _reference_arrays(text: str):
+    """The model's arrays as a plain ``json.loads`` plus ``np.array`` reader builds them."""
+    doc = json.loads(text)
+    P = np.array([a["probs"] for a in doc["actions"]]).astype(np.float64)
+    return ([a["id"] for a in doc["actions"]], np.array([a["state"] for a in doc["actions"]]),
+            P, np.array([a["reward"] for a in doc["actions"]], dtype=np.float64))
+
+
+_ZERO_TOKENS = ("0", "0.0", "-0", "-0.0", "0.00", "0e0", "0E+3", "-0.0e-2", "5e-324", "1e-16")
+_ODD_IDS = ('"probs": [', 'x"probs": [0.5]', "probs", 'p\\"q', "naïve", "日本\t", "]", "")
+
+
+@st.composite
+def model_texts(draw):
+    """A valid model written with varied number spellings and whitespace, in the
+    compact layout or the indented one."""
+    n = draw(st.integers(1, 6))
+    states = list(range(n)) + draw(st.lists(st.integers(0, n - 1), max_size=4))
+    space = draw(st.sampled_from([("",), ("", " ", "\n", "\t", "\r\n  ", "\n        ")]))
+    ws = lambda: draw(st.sampled_from(space))  # noqa: E731
+    actions = []
+    for k, s in enumerate(draw(st.permutations(states))):
+        row = [0.0] * n
+        row[draw(st.integers(0, n - 1))] = 1.0
+        for _ in range(draw(st.integers(0, 2 * n))):  # move half of one entry: stays exact
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            half = row[i] / 2
+            row[i] -= half
+            row[j] += half
+        spellings = lambda x: [repr(x), "%.17g" % x, "%.25e" % x, repr(x).upper()] + (  # noqa: E731
+            ["1", "1.0", "1e0", "10E-1"] if x == 1.0 else [])
+        tokens = [draw(st.sampled_from(_ZERO_TOKENS if x == 0.0 else spellings(x))) for x in row]
+        body = ",".join(ws() + t + ws() for t in tokens)
+        aid = json.dumps(draw(st.sampled_from(_ODD_IDS)) + str(k), ensure_ascii=draw(st.booleans()))
+        reward = draw(st.sampled_from(["1e16", "-0.0", "0", "5e-324", "-2.5", "3"]))
+        actions.append(f'{ws()}{{{ws()}"id"{ws()}:{ws()}{aid},{ws()}"state":{ws()}{s},{ws()}'
+                       f'"probs"{ws()}:{ws()}[{body}]{ws()},"reward":{reward}{ws()}}}')
+    return (f'{{{ws()}"version":1,{ws()}"n_states":{n},"gamma":{ws()}0.9,"actions":'
+            f'{ws()}[{",".join(actions)}]{ws()}}}')
+
+
+class TestModelReader:
+    @settings(max_examples=300, deadline=None)
+    @given(text=model_texts(), chunk=st.sampled_from([1, 5, 1 << 17]))
+    def test_matches_the_plain_json_reader(self, text, chunk):
+        with mock.patch.object(cli, "_CHUNK", chunk):  # several chunks, both kinds of fill
+            mdp = mdp_from_json(text)
+        ids, states, P, rewards = _reference_arrays(text)
+        assert list(mdp.ids) == ids
+        assert mdp.state_of.dtype == np.intp and np.array_equal(mdp.state_of, states)
+        assert mdp.P.shape == P.shape and mdp.P.tobytes() == P.tobytes()
+        assert mdp.rewards.tobytes() == rewards.tobytes()
+        written = mdp_to_json(mdp)
+        again = mdp_from_json(written)
+        assert again.P.tobytes() == mdp.P.tobytes() and mdp_to_json(again) == written
+
+    def test_probs_key_spelled_with_an_escape(self):
+        text = mdp_to_json(m2_mix()).replace('"probs"', '"prob\\u0073"', 2)
+        assert mdp_from_json(text).P.tobytes() == m2_mix().P.tobytes()
+
+    @pytest.mark.parametrize("key", ['"probs"', '"prob\\u0073"'])
+    def test_duplicate_probs_field_rejected(self, key):
+        # a plain json reader keeps the last list; the model reader refuses the action
+        text = _model_text(lambda d: None).replace(
+            '"probs": [0.5, 0.5]', f'"probs": [0.5, 0.5], {key}: [1.0, 0.0]', 1)
+        assert json.loads(text)["actions"][0]["probs"] == [1.0, 0.0]
+        with pytest.raises(ModelError, match="a1.*one JSON list"):
+            mdp_from_json(text)
