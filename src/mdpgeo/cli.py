@@ -287,8 +287,8 @@ def trace_to_csv(trace: RunTrace) -> str:
     lines = [",".join(header)]
     for t, (span_v, span_dv, active, values) in enumerate(zip(
             trace.span_v.tolist(), trace.span_dv.tolist(), trace.active_counts.tolist(),
-            trace.values.tolist())):
-        lines.append(row % (t, span_v, span_dv, active, trace.stop_reason, *values))
+            trace.values)):
+        lines.append(row % (t, span_v, span_dv, active, trace.stop_reason, *values.tolist()))
     return "\n".join(lines) + "\n"
 
 
