@@ -151,11 +151,12 @@ def _cut_probs(text: str) -> tuple[str, list[tuple[int, int]]]:
         if text.find("\\", pos, stop) < 0 and not text.count('"', pos, stop) % 2:
             if k < 0:  # no escapes, so no key spelled otherwise: done
                 break
-            opens = _OPENS.match(text, k + len('"probs"'))  # k is outside any string
-            pos = opens.end() if opens else k + len('"probs"')
+            pos = k + len('"probs"')  # k is outside any string
+            opens = _OPENS.match(text, pos)
             if not opens:
                 continue
-        else:  # an escape: find the strings one by one
+            pos = opens.end()
+        else:  # an escape or a stray quote: take the strings one by one
             key = _LIST_KEY.match(text, pos)
             if key is None:
                 break
