@@ -134,7 +134,6 @@ _OPENS_LIST = r"[ \t\n\r]*:[ \t\n\r]*\["
 _OPENS = re.compile(_OPENS_LIST)
 # from a point outside any string: the next key whose value is a list, up to its "["
 _LIST_KEY = re.compile(rf"(?:[^\"]*{_STRING}(?!{_OPENS_LIST}))*[^\"]*({_STRING}){_OPENS_LIST}")
-_ZERO_FIELD = re.compile(r"(?:^|,)[ \t\n\r]*0(?:\.0)?[ \t\n\r]*(?=,|$)")
 _DECODE = json.JSONDecoder().raw_decode
 _WS = b" \t\n\r"
 _NUMBER = b"0123456789+-.eE"
@@ -148,15 +147,15 @@ def _cut_probs(text: str) -> tuple[str, list[tuple[int, int]]]:
     while True:
         k = text.find('"probs"', pos)
         stop = k if k >= 0 else len(text)
-        if text.find("\\", pos, stop) < 0 and not text.count('"', pos, stop) % 2:
-            if k < 0:  # no escapes, so no key spelled otherwise: done
+        if text.find("\\", pos, stop) < 0:  # no escaped quote: k starts a string
+            if k < 0:  # and no key spelled otherwise: done
                 break
-            pos = k + len('"probs"')  # k is outside any string
+            pos = k + len('"probs"')
             opens = _OPENS.match(text, pos)
             if not opens:
                 continue
             pos = opens.end()
-        else:  # an escape or a stray quote: take the strings one by one
+        else:  # an escape: take the strings one by one
             key = _LIST_KEY.match(text, pos)
             if key is None:
                 break
@@ -182,7 +181,7 @@ def _floats(values, count: int) -> np.ndarray:
 
 def _fill_with_json(out: np.ndarray, text: str, rows: list[tuple[int, int]], n: int) -> None:
     """``json`` converts every field, each body read where it stands."""
-    lists = []
+    lists, find = [], text.find
     for a, b in rows:
         try:
             row = _DECODE(text, a - 1)[0]
@@ -190,7 +189,7 @@ def _fill_with_json(out: np.ndarray, text: str, rows: list[tuple[int, int]], n: 
             raise ModelError(f"action probs are not a JSON list: {exc}") from None
         if len(row) != n:
             raise ModelError(f"every action's probs must hold n_states={n} numbers")
-        find = text.find  # a string, true, false, null, NaN or Infinity shows '"', t, a or n
+        # a string, true, false, null, NaN or Infinity shows '"', "t", "a" or "n"
         if max(find('"', a, b), find("t", a, b), find("a", a, b), find("n", a, b)) >= 0:
             raise ModelError("action probs must be JSON numbers")
         lists.append(row)
@@ -247,7 +246,8 @@ def _probs_matrix(text: str, spans: list[tuple[int, int]], n: int) -> np.ndarray
             raise ModelError("every action's probs must hold n_states=0 numbers")
         return P
     sample = spans[::max(1, -(-len(spans) // 8))]
-    zeros = sum(len(_ZERO_FIELD.findall(text[a:b])) for a, b in sample)
+    fields = [f.strip(" \t\n\r") for a, b in sample for f in text[a:b].split(",")]
+    zeros = fields.count("0") + fields.count("0.0")
     fill = _fill_skipping_zeros if 2 * zeros > len(sample) * n else _fill_with_json
     step = max(1, _CHUNK // n)
     for r0 in range(0, len(spans), step):

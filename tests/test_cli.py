@@ -410,6 +410,8 @@ MALFORMED_MODELS.update({
     f"probs_{case}_{order}": lambda body=body, first=first: _three_states(first, body)
     for case, body in MALFORMED_PROBS.items() for order, first in FIRST_ROW.items()
 })
+MALFORMED_MODELS["id_missing_its_closing_quote"] = lambda: _three_states(
+    "1,0,0", "0,1,0").replace('"id":"a0"', '"id":"a0', 1)
 MALFORMED_MODELS.update({  # 4 + 2 + 3 fields: m * n in all, but not n per row
     f"probs_ragged_rows_fill_the_matrix_{order}": lambda first=first: _three_states(first, "0.00,1")
     for order, first in {"zero_heavy": "1,0,0,0", "dense": "0.5,0.25,0.125,0.125"}.items()
