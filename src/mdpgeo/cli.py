@@ -241,15 +241,11 @@ def _probs_matrix(text: str, spans: list[tuple[int, int]], n: int) -> np.ndarray
     if n < 0 or any(b - a < 2 * n - 1 for a, b in spans):
         raise ModelError(f"every action's probs must hold n_states={n} numbers")
     P = np.zeros((len(spans), n))
-    if not n:
-        if any(text[a:b].strip(" \t\n\r") for a, b in spans):
-            raise ModelError("every action's probs must hold n_states=0 numbers")
-        return P
     sample = spans[::max(1, -(-len(spans) // 8))]
     fields = [f.strip(" \t\n\r") for a, b in sample for f in text[a:b].split(",")]
     zeros = fields.count("0") + fields.count("0.0")
     fill = _fill_skipping_zeros if 2 * zeros > len(sample) * n else _fill_with_json
-    step = max(1, _CHUNK // n)
+    step = _CHUNK // max(n, 1) or 1
     for r0 in range(0, len(spans), step):
         rows = spans[r0:r0 + step]
         fill(P[r0:r0 + len(rows)].reshape(-1), text, rows, n)
