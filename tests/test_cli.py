@@ -405,10 +405,10 @@ MALFORMED_PROBS = {
     "too_few_fields": "0,1",
 }
 # numpy reads the rows of a model that is mostly zeros, json those of others: try both
-FIRST_ROW = {"zero_heavy": "1,0,0", "dense": "0.5,0.25,0.25"}
+FIRST_ROWS = {"zero_heavy": "1,0,0", "dense": "0.5,0.25,0.25"}
 MALFORMED_MODELS.update({
     f"probs_{case}_{order}": lambda body=body, first=first: _three_states(first, body)
-    for case, body in MALFORMED_PROBS.items() for order, first in FIRST_ROW.items()
+    for case, body in MALFORMED_PROBS.items() for order, first in FIRST_ROWS.items()
 })
 MALFORMED_MODELS["id_missing_its_closing_quote"] = lambda: _three_states(
     "1,0,0", "0,1,0").replace('"id":"a0"', '"id":"a0', 1)
@@ -549,22 +549,24 @@ _ODD_IDS = ('"probs": [', 'x"probs": [0.5]', "probs", 'p\\"q', "naïve", "日本
 def model_texts(draw):
     """A valid model written with varied number spellings and whitespace, in the
     compact layout or the indented one."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
     states = list(range(n)) + draw(st.lists(st.integers(0, n - 1), max_size=4))
     space = draw(st.sampled_from([("",), ("", " ", "\n", "\t", "\r\n  ", "\n        ")]))
     ws = lambda: draw(st.sampled_from(space))  # noqa: E731
+    splits = draw(st.sampled_from([1, 2 * n]))  # few splits leave rows mostly zeros
+    zeros = draw(st.sampled_from([("0", "0.0"), _ZERO_TOKENS]))  # which numpy skips, or any
     actions = []
     for k, s in enumerate(draw(st.permutations(states))):
         row = [0.0] * n
         row[draw(st.integers(0, n - 1))] = 1.0
-        for _ in range(draw(st.integers(0, 2 * n))):  # move half of one entry: stays exact
+        for _ in range(draw(st.integers(0, splits))):  # move half of one entry: stays exact
             i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
             half = row[i] / 2
             row[i] -= half
             row[j] += half
         spellings = lambda x: [repr(x), "%.17g" % x, "%.25e" % x, repr(x).upper()] + (  # noqa: E731
             ["1", "1.0", "1e0", "10E-1"] if x == 1.0 else [])
-        tokens = [draw(st.sampled_from(_ZERO_TOKENS if x == 0.0 else spellings(x))) for x in row]
+        tokens = [draw(st.sampled_from(zeros if x == 0.0 else spellings(x))) for x in row]
         body = ",".join(ws() + t + ws() for t in tokens)
         aid = json.dumps(draw(st.sampled_from(_ODD_IDS)) + str(k), ensure_ascii=draw(st.booleans()))
         reward = draw(st.sampled_from(["1e16", "-0.0", "0", "5e-324", "-2.5", "3"]))
