@@ -5,14 +5,14 @@ unknown fields rejected, floats at full precision); per-iteration traces as
 CSV with one row per iterate and 17-significant-digit numbers, so every
 float round-trips exactly.
 
-The model reader never makes a Python float per probability.  It cuts each
-action's ``"probs": [...]`` body out of the text (a body ends at its first
-``]`` and may hold only JSON number characters, commas and JSON whitespace),
-parses the small remaining skeleton with ``json``, and fills a preallocated
-``P`` a bounded chunk of rows at a time.  When most fields of a sample of
-rows are exactly ``0`` or ``0.0``, numpy over each chunk's bytes checks that
-every row has exactly ``n_states`` fields and that no whitespace splits a
-number, and marks those zeros; ``json`` converts only the other fields.
+The model reader cuts each action's ``"probs": [...]`` body out of the text (a
+body ends at its first ``]`` and may hold only JSON number characters, commas
+and JSON whitespace), parses the small remaining skeleton with ``json``, and
+fills a preallocated ``P`` a bounded chunk of rows at a time.  When more than
+3/4 of the fields of a sample of rows are exactly ``0`` or ``0.0``, numpy over
+each chunk's bytes checks that every row has exactly ``n_states`` fields and
+that no whitespace splits a number, and marks those zeros; ``json`` converts
+only the other fields, so a sparse model makes no Python float per zero.
 Otherwise ``json`` converts every row where it stands.  Either way ``P`` holds
 the very floats ``json.loads`` gives.
 
@@ -129,11 +129,14 @@ def _parse_json(text: str, what: str):
         raise ModelError(f"{what} is not valid JSON: {exc}") from None
 
 
-_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_STRING = r'"[^"\\]*+(?:\\.[^"\\]*+)*+"'
+# "probs" in every JSON spelling: each letter as itself or as a \u escape
+_PROBS_KEY = r'"(?:p|\\u0070)(?:r|\\u0072)(?:o|\\u006[fF])(?:b|\\u0062)(?:s|\\u0073)"'
 _OPENS_LIST = r"[ \t\n\r]*:[ \t\n\r]*\["
-_OPENS = re.compile(_OPENS_LIST)
-# from a point outside any string: the next key whose value is a list, up to its "["
-_LIST_KEY = re.compile(rf"(?:[^\"]*{_STRING}(?!{_OPENS_LIST}))*[^\"]*({_STRING}){_OPENS_LIST}")
+# from a point outside any string, string by string: up to the "[" that opens the next
+# probs list; possessive, so a text with no such key left fails in one pass
+_PROBS_LIST = re.compile(
+    rf'(?:[^"]*+(?!{_PROBS_KEY}{_OPENS_LIST}){_STRING})*+[^"]*+{_PROBS_KEY}{_OPENS_LIST}')
 _DECODE = json.JSONDecoder().raw_decode
 _WS = b" \t\n\r"
 _NUMBER = b"0123456789+-.eE"
@@ -143,32 +146,16 @@ _CHUNK = 1 << 17  # probabilities per fill step: bounds the temporaries
 def _cut_probs(text: str) -> tuple[str, list[tuple[int, int]]]:
     """``text`` with the body of its k-th ``"probs"`` list replaced by ``k``, and
     the ``(start, end)`` offsets of every body in ``text``."""
-    parts, spans, pos, kept = [], [], 0, 0
-    while True:
-        k = text.find('"probs"', pos)
-        stop = k if k >= 0 else len(text)
-        if text.find("\\", pos, stop) < 0:  # no escaped quote: k starts a string
-            if k < 0:  # and no key spelled otherwise: done
-                break
-            pos = k + len('"probs"')
-            opens = _OPENS.match(text, pos)
-            if not opens:
-                continue
-            pos = opens.end()
-        else:  # an escape: take the strings one by one
-            key = _LIST_KEY.match(text, pos)
-            if key is None:
-                break
-            pos = key.end()
-            if key[1] != '"probs"' and _parse_json(key[1], "model file") != "probs":
-                continue
-        end = text.find("]", pos)
+    parts, spans, pos = [], [], 0
+    while opens := _PROBS_LIST.match(text, pos):
+        start = opens.end()
+        end = text.find("]", start)
         if end < 0:
             raise ModelError("model file is not valid JSON: a probs list is not closed")
-        parts += (text[kept:pos], str(len(spans)))
-        spans.append((pos, end))
-        pos = kept = end
-    parts.append(text[kept:])
+        parts += (text[pos:start], str(len(spans)))
+        spans.append((start, end))
+        pos = end
+    parts.append(text[pos:])
     return "".join(parts), spans
 
 
@@ -236,15 +223,19 @@ def _fill_skipping_zeros(out: np.ndarray, text: str, rows: list[tuple[int, int]]
 def _probs_matrix(text: str, spans: list[tuple[int, int]], n: int) -> np.ndarray:
     """The (len(spans), n) matrix whose row k holds the numbers of ``text[a:b]``
     for ``(a, b) = spans[k]``; ModelError unless each body is exactly n JSON
-    numbers separated by commas.  The zeros are skipped when they are most of
-    the fields of eight rows spread over the model."""
+    numbers separated by commas.  The zeros are skipped when they are more than
+    3/4 of the fields of eight rows spread over the model: about where the two
+    fills cost the same (2/3 of the fields for compact text, 4/5 for indented)."""
     if n < 0 or any(b - a < 2 * n - 1 for a, b in spans):
         raise ModelError(f"every action's probs must hold n_states={n} numbers")
-    P = np.zeros((len(spans), n))
+    try:
+        P = np.zeros((len(spans), n))
+    except ValueError as exc:  # no rows, and n past numpy's largest shape
+        raise ModelError(f"model arrays are malformed: {exc}") from None
     sample = spans[::max(1, -(-len(spans) // 8))]
     fields = [f.strip(" \t\n\r") for a, b in sample for f in text[a:b].split(",")]
     zeros = fields.count("0") + fields.count("0.0")
-    fill = _fill_skipping_zeros if 2 * zeros > len(sample) * n else _fill_with_json
+    fill = _fill_skipping_zeros if 4 * zeros > 3 * len(sample) * n else _fill_with_json
     step = _CHUNK // max(n, 1) or 1
     for r0 in range(0, len(spans), step):
         rows = spans[r0:r0 + step]

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -360,6 +361,8 @@ MALFORMED_MODELS = {
     "probs_ragged": lambda: _model_text(lambda d: d["actions"][0].update(probs=[[1.0], []])),
     "no_actions_for_a_huge_model": lambda: _model_text(
         lambda d: d.update(n_states=10**12, actions=[])),
+    "no_actions_for_a_model_numpy_cannot_shape": lambda: _model_text(
+        lambda d: d.update(n_states=2**63, actions=[])),
     "nested_too_deep_for_the_parser": lambda: "[" * 100_000 + "]" * 100_000,
     "probs_nested_in_every_action": lambda: _model_text(
         lambda d: [a.update(probs=[[0.5], [0.5]]) for a in d["actions"]]),
@@ -379,12 +382,14 @@ MALFORMED_MODELS = {
 }
 
 
-def _three_states(first: str, second: str) -> str:
-    """A compact 3-state model whose first two probs lists hold ``first`` and ``second``."""
-    rows = (first, second, "0,0,1")
+def _three_states(first: str, second: str, pad: int = 0) -> str:
+    """A compact model over n = 3 + pad states whose first two probs lists hold
+    ``first`` and ``second`` followed by ``pad`` zeros; action k >= 2 moves to state k."""
+    rows = [first + ",0" * pad, second + ",0" * pad]
+    rows += [",".join("1" if j == k else "0" for j in range(3 + pad)) for k in range(2, 3 + pad)]
     actions = ",".join(f'{{"id":"a{k}","state":{k},"probs":[{body}],"reward":0.5}}'
                        for k, body in enumerate(rows))
-    return f'{{"version":1,"n_states":3,"gamma":0.9,"actions":[{actions}]}}'
+    return f'{{"version":1,"n_states":{3 + pad},"gamma":0.9,"actions":[{actions}]}}'
 
 
 # the second action's probs; a plain json reader takes "0,true,0" as 0,1,0
@@ -404,17 +409,19 @@ MALFORMED_PROBS = {
     "non_ascii_space": "0,1,\u00a00",
     "too_few_fields": "0,1",
 }
-# numpy reads the rows of a model that is mostly zeros, json those of others: try both
-FIRST_ROWS = {"zero_heavy": "1,0,0", "dense": "0.5,0.25,0.25"}
+# numpy reads the rows of a model that is mostly zeros, json those of others: try both;
+# the zero-heavy model pads every row with 9 zeros, so 11 of 12 fields are zeros
+FIRST_ROWS = {"zero_heavy": ("1,0,0", 9), "dense": ("0.5,0.25,0.25", 0)}
 MALFORMED_MODELS.update({
-    f"probs_{case}_{order}": lambda body=body, first=first: _three_states(first, body)
-    for case, body in MALFORMED_PROBS.items() for order, first in FIRST_ROWS.items()
+    f"probs_{case}_{order}": lambda body=body, row=row, pad=pad: _three_states(row, body, pad)
+    for case, body in MALFORMED_PROBS.items() for order, (row, pad) in FIRST_ROWS.items()
 })
 MALFORMED_MODELS["id_missing_its_closing_quote"] = lambda: _three_states(
     "1,0,0", "0,1,0").replace('"id":"a0"', '"id":"a0', 1)
-MALFORMED_MODELS.update({  # 4 + 2 + 3 fields: m * n in all, but not n per row
-    f"probs_ragged_rows_fill_the_matrix_{order}": lambda first=first: _three_states(first, "0.00,1")
-    for order, first in {"zero_heavy": "1,0,0,0", "dense": "0.5,0.25,0.125,0.125"}.items()
+MALFORMED_MODELS.update({  # 4 + 2 + 3 fields, each row padded alike: m * n in all, not n per row
+    f"probs_ragged_rows_fill_the_matrix_{order}": lambda row=row, pad=pad: _three_states(
+        row + ",0", "0.00,1", pad)
+    for order, (row, pad) in FIRST_ROWS.items()
 })
 
 
@@ -549,7 +556,7 @@ _ODD_IDS = ('"probs": [', 'x"probs": [0.5]', "probs", 'p\\"q', "naïve", "日本
 def model_texts(draw):
     """A valid model written with varied number spellings and whitespace, in the
     compact layout or the indented one."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
     states = list(range(n)) + draw(st.lists(st.integers(0, n - 1), max_size=4))
     space = draw(st.sampled_from([("",), ("", " ", "\n", "\t", "\r\n  ", "\n        ")]))
     ws = lambda: draw(st.sampled_from(space))  # noqa: E731
@@ -591,9 +598,40 @@ class TestModelReader:
         again = mdp_from_json(written)
         assert again.P.tobytes() == mdp.P.tobytes() and mdp_to_json(again) == written
 
-    def test_probs_key_spelled_with_an_escape(self):
-        text = mdp_to_json(m2_mix()).replace('"probs"', '"prob\\u0073"', 2)
+    @pytest.mark.parametrize("key", ['"prob\\u0073"', '"\\u0070robs"', '"pr\\u006Fbs"',
+                                     '"\\u0070\\u0072\\u006f\\u0062\\u0073"'])
+    def test_probs_key_spelled_with_an_escape(self, key):
+        assert json.loads(key) == "probs"
+        text = mdp_to_json(m2_mix()).replace('"probs"', key, 2)
         assert mdp_from_json(text).P.tobytes() == m2_mix().P.tobytes()
+
+    @pytest.mark.parametrize("key", ['"prob\\u0053"', '"prob"', '"probss"', '"\\u0050robs"'])
+    def test_other_keys_are_not_probs(self, key):
+        text = mdp_to_json(m2_mix()).replace('"probs"', key, 1)
+        with pytest.raises(ModelError, match="fields"):
+            mdp_from_json(text)
+
+    def test_escaped_keys_read_in_linear_time(self):
+        # each key spelled with an escape: finding the next probs list must not rescan
+        # the rest of the text, so 8 times the actions take about 8 times as long
+        def text(m: int, n: int = 100) -> str:
+            zeros = ",".join(["0"] * n)
+            actions = ",".join(
+                f'{{"i\\u0064":"a{k}","stat\\u0065":{k % n},"prob\\u0073":[1,{zeros[2:]}],'
+                f'"rewar\\u0064":0}}' for k in range(m))
+            return f'{{"version":1,"n_states":{n},"gamma":0.9,"actions":[{actions}]}}'
+
+        def seconds(text: str) -> float:
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                mdp_from_json(text)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        small, large = text(1000), text(8000)
+        assert mdp_from_json(large).m == 8000
+        assert seconds(large) < 24 * seconds(small)
 
     @pytest.mark.parametrize("key", ['"probs"', '"prob\\u0073"'])
     def test_duplicate_probs_field_rejected(self, key):
