@@ -1,6 +1,6 @@
 import json
 import os
-import time
+import timeit
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -609,23 +609,16 @@ class TestModelReader:
         # each key spelled with an escape: finding the next probs list must not rescan
         # the rest of the text, so 8 times the actions take about 8 times as long
         def text(m: int, n: int = 100) -> str:
-            zeros = ",".join(["0"] * n)
-            actions = ",".join(
-                f'{{"i\\u0064":"a{k}","stat\\u0065":{k % n},"prob\\u0073":[1,{zeros[2:]}],'
-                f'"rewar\\u0064":0}}' for k in range(m))
+            row = ",".join(["1"] + ["0"] * (n - 1))
+            actions = ",".join(f'{{"i\\u0064":"a{k}","stat\\u0065":{k % n},"prob\\u0073":[{row}],'
+                               f'"rewar\\u0064":0}}' for k in range(m))
             return f'{{"version":1,"n_states":{n},"gamma":0.9,"actions":[{actions}]}}'
-
-        def seconds(text: str) -> float:
-            times = []
-            for _ in range(5):
-                start = time.perf_counter()
-                mdp_from_json(text)
-                times.append(time.perf_counter() - start)
-            return min(times)
 
         small, large = text(1000), text(8000)
         assert mdp_from_json(large).m == 8000
-        assert seconds(large) < 24 * seconds(small)
+        seconds = [min(timeit.repeat(lambda t=t: mdp_from_json(t), number=1, repeat=5))
+                   for t in (small, large)]
+        assert seconds[1] < 24 * seconds[0]
 
     @pytest.mark.parametrize("key", ['"probs"', '"prob\\u0073"'])
     def test_duplicate_probs_field_rejected(self, key):
