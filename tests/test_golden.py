@@ -6,7 +6,8 @@ sha256 and compared against the digests below.  The digests were taken from
 the implementation before the grouped-rows greedy kernel and the spliced
 model writer replaced the per-state loops, and the ``normalize``/``gamma-eff``
 pins on the dense and sparse models from the implementation that rebuilt the
-model after every transform step, so any change to a printed or written byte,
+model after every transform step, and the ``twostate`` pins from the
+implementation that evaluated and improved one ``Policy`` object at a time, so any change to a printed or written byte,
 including float formatting and tie-breaking, fails here.
 """
 
@@ -42,6 +43,8 @@ GOLDEN = {
     "generate_dense.stdout": "4b666b4cd9cacf05a7ebb342daed559760e52f2fd56d2ceeb8f42695a56b8308",
     "generate_sparse.exit": 0,
     "generate_sparse.stdout": "41d355433e5599725155aef02be9543b74d97ac13a7e25bf1bf2ae44b4f33246",
+    "generate_twostate.exit": 0,
+    "generate_twostate.stdout": "a82117974fdecdc296bff24947be0ea1c5d90120e076de08dbb301f7d87412f6",
     "m2_mix.json": "cb1949e7e73fc0754aedb1af05f99b17ac4ad08d5d796f41b185f8a0ad772b58",
     "m2_mix_normalized.json": "0de45a58fb4221341feab9600c734b6c32b472ce2b585465f359b2ea51c7df4d",
     "normalize.exit": 0,
@@ -67,6 +70,13 @@ GOLDEN = {
     "solve_vi_normalized.stdout": "19777c90782128570c4835b202b2f60797e445c73e1fbb907b44bc764fef8038",
     "sparse.json": "bd13699881657ee4f58a5f250f0669481aa6acec03614de9d9f6268d69c05629",
     "sparse_normalized.json": "ae7e4292713d2a669c170987afac382ccfce911695fe451a59abe8ffd0fa6c91",
+    "twostate.json": "f7ed3b87ae6e6538e4f704927ff121441ddbba5bf3c015fcf075dc55093b14be",
+    "twostate_mdp.exit": 0,
+    "twostate_mdp.stdout": "e47246a738201ff7065fa0b542077280c3ff0e8c5e56e769cbdd418723dc17e2",
+    "twostate_suite_0.exit": 0,
+    "twostate_suite_0.stdout": "663915678986014209539c07d5ec7ecc08ae6473b1c608dd8534579bd582f852",
+    "twostate_suite_7.exit": 0,
+    "twostate_suite_7.stdout": "b229fc3ec47207b7763fe24b6be0afa74541d805b7d9672bda6ce50ec8ae83cd",
     "vi.csv": "f4e1b44e42d66174a166af7e7dbc69084042a8d09140bfc8e59fdccca3f8e752",
     "vi_filtered.csv": "4912c0ac15084ac8abaa6bb66b0abd0d1c766e9c2b410061a742c8dcab000e8c",
 }
@@ -131,6 +141,13 @@ def observed(tmp_path_factory) -> dict:
     run("certify_alpha", "certify", "--mdp", p("m2_mix.json"), "--trace", p("alpha.csv"),
         "--alpha", "0.5")
     record("normalized.csv", "alpha.csv")
+
+    run("generate_twostate", "generate", "--seed", "4", "--structure", "dense", "--n-states", "2",
+        "--min-actions", "6", "--max-actions", "6", "--out", p("twostate.json"))
+    record("twostate.json")
+    run("twostate_mdp", "twostate", "--mdp", p("twostate.json"))
+    run("twostate_suite_7", "twostate", "--suite", "200", "--seed", "7")
+    run("twostate_suite_0", "twostate", "--suite", "200", "--seed", "0")
     return seen
 
 
