@@ -8,10 +8,17 @@ bounds Howard iteration counts by the number of actions.  The loss is
 witnessed constructively: two auxiliary self-loop actions pinned to the
 extreme-slope policies sandwich one concrete action's advantage below a
 surviving action's advantage on every formed policy.
+
+Everything runs on one pair core per model, with ``Policy`` objects only at
+the boundary (:func:`formed_policies`): each policy is a pair of action rows
+with closed-form values and every action's advantage at them.  An action set
+is a boolean mask per state, producing is one maximum per pair column, and
+Howard's improvement is an int map over the pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -33,32 +40,18 @@ TIE_TOL = 1e-9
 DEGENERATE_TOL = 1e-9
 
 
-def _require_two_state(mdp: Mdp) -> None:
+@functools.lru_cache(maxsize=1)  # one model's checks share its core; holds one model alive
+def _pairs(mdp: Mdp) -> tuple[tuple[tuple[str, ...], ...], np.ndarray, tuple[np.ndarray, ...]]:
+    """The pair core: per state the action ids in id order (``Mdp.state_rows``),
+    the (pairs, 2) exact values of every pair, and per state the (k_s, pairs)
+    advantages of its rows.  Pair ``i * k1 + j`` takes the i-th action of state
+    0 and the j-th of state 1, so pairs run in product order.  Values use the
+    closed form of the 2x2 linear system (the dense solve's to machine precision).
+    """
     if mdp.n_states != 2:
         raise ModelError(f"operation is defined for 2-state MDPs, got n={mdp.n_states}")
-
-
-def _check_action_set(mdp: Mdp, action_ids) -> tuple[tuple[tuple[str, ...], list[int]], ...]:
-    """Per state, the set's action ids in sorted order and their rows."""
-    ids = sorted(str(a) for a in action_ids)
-    rows = [mdp.row(aid) for aid in ids]
-    states = mdp.state_of[rows].tolist()
-    per_state = tuple((tuple(a for a, s in zip(ids, states) if s == t),
-                       [k for k, s in zip(rows, states) if s == t]) for t in (0, 1))
-    if not per_state[0][0] or not per_state[1][0]:
-        raise ModelError("action set must contain actions on both states")
-    return per_state
-
-
-def formed_policies(mdp: Mdp, action_ids) -> tuple[Policy, ...]:
-    """All cross-product policies of an action set, each exactly evaluated.
-
-    Evaluation uses the closed form of the 2x2 linear system, vectorized
-    over all pairs (it matches the dense solve to machine precision and the
-    exhaustive suites call this in bulk).
-    """
-    _require_two_state(mdp)
-    (ids0, rows0), (ids1, rows1) = _check_action_set(mdp, action_ids)
+    validate(mdp)
+    rows0, rows1 = mdp.state_rows
     g = mdp.gamma
     r0, p0, r1, p1 = mdp.rewards[rows0], mdp.P[rows0], mdp.rewards[rows1], mdp.P[rows1]
     a00 = (1.0 - g * p0[:, 0])[:, None]  # rows: choice at state 0
@@ -68,11 +61,50 @@ def formed_policies(mdp: Mdp, action_ids) -> tuple[Policy, ...]:
     det = a00 * b11 - a01 * b10
     v0 = (r0[:, None] * b11 + a01 * r1[None, :]) / det
     v1 = (r1[None, :] * a00 + b10 * r0[:, None]) / det
+    values = np.stack([v0.ravel(), v1.ravel()], axis=1)
+    adv = mdp.rewards[:, None] + mdp.coeffs @ values.T
+    ids = tuple(tuple(mdp.ids[k] for k in rows.tolist()) for rows in (rows0, rows1))
+    return ids, values, (adv[rows0], adv[rows1])
+
+
+def _members(mdp: Mdp, action_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Per state, which of its rows (``Mdp.state_rows``) an action set holds."""
+    if action_ids is None:
+        masks = tuple(np.ones(rows.size, dtype=bool) for rows in mdp.state_rows)
+    else:
+        member = np.zeros(mdp.m, dtype=bool)
+        member[[mdp.row(str(a)) for a in action_ids]] = True
+        masks = tuple(member[rows] for rows in mdp.state_rows)
+    if not (masks[0].any() and masks[1].any()):
+        raise ModelError("action set must contain actions on both states")
+    return masks
+
+
+def _formed(masks) -> np.ndarray:
+    """The pairs an action set forms, in product order."""
+    return np.flatnonzero(np.outer(*masks))
+
+
+def _chosen(ids, masks) -> list[list[str]]:
+    return [list(itertools.compress(i, m.tolist())) for i, m in zip(ids, masks)]
+
+
+def _produce(adv, masks, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Per state, the set's rows within ``TIE_TOL`` of the set's best advantage
+    at one of the columns."""
     out = []
-    for i, j in itertools.product(range(len(ids0)), range(len(ids1))):
-        values = np.array([v0[i, j], v1[i, j]])
-        out.append(Policy(choice=(ids0[i], ids1[j]), values=values))
+    for a, mask in zip(adv, masks):
+        a = np.where(mask[:, None], a[:, cols], -np.inf)
+        out.append((a >= a.max(axis=0) - TIE_TOL).any(axis=1))
     return tuple(out)
+
+
+def formed_policies(mdp: Mdp, action_ids) -> tuple[Policy, ...]:
+    """All cross-product policies of an action set, each exactly evaluated."""
+    ids, values, _ = _pairs(mdp)
+    masks = _members(mdp, action_ids)
+    return tuple(Policy(choice=c, values=v) for c, v in
+                 zip(itertools.product(*_chosen(ids, masks)), values[_formed(masks)]))
 
 
 def produced_actions(mdp: Mdp, policies, action_ids) -> frozenset[str]:
@@ -81,29 +113,26 @@ def produced_actions(mdp: Mdp, policies, action_ids) -> frozenset[str]:
     Per policy and state, every action tied with the maximum within 1e-9 is
     included, so the elimination claim is tested against the superset.
     """
-    _require_two_state(mdp)
-    per_state = _check_action_set(mdp, action_ids)
-    out: set[str] = set()
-    for pol in policies:
-        adv = mdp.rewards + mdp.coeffs @ pol.values
-        for ids, rows in per_state:
-            best = max(adv[k] for k in rows)
-            out.update(ids[j] for j, k in enumerate(rows) if adv[k] >= best - TIE_TOL)
-    return frozenset(out)
+    ids = _pairs(mdp)[0]
+    masks = _members(mdp, action_ids)
+    values = np.array([p.values for p in policies], dtype=np.float64).reshape(-1, 2)
+    adv = mdp.rewards[:, None] + mdp.coeffs @ values.T
+    produced = _produce([adv[rows] for rows in mdp.state_rows], masks, slice(None))
+    return frozenset(itertools.chain(*_chosen(ids, produced)))
 
 
 def set_dynamics(mdp: Mdp, action_ids=None) -> list[frozenset[str]]:
     """Iterate produce(form(.)) from an action set until it stops shrinking."""
-    _require_two_state(mdp)
-    current = frozenset(mdp.ids) if action_ids is None else frozenset(map(str, action_ids))
-    sets = [current]
-    while len(current) > mdp.n_states:
-        nxt = produced_actions(mdp, formed_policies(mdp, current), current)
-        sets.append(nxt)
-        if len(nxt) >= len(current):
+    ids, _, adv = _pairs(mdp)
+    masks = _members(mdp, action_ids)
+    sets, size = [masks], sum(map(np.count_nonzero, masks))
+    while size > mdp.n_states:
+        masks = _produce(adv, masks, _formed(masks))
+        sets.append(masks)
+        size, last = sum(map(np.count_nonzero, masks)), size
+        if size >= last:
             break
-        current = nxt
-    return sets
+    return [frozenset(itertools.chain(*_chosen(ids, s))) for s in sets]
 
 
 @dataclass(frozen=True)
@@ -151,10 +180,6 @@ class InefficiencyCertificate:
         }
 
 
-def _self_loop_advantage(gamma: float, reward: float, state: int, values: np.ndarray) -> float:
-    return reward + (gamma - 1.0) * float(values[state])
-
-
 def inefficiency_certificate(mdp: Mdp, action_ids=None) -> InefficiencyCertificate:
     """Name one action the given set can never produce, with proof margins.
 
@@ -164,75 +189,87 @@ def inefficiency_certificate(mdp: Mdp, action_ids=None) -> InefficiencyCertifica
     action there is the named casualty, the higher policy's action there the
     survivor that dominates it.
     """
-    _require_two_state(mdp)
-    ids = frozenset(mdp.ids) if action_ids is None else frozenset(map(str, action_ids))
-    if len(ids) < 3:
-        raise ModelError(f"inefficiency certificate needs |A| >= 3, got {len(ids)}")
-    policies = formed_policies(mdp, ids)
-    slopes = np.array([p.values[0] - p.values[1] for p in policies])
-    pi_l = policies[int(np.argmax(slopes))]  # largest slope
-    pi_r = policies[int(np.argmin(slopes))]  # smallest slope
-    slope_gap = float(np.max(slopes) - np.min(slopes))
+    ids, values, adv = _pairs(mdp)
+    masks = _members(mdp, action_ids)
+    if (size := sum(map(np.count_nonzero, masks))) < 3:
+        raise ModelError(f"inefficiency certificate needs |A| >= 3, got {size}")
+    cols = _formed(masks)
+    values = values[cols]
+    slopes = values[:, 0] - values[:, 1]
+    hi, lo = int(np.argmax(slopes)), int(np.argmin(slopes))  # largest, smallest slope
+    slope_gap = float(slopes[hi] - slopes[lo])
     if slope_gap <= DEGENERATE_TOL:
         return InefficiencyCertificate(degenerate=True, slope_gap=slope_gap)
 
     # gap at state 1: min-slope policy above max-slope policy there;
     # gap at state 0: max-slope policy above min-slope policy there.
     # The two gaps sum to the slope gap, so the larger one is positive.
-    gap1 = float(pi_r.values[1] - pi_l.values[1])
-    gap0 = float(pi_l.values[0] - pi_r.values[0])
-    if gap1 >= gap0:
-        state, low, high = 1, pi_l, pi_r
+    if values[lo, 1] - values[hi, 1] >= values[hi, 0] - values[lo, 0]:
+        state, low, high = 1, hi, lo
     else:
-        state, low, high = 0, pi_r, pi_l
-    dropped = low.choice[state]
-    kept = high.choice[state]
+        state, low, high = 0, lo, hi
+    choices = list(itertools.product(*_chosen(ids, masks)))
+    at_state = divmod(cols, len(ids[1]))[state]  # each formed pair's row position there
+    a_c, a_b = adv[state][at_state[[low, high]]][:, cols]
     g = mdp.gamma
-    r_low = (1.0 - g) * float(low.values[state])
-    r_high = (1.0 - g) * float(high.values[state])
-
-    rows = []
-    margins = [np.inf, np.inf, np.inf]
-    adv_all = mdp.rewards[:, None] + mdp.coeffs @ np.vstack([p.values for p in policies]).T
-    k_drop, k_keep = mdp.row_of[dropped], mdp.row_of[kept]
-    for j, pol in enumerate(policies):
-        a_c = float(adv_all[k_drop, j])
-        a_low = _self_loop_advantage(g, r_low, state, pol.values)
-        a_high = _self_loop_advantage(g, r_high, state, pol.values)
-        a_b = float(adv_all[k_keep, j])
-        rows.append((pol.choice, a_c, a_low, a_high, a_b))
-        margins[0] = min(margins[0], a_low - a_c)
-        margins[1] = min(margins[1], a_high - a_low)
-        margins[2] = min(margins[2], a_b - a_high)
+    r_low, r_high = ((1.0 - g) * values[[low, high], state]).tolist()
+    a_low, a_high = np.add.outer([r_low, r_high], (g - 1.0) * values[:, state])  # self-loops
     return InefficiencyCertificate(
         degenerate=False,
         slope_gap=slope_gap,
         state=state,
-        inefficient_action=dropped,
-        surviving_action=kept,
-        pi_low=low.choice,
-        pi_high=high.choice,
+        inefficient_action=choices[low][state],
+        surviving_action=choices[high][state],
+        pi_low=choices[low],
+        pi_high=choices[high],
         aux_low_reward=r_low,
         aux_high_reward=r_high,
-        chain_rows=tuple(rows),
-        min_margins=(float(margins[0]), float(margins[1]), float(margins[2])),
+        chain_rows=tuple(zip(choices, a_c.tolist(), a_low.tolist(), a_high.tolist(),
+                             a_b.tolist())),
+        min_margins=(float(np.min(a_low - a_c)), float(np.min(a_high - a_low)),
+                     float(np.min(a_b - a_high))),
     )
 
 
 @dataclass
 class PiBoundReport:
-    """Howard iteration counts from every start, plus the set-dynamics sizes."""
+    """Howard iteration counts from every start, plus the set-dynamics sets."""
 
     action_count: int
     max_iterations: int
     iterations_by_start: dict[tuple[str, ...], int]
-    set_sizes: list[int]
+    sets: list[frozenset[str]]
     violations: list[str]
     violation_instance: Mdp | None
 
     @property
+    def set_sizes(self) -> list[int]:
+        return [len(s) for s in self.sets]
+
+    @property
     def ok(self) -> bool:
         return not self.violations
+
+
+def _depths(nxt: list[int], cycle_depth: int) -> list[int]:
+    """Iterations from every start under the improvement map ``nxt``: 1 at a
+    fixed point, one more per step before it, ``cycle_depth`` on a cycle."""
+    depth = [0] * len(nxt)
+    for start in range(len(nxt)):
+        path, cur = [], start
+        while not depth[cur]:
+            if cur in path:  # improvement cycle; impossible without exact value ties
+                for node in path:
+                    depth[node] = cycle_depth
+                break
+            if nxt[cur] == cur:
+                depth[cur] = 1
+                break
+            path.append(cur)
+            cur = nxt[cur]
+        for k, node in enumerate(reversed(path), start=depth[cur] + 1):
+            depth[node] = depth[node] or k
+    return depth
 
 
 def verify_pi_bound(mdp: Mdp) -> PiBoundReport:
@@ -245,54 +282,15 @@ def verify_pi_bound(mdp: Mdp) -> PiBoundReport:
     per round until only one action per state remains.  Violations are
     collected, not raised, and carry the instance for triage.
     """
-    _require_two_state(mdp)
-    validate(mdp)
-    policies = formed_policies(mdp, mdp.ids)
-    index = {p.choice: j for j, p in enumerate(policies)}
-    vmat = np.vstack([p.values for p in policies])
-    adv_all = mdp.rewards[:, None] + mdp.coeffs @ vmat.T
-
-    per_state = _check_action_set(mdp, mdp.ids)
-
-    def improve(choice: tuple[str, ...]) -> tuple[str, ...]:
-        j = index[choice]
-        out = []
-        for s, (ids, rows) in enumerate(per_state):
-            inc_row = mdp.row_of[choice[s]]
-            best = max(adv_all[k, j] for k in rows)
-            if adv_all[inc_row, j] >= best - TIE_TOL:
-                out.append(choice[s])
-            else:
-                out.append(ids[int(np.argmax([adv_all[k, j] for k in rows]))])
-        return tuple(out)
-
-    next_map = {p.choice: improve(p.choice) for p in policies}
-    depth: dict[tuple[str, ...], int] = {}
-
-    def count_from(start: tuple[str, ...]) -> int:
-        path = []
-        on_path = set()
-        cur = start
-        while cur not in depth:
-            if cur in on_path:  # improvement cycle; impossible without exact value ties
-                for node in path:
-                    depth[node] = mdp.m + 1
-                break
-            nxt = next_map[cur]
-            if nxt == cur:
-                depth[cur] = 1
-                break
-            path.append(cur)
-            on_path.add(cur)
-            cur = nxt
-        base = depth[cur]
-        for k, node in enumerate(reversed(path), start=1):
-            depth.setdefault(node, base + k)
-        return depth[start]
-
+    ids, values, adv = _pairs(mdp)
+    # Howard's improvement as a map over pairs: per state, the incumbent is
+    # kept within TIE_TOL of the best, else the first best row is taken
+    k1, pairs = len(ids[1]), np.arange(len(values))
+    i, j = (np.where(a[inc, pairs] >= a.max(axis=0) - TIE_TOL, inc, a.argmax(axis=0))
+            for a, inc in zip(adv, divmod(pairs, k1)))
+    depth = _depths((i * k1 + j).tolist(), mdp.m + 1)
     violations: list[str] = []
-    by_start = {p.choice: count_from(p.choice) for p in policies}
-    worst = max(by_start.values())
+    worst = max(depth)
     if worst > mdp.m:
         violations.append(
             f"policy iteration took {worst} iterations with only {mdp.m} actions"
@@ -306,8 +304,8 @@ def verify_pi_bound(mdp: Mdp) -> PiBoundReport:
     return PiBoundReport(
         action_count=mdp.m,
         max_iterations=worst,
-        iterations_by_start=by_start,
-        set_sizes=sizes,
+        iterations_by_start=dict(zip(itertools.product(*ids), depth)),
+        sets=sets,
         violations=violations,
         violation_instance=mdp if violations else None,
     )
