@@ -195,7 +195,8 @@ def certify(mdp: Mdp, trace: RunTrace, epsilon: float = 1e-6) -> ConvergenceCert
     with a unique optimum, and a trace of at least N standard iterations
     (the recurrence is re-verified from the values, so traces loaded from
     files certify the same way as fresh ones); a block whose mixing factor
-    phi is not a finite float is rejected.
+    phi is not a finite float is rejected, and an underflowing block names
+    log10(n*phi) from the logs of phi's factors.
     """
     sol, p_star = _require_assumptions(mdp, need_normalized=True)
     prim = primitivity(p_star)
@@ -217,8 +218,13 @@ def certify(mdp: Mdp, trace: RunTrace, epsilon: float = 1e-6) -> ConvergenceCert
         raise CertificationError("a span inside the certified block vanished")
     denom = gamma**N * float(np.prod(block))
     if not denom >= sys.float_info.min:
+        with np.errstate(divide="ignore"):  # an underflowed omega has log -inf
+            log_nphi = float(log(mdp.n_states) + np.log(omega) + N * log(sol.delta)
+                             - N * log(gamma) - np.log(block).sum()) / log(10)
+        vacuous = "; n*phi >= 1, so tau <= 0 and the bound is vacuous" if log_nphi >= 0 else ""
         raise CertificationError(
-            f"gamma^N times the block's span product underflows to {denom:.3e} at N={N}")
+            f"gamma^N times the block's span product underflows to {denom:.3e} at N={N}; "
+            f"log10(n*phi) = {log_nphi:+.1f}{vacuous}")
     try:
         phi = omega * sol.delta**N / denom
     except OverflowError:  # delta**N

@@ -113,8 +113,10 @@ class TestCertify:
         trace = value_iteration(mdp, ViConfig(stop="time", t_max=3, v0="given",
                                               v0_values=(1e-310, 0.0)))
         assert 0.0 < trace.span_v[0] < np.finfo(float).tiny
-        with pytest.raises(CertificationError, match=r"underflows .* at N=1"):
+        with pytest.raises(CertificationError, match=r"underflows .* at N=1") as exc:
             certify(mdp, trace)
+        # n*phi = 2 * 0.5 * 0.01 / (0.9 * 1e-310) is far above 1
+        assert "log10(n*phi) = +308.0; n*phi >= 1, so tau <= 0" in str(exc.value)
 
     def test_single_action_per_state_has_no_delta(self):
         # no competing action: delta is infinite, rejected before phi is formed
