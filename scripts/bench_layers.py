@@ -30,6 +30,14 @@ does not finish at that size:
 
 - ``mdp_from_json_compact_dense``: reading its JSON text.
 
+Two layers run the two-state checks:
+
+- ``twostate_verify_pi_bound``: ``verify_pi_bound`` on one 2-state model with
+  six actions per state (``GenSpec(structure="dense", min_actions=6,
+  max_actions=6, gamma=0.9)``), each repeat on a fresh copy of the model so
+  nothing computed for an earlier repeat is reused;
+- ``twostate_suite``: ``run_twostate_suite(200, seed=seed)``.
+
 The dense size is fixed: dense generation does not finish for n of about 150
 and more.
 
@@ -49,15 +57,18 @@ import time
 
 import numpy as np
 
+from mdpgeo.acceptance import run_twostate_suite
 from mdpgeo.cli import mdp_from_json, mdp_to_json
-from mdpgeo.core import bellman_optimal, validate
+from mdpgeo.core import Mdp, bellman_optimal, validate
 from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import ViConfig, filter_appendix, value_iteration
 from mdpgeo.transforms import effective_gamma, normalize
+from mdpgeo.twostate import verify_pi_bound
 
 DENSE_N = 100
 READ_SPARSE_N = 1024
 READ_DENSE_N = 200
+TWOSTATE_REPEATS = 50
 
 
 def _compact(n: int, ids, state_of, P, rewards) -> str:
@@ -132,6 +143,14 @@ def main() -> None:
     dense = generate(GenSpec(n_states=DENSE_N, gamma=0.95, seed=args.seed, structure="dense"))
     layers["normalize"] = _summary(_times(lambda: normalize(dense), 5))
     layers["effective_gamma"] = _summary(_times(lambda: effective_gamma(dense), 5))
+    two = generate(GenSpec(n_states=2, gamma=0.9, seed=args.seed, structure="dense",
+                           min_actions=6, max_actions=6))
+    copies = iter([Mdp.from_arrays(2, two.gamma, two.ids, two.state_of, two.P, two.rewards)
+                   for _ in range(TWOSTATE_REPEATS)])
+    layers["twostate_verify_pi_bound"] = _summary(
+        _times(lambda: verify_pi_bound(next(copies)), TWOSTATE_REPEATS))
+    layers["twostate_suite"] = _summary(
+        _times(lambda: run_twostate_suite(200, seed=args.seed), 5))
     print(json.dumps({
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
