@@ -1,16 +1,17 @@
 """Record the benchmark's end-to-end metrics for one checkout in BENCH_<pr>.json.
 
     python scripts/bench_record.py --pr 6 --seeds 1 2 3 [--workloads NAME ...]
-        [--seconds 20] [--checkout DIR] [--out FILE]
+        [--checkout DIR]
 
 Runs ``perfbench/run.py --trace 0`` of the checkout (the one holding this
-script by default) once per seed and workload, seed by seed, so the
-workloads alternate and a slow spell of the machine falls on all of them.
-Writes one JSON file with the machine (nproc, CPU, Python, numpy, BLAS and
-its thread count, as the benchmark's worker reports them), the commit, the
-seeds, every run's summary line, and per workload the median and [q1, q3]
-of each end-to-end metric over the seeds, with the failed share of the
-operations attempted.
+script by default) once per seed and workload, for the run length its
+``BENCHMARK.json`` sets, seed by seed, so the workloads alternate and a slow
+spell of the machine falls on all of them.  Writes ``BENCH_<pr>.json`` into
+this repository: the machine (nproc, CPU, Python, numpy, BLAS and its thread
+count, as the benchmark's worker reports them), the commit, the seeds, every
+run's summary line, and per workload the median and [q1, q3] of each
+end-to-end metric over the seeds, with the failed share of the operations
+attempted.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("large_sparse_solve", "dense_transform_certify", "twostate_suite")
 
 
 def _commit(checkout: Path) -> str:
@@ -58,34 +58,35 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", type=int, required=True, help="number in the file name")
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--seconds", type=int, default=20, help="run length of each run")
+    ap.add_argument("--workloads", nargs="+", help="default: every workload of the benchmark")
     ap.add_argument("--checkout", type=Path, default=ROOT)
-    ap.add_argument("--out", type=Path, help="default: BENCH_<pr>.json in this repository")
     args = ap.parse_args()
 
     checkout = args.checkout.resolve()
+    bench = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
+    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     runs, machine = [], None
     for seed in args.seeds:
-        for workload in args.workloads:
-            env, summary = _run(checkout, workload, seed, args.seconds)
+        for workload in workloads:
+            env, summary = _run(checkout, workload, seed, seconds)
             machine = machine or env
             runs.append({"workload": workload, "seed": seed, **summary})
             print(f"{workload} seed {seed}: {json.dumps(summary['metrics'])}", file=sys.stderr)
 
-    workloads = {}
-    for workload in args.workloads:
+    per_workload = {}
+    for workload in workloads:
         mine = [r for r in runs if r["workload"] == workload]
         metrics = {name: {"unit": m["unit"], **_spread([r["metrics"][name]["value"]
                                                         for r in mine])}
                    for name, m in mine[0]["metrics"].items()}
-        workloads[workload] = {
+        per_workload[workload] = {
             "failed_share": sum(r["failed"] for r in mine) / sum(r["attempted"] for r in mine),
             "metrics": metrics,
         }
     doc = {"pr": args.pr, "commit": _commit(checkout), "machine": machine,
-           "seeds": args.seeds, "seconds": args.seconds, "workloads": workloads, "runs": runs}
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+           "seeds": args.seeds, "seconds": seconds, "workloads": per_workload, "runs": runs}
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(out)
     return 0

@@ -227,7 +227,7 @@ def run_twostate_suite(n_instances: int, max_actions: int = 12, seed: int = 0) -
                 degenerate += 1
                 continue
             certificates += 1
-            if cert.inefficient_action in report.sets[1]:
+            if cert.inefficient_action in report.sets[1]:  # what the full set produces
                 violations.append(
                     f"seed {seed + i}: named action {cert.inefficient_action} was produced"
                 )

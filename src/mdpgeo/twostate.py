@@ -43,10 +43,10 @@ DEGENERATE_TOL = 1e-9
 @functools.lru_cache(maxsize=1)  # one model's checks share its core; holds one model alive
 def _pairs(mdp: Mdp) -> tuple[tuple[tuple[str, ...], ...], np.ndarray, tuple[np.ndarray, ...]]:
     """The pair core: per state the action ids in id order (``Mdp.state_rows``),
-    the (pairs, 2) exact values of every pair, and per state the (k_s, pairs)
+    the (pairs, 2) values of every pair, and per state the (k_s, pairs)
     advantages of its rows.  Pair ``i * k1 + j`` takes the i-th action of state
-    0 and the j-th of state 1, so pairs run in product order.  Values use the
-    closed form of the 2x2 linear system (the dense solve's to machine precision).
+    0 and the j-th of state 1, so pairs run in product order.  Values come from
+    the closed form of the 2x2 system, equal to a dense solve to machine precision.
     """
     if mdp.n_states != 2:
         raise ModelError(f"operation is defined for 2-state MDPs, got n={mdp.n_states}")
