@@ -19,7 +19,7 @@ from hypothesis import given
 
 from conftest import mdps
 from mdpgeo import twostate
-from mdpgeo.core import Mdp, ModelError, Policy, validate
+from mdpgeo.core import Action, Mdp, ModelError, Policy, validate
 from mdpgeo.twostate import DEGENERATE_TOL, TIE_TOL, InefficiencyCertificate
 from test_twostate import random_instance
 
@@ -300,3 +300,23 @@ def test_pair_core_matches_reference_on_exact_rational_models(mdp):
 def test_pair_core_matches_reference_on_seeded_instances(block):
     for seed in range(block, block + 50):
         _assert_same(random_instance(seed))
+
+
+def test_near_tie_keeps_the_incumbent():
+    # b trails a by 1e-12 at every policy: within TIE_TOL, so Howard keeps b
+    # and produce keeps both
+    mdp = Mdp(2, (Action("a", 0, (0.5, 0.5), 1.0), Action("b", 0, (0.5, 0.5), 1.0 - 1e-12),
+                  Action("c", 1, (0.5, 0.5), 0.0)), 0.9)
+    _assert_same(mdp)
+    report = twostate.verify_pi_bound(mdp)
+    assert report.iterations_by_start[("b", "c")] == 1
+    assert report.sets[1] == {"a", "b", "c"}
+
+
+def test_mirrored_states_tie_the_gaps():
+    # state 1 mirrors state 0, so the extreme policies' value gaps are equal
+    # bit for bit and the tie goes to state 1
+    mdp = Mdp(2, (Action("a1", 0, (0.7, 0.3), 1.0), Action("a2", 0, (0.2, 0.8), 0.5),
+                  Action("b1", 1, (0.3, 0.7), 1.0), Action("b2", 1, (0.8, 0.2), 0.5)), 0.9)
+    _assert_same(mdp)
+    assert twostate.inefficiency_certificate(mdp).state == 1
