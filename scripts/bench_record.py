@@ -1,6 +1,6 @@
 """Record the benchmark's end-to-end metrics for one checkout in BENCH_<pr>.json.
 
-    python scripts/bench_record.py --pr 6 --seeds 1 2 3 [--workloads NAME ...]
+    python scripts/bench_record.py --pr N --seeds 1 2 3 [--workloads NAME ...]
         [--checkout DIR]
 
 Runs ``perfbench/run.py --trace 0`` of the checkout (the one holding this
