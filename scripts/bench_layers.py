@@ -3,14 +3,20 @@
     PYTHONPATH=src python scripts/bench_layers.py [--n 1000] [--k 5] [--seed 7]
 
 Generates ``GenSpec(structure="sparse", n_states=n, sparse_k=k,
-max_actions=8, gamma=0.95)`` and times seven layers on it, each over a fixed
+max_actions=8, gamma=0.95)`` and times nine layers on it, each over a fixed
 number of repeats:
 
 - ``bellman_optimal``: one greedy backup at random values;
 - ``vi_iteration``: the marginal cost of one synchronous value-iteration
   step, from runs of 1 and 21 steps;
+- ``vi_filtered_iteration``: the same for a run with the action filter,
+  started from the upper bound;
 - ``filter_appendix``: one filtering pass at V_100 of a run started from the
-  upper bound, where part of the actions are provably suboptimal;
+  upper bound, where part of the actions are provably suboptimal, computing
+  its own advantage product;
+- ``filter_appendix_shared``: the same pass given ``P @ V_100``, the product
+  value iteration shares between the filter and the next backup (left out
+  on checkouts whose filter takes no such argument);
 - ``mdp_to_json``: writing the whole model as JSON;
 - ``mdp_from_json``: reading that JSON text back (parse, build, validate);
 - ``mdp_from_json_compact_sparse``: reading a sparse ``n=1024`` model of the
@@ -49,6 +55,7 @@ so it runs unchanged on older checkouts for before/after comparisons.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -116,21 +123,28 @@ def main() -> None:
     v = np.random.default_rng([args.seed, 1]).uniform(0.0, 1.0, size=mdp.n_states)
     bellman_optimal(mdp, v)  # fills the model's cached arrays
 
-    def steps(t: int) -> float:
+    def steps(t: int, **filtered) -> float:
         t0 = time.perf_counter()
-        value_iteration(mdp, ViConfig(stop="time", t_max=t))
+        value_iteration(mdp, ViConfig(stop="time", t_max=t, **filtered))
         return time.perf_counter() - t0
 
     vi = [(steps(21) - steps(1)) / 20 for _ in range(5)]
+    filtered = {"filter": "appendix", "v0": "upper_bound"}
+    vi_filtered = [(steps(21, **filtered) - steps(1, **filtered)) / 20 for _ in range(5)]
 
     v100 = value_iteration(mdp, ViConfig(stop="time", t_max=100, v0="upper_bound")).values[100]
     active = np.ones(mdp.m, dtype=bool)
     layers = {
         "bellman_optimal": _summary(_times(lambda: bellman_optimal(mdp, v), 50)),
         "vi_iteration": _summary(vi),
+        "vi_filtered_iteration": _summary(vi_filtered),
         "filter_appendix": _summary(_times(lambda: filter_appendix(mdp, 100, v100, active), 20)),
         "mdp_to_json": _summary(_times(lambda: mdp_to_json(mdp), 3)),
     }
+    if "pv" in inspect.signature(filter_appendix).parameters:
+        pv = mdp.P @ v100
+        layers["filter_appendix_shared"] = _summary(
+            _times(lambda: filter_appendix(mdp, 100, v100, active, pv), 20))
     text = mdp_to_json(mdp)
     layers["mdp_from_json"] = _summary(_times(lambda: mdp_from_json(text), 3))
     wide = generate(GenSpec(n_states=READ_SPARSE_N, gamma=0.95, seed=args.seed,

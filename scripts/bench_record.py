@@ -11,7 +11,9 @@ this repository: the machine (nproc, CPU, Python, numpy, BLAS and its thread
 count, as the benchmark's worker reports them), the commit, the seeds, every
 run's summary line, and per workload the median and [q1, q3] of each
 end-to-end metric over the seeds, with the failed share of the operations
-attempted.
+attempted.  Then prints, per workload and metric, the change of the median
+against the newest ``BENCH_<k>.json`` here with k < N, the record of the
+change before.
 """
 
 from __future__ import annotations
@@ -54,6 +56,26 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "iqr": [q1, q3], "n": len(values)}
 
 
+def _previous(pr: int) -> dict | None:
+    """The newest record in this repository numbered below ``pr``."""
+    numbered = {}
+    for path in ROOT.glob("BENCH_*.json"):
+        k = path.stem.removeprefix("BENCH_")
+        if k.isdigit() and int(k) < pr:
+            numbered[int(k)] = path
+    return json.loads(numbered[max(numbered)].read_text(encoding="utf-8")) if numbered else None
+
+
+def _print_deltas(doc: dict, before: dict) -> None:
+    for workload in [w for w in doc["workloads"] if w in before["workloads"]]:
+        now, then = doc["workloads"][workload], before["workloads"][workload]
+        for name in [m for m in now["metrics"] if m in then["metrics"]]:
+            new, old = now["metrics"][name], then["metrics"][name]["median"]
+            print(f"{workload} {name}: {old:.4g} -> {new['median']:.4g} {new['unit']} "
+                  f"({100.0 * (new['median'] / old - 1.0):+.1f} %) against BENCH_{before['pr']}")
+        print(f"{workload} failed_share: {then['failed_share']:.4g} -> {now['failed_share']:.4g}")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", type=int, required=True, help="number in the file name")
@@ -88,6 +110,9 @@ def main() -> int:
            "seeds": args.seeds, "seconds": seconds, "workloads": per_workload, "runs": runs}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    before = _previous(args.pr)
+    if before is not None:
+        _print_deltas(doc, before)
     print(out)
     return 0
 

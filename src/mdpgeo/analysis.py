@@ -386,7 +386,7 @@ def check_error_recursion(
     worst_eq = 0.0
     eq_checks = 0
     for t in range(trace.iterations):
-        rows = np.array([mdp.row_of[a] for a in trace.policies[t]], dtype=np.intp)
+        rows = trace.rows[t]
         bound = mdp.gamma * (mdp.P[rows] @ errors[t])
         diff = errors[t + 1] - bound
         worst = max(worst, float(np.max(diff)))
@@ -416,7 +416,7 @@ def check_update_sandwich(
     p_star = mdp.P[policy_rows(mdp, sol.policy)]
     worst = 0.0
     for t in range(trace.iterations):
-        rows = np.array([mdp.row_of[a] for a in trace.policies[t]], dtype=np.intp)
+        rows = trace.rows[t]
         lower = mdp.gamma * (p_star @ trace.values[t])
         upper = mdp.gamma * (mdp.P[rows] @ trace.values[t])
         v_next = trace.values[t + 1]
@@ -461,7 +461,7 @@ def check_mixing_bound(
         if sp <= 1e-13:
             skipped += mdp.n_states
             continue
-        rows = np.array([mdp.row_of[a] for a in trace.policies[t]], dtype=np.intp)
+        rows = trace.rows[t]
         star = p_star @ v
         cur = mdp.P[rows] @ v
         for s in range(mdp.n_states):

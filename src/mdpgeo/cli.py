@@ -281,7 +281,7 @@ def trace_to_csv(trace: RunTrace) -> str:
 
 
 def trace_from_csv(text: str, gamma: float = float("nan")) -> RunTrace:
-    """Rebuild a trace from CSV; per-step policies are not stored on disk."""
+    """Rebuild a trace from CSV; per-step policy rows are not stored on disk."""
     lines = [ln for ln in text.split("\n") if ln]
     header = lines[0].split(",") if lines else []
     expected = ["t", "span_v", "span_dv", "active_actions", "stop_reason_final"]
@@ -316,7 +316,8 @@ def trace_from_csv(text: str, gamma: float = float("nan")) -> RunTrace:
         span_v=span_v,
         span_dv=np.array(span_dv),
         active_counts=np.array(counts, dtype=np.intp),
-        policies=(),
+        rows=np.empty((0, values.shape[1]), dtype=np.int32),
+        ids=(),
         filtered=(),
         stop_reason=stop_reason,
         final_policy=None,

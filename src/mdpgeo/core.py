@@ -113,8 +113,9 @@ class Mdp:
     The read-only arrays are set once, from :class:`Action` records by
     ``Mdp(n_states, actions, gamma)`` or by :meth:`from_arrays`; both check
     shapes only, so call :func:`validate` for the full invariant check.
-    Derived arrays (coefficients, per-state rows sorted by action id) are
-    computed lazily and cached; ``actions`` makes the rows into records.
+    Derived arrays (coefficients, own-state probabilities, per-state rows
+    sorted by action id) are computed lazily and cached; ``actions`` makes
+    the rows into records.
     """
 
     n_states: int
@@ -167,6 +168,11 @@ class Mdp:
         c = self.gamma * self.P
         c[np.arange(self.m), self.state_of] -= 1.0
         return _freeze(c)
+
+    @cached_property
+    def p_own(self) -> np.ndarray:
+        """Per row, the probability of staying at the owning state."""
+        return _freeze(self.P[np.arange(self.m), self.state_of])
 
     @cached_property
     def groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,16 +18,17 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from hashlib import sha256
 from math import ceil, log
 
 import numpy as np
 
 from .core import (
+    ROW_SUM_TOL,
     Mdp,
     Policy,
     as_values,
-    bellman_optimal,
     greedy,
     policy_from_ids,
     policy_rows,
@@ -164,11 +165,14 @@ class ViConfig:
 class RunTrace:
     """Everything recorded along one value-iteration run.
 
-    Row t of ``values`` is V_t, so there are iterations+1 rows.  ``policies``
-    holds the greedy policy computed at V_t for each performed update
-    (length = iterations), ``filtered`` the ids discarded by that update's
-    filtering pass.  Wall-clock timings stay in memory only; serialized
-    traces are deterministic.
+    Row t of ``values`` is V_t, so there are iterations+1 rows.  Row t of
+    ``rows`` (int32, shape (iterations, n)) holds the action rows of the
+    greedy policy computed at V_t; ``policies`` is the same sequence as
+    tuples of action ids, built from ``ids`` on first access.  ``filtered``
+    holds the ids discarded by each update's filtering pass, and
+    ``filter_fallbacks`` counts the passes that needed the exact advantage
+    product (see :func:`filter_appendix`).  Wall-clock timings and the
+    fallback count stay in memory only; serialized traces are deterministic.
     """
 
     gamma: float
@@ -178,10 +182,12 @@ class RunTrace:
     span_v: np.ndarray
     span_dv: np.ndarray
     active_counts: np.ndarray
-    policies: tuple[tuple[str, ...], ...]
+    rows: np.ndarray
+    ids: tuple[str, ...]
     filtered: tuple[tuple[str, ...], ...]
     stop_reason: str
     final_policy: Policy | None
+    filter_fallbacks: int = 0
     wall_clock: np.ndarray | None = None
 
     @property
@@ -192,6 +198,12 @@ class RunTrace:
     def converged(self) -> bool:
         return self.stop_reason != "cap"
 
+    @cached_property
+    def policies(self) -> tuple[tuple[str, ...], ...]:
+        """Per performed update, the greedy policy's action ids."""
+        ids = self.ids
+        return tuple(tuple(ids[k] for k in row) for row in self.rows.tolist())
+
     def content_hash(self) -> str:
         """Stable digest of the deterministic trace payload."""
         h = sha256()
@@ -201,7 +213,8 @@ class RunTrace:
         return h.hexdigest()
 
 
-def filter_appendix(mdp: Mdp, t: int, v, active: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+def filter_appendix(mdp: Mdp, t: int, v, active: np.ndarray,
+                    pv: np.ndarray | None = None) -> tuple:
     """Drop actions whose optimal-values advantage is provably negative.
 
     ``v`` must be the iterate V_t of a standard run started from the
@@ -217,11 +230,54 @@ def filter_appendix(mdp: Mdp, t: int, v, active: np.ndarray) -> tuple[np.ndarray
     it for self-loop-heavy actions and could discard an optimal action.
     The last surviving action of a state is never dropped; every state needs
     an active action on entry.  Returns the new mask and the dropped ids.
+
+    The advantage is ``rewards + coeffs @ v`` in floats.  Given ``pv``, the
+    product ``P @ v`` of a validated model that a backup at ``v`` needs
+    anyway, the pass forms ``rewards + gamma * pv - v[state_of]`` instead and
+    trusts it only where it provably takes the same decisions: every active
+    row's margin must be farther from 0 than the rounding error bound of
+    :func:`_shared_error`, and no state may be emptied (the kept row is
+    chosen by the advantage values themselves).  Otherwise the pass falls
+    back to the exact product.  With ``pv`` the result gains a third item,
+    True when the pass fell back.
     """
     v = as_values(v, mdp.n_states)
+    bound = (1.0 - mdp.gamma * mdp.p_own) * mdp.gamma**t / (1.0 - mdp.gamma)
+    if pv is None:
+        return _filter_exact(mdp, v, active, bound)
+    margin = mdp.rewards + mdp.gamma * pv - v[mdp.state_of] + bound
+    if np.all((np.abs(margin) > _shared_error(mdp, v)) | ~active):
+        drop = active & (margin < 0.0)
+        if not np.any(drop):
+            return active, (), False
+        new = active & ~drop
+        if np.bincount(mdp.state_of[new], minlength=mdp.n_states).all():
+            return new, tuple(mdp.ids[k] for k in np.flatnonzero(drop)), False
+    return (*_filter_exact(mdp, v, active, bound), True)
+
+
+def _shared_error(mdp: Mdp, v: np.ndarray) -> float:
+    """Bound over all rows on |(r + gamma*fl(P@v) - v_own) - (r + fl(coeffs@v))| in floats.
+
+    Both products are length-n dot products, each within gamma_n * sum|c_i v_i|
+    of its exact value (Higham 2002, section 3.1), where gamma_k = k*u/(1-k*u)
+    and u is the unit roundoff.  With S = (1 + 1e-12) * max|v| bounding
+    sum P_i |v_i| for rows that sum to 1 within validate's tolerance, and
+    sum |coeffs_i| <= 2, the products differ by 3*gamma_n*S at most; the
+    rounded entries of ``coeffs`` and the scalar operations on either side
+    add under 8u*S + 3u*|r|.  4*gamma_(n+4)*(S + max|r|) covers all of that
+    with room for the rounding of the margin itself and of this bound;
+    ``tiny`` covers products that underflow.
+    """
+    k = (mdp.n_states + 4) * np.finfo(np.float64).eps / 2
+    s = (1.0 + ROW_SUM_TOL) * float(np.max(np.abs(v)))
+    r = float(np.max(np.abs(mdp.rewards)))
+    return 4.0 * k / (1.0 - k) * (s + r) + np.finfo(np.float64).tiny
+
+
+def _filter_exact(mdp: Mdp, v: np.ndarray, active: np.ndarray,
+                  bound: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
     adv = mdp.rewards + mdp.coeffs @ v
-    p_own = mdp.P[np.arange(mdp.m), mdp.state_of]
-    bound = (1.0 - mdp.gamma * p_own) * mdp.gamma**t / (1.0 - mdp.gamma)
     drop = active & (adv + bound < 0.0)
     if not np.any(drop):
         return active, ()
@@ -248,6 +304,7 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
     gamma, alpha = mdp.gamma, cfg.alpha
 
     v = cfg.initial_values(mdp)
+    pv = mdp.P @ v  # shared by the filter at v and the next backup
     active = np.ones(mdp.m, dtype=bool)
     cap = None if cfg.stop == "time" else hard_iteration_cap(gamma)
 
@@ -255,8 +312,9 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
     span_v = [span(v)]
     span_dv = [np.nan]
     counts = [mdp.m]
-    policies: list[tuple[str, ...]] = []
+    rows: list[np.ndarray] = []
     filtered: list[tuple[str, ...]] = []
+    fallbacks = 0
     wall: list[float] = []
 
     if cfg.stop == "span":
@@ -284,25 +342,28 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
             break
         t0 = time.perf_counter() if cfg.record_wall_clock else 0.0
         sel = cfg.states_for(t, n)
-        q = mdp.rewards + gamma * (mdp.P @ v)
-        u, rows = greedy(mdp, np.where(active, q, -np.inf), error=SolverError)
+        q = mdp.rewards + gamma * pv
+        u, best = greedy(mdp, np.where(active, q, -np.inf), error=SolverError)
         v_new = v.copy()
         v_new[sel] = (1.0 - alpha) * v[sel] + alpha * u[sel]
+        pv = mdp.P @ v_new
         removed: tuple[str, ...] = ()
         if cfg.filter == "appendix":
-            active, removed = filter_appendix(mdp, t + 1, v_new, active)
+            active, removed, fell_back = filter_appendix(mdp, t + 1, v_new, active, pv)
+            fallbacks += fell_back
         values.append(v_new)
         span_v.append(span(v_new))
         span_dv.append(span(v_new - v))
         counts.append(int(active.sum()))
-        policies.append(tuple(mdp.ids[k] for k in rows))
+        rows.append(best.astype(np.int32))
         filtered.append(removed)
         if cfg.record_wall_clock:
             wall.append(time.perf_counter() - t0)
         v = v_new
         t += 1
 
-    _, final = bellman_optimal(mdp, v, active)
+    as_values(v, n)  # a run whose values overflowed ends in ModelError, as a fresh backup would
+    _, best = greedy(mdp, np.where(active, mdp.rewards + gamma * pv, -np.inf))
     return RunTrace(
         gamma=gamma,
         alpha=alpha,
@@ -311,10 +372,12 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
         span_v=np.array(span_v),
         span_dv=np.array(span_dv),
         active_counts=np.array(counts, dtype=np.intp),
-        policies=tuple(policies),
+        rows=np.array(rows, dtype=np.int32).reshape(len(rows), n),
+        ids=mdp.ids,
         filtered=tuple(filtered),
         stop_reason=stop_reason,
-        final_policy=final,
+        final_policy=Policy(choice=tuple(mdp.ids[k] for k in best)),
+        filter_fallbacks=fallbacks,
         wall_clock=np.array(wall) if cfg.record_wall_clock else None,
     )
 

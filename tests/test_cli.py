@@ -115,6 +115,7 @@ class TestTraceFile:
         np.testing.assert_array_equal(back.active_counts, trace.active_counts)
         assert back.stop_reason == trace.stop_reason
         assert back.content_hash() == trace.content_hash()
+        assert back.rows.shape == (0, 2) and back.policies == ()
 
     def test_row_count_and_endings(self):
         trace = value_iteration(m2_mix(), ViConfig(stop="time", t_max=3))

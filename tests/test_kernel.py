@@ -123,8 +123,9 @@ class TestErrors:
         mdp = m2()
         active = np.array([True, True, False, False])
         v = np.full(2, 100.0)  # every advantage sits far below the bound
-        with pytest.raises(SolverError, match="state 1 has no active action"):
-            filter_appendix(mdp, 50, v, active)
+        for pv in (None, mdp.P @ v):
+            with pytest.raises(SolverError, match="state 1 has no active action"):
+                filter_appendix(mdp, 50, v, active, pv)
 
     def test_state_without_rows(self):
         mdp = Mdp(3, (Action("a", 0, (1.0, 0.0, 0.0), 0.0),
@@ -152,3 +153,7 @@ def test_filter_keeps_the_best_active_row_of_an_emptied_state(case, t, level):
             expect[best[s]] = True
     np.testing.assert_array_equal(new, expect)
     assert removed == tuple(mdp.ids[k] for k in np.flatnonzero(active & ~expect))
+
+    shared, shared_removed, _ = filter_appendix(mdp, t, v, active, pv=mdp.P @ v)
+    np.testing.assert_array_equal(shared, new)
+    assert shared_removed == removed

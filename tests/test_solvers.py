@@ -1,7 +1,11 @@
+from unittest import mock
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
 
+from mdpgeo import solvers
 from mdpgeo.core import Action, Mdp, Policy, advantages, policy_from_ids, span
 from mdpgeo.fixtures import m2, m2_mix
 from mdpgeo.gen import GenSpec, generate
@@ -194,6 +198,65 @@ class TestFilter:
         cfg = ViConfig(stop="time", t_max=40, filter="appendix", v0="upper_bound")
         trace = value_iteration(mdp, cfg)
         assert trace.active_counts[-1] >= 2
+
+    def test_row_on_the_threshold_takes_the_exact_pass(self):
+        # gamma 1/2 from V_0 = 2: at t = 1 the advantage of b, 0.5 + (0.5 - 1) * 2,
+        # meets the slack (1 - 0.5) * 0.5 / 0.5 exactly, so only the exact
+        # product decides (b stays); at t = 2 b is dropped.
+        mdp = Mdp(1, (Action("a", 0, (1.0,), 1.0), Action("b", 0, (1.0,), 0.5)), 0.5)
+        v = np.array([2.0])
+        active = np.ones(2, dtype=bool)
+        assert advantages(mdp, v)[1] + 0.5 == 0.0
+        new, removed, fell_back = filter_appendix(mdp, 1, v, active, pv=mdp.P @ v)
+        assert fell_back and removed == () and new.all()
+        cfg = ViConfig(stop="actions", filter="appendix", v0="upper_bound")
+        trace = value_iteration(mdp, cfg)
+        assert trace.filtered == ((), ("b",))
+        assert trace.filter_fallbacks == 1
+
+    def test_rounding_that_flips_a_decision_takes_the_exact_pass(self):
+        # the shared form puts b's margin at -1.1e-17 where the exact product
+        # puts it at +1.0e-16: only the error bound keeps b, as the exact pass does
+        mdp = Mdp(1, (Action("a", 0, (1.0,), 1.0), Action("b", 0, (1.0,), 0.9127555772774393)),
+                  0.3)
+        v = np.array([1.3039365389681739])
+        active = np.ones(2, dtype=bool)
+        slack = (1.0 - 0.3) * 0.3**24 / (1.0 - 0.3)
+        assert advantages(mdp, v)[1] + slack > 0.0
+        assert mdp.rewards[1] + 0.3 * (mdp.P @ v)[0] - v[0] + slack < 0.0
+        new, removed, fell_back = filter_appendix(mdp, 24, v, active, pv=mdp.P @ v)
+        assert fell_back and removed == () and new.all()
+
+    def test_emptied_state_takes_the_exact_pass(self):
+        mdp = m2()
+        v = np.full(2, 100.0)  # every advantage sits far below the bound
+        active = np.ones(mdp.m, dtype=bool)
+        new, removed, fell_back = filter_appendix(mdp, 50, v, active, pv=mdp.P @ v)
+        expect, expect_removed = filter_appendix(mdp, 50, v, active)
+        assert fell_back and new.sum() == mdp.n_states
+        np.testing.assert_array_equal(new, expect)
+        assert removed == expect_removed
+
+
+def _exact_filter(mdp, t, v, active, pv=None):
+    """The filter without the shared product: the exact pass every time."""
+    return (*filter_appendix(mdp, t, v, active), True)
+
+
+@given(mdps(), st.integers(0, 60))
+def test_filtered_run_matches_the_exact_filter(mdp, t_max):
+    mdp = Mdp.from_arrays(mdp.n_states, mdp.gamma, mdp.ids, mdp.state_of, mdp.P,
+                          np.clip(mdp.rewards, 0.0, 1.0))
+    cfg = ViConfig(stop="time", t_max=t_max, filter="appendix", v0="upper_bound")
+    shared = value_iteration(mdp, cfg)
+    with mock.patch.object(solvers, "filter_appendix", _exact_filter):
+        exact = value_iteration(mdp, cfg)
+    assert exact.filter_fallbacks == t_max
+    assert shared.filtered == exact.filtered
+    np.testing.assert_array_equal(shared.active_counts, exact.active_counts)
+    assert shared.values.tobytes() == exact.values.tobytes()
+    np.testing.assert_array_equal(shared.rows, exact.rows)
+    assert shared.content_hash() == exact.content_hash()
 
 
 class TestPolicyIteration:
