@@ -231,15 +231,13 @@ def filter_appendix(mdp: Mdp, t: int, v, active: np.ndarray,
     The last surviving action of a state is never dropped; every state needs
     an active action on entry.  Returns the new mask and the dropped ids.
 
-    The advantage is ``rewards + coeffs @ v`` in floats.  Given ``pv``, the
-    product ``P @ v`` of a validated model that a backup at ``v`` needs
-    anyway, the pass forms ``rewards + gamma * pv - v[state_of]`` instead and
-    trusts it only where it provably takes the same decisions: every active
-    row's margin must be farther from 0 than the rounding error bound of
-    :func:`_shared_error`, and no state may be emptied (the kept row is
-    chosen by the advantage values themselves).  Otherwise the pass falls
-    back to the exact product.  With ``pv`` the result gains a third item,
-    True when the pass fell back.
+    The advantage is ``rewards + coeffs @ v`` in floats.  Given ``pv =
+    P @ v`` (of a validated model), the pass forms it as ``rewards + gamma *
+    pv - v[state_of]`` and keeps that only when it provably decides alike:
+    every active row's margin is farther from 0 than the rounding bound of
+    :func:`_shared_error`, and no state is emptied (the kept row is chosen
+    by the advantage values).  Otherwise it computes the exact product.
+    With ``pv`` the result gains a third item, True when it fell back.
     """
     v = as_values(v, mdp.n_states)
     bound = (1.0 - mdp.gamma * mdp.p_own) * mdp.gamma**t / (1.0 - mdp.gamma)
@@ -257,17 +255,14 @@ def filter_appendix(mdp: Mdp, t: int, v, active: np.ndarray,
 
 
 def _shared_error(mdp: Mdp, v: np.ndarray) -> float:
-    """Bound over all rows on |(r + gamma*fl(P@v) - v_own) - (r + fl(coeffs@v))| in floats.
+    """Bound on |(r + gamma*fl(P@v) - v_own) - (r + fl(coeffs@v))| over all rows.
 
-    Both products are length-n dot products, each within gamma_n * sum|c_i v_i|
-    of its exact value (Higham 2002, section 3.1), where gamma_k = k*u/(1-k*u)
-    and u is the unit roundoff.  With S = (1 + 1e-12) * max|v| bounding
-    sum P_i |v_i| for rows that sum to 1 within validate's tolerance, and
-    sum |coeffs_i| <= 2, the products differ by 3*gamma_n*S at most; the
-    rounded entries of ``coeffs`` and the scalar operations on either side
-    add under 8u*S + 3u*|r|.  4*gamma_(n+4)*(S + max|r|) covers all of that
-    with room for the rounding of the margin itself and of this bound;
-    ``tiny`` covers products that underflow.
+    A length-n dot product is within gamma_n * sum|c_i v_i| of its exact value,
+    gamma_k = k*u/(1-k*u) with u the unit roundoff (Higham 2002, section 3.1).
+    With S = (1 + 1e-12) * max|v| >= sum P_i |v_i| and sum |coeffs_i| <= 2, the
+    two products differ by at most 3*gamma_n*S, the rounded ``coeffs`` entries
+    and the scalar operations by under 8u*S + 3u*|r|; the factor 4 leaves room
+    for rounding the margin and this bound, ``tiny`` for underflowing products.
     """
     k = (mdp.n_states + 4) * np.finfo(np.float64).eps / 2
     s = (1.0 + ROW_SUM_TOL) * float(np.max(np.abs(v)))
