@@ -44,6 +44,16 @@ Two layers run the two-state checks:
   nothing computed for an earlier repeat is reused;
 - ``twostate_suite``: ``run_twostate_suite(200, seed=seed)``.
 
+Two layers run the certificate's checks:
+
+- ``primitivity_50`` and ``primitivity_100``: ``primitivity`` on the
+  cycle-plus-shortcut matrix of that size, whose exponent n^2 - 2n + 2 is
+  Wielandt's bound (2,402 and 9,802);
+- ``verify_recurrence``: the check that a 2,402-step run of value iteration
+  on the normalized ``GenSpec(structure="wielandt", n_states=50,
+  min_actions=3, max_actions=3, gamma=0.999)`` model is a synchronous greedy
+  run, as ``certify`` makes it.
+
 The dense size is fixed: dense generation does not finish for n of about 150
 and more.
 
@@ -65,6 +75,7 @@ import time
 import numpy as np
 
 from mdpgeo.acceptance import run_twostate_suite
+from mdpgeo.analysis import _verify_sync_recurrence, primitivity, wielandt_bound
 from mdpgeo.cli import mdp_from_json, mdp_to_json
 from mdpgeo.core import Mdp, bellman_optimal, validate
 from mdpgeo.gen import GenSpec, generate
@@ -73,6 +84,7 @@ from mdpgeo.transforms import effective_gamma, normalize
 from mdpgeo.twostate import verify_pi_bound
 
 DENSE_N = 100
+WIELANDT_TRACE_N = 50
 READ_SPARSE_N = 1024
 READ_DENSE_N = 200
 TWOSTATE_REPEATS = 50
@@ -94,6 +106,14 @@ def _dense_text(seed: int) -> str:
     ids = [f"s{s:03d}a{k}" for s in range(READ_DENSE_N) for k in range(4)]
     return _compact(READ_DENSE_N, ids, np.repeat(np.arange(READ_DENSE_N), 4), P,
                     rng.uniform(0.0, 1.0, size=m))
+
+
+def _wielandt_matrix(n: int) -> np.ndarray:
+    """The cycle 0 -> 1 -> ... -> n-1, whose last state goes to 0 and 1 by halves."""
+    p = np.zeros((n, n))
+    p[np.arange(n - 1), np.arange(1, n)] = 1.0
+    p[n - 1, [0, 1]] = 0.5
+    return p
 
 
 def _times(fn, repeats: int) -> list[float]:
@@ -165,6 +185,17 @@ def main() -> None:
         _times(lambda: verify_pi_bound(next(copies)), TWOSTATE_REPEATS))
     layers["twostate_suite"] = _summary(
         _times(lambda: run_twostate_suite(200, seed=args.seed), 5))
+    for n in (50, 100):
+        p = _wielandt_matrix(n)
+        layers[f"primitivity_{n}"] = _summary(_times(lambda: primitivity(p), 5))
+    wiel, _, _ = normalize(generate(GenSpec(n_states=WIELANDT_TRACE_N, gamma=0.999,
+                                            seed=args.seed, structure="wielandt",
+                                            min_actions=3, max_actions=3)))
+    v0 = np.random.default_rng([args.seed, 3]).uniform(0.0, 1.0, size=WIELANDT_TRACE_N)
+    run = value_iteration(wiel, ViConfig(stop="time", t_max=wielandt_bound(WIELANDT_TRACE_N),
+                                         v0="given", v0_values=tuple(v0)))
+    layers["verify_recurrence"] = _summary(
+        _times(lambda: _verify_sync_recurrence(wiel, run.values, 1.0), 5))
     print(json.dumps({
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},

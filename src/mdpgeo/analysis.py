@@ -51,6 +51,7 @@ __all__ = [
 DELTA_UNIQUE_TOL = 1e-9
 NORMALIZED_TOL = 1e-6
 RECURRENCE_TOL = 1e-9
+RECURRENCE_BLOCK = 256  # trace steps checked per gemm
 
 
 class AssumptionError(ValueError):
@@ -75,24 +76,49 @@ def _check_stochastic(p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _first_positive_power(b: np.ndarray, bound: int) -> int | None:
+    """Smallest k >= 0 with b^k > 0 for a 0/1 float32 ``b`` without zero rows.
+
+    Saves the squares b^(2^j) until one is positive or 2^j >= bound (None if
+    that last one is not positive), then binary-searches: composing the
+    squares from the top bit down builds the largest power that is not
+    positive, b^(k-1).  Each product is one float32 sgemm clipped to 1; its
+    entries count paths, integers <= n, exact for n < 2**24.
+    """
+    squares = [b]
+    while not squares[-1].all() and 2 ** (len(squares) - 1) < bound:
+        squares.append(np.minimum(squares[-1] @ squares[-1], 1.0))
+    if not squares[-1].all():
+        return None
+    below, k = np.eye(len(b), dtype=np.float32), 0  # b^k, known not positive
+    if below.all():  # n = 1
+        return 0
+    for j in reversed(range(len(squares) - 1)):
+        trial = np.minimum(below @ squares[j], 1.0)
+        if not trial.all():
+            below, k = trial, k + 2**j
+    return k + 1
+
+
 def primitivity(p_star: np.ndarray) -> tuple[int, float] | None:
     """Smallest N with (P*)^N entrywise positive, and the minimum entry there.
 
     The exponent is found on the boolean support (so float underflow cannot
-    flip a structurally positive entry to zero), then omega is read off the
-    numeric matrix power.  Returns None when no exponent up to the
-    structural bound n^2 - 2n + 2 works, i.e. the matrix is not primitive.
+    flip a structurally positive entry to zero) by repeated squaring and a
+    binary search over the saved squares.  The search is valid because a
+    stochastic matrix has no zero row: row i of (P*)^(k+1) = P* (P*)^k mixes
+    rows of (P*)^k, so once (P*)^k > 0 every later power is positive too.
+    Omega is then read off the numeric matrix power.  Returns None when no
+    exponent up to the structural bound n^2 - 2n + 2 works, i.e. the matrix
+    is not primitive.
     """
     p = _check_stochastic(p_star)
-    n = p.shape[0]
-    b = p > 0.0
-    reach = b.copy()
-    for k in range(1, wielandt_bound(n) + 1):
-        if reach.all():
-            omega = float(np.linalg.matrix_power(p, k).min())
-            return k, omega
-        reach = reach @ b
-    return None
+    k = _first_positive_power((p > 0.0).astype(np.float32), wielandt_bound(len(p)))
+    if k is None:
+        return None
+    N = max(k, 1)  # exponents start at 1; (P*)^0 = I is positive only for n = 1
+    omega = float(np.linalg.matrix_power(p, N).min())
+    return N, omega
 
 
 def support_exponent_with_loops(p_star: np.ndarray) -> int:
@@ -100,17 +126,14 @@ def support_exponent_with_loops(p_star: np.ndarray) -> int:
 
     Adding the identity models a blended update touching every state each
     round, which removes periodicity, so irreducibility alone bounds the
-    exponent by n-1.
+    exponent by n-1.  Found by the same search as :func:`primitivity`.
     """
     p = _check_stochastic(p_star)
     n = p.shape[0]
-    b = (p > 0.0) | np.eye(n, dtype=bool)
-    reach = np.eye(n, dtype=bool)
-    for k in range(0, n):
-        if reach.all():
-            return k
-        reach = reach @ b
-    raise AssumptionError("support graph is not irreducible: no exponent within n-1")
+    k = _first_positive_power(((p > 0.0) | np.eye(n, dtype=bool)).astype(np.float32), n - 1)
+    if k is None:
+        raise AssumptionError("support graph is not irreducible: no exponent within n-1")
+    return k
 
 
 @dataclass
@@ -150,19 +173,31 @@ class ConvergenceCertificate:
         return asdict(self)
 
 
-def _verify_sync_recurrence(mdp: Mdp, values: np.ndarray, alpha: float) -> None:
-    """Check that a trace is a synchronous greedy run with the given rate."""
+def _verify_sync_recurrence(mdp: Mdp, values: np.ndarray, alpha: float) -> np.ndarray:
+    """Check that a trace is a synchronous greedy run with the given rate.
+
+    Returns the per-step residuals max |V_{t+1} - (1-alpha) V_t - alpha u_t|,
+    u_t the greedy backup of V_t.  Steps are checked RECURRENCE_BLOCK at a
+    time, one ``P @ V.T`` gemm and one greedy pass each, so the work memory
+    stays at RECURRENCE_BLOCK * m floats; the first failing step is reported.
+    """
     if values.ndim != 2 or values.shape[1] != mdp.n_states:
         raise ModelError(f"trace values have shape {values.shape}, expected (T, {mdp.n_states})")
-    for t in range(values.shape[0] - 1):
-        q = mdp.rewards + mdp.gamma * (mdp.P @ values[t])
-        u, _ = greedy(mdp, q)
-        expect = (1.0 - alpha) * values[t] + alpha * u
-        if np.max(np.abs(values[t + 1] - expect)) > RECURRENCE_TOL:
+    steps = values.shape[0] - 1
+    residuals = np.empty(steps)
+    for t0 in range(0, steps, RECURRENCE_BLOCK):
+        t1 = min(t0 + RECURRENCE_BLOCK, steps)
+        v = values[t0:t1]
+        u, _ = greedy(mdp, mdp.rewards[:, None] + mdp.gamma * (mdp.P @ v.T))
+        expect = (1.0 - alpha) * v + alpha * u.T
+        residuals[t0:t1] = np.max(np.abs(values[t0 + 1 : t1 + 1] - expect), axis=1)
+        bad = np.nonzero(residuals[t0:t1] > RECURRENCE_TOL)[0]
+        if bad.size:
             raise CertificationError(
                 f"trace is not a synchronous greedy run with alpha={alpha} "
-                f"(recurrence breaks at step {t})"
+                f"(recurrence breaks at step {t0 + int(bad[0])})"
             )
+    return residuals
 
 
 def _require_assumptions(mdp: Mdp, need_normalized: bool) -> tuple[ExactSolution, np.ndarray]:

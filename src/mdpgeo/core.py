@@ -321,10 +321,12 @@ def active_mask(mdp: Mdp, active: Iterable[str] | np.ndarray | None) -> np.ndarr
 
 
 def greedy(mdp: Mdp, q: np.ndarray, error=ModelError) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state maximum of ``q`` (one entry per action row) and its argmax rows.
+    """Per-state maximum of ``q`` and its argmax rows, along axis 0.
 
-    Ties go to the lowest action id.  Inactive rows are marked -inf; a state
-    with no rows, or with only -inf entries, raises ``error``.
+    ``q`` holds one entry per action row, shape ``(m,)``, or one column per
+    value vector, shape ``(m, k)``; the results have shape ``(n,)`` resp.
+    ``(n, k)``.  Ties go to the lowest action id.  Inactive rows are marked
+    -inf; a state with no rows, or with only -inf entries, raises ``error``.
     """
     order, starts, sizes = mdp.groups
     if not sizes.all():  # reduceat reads an element, not the identity, on empty runs
@@ -332,9 +334,12 @@ def greedy(mdp: Mdp, q: np.ndarray, error=ModelError) -> tuple[np.ndarray, np.nd
     qs = q[order]
     u = np.maximum.reduceat(qs, starts)
     if (u == -np.inf).any():
-        raise error(f"state {int(np.argmax(u == -np.inf))} has no active action")
-    hit = (qs == np.repeat(u, sizes)) | np.isnan(qs)  # np.argmax picks the first NaN
-    rows = order[np.minimum.reduceat(np.where(hit, np.arange(qs.size), qs.size), starts)]
+        raise error(f"state {int(np.nonzero(u == -np.inf)[0][0])} has no active action")
+    hit = (qs == u.repeat(sizes, axis=0)) | np.isnan(qs)  # np.argmax picks the first NaN
+    at = np.arange(len(qs))
+    if qs.ndim == 2:
+        at = at[:, None]
+    rows = order[np.minimum.reduceat(np.where(hit, at, len(qs)), starts)]
     return u, rows
 
 

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from hashlib import sha256
-from math import ceil, log
+from math import ceil, isfinite, log
 
 import numpy as np
 
@@ -291,7 +291,8 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
     Each iteration greedily backs up the current values over the active
     action set, blends with the learning rate on the scheduled states, then
     applies the filter.  Non-time stops are additionally guarded by a hard
-    iteration cap; hitting it ends the run with stop_reason="cap".
+    iteration cap; hitting it ends the run with stop_reason="cap".  An
+    iterate with an inf or NaN entry ends the run at once in ModelError.
     """
     validate(mdp)
     cfg.validate_for(mdp)
@@ -341,13 +342,15 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
         u, best = greedy(mdp, np.where(active, q, -np.inf), error=SolverError)
         v_new = v.copy()
         v_new[sel] = (1.0 - alpha) * v[sel] + alpha * u[sel]
+        span_v.append(span(v_new))
+        if not isfinite(span_v[-1]):  # inf or NaN values have no finite span
+            as_values(v_new, n)  # ModelError, unless only the span overflowed
         pv = mdp.P @ v_new
         removed: tuple[str, ...] = ()
         if cfg.filter == "appendix":
             active, removed, fell_back = filter_appendix(mdp, t + 1, v_new, active, pv)
             fallbacks += fell_back
         values.append(v_new)
-        span_v.append(span(v_new))
         span_dv.append(span(v_new - v))
         counts.append(int(active.sum()))
         rows.append(best.astype(np.int32))
@@ -357,7 +360,6 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
         v = v_new
         t += 1
 
-    as_values(v, n)  # a run whose values overflowed ends in ModelError, as a fresh backup would
     _, best = greedy(mdp, np.where(active, mdp.rewards + gamma * pv, -np.inf))
     return RunTrace(
         gamma=gamma,

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from mdpgeo.analysis import (
+    RECURRENCE_BLOCK,
     AssumptionError,
     CertificationError,
     certify,
@@ -14,8 +19,9 @@ from mdpgeo.analysis import (
     primitivity,
     support_exponent_with_loops,
     wielandt_bound,
+    _verify_sync_recurrence,
 )
-from mdpgeo.core import Action, Mdp, ModelError, span
+from mdpgeo.core import Action, Mdp, ModelError, greedy, span
 from mdpgeo.fixtures import m2_mix
 from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import ViConfig, solve_exact, value_iteration
@@ -56,6 +62,67 @@ def block_cycle_instance():
     return Mdp(3, actions, 0.9)
 
 
+def scan_primitivity(p):
+    """Reference: the linear scan over exponents, one boolean product each."""
+    b = p > 0.0
+    reach = b.copy()
+    for k in range(1, wielandt_bound(p.shape[0]) + 1):
+        if reach.all():
+            return k, float(np.linalg.matrix_power(p, k).min())
+        reach = reach @ b
+    return None
+
+
+def scan_loop_exponent(p):
+    """Reference: the linear scan on support + I from k = 0; None if reducible."""
+    n = p.shape[0]
+    b = (p > 0.0) | np.eye(n, dtype=bool)
+    reach = np.eye(n, dtype=bool)
+    for k in range(0, n):
+        if reach.all():
+            return k
+        reach = reach @ b
+    return None
+
+
+@st.composite
+def stochastic_supports(draw):
+    """Row-stochastic n x n matrices, n <= 8, on random, permutation
+    (periodic for n >= 2) or block-triangular (reducible) supports."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "permutation", "reducible"]))
+    if kind == "permutation":
+        support = np.eye(n, dtype=bool)[draw(st.permutations(range(n)))]
+    else:
+        cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        support = np.array(cells, dtype=bool).reshape(n, n)
+        if kind == "reducible" and n >= 2:
+            h = draw(st.integers(1, n - 1))
+            support[h:, :h] = False  # states from h on never reach those below h
+    empty = ~support.any(axis=1)
+    support[empty, np.nonzero(empty)[0]] = True
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n * n, max_size=n * n))
+    p = support * np.array(weights).reshape(n, n)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def perturbed(trace, t, eps=1e-6):
+    """The trace with V_{t+1}, the result of step t, moved by eps at state 0."""
+    values = trace.values.copy()
+    values[t + 1, 0] += eps
+    return replace(trace, values=values)
+
+
+def wielandt_trace(n=50, gamma=0.999, seed=1):
+    """A benchmark-style run: a normalized Wielandt model, n^2 - 2n + 2 steps."""
+    norm, _, _ = normalize(generate(GenSpec(n_states=n, gamma=gamma, seed=seed,
+                                            structure="wielandt", min_actions=3,
+                                            max_actions=3)))
+    v0 = np.random.default_rng(seed).uniform(0.0, 1.0, size=n)
+    cfg = ViConfig(stop="time", t_max=wielandt_bound(n), v0="given", v0_values=tuple(v0))
+    return norm, value_iteration(norm, cfg)
+
+
 class TestPrimitivity:
     def test_swap_is_periodic(self):
         assert primitivity(np.array([[0.0, 1.0], [1.0, 0.0]])) is None
@@ -78,6 +145,28 @@ class TestPrimitivity:
         assert support_exponent_with_loops(np.array([[0.0, 1.0], [1.0, 0.0]])) == 1
         with pytest.raises(AssumptionError):
             support_exponent_with_loops(np.array([[1.0, 0.0], [0.5, 0.5]]))
+
+    @settings(max_examples=200)  # about a fifth of the draws are primitive
+    @given(stochastic_supports())
+    @example(np.array([[1.0]]))
+    def test_power_search_matches_linear_scan(self, p):
+        expected = scan_primitivity(p)
+        got = primitivity(p)
+        if expected is None:
+            assert got is None
+        else:  # N equal, omega equal bit for bit
+            assert (got[0], got[1].hex()) == (expected[0], expected[1].hex())
+        loops = scan_loop_exponent(p)
+        if loops is None:
+            with pytest.raises(AssumptionError, match="irreducible"):
+                support_exponent_with_loops(p)
+        else:
+            assert support_exponent_with_loops(p) == loops
+
+    def test_wielandt_200_attains_the_bound(self):
+        N, omega = primitivity(wielandt_matrix(200))
+        assert N == wielandt_bound(200) == 39602
+        assert omega > 0.0
 
 
 class TestCertify:
@@ -183,6 +272,24 @@ class TestCertify:
     def test_hash_is_stable(self):
         norm, trace = normalized_trace()
         assert certify(norm, trace).trace_hash == certify(norm, trace).trace_hash
+
+    @pytest.mark.parametrize("step", [0, RECURRENCE_BLOCK - 1, RECURRENCE_BLOCK, 300, 599])
+    def test_first_broken_step_is_reported_across_blocks(self, step):
+        norm, trace = normalized_trace(t_max=600)
+        certify(norm, trace)
+        with pytest.raises(CertificationError, match=rf"breaks at step {step}\)"):
+            certify(norm, perturbed(trace, step))
+
+    def test_batched_residuals_match_one_gemv_per_step(self):
+        norm, trace = wielandt_trace()
+        values = trace.values
+        got = _verify_sync_recurrence(norm, values, 1.0)
+        want = np.array([
+            np.max(np.abs(values[t + 1] - greedy(norm, norm.rewards
+                                                 + norm.gamma * (norm.P @ values[t]))[0]))
+            for t in range(trace.iterations)])
+        assert got.shape == want.shape == (wielandt_bound(50),)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(values))
 
 
 class TestLemma:
@@ -294,6 +401,13 @@ class TestAlphaCertificate:
         norm, trace = normalized_trace(t_max=20, alpha=0.5)
         with pytest.raises(CertificationError, match="synchronous"):
             certify_alpha(norm, trace, alpha=0.3)
+
+    @pytest.mark.parametrize("step", [RECURRENCE_BLOCK, 300])
+    def test_first_broken_step_is_reported_across_blocks(self, step):
+        norm, trace = normalized_trace(t_max=600, alpha=0.5)
+        certify_alpha(norm, trace, alpha=0.5)
+        with pytest.raises(CertificationError, match=rf"breaks at step {step}\)"):
+            certify_alpha(norm, perturbed(trace, step), alpha=0.5)
 
 
 class TestTraceChecks:

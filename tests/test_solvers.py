@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from mdpgeo import solvers
-from mdpgeo.core import Action, Mdp, Policy, advantages, policy_from_ids, span
+from mdpgeo.core import Action, Mdp, ModelError, Policy, advantages, policy_from_ids, span
 from mdpgeo.fixtures import m2, m2_mix
 from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import (
@@ -125,6 +125,22 @@ class TestValueIteration:
         full = value_iteration(mdp, ViConfig(stop="time", t_max=1))
         half = value_iteration(mdp, ViConfig(alpha=0.5, stop="time", t_max=1))
         np.testing.assert_allclose(half.values[1], 0.5 * full.values[1])
+
+    @pytest.mark.parametrize("cfg", [ViConfig(stop="span", epsilon=1e-6),
+                                     ViConfig(stop="time", t_max=10**6)])
+    def test_non_finite_values_end_the_run_at_once(self, cfg):
+        # V_1 = (1e308, 0), V_2 = (inf, 0): the third backup must not happen
+        mdp = Mdp(2, (Action("a", 0, (1.0, 0.0), 1e308), Action("b", 1, (0.0, 1.0), 0.0)), 0.9)
+        calls, greedy = [], solvers.greedy
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return greedy(*args, **kwargs)
+
+        with mock.patch.object(solvers, "greedy", counting), \
+                pytest.raises(ModelError, match="value vector has non-finite entries"):
+            value_iteration(mdp, cfg)
+        assert len(calls) == 2
 
     def test_wall_clock_recording_is_opt_in(self):
         mdp = m2_mix()
