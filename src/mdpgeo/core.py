@@ -336,10 +336,10 @@ def greedy(mdp: Mdp, q: np.ndarray, error=ModelError) -> tuple[np.ndarray, np.nd
     if (u == -np.inf).any():
         raise error(f"state {int(np.nonzero(u == -np.inf)[0][0])} has no active action")
     hit = (qs == u.repeat(sizes, axis=0)) | np.isnan(qs)  # np.argmax picks the first NaN
-    at = np.arange(len(qs))
+    pos = np.arange(len(qs))
     if qs.ndim == 2:
-        at = at[:, None]
-    rows = order[np.minimum.reduceat(np.where(hit, at, len(qs)), starts)]
+        pos = pos[:, None]
+    rows = order[np.minimum.reduceat(np.where(hit, pos, len(qs)), starts)]
     return u, rows
 
 
