@@ -23,6 +23,11 @@ number of repeats:
   same kind written compactly (no whitespace; most probabilities are ``0.0``);
 - ``validate``: the full invariant check of the model.
 
+``generate_write_peak_mib`` is the ``tracemalloc`` peak of
+``mdpgeo.cli.main(["generate", ...])`` on the same spec, writing its model
+file into a temporary directory (``generate_file_mib`` is that file's size):
+the memory the command holds beyond the interpreter, in MiB.
+
 Two more layers run on ``GenSpec(structure="dense", n_states=100,
 gamma=0.95)`` with the same seed, where every state has slack, so each makes
 one transform step per state:
@@ -57,25 +62,30 @@ Two layers run the certificate's checks:
 The dense size is fixed: dense generation does not finish for n of about 150
 and more.
 
-Prints one JSON object: the machine, the model size and, per layer, the
-median and the quartiles in milliseconds.  Uses numpy and the package only,
+Prints one JSON object: the machine, the model size, the ``generate`` peak
+and, per layer, the median and the quartiles in milliseconds.  Uses numpy and the package only,
 so it runs unchanged on older checkouts for before/after comparisons.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import os
 import platform
 import statistics
+import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
 from mdpgeo.acceptance import run_twostate_suite
 from mdpgeo.analysis import _verify_sync_recurrence, primitivity, wielandt_bound
+from mdpgeo.cli import main as cli_main
 from mdpgeo.cli import mdp_from_json, mdp_to_json
 from mdpgeo.core import Mdp, bellman_optimal, validate
 from mdpgeo.gen import GenSpec, generate
@@ -131,12 +141,31 @@ def _summary(seconds: list[float]) -> dict:
     return {"median_ms": median, "q1_ms": q1, "q3_ms": q3, "repeats": len(ms)}
 
 
+def _generate_peak_mib(n: int, k: int, seed: int) -> tuple[float, float]:
+    """The tracemalloc peak of the ``generate`` command and the size of its file, in MiB."""
+    with tempfile.TemporaryDirectory() as d:
+        out = os.path.join(d, "model.json")
+        argv = ["generate", "--seed", str(seed), "--structure", "sparse", "--n-states", str(n),
+                "--sparse-k", str(k), "--max-actions", "8", "--gamma", "0.95", "--out", out]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if code != 0:
+            raise RuntimeError(f"generate exited {code}")
+        return peak / 2**20, os.path.getsize(out) / 2**20
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--n", type=int, default=1000)
     ap.add_argument("--k", type=int, default=5)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
+    peak_mib, file_mib = _generate_peak_mib(args.n, args.k, args.seed)
 
     mdp = generate(GenSpec(n_states=args.n, gamma=0.95, seed=args.seed, structure="sparse",
                            sparse_k=args.k, max_actions=8))
@@ -202,6 +231,8 @@ def main() -> None:
         "model": {"n": mdp.n_states, "m": mdp.m, "k": args.k, "seed": args.seed},
         "dense_model": {"n": dense.n_states, "m": dense.m, "seed": args.seed},
         "dropped_by_filter": int(mdp.m - filter_appendix(mdp, 100, v100, active)[0].sum()),
+        "generate_write_peak_mib": peak_mib,
+        "generate_file_mib": file_mib,
         "layers": layers,
     }, indent=2))
 

@@ -1,0 +1,87 @@
+"""Peak RSS and wall time of each CLI command, every run in a fresh process.
+
+    python scripts/command_peaks.py [--src DIR] [--seed 1] [--repeats 3]
+
+Runs ``python -m mdpgeo.cli`` with ``PYTHONPATH=DIR`` (default: the ``src``
+of the checkout holding this script, so ``--src`` of another checkout
+measures that one) on two pipelines, in a temporary directory:
+
+- ``generate`` of the sparse 1000-state model of the benchmark's
+  ``large_sparse_solve`` (``--sparse-k 5 --max-actions 8``), then
+  ``solve-vi --trace`` and ``solve-pi`` on it;
+- ``generate`` of a Wielandt model (n = 50, three actions per state,
+  gamma = 0.999), ``normalize``, a 2,402-step ``solve-vi --trace`` and
+  ``certify`` on the normalized model.
+
+Each command runs ``--repeats`` times.  Prints one JSON object: per command,
+its exit code, the largest peak RSS of its runs in MB (``ru_maxrss`` from
+``os.wait4``) and the median wall time in seconds.  OpenBLAS runs one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _pipeline(d: str, seed: int) -> list[tuple[str, list[str]]]:
+    p = lambda name: os.path.join(d, name)  # noqa: E731
+    grid, wiel, norm = p("sparse.json"), p("wielandt.json"), p("normalized.json")
+    return [
+        ("generate", ["generate", "--seed", str(seed), "--structure", "sparse",
+                      "--n-states", "1000", "--sparse-k", "5", "--max-actions", "8",
+                      "--out", grid]),
+        ("solve-vi", ["solve-vi", "--mdp", grid, "--stop", "span:1e-6", "--trace", p("vi.csv")]),
+        ("solve-pi", ["solve-pi", "--mdp", grid]),
+        ("generate-wielandt", ["generate", "--seed", str(seed), "--structure", "wielandt",
+                               "--n-states", "50", "--min-actions", "3", "--max-actions", "3",
+                               "--gamma", "0.999", "--out", wiel]),
+        ("normalize", ["normalize", "--mdp", wiel, "--out", norm]),
+        ("solve-vi-wielandt", ["solve-vi", "--mdp", norm, "--stop", "time:2402",
+                               "--trace", p("wielandt.csv")]),
+        ("certify", ["certify", "--mdp", norm, "--trace", p("wielandt.csv")]),
+    ]
+
+
+def _run(argv: list[str], env: dict) -> tuple[int, float, float]:
+    """Exit code, peak RSS in MB and wall seconds of one command in a new process."""
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "mdpgeo.cli", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    return proc.returncode, usage.ru_maxrss / 1024.0, wall
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", type=Path, default=ROOT / "src")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--repeats", type=int, default=3)
+    args = ap.parse_args()
+
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MDPGEO_")}
+    env.update(PYTHONPATH=str(args.src.resolve()), OPENBLAS_NUM_THREADS="1")
+    commands = {}
+    with tempfile.TemporaryDirectory() as d:
+        for name, argv in _pipeline(d, args.seed):
+            runs = [_run(argv, env) for _ in range(args.repeats)]
+            commands[name] = {"exit": runs[-1][0], "peak_rss_mb": max(r[1] for r in runs),
+                              "wall_s": statistics.median(r[2] for r in runs)}
+    print(json.dumps({"src": str(args.src.resolve()), "seed": args.seed,
+                      "repeats": args.repeats, "commands": commands}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

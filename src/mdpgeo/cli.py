@@ -16,9 +16,14 @@ only the other fields, so a sparse model makes no Python float per zero.
 Otherwise ``json`` converts every row where it stands.  Either way ``P`` holds
 the very floats ``json.loads`` gives.
 
+The writers stream: a model or trace file goes to disk in UTF-8 blocks of at
+most 64 actions or rows, each fed to sha256 as it is written, so no whole
+output file is ever held in memory.  Files are still written atomically (temp
+file + rename); ``output_hash`` is the digest of the bytes written.
+
 Every command emits a deterministic JSON summary
 on stdout carrying sha256 hashes of its input files; timestamps never enter
-any output.  Files are written atomically (temp file + rename).
+any output.
 
 Flags can also be provided through MDPGEO_-prefixed environment variables
 (e.g. MDPGEO_ALPHA); an explicit flag wins.
@@ -38,6 +43,7 @@ import re
 import sys
 import tempfile
 import typing
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -70,6 +76,7 @@ _SPEC_TYPES = typing.get_type_hints(GenSpec)
 # file formats
 
 
+_BLOCK = 64  # model actions or trace rows per block written: bounds the text held at once
 _ITEM = ",\n        "  # between two probabilities at indent=2
 _PROBS = json.JSONEncoder(separators=(_ITEM, ": "))  # no indent: json's C encoder
 
@@ -82,8 +89,8 @@ def _probs_items(p: np.ndarray) -> str:
     return _ITEM.join(items)
 
 
-def mdp_to_json(mdp: Mdp) -> str:
-    """The model exactly as ``json.dumps(doc, indent=2) + "\\n"`` prints it.
+def _mdp_json_blocks(mdp: Mdp) -> Iterator[bytes]:
+    """``mdp_to_json(mdp)`` as UTF-8 blocks of at most ``_BLOCK`` actions each.
 
     Each probability row is encoded on its own and spliced into the fixed
     indent=2 layout; ids, states and rewards go through ``json.dumps``.
@@ -91,16 +98,24 @@ def mdp_to_json(mdp: Mdp) -> str:
     parts = [f'{{\n  "version": 1,\n  "n_states": {json.dumps(mdp.n_states)},\n'
              f'  "gamma": {json.dumps(mdp.gamma)},\n  "actions": [']
     sep = "\n"
-    for aid, state, p, reward in zip(mdp.ids, mdp.state_of.tolist(), mdp.P,
-                                     mdp.rewards.tolist()):
+    for k, (aid, state, p, reward) in enumerate(zip(mdp.ids, mdp.state_of.tolist(), mdp.P,
+                                                    mdp.rewards.tolist()), 1):
         probs = f"[\n        {_probs_items(p)}\n      ]" if p.size else "[]"
         parts.append(
             f'{sep}    {{\n      "id": {json.dumps(aid)},\n      "state": {json.dumps(state)},'
             f'\n      "probs": {probs},\n      "reward": {json.dumps(reward)}\n    }}'
         )
         sep = ",\n"
+        if k % _BLOCK == 0:
+            yield "".join(parts).encode("utf-8")
+            parts = []
     parts.append("\n  ]\n}\n" if mdp.m else "]\n}\n")
-    return "".join(parts)
+    yield "".join(parts).encode("utf-8")
+
+
+def mdp_to_json(mdp: Mdp) -> str:
+    """The model exactly as ``json.dumps(doc, indent=2) + "\\n"`` prints it."""
+    return b"".join(_mdp_json_blocks(mdp)).decode("utf-8")
 
 
 def _fields(doc, keys: set[str], what: str, optional: frozenset[str] = frozenset()) -> None:
@@ -267,45 +282,82 @@ def mdp_from_json(text: str) -> Mdp:
     return mdp
 
 
-def trace_to_csv(trace: RunTrace) -> str:
+_TRACE_HEADER = ["t", "span_v", "span_dv", "active_actions", "stop_reason_final"]
+
+
+def _trace_csv_blocks(trace: RunTrace) -> Iterator[bytes]:
+    """``trace_to_csv(trace)`` as UTF-8 blocks of at most ``_BLOCK`` rows each."""
     n = trace.values.shape[1]
-    header = ["t", "span_v", "span_dv", "active_actions", "stop_reason_final"]
-    header += [f"value_{i}" for i in range(n)]
     row = ",".join(["%d", "%.17g", "%.17g", "%d", "%s"] + ["%.17g"] * n)
-    lines = [",".join(header)]
+    lines = [",".join(_TRACE_HEADER + [f"value_{i}" for i in range(n)])]
     for t, (span_v, span_dv, active, values) in enumerate(zip(
             trace.span_v.tolist(), trace.span_dv.tolist(), trace.active_counts.tolist(),
-            trace.values)):
-        lines.append(row % (t, span_v, span_dv, active, trace.stop_reason, *values.tolist()))
-    return "\n".join(lines) + "\n"
+            trace.values), 1):
+        lines.append(row % (t - 1, span_v, span_dv, active, trace.stop_reason, *values.tolist()))
+        if t % _BLOCK == 0:
+            yield ("\n".join(lines) + "\n").encode("utf-8")
+            lines = []
+    if lines:
+        yield ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def trace_to_csv(trace: RunTrace) -> str:
+    return b"".join(_trace_csv_blocks(trace)).decode("utf-8")
+
+
+def _trace_values(tails: list[str], n: int) -> np.ndarray:
+    """The (len(tails), n) matrix of the comma-separated numbers in ``tails``, each
+    converted by ``float``; every tail holds exactly n fields."""
+    if not tails or not n:
+        return np.empty((len(tails), n))
+    try:
+        flat = np.fromiter(map(float, ",".join(tails).split(",")), np.float64, len(tails) * n)
+    except ValueError:  # rescan to name the first bad row
+        for t, tail in enumerate(tails):
+            try:
+                list(map(float, tail.split(",")))
+            except ValueError as exc:
+                raise ModelError(f"trace row {t} is malformed: {exc}") from None
+        raise
+    return flat.reshape(len(tails), n)
 
 
 def trace_from_csv(text: str, gamma: float = float("nan")) -> RunTrace:
-    """Rebuild a trace from CSV; per-step policy rows are not stored on disk."""
+    """Rebuild a trace from CSV; per-step policy rows are not stored on disk.
+
+    Each row's first five fields are checked in turn; the value fields of all
+    rows are converted in one pass, so a problem in them is reported ahead of
+    any problem in a later row, as a row-by-row read would."""
     lines = [ln for ln in text.split("\n") if ln]
     header = lines[0].split(",") if lines else []
-    expected = ["t", "span_v", "span_dv", "active_actions", "stop_reason_final"]
-    if header[: len(expected)] != expected:
+    if header[:len(_TRACE_HEADER)] != _TRACE_HEADER:
         raise ModelError("trace file has an unexpected header")
-    values, span_v, span_dv, counts = [], [], [], []
-    stop_reason = ""
+    width, n = len(header), len(header) - len(_TRACE_HEADER)
+    tails, span_v, span_dv, counts = [], [], [], []
+    stop_reason, problem = "", None
     for t, ln in enumerate(lines[1:]):
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ModelError(f"trace row {t} has {len(parts)} fields, expected {len(header)}")
+        fields = ln.count(",") + 1
+        if fields != width:
+            problem = f"trace row {t} has {fields} fields, expected {width}"
+            break
+        parts = ln.split(",", len(_TRACE_HEADER))
         try:
             if int(parts[0]) != t:
                 raise ValueError(f"t={parts[0]}, expected {t}")
             span_v.append(float(parts[1]))
             span_dv.append(float(parts[2]))
             counts.append(np.intp(parts[3]))
-            values.append([float(x) for x in parts[5:]])
         except (ValueError, OverflowError) as exc:
-            raise ModelError(f"trace row {t} is malformed: {exc}") from None
+            problem = f"trace row {t} is malformed: {exc}"
+            break
         stop_reason = parts[4]
-    if not values:
+        tails.append(parts[-1] if n else "")
+    values = _trace_values(tails, n)
+    if problem:
+        raise ModelError(problem)
+    if not tails:
         raise ModelError("trace file has no data rows")
-    values, span_v = np.array(values), np.array(span_v)
+    span_v = np.array(span_v)
     if not (np.isfinite(values).all() and np.isfinite(span_v).all()):
         raise ModelError("trace file has non-finite values or spans")
     return RunTrace(
@@ -344,13 +396,18 @@ def _read_text(path: str) -> str:
         raise _InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_chunks(path: str, blocks: Iterable[bytes]) -> str:
+    """Write ``blocks`` to ``path`` atomically (a temp file beside it, then a rename)
+    and return the sha256 of the bytes written."""
+    digest = hashlib.sha256()
     try:
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mdpgeo-")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            with os.fdopen(fd, "wb") as fh:
+                for block in blocks:
+                    fh.write(block)
+                    digest.update(block)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -360,6 +417,7 @@ def _write_text(path: str, text: str) -> None:
             raise
     except OSError as exc:
         raise _OutputError(f"cannot write {path}: {exc}") from exc
+    return digest.hexdigest()
 
 
 def _read_list(path: str, what: str, kind: type) -> tuple:
@@ -382,7 +440,7 @@ def _load_mdp(path: str) -> tuple[Mdp, str]:
 def _emit(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     if out_path:
-        _write_text(out_path, text)
+        _write_chunks(out_path, [text.encode("utf-8")])
     sys.stdout.write(text)
 
 
@@ -458,8 +516,7 @@ def _cmd_generate(args) -> int:
             bonus_beta=args.beta,
         )
     mdp = generate(spec)
-    text = mdp_to_json(mdp)
-    _write_text(args.out, text)
+    output_hash = _write_chunks(args.out, _mdp_json_blocks(mdp))
     _emit(
         {
             "version": 1,
@@ -469,7 +526,7 @@ def _cmd_generate(args) -> int:
             "n_states": mdp.n_states,
             "n_actions": mdp.m,
             "gamma": mdp.gamma,
-            "output_hash": _sha256(text),
+            "output_hash": output_hash,
         },
         None,
     )
@@ -500,7 +557,7 @@ def _cmd_solve_vi(args) -> int:
     )
     trace = value_iteration(mdp, cfg)
     if args.trace:
-        _write_text(args.trace, trace_to_csv(trace))
+        _write_chunks(args.trace, _trace_csv_blocks(trace))
     _emit(
         {
             "version": 1,
@@ -545,8 +602,7 @@ def _cmd_solve_pi(args) -> int:
 def _cmd_normalize(args) -> int:
     mdp, mdp_hash = _load_mdp(args.mdp)
     normalized, policy, log = normalize(mdp)
-    text = mdp_to_json(normalized)
-    _write_text(args.out, text)
+    output_hash = _write_chunks(args.out, _mdp_json_blocks(normalized))
     _emit(
         {
             "version": 1,
@@ -555,7 +611,7 @@ def _cmd_normalize(args) -> int:
             "shifts": [
                 {"state": step.state, "delta": step.delta} for step in log.steps
             ],
-            "output_hash": _sha256(text),
+            "output_hash": output_hash,
             "input_hashes": {"mdp": mdp_hash},
         },
         None,

@@ -117,21 +117,23 @@ def _planted_row(rng: np.random.Generator, spec: GenSpec, s: int) -> np.ndarray:
 def _build(rng: np.random.Generator, spec: GenSpec, beta: float) -> Mdp:
     planted = spec.structure in ("planted_optimal", "periodic_optimal", "wielandt")
     counts = _action_counts(rng, spec)
-    rows = []  # (id, state, probs, reward), drawn in id order
+    P = np.empty((int(counts.sum()), spec.n_states))  # filled in place: one copy of P
+    ids, states, rewards = [], [], []  # drawn in id order
     for s in range(spec.n_states):
         for j in range(int(counts[s])):
             if planted and j == 0:
-                probs = _planted_row(rng, spec, s)
+                P[len(ids)] = _planted_row(rng, spec, s)
                 reward = 1.0
             else:
                 if spec.structure == "sparse":
-                    probs = _sparse_row(rng, spec.n_states, spec.sparse_k)
+                    P[len(ids)] = _sparse_row(rng, spec.n_states, spec.sparse_k)
                 else:
-                    probs = _dense_row(rng, spec.n_states)
+                    P[len(ids)] = _dense_row(rng, spec.n_states)
                 reward = _reward(rng, high=(1.0 - beta) if planted else 1.0)
-            rows.append((_aid(s, j), s, probs, reward))
-    ids, states, P, rewards = zip(*rows)
-    return Mdp.from_arrays(spec.n_states, spec.gamma, ids, states, np.array(P), rewards)
+            ids.append(_aid(s, j))
+            states.append(s)
+            rewards.append(reward)
+    return Mdp.from_arrays(spec.n_states, spec.gamma, ids, states, P, rewards)
 
 
 def generate(spec: GenSpec) -> Mdp:

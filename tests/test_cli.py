@@ -1,6 +1,9 @@
+import hashlib
 import json
 import os
+import re
 import timeit
+import tracemalloc
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -24,6 +27,7 @@ from mdpgeo.cli import (
 )
 from mdpgeo.core import Action, Mdp, ModelError
 from mdpgeo.fixtures import m2, m2_mix
+from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import ViConfig, solve_exact, value_iteration
 from mdpgeo.transforms import normalize
 
@@ -629,3 +633,138 @@ class TestModelReader:
         assert json.loads(text)["actions"][0]["probs"] == [1.0, 0.0]
         with pytest.raises(ModelError, match="a1.*one JSON list"):
             mdp_from_json(text)
+
+
+# ---------------------------------------------------------------------------
+# streamed writers
+
+
+def _reference_trace_read(text: str):
+    """The row-by-row trace reader: every field converted where it stands.  The
+    first problem's message, or the value matrix."""
+    lines = [ln for ln in text.split("\n") if ln]
+    header = lines[0].split(",")
+    values = []
+    for t, ln in enumerate(lines[1:]):
+        parts = ln.split(",")
+        if len(parts) != len(header):
+            return f"trace row {t} has {len(parts)} fields, expected {len(header)}"
+        try:
+            if int(parts[0]) != t:
+                raise ValueError(f"t={parts[0]}, expected {t}")
+            float(parts[1]), float(parts[2]), np.intp(parts[3])
+            values.append([float(x) for x in parts[5:]])
+        except (ValueError, OverflowError) as exc:
+            return f"trace row {t} is malformed: {exc}"
+    return np.array(values)
+
+
+def _generate_argv(out, n: int, *extra: str) -> list[str]:
+    return ["generate", "--seed", "3", "--structure", "sparse", "--n-states", str(n),
+            "--sparse-k", "3", "--max-actions", "8", *extra, "--out", str(out)]
+
+
+class _FailingSecondWrite:
+    """A binary file handle whose second ``write`` raises ``exc``."""
+
+    def __init__(self, fh, exc: BaseException):
+        self.fh, self.exc, self.writes = fh, exc, 0
+
+    def write(self, block: bytes) -> int:
+        self.writes += 1
+        if self.writes == 2:
+            raise self.exc
+        return self.fh.write(block)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+class TestStreamedWriters:
+    @pytest.mark.parametrize("block", [1, 2, 64])
+    def test_blocks_join_to_the_whole_file(self, block):
+        mdp = generate(GenSpec(n_states=5, gamma=0.9, seed=2, structure="sparse",
+                               min_actions=3, max_actions=3))
+        trace = value_iteration(mdp, ViConfig(stop="time", t_max=70))
+        doc = json.loads(mdp_to_json(mdp))
+        lines = trace_to_csv(trace).split("\n")
+        with mock.patch.object(cli, "_BLOCK", block):
+            blocks = list(cli._mdp_json_blocks(mdp))
+            rows = list(cli._trace_csv_blocks(trace))
+            assert mdp_to_json(mdp) == json.dumps(doc, indent=2) + "\n"
+            assert trace_to_csv(trace).split("\n") == lines
+        assert len(blocks) == mdp.m // block + 1 and len(rows) == -(-len(trace.values) // block)
+        assert b"".join(rows).decode() == "\n".join(lines)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(1, 11), st.integers(0, 6),
+                                    st.sampled_from(["abc", "", "x3", "1_0", " 2", "0.5", "7"])),
+                          max_size=3),
+           cut=st.none() | st.integers(1, 11))
+    def test_trace_reader_reports_what_a_row_by_row_read_does(self, edits, cut):
+        trace = value_iteration(m2_mix(), ViConfig(stop="time", t_max=10))
+        lines = trace_to_csv(trace).splitlines()
+        for row, col, text in edits:
+            _set_field(lines, row, col, text)
+        if cut is not None:  # one row loses its last field
+            lines[cut] = lines[cut].rsplit(",", 1)[0]
+        text = "".join(ln + "\n" for ln in lines)
+        expected = _reference_trace_read(text)
+        if isinstance(expected, str):
+            with pytest.raises(ModelError, match=f"^{re.escape(expected)}$"):
+                trace_from_csv(text)
+        else:
+            assert trace_from_csv(text).values.tobytes() == expected.tobytes()
+
+    def test_output_hash_is_the_hash_of_the_file(self, tmp_path, capsys):
+        model, normalized = tmp_path / "model.json", tmp_path / "normalized.json"
+        for argv, path in ((_generate_argv(model, 12), model),
+                           (["normalize", "--mdp", str(model), "--out", str(normalized)],
+                            normalized)):
+            code, cap = run(capsys, *argv)
+            assert code == EX_OK
+            assert json.loads(cap.out)["output_hash"] == hashlib.sha256(
+                path.read_bytes()).hexdigest()
+
+    def test_generate_peak_memory_is_below_the_file_size(self, tmp_path, capsys):
+        # the whole text of the model is never held: the peak is P and one block
+        out = tmp_path / "big.json"
+        tracemalloc.start()
+        try:
+            code = main(_generate_argv(out, 400))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        size = out.stat().st_size
+        assert code == EX_OK and size > 5_000_000
+        assert peak < size
+
+    @pytest.mark.parametrize("command", ["generate", "normalize", "solve-vi"])
+    @pytest.mark.parametrize("exc", [OSError(28, "No space left on device"),
+                                     RuntimeError("interrupted")])
+    def test_a_failed_block_write_leaves_the_target_alone(self, command, exc, tmp_path,
+                                                          capsys, monkeypatch):
+        model = tmp_path / "model.json"
+        assert main(_generate_argv(model, 40)) == EX_OK  # over 64 actions: several blocks
+        target = tmp_path / "target"
+        target.write_bytes(b"the previous file\n")
+        argv = {"generate": _generate_argv(target, 40),
+                "normalize": ["normalize", "--mdp", str(model), "--out", str(target)],
+                "solve-vi": ["solve-vi", "--mdp", str(model), "--stop", "time:100",
+                             "--trace", str(target)]}[command]
+        fdopen = os.fdopen
+        monkeypatch.setattr(cli.os, "fdopen",
+                            lambda fd, mode: _FailingSecondWrite(fdopen(fd, mode), exc))
+        if isinstance(exc, OSError):
+            code, cap = run(capsys, *argv)
+            assert code == EX_CANTCREAT
+            assert cap.err.startswith(f"error:output:cannot write {target}:")
+        else:
+            with pytest.raises(RuntimeError, match="interrupted"):
+                main(argv)
+        assert target.read_bytes() == b"the previous file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "target"]
