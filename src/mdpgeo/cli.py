@@ -76,7 +76,7 @@ _SPEC_TYPES = typing.get_type_hints(GenSpec)
 # file formats
 
 
-_BLOCK = 64  # model actions or trace rows per block written: bounds the text held at once
+_BLOCK = 64  # pieces (model actions, trace rows) per block written: bounds the text held
 _ITEM = ",\n        "  # between two probabilities at indent=2
 _PROBS = json.JSONEncoder(separators=(_ITEM, ": "))  # no indent: json's C encoder
 
@@ -89,33 +89,27 @@ def _probs_items(p: np.ndarray) -> str:
     return _ITEM.join(items)
 
 
-def _mdp_json_blocks(mdp: Mdp) -> Iterator[bytes]:
-    """``mdp_to_json(mdp)`` as UTF-8 blocks of at most ``_BLOCK`` actions each.
+def _mdp_json_pieces(mdp: Mdp) -> Iterator[str]:
+    """``mdp_to_json(mdp)`` in pieces: the head, one piece per action, the tail.
 
     Each probability row is encoded on its own and spliced into the fixed
     indent=2 layout; ids, states and rewards go through ``json.dumps``.
     """
-    parts = [f'{{\n  "version": 1,\n  "n_states": {json.dumps(mdp.n_states)},\n'
-             f'  "gamma": {json.dumps(mdp.gamma)},\n  "actions": [']
+    yield (f'{{\n  "version": 1,\n  "n_states": {json.dumps(mdp.n_states)},\n'
+           f'  "gamma": {json.dumps(mdp.gamma)},\n  "actions": [')
     sep = "\n"
-    for k, (aid, state, p, reward) in enumerate(zip(mdp.ids, mdp.state_of.tolist(), mdp.P,
-                                                    mdp.rewards.tolist()), 1):
+    for aid, state, p, reward in zip(mdp.ids, mdp.state_of.tolist(), mdp.P,
+                                     mdp.rewards.tolist()):
         probs = f"[\n        {_probs_items(p)}\n      ]" if p.size else "[]"
-        parts.append(
-            f'{sep}    {{\n      "id": {json.dumps(aid)},\n      "state": {json.dumps(state)},'
-            f'\n      "probs": {probs},\n      "reward": {json.dumps(reward)}\n    }}'
-        )
+        yield (f'{sep}    {{\n      "id": {json.dumps(aid)},\n      "state": {json.dumps(state)},'
+               f'\n      "probs": {probs},\n      "reward": {json.dumps(reward)}\n    }}')
         sep = ",\n"
-        if k % _BLOCK == 0:
-            yield "".join(parts).encode("utf-8")
-            parts = []
-    parts.append("\n  ]\n}\n" if mdp.m else "]\n}\n")
-    yield "".join(parts).encode("utf-8")
+    yield "\n  ]\n}\n" if mdp.m else "]\n}\n"
 
 
 def mdp_to_json(mdp: Mdp) -> str:
     """The model exactly as ``json.dumps(doc, indent=2) + "\\n"`` prints it."""
-    return b"".join(_mdp_json_blocks(mdp)).decode("utf-8")
+    return "".join(_mdp_json_pieces(mdp))
 
 
 def _fields(doc, keys: set[str], what: str, optional: frozenset[str] = frozenset()) -> None:
@@ -285,24 +279,19 @@ def mdp_from_json(text: str) -> Mdp:
 _TRACE_HEADER = ["t", "span_v", "span_dv", "active_actions", "stop_reason_final"]
 
 
-def _trace_csv_blocks(trace: RunTrace) -> Iterator[bytes]:
-    """``trace_to_csv(trace)`` as UTF-8 blocks of at most ``_BLOCK`` rows each."""
+def _trace_csv_lines(trace: RunTrace) -> Iterator[str]:
+    """``trace_to_csv(trace)`` line by line, each line ending in ``\\n``."""
     n = trace.values.shape[1]
-    row = ",".join(["%d", "%.17g", "%.17g", "%d", "%s"] + ["%.17g"] * n)
-    lines = [",".join(_TRACE_HEADER + [f"value_{i}" for i in range(n)])]
+    yield ",".join(_TRACE_HEADER + [f"value_{i}" for i in range(n)]) + "\n"
+    row = ",".join(["%d", "%.17g", "%.17g", "%d", "%s"] + ["%.17g"] * n) + "\n"
     for t, (span_v, span_dv, active, values) in enumerate(zip(
             trace.span_v.tolist(), trace.span_dv.tolist(), trace.active_counts.tolist(),
-            trace.values), 1):
-        lines.append(row % (t - 1, span_v, span_dv, active, trace.stop_reason, *values.tolist()))
-        if t % _BLOCK == 0:
-            yield ("\n".join(lines) + "\n").encode("utf-8")
-            lines = []
-    if lines:
-        yield ("\n".join(lines) + "\n").encode("utf-8")
+            trace.values)):
+        yield row % (t, span_v, span_dv, active, trace.stop_reason, *values.tolist())
 
 
 def trace_to_csv(trace: RunTrace) -> str:
-    return b"".join(_trace_csv_blocks(trace)).decode("utf-8")
+    return "".join(_trace_csv_lines(trace))
 
 
 def _trace_values(tails: list[str], n: int) -> np.ndarray:
@@ -396,16 +385,19 @@ def _read_text(path: str) -> str:
         raise _InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_chunks(path: str, blocks: Iterable[bytes]) -> str:
-    """Write ``blocks`` to ``path`` atomically (a temp file beside it, then a rename)
-    and return the sha256 of the bytes written."""
-    digest = hashlib.sha256()
+def _write_chunks(path: str, pieces: Iterable[str]) -> str:
+    """Write the text of ``pieces`` to ``path`` as UTF-8, atomically (a temp file
+    beside it, then a rename), and return the sha256 of the bytes written.
+
+    The pieces are joined, encoded, hashed and written ``_BLOCK`` at a time, so
+    the whole text is never held at once; no piece is empty."""
+    digest, pieces = hashlib.sha256(), iter(pieces)
     try:
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mdpgeo-")
         try:
             with os.fdopen(fd, "wb") as fh:
-                for block in blocks:
+                while block := "".join(itertools.islice(pieces, _BLOCK)).encode("utf-8"):
                     fh.write(block)
                     digest.update(block)
             os.replace(tmp, path)
@@ -440,7 +432,7 @@ def _load_mdp(path: str) -> tuple[Mdp, str]:
 def _emit(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     if out_path:
-        _write_chunks(out_path, [text.encode("utf-8")])
+        _write_chunks(out_path, [text])
     sys.stdout.write(text)
 
 
@@ -516,7 +508,7 @@ def _cmd_generate(args) -> int:
             bonus_beta=args.beta,
         )
     mdp = generate(spec)
-    output_hash = _write_chunks(args.out, _mdp_json_blocks(mdp))
+    output_hash = _write_chunks(args.out, _mdp_json_pieces(mdp))
     _emit(
         {
             "version": 1,
@@ -557,7 +549,7 @@ def _cmd_solve_vi(args) -> int:
     )
     trace = value_iteration(mdp, cfg)
     if args.trace:
-        _write_chunks(args.trace, _trace_csv_blocks(trace))
+        _write_chunks(args.trace, _trace_csv_lines(trace))
     _emit(
         {
             "version": 1,
@@ -602,7 +594,7 @@ def _cmd_solve_pi(args) -> int:
 def _cmd_normalize(args) -> int:
     mdp, mdp_hash = _load_mdp(args.mdp)
     normalized, policy, log = normalize(mdp)
-    output_hash = _write_chunks(args.out, _mdp_json_blocks(normalized))
+    output_hash = _write_chunks(args.out, _mdp_json_pieces(normalized))
     _emit(
         {
             "version": 1,

@@ -664,15 +664,16 @@ def _generate_argv(out, n: int, *extra: str) -> list[str]:
             "--sparse-k", "3", "--max-actions", "8", *extra, "--out", str(out)]
 
 
-class _FailingSecondWrite:
-    """A binary file handle whose second ``write`` raises ``exc``."""
+class _Writes:
+    """A binary file handle that records the size of each ``write`` and raises
+    ``exc`` at the write numbered ``fail_at`` (from 1)."""
 
-    def __init__(self, fh, exc: BaseException):
-        self.fh, self.exc, self.writes = fh, exc, 0
+    def __init__(self, fh, exc: BaseException | None = None, fail_at: int = 0):
+        self.fh, self.exc, self.fail_at, self.sizes = fh, exc, fail_at, []
 
     def write(self, block: bytes) -> int:
-        self.writes += 1
-        if self.writes == 2:
+        self.sizes.append(len(block))
+        if len(self.sizes) == self.fail_at:
             raise self.exc
         return self.fh.write(block)
 
@@ -683,21 +684,38 @@ class _FailingSecondWrite:
         self.fh.close()
 
 
+def _watch_writes(monkeypatch, **failure) -> list[_Writes]:
+    """Make every file the CLI opens for writing a :class:`_Writes`; returns them."""
+    handles, fdopen = [], os.fdopen
+
+    def opened(fd, mode):
+        handles.append(_Writes(fdopen(fd, mode), **failure))
+        return handles[-1]
+
+    monkeypatch.setattr(cli.os, "fdopen", opened)
+    return handles
+
+
 class TestStreamedWriters:
     @pytest.mark.parametrize("block", [1, 2, 64])
-    def test_blocks_join_to_the_whole_file(self, block):
+    def test_blocks_join_to_the_whole_file(self, block, tmp_path, monkeypatch):
         mdp = generate(GenSpec(n_states=5, gamma=0.9, seed=2, structure="sparse",
                                min_actions=3, max_actions=3))
         trace = value_iteration(mdp, ViConfig(stop="time", t_max=70))
-        doc = json.loads(mdp_to_json(mdp))
-        lines = trace_to_csv(trace).split("\n")
-        with mock.patch.object(cli, "_BLOCK", block):
-            blocks = list(cli._mdp_json_blocks(mdp))
-            rows = list(cli._trace_csv_blocks(trace))
-            assert mdp_to_json(mdp) == json.dumps(doc, indent=2) + "\n"
-            assert trace_to_csv(trace).split("\n") == lines
-        assert len(blocks) == mdp.m // block + 1 and len(rows) == -(-len(trace.values) // block)
-        assert b"".join(rows).decode() == "\n".join(lines)
+        doc = {"version": 1, "n_states": 5, "gamma": 0.9, "actions": [
+            {"id": i, "state": s, "probs": p, "reward": r} for i, s, p, r in zip(
+                mdp.ids, mdp.state_of.tolist(), mdp.P.tolist(), mdp.rewards.tolist())]}
+        model, rows = tmp_path / "model.json", tmp_path / "trace.csv"
+        handles = _watch_writes(monkeypatch)
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        model_hash = cli._write_chunks(str(model), cli._mdp_json_pieces(mdp))
+        cli._write_chunks(str(rows), cli._trace_csv_lines(trace))
+        text = model.read_bytes()
+        assert text == (json.dumps(doc, indent=2) + "\n").encode() == mdp_to_json(mdp).encode()
+        assert model_hash == hashlib.sha256(text).hexdigest()
+        assert rows.read_text() == trace_to_csv(trace) and trace_to_csv(trace).count("\n") == 72
+        # head, 15 actions and tail; header and 71 rows
+        assert [len(h.sizes) for h in handles] == [-(-17 // block), -(-72 // block)]
 
     @settings(max_examples=200, deadline=None)
     @given(edits=st.lists(st.tuples(st.integers(1, 11), st.integers(0, 6),
@@ -749,16 +767,14 @@ class TestStreamedWriters:
     def test_a_failed_block_write_leaves_the_target_alone(self, command, exc, tmp_path,
                                                           capsys, monkeypatch):
         model = tmp_path / "model.json"
-        assert main(_generate_argv(model, 40)) == EX_OK  # over 64 actions: several blocks
+        assert main(_generate_argv(model, 40)) == EX_OK  # over 64 actions
         target = tmp_path / "target"
         target.write_bytes(b"the previous file\n")
         argv = {"generate": _generate_argv(target, 40),
                 "normalize": ["normalize", "--mdp", str(model), "--out", str(target)],
                 "solve-vi": ["solve-vi", "--mdp", str(model), "--stop", "time:100",
                              "--trace", str(target)]}[command]
-        fdopen = os.fdopen
-        monkeypatch.setattr(cli.os, "fdopen",
-                            lambda fd, mode: _FailingSecondWrite(fdopen(fd, mode), exc))
+        handles = _watch_writes(monkeypatch, exc=exc, fail_at=2)
         if isinstance(exc, OSError):
             code, cap = run(capsys, *argv)
             assert code == EX_CANTCREAT
@@ -766,5 +782,6 @@ class TestStreamedWriters:
         else:
             with pytest.raises(RuntimeError, match="interrupted"):
                 main(argv)
+        assert [len(h.sizes) for h in handles] == [2]  # the first block went to the temp file
         assert target.read_bytes() == b"the previous file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "target"]
