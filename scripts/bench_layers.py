@@ -165,7 +165,6 @@ def main() -> None:
     ap.add_argument("--k", type=int, default=5)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
-    peak_mib, file_mib = _generate_peak_mib(args.n, args.k, args.seed)
 
     mdp = generate(GenSpec(n_states=args.n, gamma=0.95, seed=args.seed, structure="sparse",
                            sparse_k=args.k, max_actions=8))
@@ -225,6 +224,8 @@ def main() -> None:
                                          v0="given", v0_values=tuple(v0)))
     layers["verify_recurrence"] = _summary(
         _times(lambda: _verify_sync_recurrence(wiel, run.values, 1.0), 5))
+    # last: a large allocation and free here would change how fast later rows allocate
+    peak_mib, file_mib = _generate_peak_mib(args.n, args.k, args.seed)
     print(json.dumps({
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
