@@ -21,7 +21,10 @@ number of repeats:
 - ``mdp_from_json``: reading that JSON text back (parse, build, validate);
 - ``mdp_from_json_compact_sparse``: reading a sparse ``n=1024`` model of the
   same kind written compactly (no whitespace; most probabilities are ``0.0``);
-- ``validate``: the full invariant check of the model.
+- ``load_mdp_compact_sparse``: the CLI's read path on that compact model
+  written to a file: read the file, hash it, parse and validate;
+- ``validate``: the full invariant check of the model, built on a writable
+  copy of its ``P`` (a model whose arrays are all read-only is checked once).
 
 ``generate_write_peak_mib`` is the ``tracemalloc`` peak of
 ``mdpgeo.cli.main(["generate", ...])`` on the same spec, writing its model
@@ -85,6 +88,7 @@ import numpy as np
 
 from mdpgeo.acceptance import run_twostate_suite
 from mdpgeo.analysis import _verify_sync_recurrence, primitivity, wielandt_bound
+from mdpgeo.cli import _load_mdp
 from mdpgeo.cli import main as cli_main
 from mdpgeo.cli import mdp_from_json, mdp_to_json
 from mdpgeo.core import Mdp, bellman_optimal, validate
@@ -199,9 +203,16 @@ def main() -> None:
                             structure="sparse", sparse_k=args.k, max_actions=8))
     wide_text = _compact(wide.n_states, wide.ids, wide.state_of, wide.P, wide.rewards)
     layers["mdp_from_json_compact_sparse"] = _summary(_times(lambda: mdp_from_json(wide_text), 5))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "compact.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(wide_text)
+        layers["load_mdp_compact_sparse"] = _summary(_times(lambda: _load_mdp(path), 5))
     dense_text = _dense_text(args.seed)
     layers["mdp_from_json_compact_dense"] = _summary(_times(lambda: mdp_from_json(dense_text), 7))
-    layers["validate"] = _summary(_times(lambda: validate(mdp), 20))
+    checked = Mdp.from_arrays(mdp.n_states, mdp.gamma, mdp.ids, mdp.state_of, mdp.P.copy(),
+                              mdp.rewards)
+    layers["validate"] = _summary(_times(lambda: validate(checked), 20))
     dense = generate(GenSpec(n_states=DENSE_N, gamma=0.95, seed=args.seed, structure="dense"))
     layers["normalize"] = _summary(_times(lambda: normalize(dense), 5))
     layers["effective_gamma"] = _summary(_times(lambda: effective_gamma(dense), 5))

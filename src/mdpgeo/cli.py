@@ -5,16 +5,21 @@ unknown fields rejected, floats at full precision); per-iteration traces as
 CSV with one row per iterate and 17-significant-digit numbers, so every
 float round-trips exactly.
 
-The model reader cuts each action's ``"probs": [...]`` body out of the text (a
-body ends at its first ``]`` and may hold only JSON number characters, commas
-and JSON whitespace), parses the small remaining skeleton with ``json``, and
-fills a preallocated ``P`` a bounded chunk of rows at a time.  When more than
-3/4 of the fields of a sample of rows are exactly ``0`` or ``0.0``, numpy over
-each chunk's bytes checks that every row has exactly ``n_states`` fields and
-that no whitespace splits a number, and marks those zeros; ``json`` converts
-only the other fields, so a sparse model makes no Python float per zero.
-Otherwise ``json`` converts every row where it stands.  Either way ``P`` holds
-the very floats ``json.loads`` gives.
+The model reader works on the file's bytes, read once: it hashes them, cuts
+each action's ``"probs": [...]`` body out (a body ends at its first ``]`` and
+may hold only JSON number characters, commas and JSON whitespace), parses the
+small remaining skeleton with ``json``, and fills a preallocated ``P`` a
+bounded chunk of rows at a time.  When more than 3/4 of the fields of a sample
+of rows are exactly ``0`` or ``0.0``, it views the bytes as little-endian
+8-byte words: a word that is one phase of a run of ``0.0`` (or ``0``) fields
+and equals both neighbours holds only whole zero fields and commas, so it is
+skipped with a known comma count.  numpy checks the rest of each chunk's
+bytes (every row has exactly ``n_states`` fields, no whitespace splits a
+number) and marks its zeros; ``json`` converts only the other fields, so a
+sparse model makes no Python float per zero.  Otherwise ``json`` converts
+every row where it stands.  Either way ``P`` holds the very floats
+``json.loads`` gives.  The ``input_hashes`` of model and trace files are the
+sha256 of their bytes on disk.
 
 The writers stream: a model or trace file goes to disk in UTF-8 blocks of at
 most 64 actions or rows, each fed to sha256 as it is written, so no whole
@@ -35,6 +40,7 @@ Exit codes: 0 success, 2 iteration-cap abort, 64 usage, 65 invalid data,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -81,12 +87,28 @@ _ITEM = ",\n        "  # between two probabilities at indent=2
 _PROBS = json.JSONEncoder(separators=(_ITEM, ": "))  # no indent: json's C encoder
 
 
+_STRIDE = len("0.0" + _ITEM)
+
+
+@functools.lru_cache(maxsize=4)
+def _zero_items(n: int) -> str:
+    """The items of a row of n zeros: item k is ``"0.0"`` at offset ``k * _STRIDE``."""
+    return _ITEM.join(["0.0"] * n)
+
+
 def _probs_items(p: np.ndarray) -> str:
+    """The items of row ``p``: its entries other than +0.0, encoded, spliced
+    into the cached row of zeros."""
     nz = np.flatnonzero((p != 0.0) | np.signbit(p))
-    items = ["0.0"] * p.size  # encode the entries other than +0.0 only
-    for k, x in zip(nz.tolist(), _PROBS.encode(p[nz].tolist())[1:-1].split(_ITEM)):
-        items[k] = x
-    return _ITEM.join(items)
+    encoded = _PROBS.encode(p[nz].tolist())[1:-1]
+    if nz.size == p.size:
+        return encoded
+    zeros, parts, pos = _zero_items(p.size), [], 0
+    for k, x in zip((nz * _STRIDE).tolist(), encoded.split(_ITEM)):
+        parts += (zeros[pos:k], x)
+        pos = k + len("0.0")
+    parts.append(zeros[pos:])
+    return "".join(parts)
 
 
 def _mdp_json_pieces(mdp: Mdp) -> Iterator[str]:
@@ -138,34 +160,42 @@ def _parse_json(text: str, what: str):
         raise ModelError(f"{what} is not valid JSON: {exc}") from None
 
 
-_STRING = r'"[^"\\]*+(?:\\.[^"\\]*+)*+"'
+_STRING = rb'"[^"\\]*+(?:\\.[^"\\]*+)*+"'
 # "probs" in every JSON spelling: each letter as itself or as a \u escape
-_PROBS_KEY = r'"(?:p|\\u0070)(?:r|\\u0072)(?:o|\\u006[fF])(?:b|\\u0062)(?:s|\\u0073)"'
-_OPENS_LIST = r"[ \t\n\r]*:[ \t\n\r]*\["
+_PROBS_KEY = rb'"(?:p|\\u0070)(?:r|\\u0072)(?:o|\\u006[fF])(?:b|\\u0062)(?:s|\\u0073)"'
+_OPENS_LIST = rb"[ \t\n\r]*:[ \t\n\r]*\["
 # from a point outside any string, string by string: up to the "[" that opens the next
-# probs list; possessive, so a text with no such key left fails in one pass
+# probs list; possessive, so a text with no such key left fails in one pass.  On UTF-8
+# bytes: no byte of a multibyte character is ASCII
 _PROBS_LIST = re.compile(
-    rf'(?:[^"]*+(?!{_PROBS_KEY}{_OPENS_LIST}){_STRING})*+[^"]*+{_PROBS_KEY}{_OPENS_LIST}')
+    rb'(?:[^"]*+(?!' + _PROBS_KEY + _OPENS_LIST + rb')' + _STRING + rb')*+[^"]*+'
+    + _PROBS_KEY + _OPENS_LIST)
 _DECODE = json.JSONDecoder().raw_decode
 _WS = b" \t\n\r"
 _NUMBER = b"0123456789+-.eE"
 _CHUNK = 1 << 17  # probabilities per fill step: bounds the temporaries
+# the 8-byte words of a run of "0.0" fields, at each phase, and of a run of "0" fields;
+# each word holds two resp. four commas
+_ZERO_RUNS = tuple(
+    (np.array([int.from_bytes(w, "little") for w in words], dtype="<u8"), commas)
+    for words, commas in (((b",0.0,0.0", b"0.0,0.0,", b".0,0.0,0", b"0,0.0,0."), 2),
+                          ((b",0,0,0,0", b"0,0,0,0,"), 4)))
 
 
-def _cut_probs(text: str) -> tuple[str, list[tuple[int, int]]]:
-    """``text`` with the body of its k-th ``"probs"`` list replaced by ``k``, and
-    the ``(start, end)`` offsets of every body in ``text``."""
+def _cut_probs(data: bytes) -> tuple[bytes, list[tuple[int, int]]]:
+    """``data`` with the body of its k-th ``"probs"`` list replaced by ``k``, and
+    the ``(start, end)`` byte offsets of every body in ``data``."""
     parts, spans, pos = [], [], 0
-    while opens := _PROBS_LIST.match(text, pos):
+    while opens := _PROBS_LIST.match(data, pos):
         start = opens.end()
-        end = text.find("]", start)
+        end = data.find(b"]", start)
         if end < 0:
             raise ModelError("model file is not valid JSON: a probs list is not closed")
-        parts += (text[pos:start], str(len(spans)))
+        parts += (data[pos:start], b"%d" % len(spans))
         spans.append((start, end))
         pos = end
-    parts.append(text[pos:])
-    return "".join(parts), spans
+    parts.append(data[pos:])
+    return b"".join(parts), spans
 
 
 def _floats(values, count: int) -> np.ndarray:
@@ -175,36 +205,90 @@ def _floats(values, count: int) -> np.ndarray:
         raise ModelError(f"action probs must be JSON numbers: {exc}") from None
 
 
-def _fill_with_json(out: np.ndarray, text: str, rows: list[tuple[int, int]], n: int) -> None:
+def _json_row(data: bytes, a: int, b: int):
+    """The JSON value that opens with the ``[`` at ``data[a - 1]``, as ``json``
+    reads it where it stands in the whole text."""
+    try:  # a well-formed body is ASCII and ends at the first "]"
+        return _DECODE(data[a - 1:b + 1].decode("ascii"))[0]
+    except (ValueError, RecursionError):
+        pass
+    text = data.decode("utf-8", "surrogatepass")  # json's own message, or a list past b
+    try:
+        return _DECODE(text, len(data[:a - 1].decode("utf-8", "surrogatepass")))[0]
+    except (ValueError, RecursionError) as exc:
+        raise ModelError(f"action probs are not a JSON list: {exc}") from None
+
+
+def _fill_with_json(out: np.ndarray, data: bytes, rows: list[tuple[int, int]], n: int) -> None:
     """``json`` converts every field, each body read where it stands."""
-    lists, find = [], text.find
+    lists, find = [], data.find
     for a, b in rows:
-        try:
-            row = _DECODE(text, a - 1)[0]
-        except (ValueError, RecursionError) as exc:
-            raise ModelError(f"action probs are not a JSON list: {exc}") from None
+        row = _json_row(data, a, b)
         if len(row) != n:
             raise ModelError(f"every action's probs must hold n_states={n} numbers")
         # a string, true, false, null, NaN or Infinity shows '"', "t", "a" or "n"
-        if max(find('"', a, b), find("t", a, b), find("a", a, b), find("n", a, b)) >= 0:
+        if max(find(b'"', a, b), find(b"t", a, b), find(b"a", a, b), find(b"n", a, b)) >= 0:
             raise ModelError("action probs must be JSON numbers")
         lists.append(row)
     out[:] = _floats(itertools.chain.from_iterable(lists), out.size)
 
 
-def _fill_skipping_zeros(out: np.ndarray, text: str, rows: list[tuple[int, int]], n: int) -> None:
-    """numpy checks the bodies, joined by ``;``, and finds the fields that are
-    exactly ``0`` or ``0.0``; ``json`` converts the others."""
-    raw = ";".join([text[a:b] for a, b in rows]).encode("ascii", "replace")
+def _zero_runs(words: np.ndarray, spans: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The runs of words that hold only whole zero fields and commas, inside the
+    bodies ``spans`` (an (R, 2) array of byte offsets): per run, its first and
+    past-last byte offsets, the body it lies in and the fields it holds.
+
+    A word that equals one of the ``_ZERO_RUNS`` patterns and both of its
+    neighbours lies in a run of that pattern, 24 bytes free of brackets, so in
+    one body; every field that touches it is a whole ``0.0`` (or ``0``)
+    bounded by commas in those 24 bytes.  Cutting whole words out of a run
+    leaves text that reads as the run did, with fewer such fields."""
+    lo, hi = spans[0, 0] // 8, min(-(-spans[-1, 1] // 8), words.size)
+    w = words[lo:hi]
+    mid = w[1:-1]
+    same = (mid == w[:-2]) & (mid == w[2:])
+    if not same.any():
+        return (np.empty(0, dtype=np.int64),) * 4
+    commas = np.zeros(mid.size, dtype=np.int8)  # per proven word; 0 for the others
+    for patterns, count in _ZERO_RUNS:
+        hit = mid == patterns[0]
+        for p in patterns[1:]:
+            hit |= mid == p
+        commas[hit & same] = count
+    edges = np.flatnonzero(np.diff(commas != 0, prepend=False, append=False))
+    first, last = edges[::2], edges[1::2]
+    start, stop = 8 * (lo + 1 + first), 8 * (lo + 1 + last)
+    body = np.searchsorted(spans[:, 0], start, "right") - 1
+    inside = start < spans[body, 1]  # not in a string of the skeleton
+    fields = (last - first) * commas[first]
+    return start[inside], stop[inside], body[inside], fields[inside]
+
+
+def _fill_skipping_zeros(out: np.ndarray, data: bytes, words: np.ndarray,
+                         rows: list[tuple[int, int]], n: int) -> None:
+    """Cut the proven zero runs (``_zero_runs``) out of the bodies and join what
+    is left, each body with its closing ``]``; numpy checks that text and finds
+    its fields that are exactly ``0`` or ``0.0``; ``json`` converts the others."""
+    spans = np.array(rows, dtype=np.int64)
+    cut_start, cut_stop, cut_row, cut_fields = _zero_runs(words, spans)
+    ends = spans[:, 1] + 1
+    ends[-1] -= 1  # no "]" after the last body
+    starts = np.sort(np.concatenate((spans[:, 0], cut_stop)))
+    stops = np.sort(np.concatenate((ends, cut_start)))
+    raw = b"".join([data[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
     spaced = any(w in raw for w in (b" ", b"\n", b"\t", b"\r"))
     c = raw.translate(None, _WS) if spaced else raw
-    if c.translate(None, _NUMBER + b",;"):
+    if c.translate(None, _NUMBER + b",];"):
         raise ModelError("action probs may hold only JSON numbers, commas and whitespace")
     u = np.frombuffer(c, np.uint8)
-    joint = u == ord(";")
-    sep = np.flatnonzero((u == ord(",")) | joint)
-    if (sep.size != len(rows) * n - 1 or np.count_nonzero(joint) != len(rows) - 1
-            or (u[sep[n - 1::n]] != ord(";")).any()):
+    sep = np.flatnonzero((u == ord(",")) | (u == ord("]")))
+    ends, at = [], -1  # the row ends: no body holds a "]"
+    while (at := c.find(b"]", at + 1)) >= 0:
+        ends.append(at)
+    joints = np.searchsorted(sep, ends)  # their places among the separators
+    skipped = np.bincount(cut_row, weights=cut_fields, minlength=len(rows))
+    if b";" in c or joints.size != len(rows) - 1 or (  # ";" once joined the rows: miscounts
+            np.diff(joints, prepend=-1, append=sep.size) - 1 + skipped != n - 1).any():
         raise ModelError(f"every action's probs must hold n_states={n} numbers")
     start = np.concatenate(([0], sep + 1))
     size = np.concatenate((sep, [u.size])) - start
@@ -212,7 +296,7 @@ def _fill_skipping_zeros(out: np.ndarray, text: str, rows: list[tuple[int, int]]
         raise ModelError("action probs must hold one number between commas")
     if spaced:  # whitespace may surround a number, never split one
         w = np.frombuffer(raw, np.uint8)
-        digit = ((w > ord(",")) | (w == ord("+"))) & (w != ord(";"))
+        digit = ((w > ord(",")) | (w == ord("+"))) & (w != ord("]"))
         if np.count_nonzero(digit[1:] > digit[:-1]) + digit[0] != size.size:
             raise ModelError("action probs must hold one number between commas")
     keep = (size != 1) | (u[start] != ord("0"))
@@ -220,17 +304,28 @@ def _fill_skipping_zeros(out: np.ndarray, text: str, rows: list[tuple[int, int]]
     at = start[three]
     keep[three] = (u[at] != ord("0")) | (u[at + 1] != ord(".")) | (u[at + 2] != ord("0"))
     # each kept field with the separator before it; the first one becomes "["
-    picked = np.frombuffer(b";" + c, np.uint8)[np.repeat(keep, size + 1)]
-    picked[picked == ord(";")] = ord(",")
+    picked = np.frombuffer(b"]" + c, np.uint8)[np.repeat(keep, size + 1)]
+    picked[picked == ord("]")] = ord(",")
     try:
         values = json.loads(b"[" + picked[1:].tobytes() + b"]")
     except ValueError as exc:
         raise ModelError(f"action probs must be JSON numbers: {exc}") from None
-    out[keep] = _floats(values, np.count_nonzero(keep))
+    if not cut_start.size:
+        out[keep] = _floats(values, len(values))
+        return
+    # the field that touches a cut is a zero, so a kept field comes after exactly the
+    # cuts with fewer separators before them than it has
+    if spaced:
+        sep = np.flatnonzero((w == ord(",")) | (w == ord("]")))
+    at_cut = np.cumsum(stops - starts)[np.searchsorted(stops, cut_start)]
+    field = np.flatnonzero(keep)
+    before = np.searchsorted(np.searchsorted(sep, at_cut), field)
+    out[field + np.concatenate(([0], np.cumsum(cut_fields)))[before]] = _floats(
+        values, field.size)
 
 
-def _probs_matrix(text: str, spans: list[tuple[int, int]], n: int) -> np.ndarray:
-    """The (len(spans), n) matrix whose row k holds the numbers of ``text[a:b]``
+def _probs_matrix(data: bytes, spans: list[tuple[int, int]], n: int) -> np.ndarray:
+    """The (len(spans), n) matrix whose row k holds the numbers of ``data[a:b]``
     for ``(a, b) = spans[k]``; ModelError unless each body is exactly n JSON
     numbers separated by commas.  The zeros are skipped when they are more than
     3/4 of the fields of eight rows spread over the model: about where the two
@@ -242,19 +337,23 @@ def _probs_matrix(text: str, spans: list[tuple[int, int]], n: int) -> np.ndarray
     except ValueError as exc:  # no rows, and n past numpy's largest shape
         raise ModelError(f"model arrays are malformed: {exc}") from None
     sample = spans[::max(1, -(-len(spans) // 8))]
-    fields = [f.strip(" \t\n\r") for a, b in sample for f in text[a:b].split(",")]
-    zeros = fields.count("0") + fields.count("0.0")
-    fill = _fill_skipping_zeros if 4 * zeros > 3 * len(sample) * n else _fill_with_json
+    fields = [f.strip(_WS) for a, b in sample for f in data[a:b].split(b",")]
+    if 4 * (fields.count(b"0") + fields.count(b"0.0")) > 3 * len(sample) * n:
+        words = np.frombuffer(data, "<u8", len(data) // 8)  # a view: no copy
+        fill = lambda out, rows: _fill_skipping_zeros(out, data, words, rows, n)  # noqa: E731
+    else:
+        fill = lambda out, rows: _fill_with_json(out, data, rows, n)  # noqa: E731
     step = _CHUNK // max(n, 1) or 1
     for r0 in range(0, len(spans), step):
         rows = spans[r0:r0 + step]
-        fill(P[r0:r0 + len(rows)].reshape(-1), text, rows, n)
+        fill(P[r0:r0 + len(rows)].reshape(-1), rows)
+    P.setflags(write=False)  # nothing writes it again, so the model is validated once
     return P
 
 
-def mdp_from_json(text: str) -> Mdp:
-    skeleton, spans = _cut_probs(text)
-    doc = _parse_json(skeleton, "model file")
+def _mdp_from_bytes(data: bytes) -> Mdp:
+    skeleton, spans = _cut_probs(data)
+    doc = _parse_json(skeleton.decode("utf-8", "surrogatepass"), "model file")
     _fields(doc, _MDP_KEYS, "model file")
     if doc["version"] != 1:
         raise ModelError(f"unsupported model file version {doc['version']!r}")
@@ -270,10 +369,14 @@ def mdp_from_json(text: str) -> Mdp:
         rewards.append(_typed(entry["reward"], float, f"action {entry['id']!r} reward"))
         if entry["probs"] != [k]:  # every list-valued "probs" key was cut, in order
             raise ModelError(f"action {entry['id']!r} probs must be one JSON list of numbers")
-    P = _probs_matrix(text, spans, n)
+    P = _probs_matrix(data, spans, n)
     mdp = Mdp.from_arrays(n, gamma, ids, states, P, rewards)
     validate(mdp)
     return mdp
+
+
+def mdp_from_json(text: str) -> Mdp:
+    return _mdp_from_bytes(text.encode("utf-8", "surrogatepass"))
 
 
 _TRACE_HEADER = ["t", "span_v", "span_dv", "active_actions", "stop_reason_final"]
@@ -377,12 +480,28 @@ class _OutputError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
+    """The bytes of ``path``, which must be UTF-8 (UnicodeDecodeError otherwise)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
+    if not data.isascii():
+        data.decode("utf-8")
+    return data
+
+
+def _text(data: bytes) -> str:
+    """UTF-8 ``data`` as text, each ``\r\n`` or ``\r`` read as ``\n``."""
+    text = data.decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _read_text(path: str) -> tuple[str, str]:
+    """The text of ``path`` and the sha256 of its bytes."""
+    data = _read_bytes(path)
+    return _text(data), hashlib.sha256(data).hexdigest()
 
 
 def _write_chunks(path: str, pieces: Iterable[str]) -> str:
@@ -414,19 +533,16 @@ def _write_chunks(path: str, pieces: Iterable[str]) -> str:
 
 def _read_list(path: str, what: str, kind: type) -> tuple:
     """A side input holding a JSON list whose entries are all of ``kind`` (see ``_typed``)."""
-    doc = _parse_json(_read_text(path), what)
+    doc = _parse_json(_read_text(path)[0], what)
     if not isinstance(doc, list):
         raise ModelError(f"{what} must be a JSON list")
     return tuple(_typed(x, kind, f"{what} entry") for x in doc)
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _load_mdp(path: str) -> tuple[Mdp, str]:
-    text = _read_text(path)
-    return mdp_from_json(text), _sha256(text)
+    """The model in ``path`` and the sha256 of the file's bytes."""
+    data = _read_bytes(path)
+    return _mdp_from_bytes(data), hashlib.sha256(data).hexdigest()
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -492,7 +608,7 @@ def _v0_spec(text: str):
 
 def _cmd_generate(args) -> int:
     if args.spec:
-        doc = _parse_json(_read_text(args.spec), "spec file")
+        doc = _parse_json(_read_text(args.spec)[0], "spec file")
         _fields(doc, {"n_states", "gamma"}, "spec file", optional=frozenset(_SPEC_TYPES))
         doc.setdefault("seed", args.seed)
         spec = GenSpec(**{k: _typed(v, _SPEC_TYPES[k], f"spec {k}") for k, v in doc.items()})
@@ -633,7 +749,7 @@ def _cmd_gamma_eff(args) -> int:
 
 def _cmd_certify(args) -> int:
     mdp, mdp_hash = _load_mdp(args.mdp)
-    trace_text = _read_text(args.trace)
+    trace_text, trace_hash = _read_text(args.trace)
     trace = trace_from_csv(trace_text, gamma=mdp.gamma)
     if args.alpha is None:
         cert = certify(mdp, trace, epsilon=args.epsilon)
@@ -641,7 +757,7 @@ def _cmd_certify(args) -> int:
         cert = certify_alpha(mdp, trace, alpha=args.alpha, epsilon=args.epsilon)
     doc = {"version": 1, "command": "certify"}
     doc.update(cert.to_dict())
-    doc["input_hashes"] = {"mdp": mdp_hash, "trace": _sha256(trace_text)}
+    doc["input_hashes"] = {"mdp": mdp_hash, "trace": trace_hash}
     _emit(doc, args.out)
     return EX_OK
 

@@ -64,6 +64,24 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _read_only(given, dtype) -> np.ndarray:
+    """``given`` as a read-only view; a private copy that ``np.asarray`` made is
+    frozen as well, while a caller's own array stays writable."""
+    a = np.asarray(given, dtype=dtype)
+    if a is not given and a.base is None:
+        a.setflags(write=False)
+    return _freeze(a.view())
+
+
+def _sealed(a: np.ndarray) -> bool:
+    """Whether no array under ``a`` can be written."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
 def as_values(v, n_states: int) -> np.ndarray:
     """Coerce ``v`` to a finite float64 vector of length ``n_states``."""
     v = np.asarray(v, dtype=np.float64)
@@ -112,7 +130,11 @@ class Mdp:
 
     The read-only arrays are set once, from :class:`Action` records by
     ``Mdp(n_states, actions, gamma)`` or by :meth:`from_arrays`; both check
-    shapes only, so call :func:`validate` for the full invariant check.
+    shapes only, so call :func:`validate` for the full invariant check.  A
+    model remembers that it passed when no array under it can be written:
+    copies the model made are frozen, a caller's own arrays are left as they
+    are, and a writable one is checked again at every call (a caller who
+    makes a frozen array writable again must not hand it to a model).
     Derived arrays (coefficients, own-state probabilities, per-state rows
     sorted by action id) are computed lazily and cached; ``actions`` makes
     the rows into records.
@@ -144,10 +166,10 @@ class Mdp:
 
     def _set(self, n_states, gamma, ids, state_of, P, rewards) -> None:
         ids, n = tuple(ids), int(n_states)
-        try:  # read-only views leave a caller's own arrays writable; no rows allocate nothing
-            P = _freeze(np.asarray(P if ids else np.empty((0, n)), dtype=np.float64).view())
-            state_of = _freeze(np.asarray(state_of, dtype=np.intp).view())
-            rewards = _freeze(np.asarray(rewards, dtype=np.float64).view())
+        try:  # no rows allocate nothing
+            P = _read_only(P if ids else np.empty((0, n)), np.float64)
+            state_of = _read_only(state_of, np.intp)
+            rewards = _read_only(rewards, np.float64)
         except (ValueError, OverflowError) as exc:
             raise ModelError(f"model arrays are malformed: {exc}") from None
         m, shapes = len(ids), (P.shape, state_of.shape, rewards.shape)
@@ -247,8 +269,11 @@ def validate(mdp: Mdp) -> None:
     a known state, a proper distribution over next states (nonnegative,
     summing to 1 within 1e-12) and a finite reward; every state owns at
     least one action.  Each check runs over all rows at once and names the
-    lowest offending row; shapes are checked when the model is built.
+    lowest offending row; shapes are checked when the model is built.  A model
+    whose arrays are all sealed (see ``Mdp``) is checked once.
     """
+    if vars(mdp).get("_validated"):
+        return
     if mdp.n_states < 1:
         raise ModelError(f"n_states must be >= 1, got {mdp.n_states}")
     if not (0.0 < mdp.gamma < 1.0):
@@ -275,6 +300,8 @@ def validate(mdp: Mdp) -> None:
     counts = np.bincount(states, minlength=mdp.n_states)
     if not counts.all():
         raise ModelError(f"state {int(np.argmin(counts))} has no actions")
+    if _sealed(P) and _sealed(states) and _sealed(mdp.rewards):
+        vars(mdp)["_validated"] = True
 
 
 def action_vector(mdp: Mdp, action_id: str) -> ActionVector:

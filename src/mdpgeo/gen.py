@@ -133,6 +133,7 @@ def _build(rng: np.random.Generator, spec: GenSpec, beta: float) -> Mdp:
             ids.append(_aid(s, j))
             states.append(s)
             rewards.append(reward)
+    P.setflags(write=False)  # nothing writes it again, so the model is validated once
     return Mdp.from_arrays(spec.n_states, spec.gamma, ids, states, P, rewards)
 
 

@@ -636,6 +636,181 @@ class TestModelReader:
 
 
 # ---------------------------------------------------------------------------
+# the word-level reader
+
+
+def _word_model(rows: list[list[str]], pad: int = 0, zero: str = "0.0") -> str:
+    """A compact model over as many states as ``rows[0]`` has fields: action k of
+    state k has the fields ``rows[k]``, each other state one action that stays,
+    its other fields ``zero``.  ``pad`` spaces before the actions move every body
+    ``pad`` bytes on."""
+    n = ",".join(rows[0]).count(",") + 1
+    rows = rows + [["1" if j == s else zero for j in range(n)] for s in range(len(rows), n)]
+    actions = ",".join(f'{{"id":"a{k:03d}","state":{k},"probs":[{",".join(r)}],"reward":0.5}}'
+                       for k, r in enumerate(rows))
+    return f'{{"version":1,"n_states":{n},"gamma":0.9,{" " * pad}"actions":[{actions}]}}'
+
+
+def _json_error_on_kept_fields(text: str) -> str:
+    """The message of a reader that hands json the fields of all bodies that are
+    not exactly ``0`` or ``0.0``, in order."""
+    bodies = [part[:part.index("]")] for part in text.split('"probs":[')[1:]]
+    kept = [f for f in (f.strip(" \t\n\r") for b in bodies for f in b.split(","))
+            if f not in ("0", "0.0")]
+    try:
+        json.loads("[" + ",".join(kept) + "]")
+    except ValueError as exc:
+        return f"action probs must be JSON numbers: {exc}"
+    raise AssertionError("json reads the kept fields")
+
+
+def _skeleton_error(text: str) -> str:
+    """The message of a reader that parses ``text`` with each probs body, up to
+    its first ``]``, replaced by the body's index."""
+    head, *parts = text.split('"probs":[')
+    skeleton = head + "".join(f'"probs":[{k}{part[part.index("]"):]}'
+                              for k, part in enumerate(parts))
+    try:
+        json.loads(skeleton)
+    except ValueError as exc:
+        return f"model file is not valid JSON: {exc}"
+    raise AssertionError("json reads the skeleton")
+
+
+_BETWEEN_COMMAS = "action probs must hold one number between commas"
+_N_STATES_80 = "every action's probs must hold n_states=80 numbers"
+
+
+def _empty_field_error(text: str) -> str:
+    """An empty field's message, or the field count's where the first body is
+    shorter than the 2n - 1 bytes that n numbers take."""
+    body = text.split('"probs":[')[1]
+    return _BETWEEN_COMMAS if body.index("]") >= 2 * 80 - 1 else _N_STATES_80
+# spellings of one or more fields, put deep in a run of zeros: None where json reads
+# them, else the message (or a function of the text giving it)
+_ODD_IN_A_RUN = {
+    "00": _json_error_on_kept_fields,
+    "0.": _json_error_on_kept_fields,
+    ".0": _json_error_on_kept_fields,
+    "0..0": _json_error_on_kept_fields,
+    "0.0.0": _json_error_on_kept_fields,
+    "0.00": None,
+    "-0.0": None,
+    "-0": None,
+    "0e0": None,
+    "0E-7": None,
+    " 0.0 ": None,
+    "0\n,\t0.0": None,
+    "0,,0": _empty_field_error,
+    "0.0,,0.0": _BETWEEN_COMMAS,
+    "0 .0": _BETWEEN_COMMAS,
+    "0. 0": _BETWEEN_COMMAS,
+    "0.0 0.0": _BETWEEN_COMMAS,
+    "0;0": _N_STATES_80,
+    '"0"': "action probs may hold only JSON numbers, commas and whitespace",
+    "0]": _skeleton_error,
+}
+
+
+class _Runs:
+    """``cli._zero_runs``, counting the fields it proves zero."""
+
+    def __init__(self, find):
+        self.find, self.fields = find, 0
+
+    def __call__(self, words, spans):
+        found = self.find(words, spans)
+        self.fields += int(found[3].sum())
+        return found
+
+
+def _counting_runs(monkeypatch) -> _Runs:
+    runs = _Runs(cli._zero_runs)
+    monkeypatch.setattr(cli, "_zero_runs", runs)
+    return runs
+
+
+class TestWordReader:
+    @pytest.mark.parametrize("chunk", [1, 300, 1 << 17])
+    @pytest.mark.parametrize("zero", ["0.0", "0"])
+    @pytest.mark.parametrize("pad", range(8))
+    def test_zero_runs_of_every_length_read_as_json_does(self, pad, zero, chunk, monkeypatch):
+        n, rows = 80, []
+        for k in range(40):  # runs of every length mod 8 before, between and after
+            lead, gap = k % 24, (3 * k) % 17
+            row = [zero] * n
+            row[lead], row[lead + gap + 1] = "0.25", "0.75"
+            rows.append(row)
+        rows.append([zero] * (n - 1) + ["1.0"])
+        rows.append(["-0.0"] + [zero] * (n - 2) + ["1"])
+        text = _word_model(rows, pad, zero)
+        runs = _counting_runs(monkeypatch)
+        monkeypatch.setattr(cli, "_CHUNK", chunk)  # one, three or all rows a step
+        mdp = mdp_from_json(text)
+        _, _, P, _ = _reference_arrays(text)
+        assert mdp.P.tobytes() == P.tobytes()
+        assert runs.fields > n * n // 2  # most zeros were proven, not read
+
+    @pytest.mark.parametrize("zero", ["0.0", "0"])
+    @pytest.mark.parametrize("pad", range(8))
+    @pytest.mark.parametrize("spelling", sorted(_ODD_IN_A_RUN))
+    def test_odd_spelling_deep_in_a_run(self, spelling, pad, zero, tmp_path, capsys):
+        n = 80
+        row = ["1"] + [zero] * (n - 1)
+        row[40:41 + spelling.count(",")] = [spelling]  # as many fields as it replaces
+        text = _word_model([row], pad, zero)
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        code, cap = run(capsys, "solve-pi", "--mdp", str(path))
+        expected = _ODD_IN_A_RUN[spelling]
+        if expected is None:
+            assert code == EX_OK
+            assert mdp_from_json(text).P.tobytes() == _reference_arrays(text)[2].tobytes()
+        else:
+            message = expected(text) if callable(expected) else expected
+            assert (code, cap.err) == (EX_DATAERR, f"error:ModelError:{message}\n")
+
+    def test_a_zero_run_in_a_string_is_not_a_body(self):
+        rows = [["1"] + ["0.0"] * 79]
+        text = _word_model(rows).replace('"a001"', '"' + ",0.0" * 40 + '"')
+        mdp = mdp_from_json(text)
+        assert mdp.ids[1] == ",0.0" * 40
+        assert mdp.P.tobytes() == _reference_arrays(text)[2].tobytes()
+
+    def test_the_model_read_is_validated_once(self):
+        mdp = mdp_from_json(_word_model([["1"] + ["0.0"] * 79]))
+        with mock.patch("mdpgeo.core.ROW_SUM_TOL", -1.0):  # a new check fails every row
+            cli.validate(mdp)
+            with pytest.raises(ModelError, match="row sums"):
+                cli.validate(Mdp.from_arrays(80, 0.9, mdp.ids, mdp.state_of, mdp.P.copy(),
+                                             mdp.rewards))
+
+
+class TestInputHashes:
+    def test_crlf_inputs_hash_as_their_bytes(self, tmp_path, capsys):
+        model, lines = _trace_lines(tmp_path)
+        lf = {"model": (tmp_path / "norm.json").read_text(), "trace": "\n".join(lines) + "\n"}
+        results = {}
+        for eol in ("\n", "\r\n"):
+            paths = {}
+            for kind, text in lf.items():
+                paths[kind] = tmp_path / f"{kind}{len(eol)}"
+                paths[kind].write_bytes(text.replace("\n", eol).encode())
+            digest = {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in paths.items()}
+            docs = []
+            for argv in (["certify", "--trace", str(paths["trace"])], ["solve-vi"]):
+                code, cap = run(capsys, *argv, "--mdp", str(paths["model"]))
+                doc = json.loads(cap.out)
+                assert doc.pop("input_hashes") == {
+                    "mdp": digest["model"], **({"trace": digest["trace"]} if "--trace" in argv
+                                               else {})}
+                docs.append((code, doc))
+            results[eol] = docs
+        assert results["\n"] == results["\r\n"]
+        assert results["\n"][0][0] == EX_OK
+
+
+# ---------------------------------------------------------------------------
 # streamed writers
 
 

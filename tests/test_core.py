@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from mdpgeo.core import (
     span,
     validate,
 )
+from mdpgeo import core
 from mdpgeo.cli import mdp_to_json
 from mdpgeo.fixtures import m2, m2_mix
+from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import evaluate_policy, solve_exact
 
 from conftest import mdps, mdps_with_values
@@ -222,6 +225,54 @@ class TestArrayModel:
         assert m2() != m2()
         mdp = m2()
         assert mdp == mdp and len({mdp, mdp, m2()}) == 2
+
+
+class TestValidatedOnce:
+    """A model remembers a passing ``validate`` only when nothing can write its arrays."""
+
+    @staticmethod
+    def _checks_again(mdp) -> bool:
+        # with a negative tolerance every row fails, so only a remembered pass returns
+        with mock.patch.object(core, "ROW_SUM_TOL", -1.0):
+            try:
+                validate(mdp)
+            except ModelError:
+                return True
+        return False
+
+    def test_a_callers_writable_P_is_never_trusted(self):
+        P = np.array([[0.5, 0.5], [0.0, 1.0]])
+        mdp = Mdp.from_arrays(2, 0.9, ("a", "b"), np.array([0, 1]), P, np.array([0.0, 1.0]))
+        validate(mdp)
+        P[0, 0] = 0.75  # the caller's own array, under the model's read-only view
+        with pytest.raises(ModelError, match="'a' row sums to 1.25"):
+            validate(mdp)
+        assert self._checks_again(mdp)
+
+    def test_a_read_only_view_of_a_writable_array_is_not_trusted(self):
+        P = np.array([[0.5, 0.5], [0.0, 1.0]])
+        view = P.view()
+        view.setflags(write=False)
+        mdp = Mdp.from_arrays(2, 0.9, ("a", "b"), (0, 1), view, (0.0, 1.0))
+        validate(mdp)
+        assert self._checks_again(mdp)
+
+    def test_private_copies_are_sealed(self):
+        # lists, and arrays of another dtype, are copied by the model and frozen
+        for P in ([[0.5, 0.5], [0.0, 1.0]], np.array([[0.5, 0.5], [0.0, 1.0]], np.float32)):
+            mdp = Mdp.from_arrays(2, 0.9, ("a", "b"), [0, 1], P, [0.0, 1.0])
+            assert self._checks_again(mdp)  # not validated yet
+            validate(mdp)
+            assert not self._checks_again(mdp)
+        mdp = m2()  # from Action records
+        validate(mdp)
+        assert not self._checks_again(mdp)
+
+    def test_generated_models_are_validated_once(self):
+        mdp = generate(GenSpec(n_states=4, gamma=0.9, seed=3, structure="sparse"))
+        assert not self._checks_again(mdp)
+        assert self._checks_again(Mdp.from_arrays(4, 0.9, mdp.ids, mdp.state_of,
+                                                  mdp.P.copy(), mdp.rewards))
 
 
 class TestActionVector:
