@@ -271,10 +271,10 @@ def _fill_skipping_zeros(out: np.ndarray, data: bytes, words: np.ndarray,
     its fields that are exactly ``0`` or ``0.0``; ``json`` converts the others."""
     spans = np.array(rows, dtype=np.int64)
     cut_start, cut_stop, cut_row, cut_fields = _zero_runs(words, spans)
-    ends = spans[:, 1] + 1
-    ends[-1] -= 1  # no "]" after the last body
+    body_ends = spans[:, 1] + 1
+    body_ends[-1] -= 1  # no "]" after the last body
     starts = np.sort(np.concatenate((spans[:, 0], cut_stop)))
-    stops = np.sort(np.concatenate((ends, cut_start)))
+    stops = np.sort(np.concatenate((body_ends, cut_start)))
     raw = b"".join([data[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
     spaced = any(w in raw for w in (b" ", b"\n", b"\t", b"\r"))
     c = raw.translate(None, _WS) if spaced else raw
@@ -282,9 +282,9 @@ def _fill_skipping_zeros(out: np.ndarray, data: bytes, words: np.ndarray,
         raise ModelError("action probs may hold only JSON numbers, commas and whitespace")
     u = np.frombuffer(c, np.uint8)
     sep = np.flatnonzero((u == ord(",")) | (u == ord("]")))
-    ends, at = [], -1  # the row ends: no body holds a "]"
-    while (at := c.find(b"]", at + 1)) >= 0:
-        ends.append(at)
+    ends, pos = [], -1  # the row ends: no body holds a "]"
+    while (pos := c.find(b"]", pos + 1)) >= 0:
+        ends.append(pos)
     joints = np.searchsorted(sep, ends)  # their places among the separators
     skipped = np.bincount(cut_row, weights=cut_fields, minlength=len(rows))
     if b";" in c or joints.size != len(rows) - 1 or (  # ";" once joined the rows: miscounts
@@ -493,7 +493,7 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _text(data: bytes) -> str:
-    """UTF-8 ``data`` as text, each ``\r\n`` or ``\r`` read as ``\n``."""
+    """UTF-8 ``data`` as text, each ``\\r\\n`` or ``\\r`` read as ``\\n``."""
     text = data.decode("utf-8")
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 

@@ -686,6 +686,8 @@ def _empty_field_error(text: str) -> str:
     shorter than the 2n - 1 bytes that n numbers take."""
     body = text.split('"probs":[')[1]
     return _BETWEEN_COMMAS if body.index("]") >= 2 * 80 - 1 else _N_STATES_80
+
+
 # spellings of one or more fields, put deep in a run of zeros: None where json reads
 # them, else the message (or a function of the text giving it)
 _ODD_IN_A_RUN = {
