@@ -11,13 +11,12 @@ may hold only JSON number characters, commas and JSON whitespace), parses the
 small remaining skeleton with ``json``, and fills a preallocated ``P`` a
 bounded chunk of rows at a time.  When more than 3/4 of the fields of a sample
 of rows are exactly ``0`` or ``0.0``, it views the bytes as little-endian
-8-byte words: a word that is one phase of a run of ``0.0`` (or ``0``) fields
-and equals both neighbours holds only whole zero fields and commas, so it is
-skipped with a known comma count.  numpy checks the rest of each chunk's
-bytes (every row has exactly ``n_states`` fields, no whitespace splits a
-number) and marks its zeros; ``json`` converts only the other fields, so a
-sparse model makes no Python float per zero.  Otherwise ``json`` converts
-every row where it stands.  Either way ``P`` holds the very floats
+8-byte words: a word that is one phase of a run of ``0.0`` fields and equals
+both neighbours holds only whole zero fields and two commas, so it is skipped
+as two fields.  numpy checks the rest of each chunk's bytes (every row has
+exactly ``n_states`` fields, no whitespace splits a number) and marks its
+zeros; ``json`` converts only the other fields, so a sparse model makes no
+Python float per zero.  Otherwise ``json`` converts every row where it stands.  Either way ``P`` holds the very floats
 ``json.loads`` gives.  The ``input_hashes`` of model and trace files are the
 sha256 of their bytes on disk.
 
@@ -174,12 +173,9 @@ _DECODE = json.JSONDecoder().raw_decode
 _WS = b" \t\n\r"
 _NUMBER = b"0123456789+-.eE"
 _CHUNK = 1 << 17  # probabilities per fill step: bounds the temporaries
-# the 8-byte words of a run of "0.0" fields, at each phase, and of a run of "0" fields;
-# each word holds two resp. four commas
-_ZERO_RUNS = tuple(
-    (np.array([int.from_bytes(w, "little") for w in words], dtype="<u8"), commas)
-    for words, commas in (((b",0.0,0.0", b"0.0,0.0,", b".0,0.0,0", b"0,0.0,0."), 2),
-                          ((b",0,0,0,0", b"0,0,0,0,"), 4)))
+# the 8-byte words of a run of "0.0" fields, at each phase; each holds two commas
+_ZERO_RUN = np.array([int.from_bytes(w, "little")
+                     for w in (b",0.0,0.0", b"0.0,0.0,", b".0,0.0,0", b"0,0.0,0.")], dtype="<u8")
 
 
 def _cut_probs(data: bytes) -> tuple[bytes, list[tuple[int, int]]]:
@@ -238,30 +234,21 @@ def _zero_runs(words: np.ndarray, spans: np.ndarray) -> tuple[np.ndarray, ...]:
     bodies ``spans`` (an (R, 2) array of byte offsets): per run, its first and
     past-last byte offsets, the body it lies in and the fields it holds.
 
-    A word that equals one of the ``_ZERO_RUNS`` patterns and both of its
+    A word that equals one of the ``_ZERO_RUN`` patterns and both of its
     neighbours lies in a run of that pattern, 24 bytes free of brackets, so in
-    one body; every field that touches it is a whole ``0.0`` (or ``0``)
-    bounded by commas in those 24 bytes.  Cutting whole words out of a run
-    leaves text that reads as the run did, with fewer such fields."""
+    one body; every field that touches it is a whole ``0.0`` bounded by commas
+    in those 24 bytes.  Cutting whole words out of a run leaves text that
+    reads as the run did, with two fewer such fields per word."""
     lo, hi = spans[0, 0] // 8, min(-(-spans[-1, 1] // 8), words.size)
     w = words[lo:hi]
     mid = w[1:-1]
-    same = (mid == w[:-2]) & (mid == w[2:])
-    if not same.any():
-        return (np.empty(0, dtype=np.int64),) * 4
-    commas = np.zeros(mid.size, dtype=np.int8)  # per proven word; 0 for the others
-    for patterns, count in _ZERO_RUNS:
-        hit = mid == patterns[0]
-        for p in patterns[1:]:
-            hit |= mid == p
-        commas[hit & same] = count
-    edges = np.flatnonzero(np.diff(commas != 0, prepend=False, append=False))
+    proven = np.isin(mid, _ZERO_RUN) & (mid == w[:-2]) & (mid == w[2:])
+    edges = np.flatnonzero(np.diff(proven, prepend=False, append=False))
     first, last = edges[::2], edges[1::2]
     start, stop = 8 * (lo + 1 + first), 8 * (lo + 1 + last)
     body = np.searchsorted(spans[:, 0], start, "right") - 1
     inside = start < spans[body, 1]  # not in a string of the skeleton
-    fields = (last - first) * commas[first]
-    return start[inside], stop[inside], body[inside], fields[inside]
+    return start[inside], stop[inside], body[inside], 2 * (last - first)[inside]
 
 
 def _fill_skipping_zeros(out: np.ndarray, data: bytes, words: np.ndarray,
@@ -310,9 +297,6 @@ def _fill_skipping_zeros(out: np.ndarray, data: bytes, words: np.ndarray,
         values = json.loads(b"[" + picked[1:].tobytes() + b"]")
     except ValueError as exc:
         raise ModelError(f"action probs must be JSON numbers: {exc}") from None
-    if not cut_start.size:
-        out[keep] = _floats(values, len(values))
-        return
     # the field that touches a cut is a zero, so a kept field comes after exactly the
     # cuts with fewer separators before them than it has
     if spaced:

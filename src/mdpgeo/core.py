@@ -272,7 +272,8 @@ def validate(mdp: Mdp) -> None:
     lowest offending row; shapes are checked when the model is built.  A model
     whose arrays are all sealed (see ``Mdp``) is checked once.
     """
-    if vars(mdp).get("_validated"):
+    sealed = _sealed(mdp.P) and _sealed(mdp.state_of) and _sealed(mdp.rewards)
+    if sealed and vars(mdp).get("_validated"):  # a copy of a model may hold writable arrays
         return
     if mdp.n_states < 1:
         raise ModelError(f"n_states must be >= 1, got {mdp.n_states}")
@@ -300,7 +301,7 @@ def validate(mdp: Mdp) -> None:
     counts = np.bincount(states, minlength=mdp.n_states)
     if not counts.all():
         raise ModelError(f"state {int(np.argmin(counts))} has no actions")
-    if _sealed(P) and _sealed(states) and _sealed(mdp.rewards):
+    if sealed:
         vars(mdp)["_validated"] = True
 
 

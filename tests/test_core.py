@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -267,6 +269,15 @@ class TestValidatedOnce:
         mdp = m2()  # from Action records
         validate(mdp)
         assert not self._checks_again(mdp)
+
+    @pytest.mark.parametrize("copy", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
+    def test_a_copy_with_writable_arrays_is_checked_again(self, copy):
+        mdp = m2()
+        validate(mdp)
+        twin = copy(mdp)
+        twin.P[0, 0] = 5.0
+        with pytest.raises(ModelError, match="row sums to"):
+            validate(twin)
 
     def test_generated_models_are_validated_once(self):
         mdp = generate(GenSpec(n_states=4, gamma=0.9, seed=3, structure="sparse"))
