@@ -223,6 +223,39 @@ def _predicted_vi_iters(gamma: float, epsilon: float, tau: float, N: int) -> flo
     return (log(1.0 / epsilon) + log(1.0 / (1.0 - gamma))) / denom
 
 
+def _check_run(mdp: Mdp, trace: RunTrace, k: int, alpha: float) -> None:
+    """Reject a trace shorter than the k-step block or not a synchronous greedy run."""
+    if trace.iterations < k:
+        raise CertificationError(
+            f"trace has {trace.iterations} iterations but certification needs {k}"
+        )
+    _verify_sync_recurrence(mdp, trace.values, alpha=alpha)
+
+
+def _certificate(mdp: Mdp, trace: RunTrace, sol: ExactSolution, epsilon: float,
+                 spans: np.ndarray, k: int, factor: float, **fields) -> ConvergenceCertificate:
+    """The fields both certificates share, for the block inequality
+    spans[k] <= gamma^k * factor * spans[0]; ``fields`` adds the variant's own."""
+    gamma = mdp.gamma
+    gamma_eff, _ = transforms.effective_gamma(mdp)
+    return ConvergenceCertificate(
+        n=mdp.n_states,
+        m=mdp.m,
+        gamma=gamma,
+        delta=sol.delta,
+        epsilon=epsilon,
+        span_start=float(spans[0]),
+        span_end=float(spans[k]),
+        margin=float(gamma**k * factor * spans[0] - spans[k]),
+        product_bound=float(gamma**k * factor),
+        predicted_vi_iters=_predicted_vi_iters(gamma, epsilon, factor, k),
+        predicted_pi_iters=mdp.m / (1.0 - gamma_eff),
+        gamma_eff=gamma_eff,
+        trace_hash=trace.content_hash(),
+        **fields,
+    )
+
+
 def certify(mdp: Mdp, trace: RunTrace, epsilon: float = 1e-6) -> ConvergenceCertificate:
     """Certify the N-step span contraction of a standard synchronous run.
 
@@ -238,11 +271,7 @@ def certify(mdp: Mdp, trace: RunTrace, epsilon: float = 1e-6) -> ConvergenceCert
     if prim is None:
         raise AssumptionError("optimal transition matrix is not primitive")
     N, omega = prim
-    if trace.iterations < N:
-        raise CertificationError(
-            f"trace has {trace.iterations} iterations but certification needs {N}"
-        )
-    _verify_sync_recurrence(mdp, trace.values, alpha=1.0)
+    _check_run(mdp, trace, N, alpha=1.0)
 
     gamma = mdp.gamma
     spans = trace.span_v
@@ -267,28 +296,8 @@ def certify(mdp: Mdp, trace: RunTrace, epsilon: float = 1e-6) -> ConvergenceCert
     if not isfinite(phi):
         raise CertificationError(f"the mixing factor phi overflows at N={N}")
     tau = 1.0 - mdp.n_states * phi
-    rhs = gamma**N * tau * spans[0]
-    margin = float(rhs - spans[N])
-    gamma_eff, _ = transforms.effective_gamma(mdp)
-    return ConvergenceCertificate(
-        n=mdp.n_states,
-        m=mdp.m,
-        gamma=gamma,
-        delta=sol.delta,
-        epsilon=epsilon,
-        span_start=float(spans[0]),
-        span_end=float(spans[N]),
-        margin=margin,
-        product_bound=float(gamma**N * tau),
-        predicted_vi_iters=_predicted_vi_iters(gamma, epsilon, tau, N),
-        predicted_pi_iters=mdp.m / (1.0 - gamma_eff),
-        gamma_eff=gamma_eff,
-        trace_hash=trace.content_hash(),
-        N=N,
-        omega=omega,
-        phi=phi,
-        tau=tau,
-    )
+    return _certificate(mdp, trace, sol, epsilon, spans, N, tau,
+                        N=N, omega=omega, phi=phi, tau=tau)
 
 
 def certify_alpha(
@@ -307,11 +316,7 @@ def certify_alpha(
         raise CertificationError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     sol, p_star = _require_assumptions(mdp, need_normalized=False)
     n_alpha = support_exponent_with_loops(p_star)
-    if trace.iterations < n_alpha:
-        raise CertificationError(
-            f"trace has {trace.iterations} iterations but certification needs {n_alpha}"
-        )
-    _verify_sync_recurrence(mdp, trace.values, alpha=alpha)
+    _check_run(mdp, trace, n_alpha, alpha=alpha)
 
     gamma = mdp.gamma
     errors = trace.values[: n_alpha + 1] - sol.values
@@ -323,28 +328,8 @@ def certify_alpha(
     delta_alpha = min(alpha * delta_prime, (1.0 - alpha) * gamma)
     rho = (1.0 - alpha) / gamma + alpha
     tau_alpha = rho**n_alpha - mdp.n_states * delta_alpha**n_alpha
-    rhs = gamma**n_alpha * tau_alpha * e_spans[0]
-    margin = float(rhs - e_spans[n_alpha])
-    gamma_eff, _ = transforms.effective_gamma(mdp)
-    return ConvergenceCertificate(
-        n=mdp.n_states,
-        m=mdp.m,
-        gamma=gamma,
-        delta=sol.delta,
-        epsilon=epsilon,
-        span_start=float(e_spans[0]),
-        span_end=float(e_spans[n_alpha]),
-        margin=margin,
-        product_bound=float(gamma**n_alpha * tau_alpha),
-        predicted_vi_iters=_predicted_vi_iters(gamma, epsilon, tau_alpha, n_alpha),
-        predicted_pi_iters=mdp.m / (1.0 - gamma_eff),
-        gamma_eff=gamma_eff,
-        trace_hash=trace.content_hash(),
-        alpha=alpha,
-        N_alpha=n_alpha,
-        delta_alpha=delta_alpha,
-        tau_alpha=tau_alpha,
-    )
+    return _certificate(mdp, trace, sol, epsilon, e_spans, n_alpha, tau_alpha, alpha=alpha,
+                        N_alpha=n_alpha, delta_alpha=delta_alpha, tau_alpha=tau_alpha)
 
 
 @dataclass(frozen=True)
@@ -369,7 +354,7 @@ def check_lemma_adv_span(mdp: Mdp, a1: str, a2: str, v) -> LemmaReport:
     1+gamma.
     """
     v = as_values(v, mdp.n_states)
-    k1, k2 = mdp.row_of[a1], mdp.row_of[a2]
+    k1, k2 = mdp.row(a1), mdp.row(a2)
     adv = mdp.rewards + mdp.coeffs @ v
     lhs = abs(float((adv[k1] - adv[k2]) - (mdp.rewards[k1] - mdp.rewards[k2])))
     same = mdp.state_of[k1] == mdp.state_of[k2]
@@ -437,6 +422,16 @@ def check_error_recursion(
     )
 
 
+def _optimum(mdp: Mdp, solution: ExactSolution | None,
+             what: str) -> tuple[ExactSolution, np.ndarray, np.ndarray]:
+    """The exact solution, its rows and P*; AssumptionError unless V* ~ 0."""
+    sol = solution or solve_exact(mdp)
+    if float(np.max(np.abs(sol.values))) > NORMALIZED_TOL:
+        raise AssumptionError(f"{what} requires a normalized MDP")
+    opt_rows = policy_rows(mdp, sol.policy)
+    return sol, opt_rows, mdp.P[opt_rows]
+
+
 def check_update_sandwich(
     mdp: Mdp, trace: RunTrace, solution: ExactSolution | None = None
 ) -> float:
@@ -445,10 +440,7 @@ def check_update_sandwich(
     Valid for standard runs on normalized MDPs, where optimal rewards are 0
     and all rewards are <= 0.
     """
-    sol = solution or solve_exact(mdp)
-    if float(np.max(np.abs(sol.values))) > NORMALIZED_TOL:
-        raise AssumptionError("update sandwich requires a normalized MDP")
-    p_star = mdp.P[policy_rows(mdp, sol.policy)]
+    _, _, p_star = _optimum(mdp, solution, "update sandwich")
     worst = 0.0
     for t in range(trace.iterations):
         rows = trace.rows[t]
@@ -482,11 +474,8 @@ def check_mixing_bound(
     backups coincide leave d undetermined and are skipped (counted).
     Requires a normalized MDP.
     """
-    sol = solution or solve_exact(mdp)
-    if float(np.max(np.abs(sol.values))) > NORMALIZED_TOL:
-        raise AssumptionError("mixing bound requires a normalized MDP")
-    opt_rows = policy_rows(mdp, sol.policy)
-    p_star = mdp.P[opt_rows]
+    sol, opt_rows, p_star = _optimum(mdp, solution, "mixing bound")
+    gamma = mdp.gamma
     checked = 0
     skipped = 0
     min_margin = float("inf")
@@ -497,17 +486,14 @@ def check_mixing_bound(
             skipped += mdp.n_states
             continue
         rows = trace.rows[t]
-        star = p_star @ v
         cur = mdp.P[rows] @ v
-        for s in range(mdp.n_states):
-            if rows[s] == opt_rows[s]:
-                continue
-            denom = mdp.gamma * (cur[s] - star[s])
-            if abs(denom) < 1e-12:
-                skipped += 1
-                continue
-            d = (mdp.gamma * cur[s] - trace.values[t + 1][s]) / denom
-            margin = d - sol.delta / (mdp.gamma * sp)
-            checked += 1
-            min_margin = min(min_margin, float(margin))
+        denom = gamma * (cur - p_star @ v)
+        off = rows != opt_rows
+        tied = off & (np.abs(denom) < 1e-12)
+        use = off & ~tied
+        skipped += int(np.count_nonzero(tied))
+        if use.any():
+            d = (gamma * cur[use] - trace.values[t + 1][use]) / denom[use]
+            checked += int(np.count_nonzero(use))
+            min_margin = min(min_margin, float(np.min(d - sol.delta / (gamma * sp))))
     return MixingBoundReport(checked=checked, skipped=skipped, min_margin=min_margin)

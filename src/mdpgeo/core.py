@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-12
-COEFF_SUM_TOL = 1e-10
 
 
 class ModelError(ValueError):
@@ -245,21 +244,25 @@ class Policy:
             object.__setattr__(self, "values", _freeze(np.array(self.values, dtype=np.float64)))
 
 
-def policy_from_ids(mdp: Mdp, ids: Sequence[str], values=None) -> Policy:
-    """Build a policy from one action id per state, checking ownership."""
-    ids = tuple(str(i) for i in ids)
+def policy_rows(mdp: Mdp, policy: Policy) -> np.ndarray:
+    """Row indices of a policy's actions, one per state; ModelError unless the
+    policy names one known action per state, each owned by that state."""
+    ids = policy.choice
     if len(ids) != mdp.n_states:
         raise ModelError(f"policy has {len(ids)} choices for {mdp.n_states} states")
-    for s, aid in enumerate(ids):
-        owner = int(mdp.state_of[mdp.row(aid)])
-        if owner != s:
-            raise ModelError(f"action {aid!r} belongs to state {owner}, not {s}")
-    return Policy(choice=ids, values=values)
+    rows = np.array([mdp.row(aid) for aid in ids], dtype=np.intp)
+    wrong = mdp.state_of[rows] != np.arange(mdp.n_states)
+    if wrong.any():
+        s = int(np.argmax(wrong))
+        raise ModelError(f"action {ids[s]!r} belongs to state {mdp.state_of[rows[s]]}, not {s}")
+    return rows
 
 
-def policy_rows(mdp: Mdp, policy: Policy) -> np.ndarray:
-    """Row indices of a policy's actions, one per state."""
-    return np.array([mdp.row_of[aid] for aid in policy.choice], dtype=np.intp)
+def policy_from_ids(mdp: Mdp, ids: Sequence[str], values=None) -> Policy:
+    """Build a policy from one action id per state, checked by :func:`policy_rows`."""
+    policy = Policy(choice=ids, values=values)
+    policy_rows(mdp, policy)
+    return policy
 
 
 def validate(mdp: Mdp) -> None:

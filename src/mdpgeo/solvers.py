@@ -30,7 +30,6 @@ from .core import (
     Policy,
     as_values,
     greedy,
-    policy_from_ids,
     policy_rows,
     span,
     validate,
@@ -412,7 +411,7 @@ def policy_iteration(mdp: Mdp, pi0: Policy) -> tuple[Policy, PiTrace]:
     iteration.
     """
     validate(mdp)
-    rows = policy_rows(mdp, policy_from_ids(mdp, pi0.choice))
+    rows = policy_rows(mdp, pi0)
     pols: list[tuple[str, ...]] = []
     vals: list[np.ndarray] = []
     while True:

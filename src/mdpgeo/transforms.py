@@ -12,8 +12,8 @@ On top of the primitives: :func:`normalize` shifts an MDP so its optimal
 values are identically zero, and :func:`effective_gamma` drives the discount
 factor as low as the per-state coefficient slack allows.
 
-Steps act on arrays, ``(P, rewards, gamma)`` to new arrays, forming the
-coefficients exactly as ``Mdp.coeffs`` does; each public call builds one
+Steps map arrays ``(P, rewards, gamma)`` to new arrays (L: one coefficient
+column; J: one column of ``gamma * P``); each public call builds one
 :class:`~mdpgeo.core.Mdp`, at the end, and :func:`effective_gamma` builds none.
 """
 
@@ -110,18 +110,16 @@ class DiscountChange:
 
         own = mdp.state_of
         rows = np.arange(mdp.m)
-        cbar = g * P
-        cbar[rows, own] -= 1.0  # the coefficients, exactly as Mdp.coeffs forms them
-        cbar[:, state] -= g - g2
-        cross = cbar.copy()
-        cross[rows, own] += 1.0  # own-state column in gamma'*prob units
+        # gamma' * new probabilities, but at own states (the renormalization sets those)
+        cross = g * P
+        cross[:, state] -= g - g2
 
-        bad_cross = (own != state) & (cbar[:, state] < -_PROB_TOL)
+        bad_cross = (own != state) & (cross[:, state] < -_PROB_TOL)
         if np.any(bad_cross) and not force:
             k = int(np.nonzero(bad_cross)[0][0])
             raise UnsafeTransformError(
                 f"unsafe transform: action {mdp.ids[k]!r} would get coefficient "
-                f"{cbar[k, state]!r} at state {state}; only the own-state "
+                f"{cross[k, state]!r} at state {state}; only the own-state "
                 f"coefficient may be negative"
             )
         bad_own = (own == state) & (cross[:, state] < -_PROB_TOL * g2)

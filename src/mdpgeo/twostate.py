@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -165,19 +165,8 @@ class InefficiencyCertificate:
     min_margins: tuple[float, float, float] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "degenerate": self.degenerate,
-            "slope_gap": self.slope_gap,
-            "reading": self.reading,
-            "state": self.state,
-            "inefficient_action": self.inefficient_action,
-            "surviving_action": self.surviving_action,
-            "pi_low": list(self.pi_low) if self.pi_low else None,
-            "pi_high": list(self.pi_high) if self.pi_high else None,
-            "aux_low_reward": self.aux_low_reward,
-            "aux_high_reward": self.aux_high_reward,
-            "min_margins": list(self.min_margins) if self.min_margins else None,
-        }
+        """Every field but ``chain_rows``; tuples print as JSON lists."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "chain_rows"}
 
 
 def inefficiency_certificate(mdp: Mdp, action_ids=None) -> InefficiencyCertificate:

@@ -9,6 +9,7 @@ from mdpgeo.analysis import (
     RECURRENCE_BLOCK,
     AssumptionError,
     CertificationError,
+    MixingBoundReport,
     certify,
     certify_alpha,
     check_error_recursion,
@@ -111,6 +112,33 @@ def perturbed(trace, t, eps=1e-6):
     values = trace.values.copy()
     values[t + 1, 0] += eps
     return replace(trace, values=values)
+
+
+def per_state_mixing_bound(mdp, trace):
+    """Reference for check_mixing_bound: one state at a time."""
+    sol = solve_exact(mdp)
+    opt_rows = [mdp.row_of[a] for a in sol.policy.choice]
+    p_star = mdp.P[opt_rows]
+    checked, skipped, min_margin = 0, 0, float("inf")
+    for t in range(trace.iterations):
+        v = trace.values[t]
+        sp = span(v)
+        if sp <= 1e-13:
+            skipped += mdp.n_states
+            continue
+        rows = trace.rows[t]
+        star, cur = p_star @ v, mdp.P[rows] @ v
+        for s in range(mdp.n_states):
+            if rows[s] == opt_rows[s]:
+                continue
+            denom = mdp.gamma * (cur[s] - star[s])
+            if abs(denom) < 1e-12:
+                skipped += 1
+                continue
+            d = (mdp.gamma * cur[s] - trace.values[t + 1][s]) / denom
+            checked += 1
+            min_margin = min(min_margin, float(d - sol.delta / (mdp.gamma * sp)))
+    return MixingBoundReport(checked=checked, skipped=skipped, min_margin=min_margin)
 
 
 def wielandt_trace(n=50, gamma=0.999, seed=1):
@@ -326,6 +354,10 @@ class TestLemma:
         assert not rep.same_state
         assert rep.lhs == pytest.approx(1.9 * span(v), abs=1e-12)
 
+    def test_unknown_action_is_a_model_error(self):
+        with pytest.raises(ModelError, match="unknown action id 'zz'"):
+            check_lemma_adv_span(m2_mix(), "a1", "zz", np.zeros(2))
+
     def test_random_sweep(self):
         rng = np.random.default_rng(7)
         checks = 0
@@ -423,6 +455,20 @@ class TestTraceChecks:
         rep = check_mixing_bound(norm, trace)
         if rep.checked:
             assert rep.min_margin >= -1e-9
+
+    def test_mixing_bound_matches_a_per_state_loop(self):
+        checked = 0
+        for seed in range(12):
+            n = 3 + seed % 6
+            norm, _, _ = normalize(generate(GenSpec(n_states=n, gamma=0.95, seed=1200 + seed,
+                                                    max_actions=4)))
+            v0 = np.random.default_rng(seed).uniform(-30.0, 30.0, size=n)
+            trace = value_iteration(norm, ViConfig(stop="time", t_max=40, v0="given",
+                                                   v0_values=tuple(v0)))
+            rep = check_mixing_bound(norm, trace)
+            assert rep == per_state_mixing_bound(norm, trace)
+            checked += rep.checked
+        assert checked > 0
 
     def test_delta_equals_worst_normalized_reward(self):
         for seed in range(8):

@@ -12,6 +12,7 @@ from mdpgeo.core import (
     Action,
     Mdp,
     ModelError,
+    Policy,
     action_vector,
     advantage,
     advantages,
@@ -25,7 +26,7 @@ from mdpgeo import core
 from mdpgeo.cli import mdp_to_json
 from mdpgeo.fixtures import m2, m2_mix
 from mdpgeo.gen import GenSpec, generate
-from mdpgeo.solvers import evaluate_policy, solve_exact
+from mdpgeo.solvers import evaluate_policy, policy_iteration, solve_exact
 
 from conftest import mdps, mdps_with_values
 
@@ -414,6 +415,19 @@ class TestPolicy:
     def test_wrong_state_rejected(self):
         with pytest.raises(ModelError, match="belongs to state"):
             policy_from_ids(m2(), ("b1", "a1"))
+
+    @pytest.mark.parametrize("choice, message", [
+        (("b1", "a2"), "action 'b1' belongs to state 1, not 0"),
+        (("a1", "zz"), "unknown action id 'zz'"),
+        (("a1",), "policy has 1 choices for 2 states"),
+    ])
+    def test_malformed_policy_rejected_at_every_entry_point(self, choice, message):
+        mdp, pol = m2(), Policy(choice)
+        for call in (lambda: policy_from_ids(mdp, choice), lambda: evaluate_policy(mdp, pol),
+                     lambda: bellman_policy(mdp, pol, np.zeros(2)),
+                     lambda: policy_iteration(mdp, pol)):
+            with pytest.raises(ModelError, match=message):
+                call()
 
     def test_equality_ignores_values(self):
         a = policy_from_ids(m2(), ("a1", "b1"), values=np.zeros(2))

@@ -160,6 +160,58 @@ class TestApplyJ:
             np.testing.assert_allclose(v_new, change.map_values(v_old), atol=1e-9)
 
 
+def _coefficient_round_trip(mdp, state, g2, force):
+    """Reference J step: form the coefficients (-1 at own states), rewrite
+    column ``state``, add the 1 back, then divide and renormalize."""
+    P, g, own, rows = mdp.P, mdp.gamma, mdp.state_of, np.arange(mdp.m)
+    cbar = g * P
+    cbar[rows, own] -= 1.0
+    cbar[:, state] -= g - g2
+    cross = cbar.copy()
+    cross[rows, own] += 1.0
+    if not force and (np.any((own != state) & (cbar[:, state] < -1e-12))
+                      or np.any((own == state) & (cross[:, state] < -1e-12 * g2))):
+        raise UnsafeTransformError("unsafe")
+    probs = cross / g2
+    if not force:
+        probs[probs < 0.0] = 0.0
+    probs[rows, own] = 0.0
+    probs[rows, own] = 1.0 - probs.sum(axis=1)
+    if not force:
+        low = np.flatnonzero(probs[rows, own] < 0.0)
+        probs[low, own[low]] = 0.0
+        probs[low] /= probs[low].sum(axis=1, keepdims=True)
+    return probs
+
+
+class TestJStepBits:
+    """The J step reads gamma * P directly; its result keeps the bits of the
+    coefficient round trip, and it rejects the same steps."""
+
+    @given(mdps(), st.integers(0, 3), st.booleans(),
+           st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.5, 4.0]),
+                     st.floats(-2.0, 8.0)))
+    def test_matches_the_coefficient_round_trip(self, mdp, pick, force, frac):
+        s = pick % mdp.n_states
+        g2 = mdp.gamma - frac * max(float(state_slack(mdp)[s]), 0.05)
+        if not 0.0 < g2 < 1.0:
+            g2 = mdp.gamma / 2.0
+        with np.errstate(all="ignore"):
+            try:
+                want = _coefficient_round_trip(mdp, s, g2, force)
+            except UnsafeTransformError:
+                want = None
+            try:
+                got = apply_J(mdp, s, g2, force=force)[0].P
+            except UnsafeTransformError:
+                got = None
+        if g2 == mdp.gamma:
+            want = mdp.P
+        assert (want is None) == (got is None)
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
+
+
 class TestEffectiveGamma:
     def test_m2_has_no_slack(self):
         geff, log = effective_gamma(m2())
