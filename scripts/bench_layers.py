@@ -3,7 +3,7 @@
     PYTHONPATH=src python scripts/bench_layers.py [--n 1000] [--k 5] [--seed 7]
 
 Generates ``GenSpec(structure="sparse", n_states=n, sparse_k=k,
-max_actions=8, gamma=0.95)`` and times nine layers on it, each over a fixed
+max_actions=8, gamma=0.95)`` and times these layers on it, each over a fixed
 number of repeats:
 
 - ``bellman_optimal``: one greedy backup at random values;
@@ -24,12 +24,18 @@ number of repeats:
 - ``load_mdp_compact_sparse``: the CLI's read path on that compact model
   written to a file: read the file, hash it, parse and validate;
 - ``validate``: the full invariant check of the model, built on a writable
-  copy of its ``P`` (a model whose arrays are all read-only is checked once).
+  copy of its ``P`` (a model whose arrays are all read-only is checked once);
+- ``policy_iteration``: Howard policy iteration from the max-reward policy,
+  each repeat on a fresh validated model over the same arrays, so nothing a
+  model caches is reused, as in one ``solve-pi`` command.
 
 ``generate_write_peak_mib`` is the ``tracemalloc`` peak of
 ``mdpgeo.cli.main(["generate", ...])`` on the same spec, writing its model
 file into a temporary directory (``generate_file_mib`` is that file's size):
 the memory the command holds beyond the interpreter, in MiB.
+``policy_iteration_peak_mib`` is the ``tracemalloc`` peak of one
+``policy_iteration`` run on a fresh validated model: what it allocates beyond
+the model it is given.
 
 Two more layers run on ``GenSpec(structure="dense", n_states=100,
 gamma=0.95)`` with the same seed, where every state has slack, so each makes
@@ -93,7 +99,13 @@ from mdpgeo.cli import main as cli_main
 from mdpgeo.cli import mdp_from_json, mdp_to_json
 from mdpgeo.core import Mdp, bellman_optimal, validate
 from mdpgeo.gen import GenSpec, generate
-from mdpgeo.solvers import ViConfig, filter_appendix, value_iteration
+from mdpgeo.solvers import (
+    ViConfig,
+    filter_appendix,
+    max_reward_policy,
+    policy_iteration,
+    value_iteration,
+)
 from mdpgeo.transforms import effective_gamma, normalize
 from mdpgeo.twostate import verify_pi_bound
 
@@ -143,6 +155,35 @@ def _summary(seconds: list[float]) -> dict:
     ms = sorted(1e3 * s for s in seconds)
     q1, median, q3 = statistics.quantiles(ms, n=4) if len(ms) > 1 else (ms[0],) * 3
     return {"median_ms": median, "q1_ms": q1, "q3_ms": q3, "repeats": len(ms)}
+
+
+def _fresh(mdp: Mdp) -> Mdp:
+    """A validated model over the arrays of ``mdp`` that has computed nothing else."""
+    copy = Mdp.from_arrays(mdp.n_states, mdp.gamma, mdp.ids, mdp.state_of, mdp.P, mdp.rewards)
+    validate(copy)
+    return copy
+
+
+def _pi_times(mdp: Mdp, repeats: int) -> list[float]:
+    pi0 = max_reward_policy(mdp)
+    out = []
+    for _ in range(repeats):
+        fresh = _fresh(mdp)
+        t0 = time.perf_counter()
+        policy_iteration(fresh, pi0)
+        out.append(time.perf_counter() - t0)
+    return out
+
+
+def _pi_peak_mib(mdp: Mdp) -> float:
+    """The tracemalloc peak of policy iteration on a fresh model, in MiB."""
+    fresh, pi0 = _fresh(mdp), max_reward_policy(mdp)
+    tracemalloc.start()
+    try:
+        policy_iteration(fresh, pi0)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _generate_peak_mib(n: int, k: int, seed: int) -> tuple[float, float]:
@@ -236,6 +277,8 @@ def main() -> None:
     layers["verify_recurrence"] = _summary(
         _times(lambda: _verify_sync_recurrence(wiel, run.values, 1.0), 5))
     # last: a large allocation and free here would change how fast later rows allocate
+    layers["policy_iteration"] = _summary(_pi_times(mdp, 5))
+    pi_peak_mib = _pi_peak_mib(mdp)
     peak_mib, file_mib = _generate_peak_mib(args.n, args.k, args.seed)
     print(json.dumps({
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
@@ -245,6 +288,7 @@ def main() -> None:
         "dropped_by_filter": int(mdp.m - filter_appendix(mdp, 100, v100, active)[0].sum()),
         "generate_write_peak_mib": peak_mib,
         "generate_file_mib": file_mib,
+        "policy_iteration_peak_mib": pi_peak_mib,
         "layers": layers,
     }, indent=2))
 

@@ -25,7 +25,7 @@ from math import inf, isfinite, log
 
 import numpy as np
 
-from .core import Mdp, ModelError, as_values, greedy, policy_rows, span
+from .core import Mdp, ModelError, advantages, as_values, greedy, policy_rows, span
 from .solvers import ExactSolution, RunTrace, solve_exact
 from . import transforms
 
@@ -355,7 +355,7 @@ def check_lemma_adv_span(mdp: Mdp, a1: str, a2: str, v) -> LemmaReport:
     """
     v = as_values(v, mdp.n_states)
     k1, k2 = mdp.row(a1), mdp.row(a2)
-    adv = mdp.rewards + mdp.coeffs @ v
+    adv = advantages(mdp, v)
     lhs = abs(float((adv[k1] - adv[k2]) - (mdp.rewards[k1] - mdp.rewards[k2])))
     same = mdp.state_of[k1] == mdp.state_of[k2]
     factor = mdp.gamma if same else (1.0 + mdp.gamma)

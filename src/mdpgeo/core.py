@@ -8,7 +8,9 @@ Value vectors are bare float64 numpy arrays indexed by state.  Every action
 embeds into an (n+1)-vector ``(reward, coeffs)`` whose coefficients are
 ``gamma * probs`` except at the action's own state, where 1 is subtracted;
 the inner product of ``coeffs`` with a value vector plus the reward is the
-action's advantage at those values.
+action's advantage at those values.  The (m, n) matrix of all coefficients,
+``Mdp.coeffs``, is formed anew at each access and not kept by the model;
+one action's row is formed alone (:func:`action_vector`, :func:`advantage`).
 
 Every greedy backup runs on one kernel, :func:`greedy`, over the action rows
 grouped by state in id order (``Mdp.groups``, built once per model): a
@@ -134,9 +136,10 @@ class Mdp:
     copies the model made are frozen, a caller's own arrays are left as they
     are, and a writable one is checked again at every call (a caller who
     makes a frozen array writable again must not hand it to a model).
-    Derived arrays (coefficients, own-state probabilities, per-state rows
-    sorted by action id) are computed lazily and cached; ``actions`` makes
-    the rows into records.
+    Derived arrays (own-state probabilities, per-state rows sorted by action
+    id) are computed lazily and cached; ``actions`` makes the rows into
+    records.  The coefficient matrix ``coeffs`` is as large as ``P`` and is
+    formed at each access instead.
     """
 
     n_states: int
@@ -183,9 +186,11 @@ class Mdp:
         """The rows as :class:`Action` records."""
         return tuple(map(Action, self.ids, self.state_of.tolist(), self.P, self.rewards.tolist()))
 
-    @cached_property
+    @property
     def coeffs(self) -> np.ndarray:
-        """(m, n) coefficient matrix: gamma*P with 1 subtracted at own states."""
+        """(m, n) coefficient matrix: gamma*P with 1 subtracted at own states.
+
+        A new read-only array at each access: keep it while it is needed."""
         c = self.gamma * self.P
         c[np.arange(self.m), self.state_of] -= 1.0
         return _freeze(c)
@@ -309,16 +314,18 @@ def validate(mdp: Mdp) -> None:
 
 
 def action_vector(mdp: Mdp, action_id: str) -> ActionVector:
-    """Embed one action as (reward, coefficients)."""
+    """Embed one action as (reward, coefficients): row ``coeffs[k]`` formed alone."""
     k = mdp.row(action_id)
-    return ActionVector(reward=float(mdp.rewards[k]), coeffs=mdp.coeffs[k])
+    coeffs = mdp.gamma * mdp.P[k]
+    coeffs[mdp.state_of[k]] -= 1.0
+    return ActionVector(reward=float(mdp.rewards[k]), coeffs=coeffs)
 
 
 def advantage(mdp: Mdp, action_id: str, v) -> float:
     """reward + coeffs . v for one action at values v."""
     v = as_values(v, mdp.n_states)
-    k = mdp.row(action_id)
-    return float(mdp.rewards[k] + mdp.coeffs[k] @ v)
+    av = action_vector(mdp, action_id)
+    return float(av.reward + av.coeffs @ v)
 
 
 def advantages(mdp: Mdp, v) -> np.ndarray:

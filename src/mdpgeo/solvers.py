@@ -28,6 +28,7 @@ from .core import (
     ROW_SUM_TOL,
     Mdp,
     Policy,
+    advantages,
     as_values,
     greedy,
     policy_rows,
@@ -262,6 +263,8 @@ def _shared_error(mdp: Mdp, v: np.ndarray) -> float:
     two products differ by at most 3*gamma_n*S, the rounded ``coeffs`` entries
     and the scalar operations by under 8u*S + 3u*|r|; the factor 4 leaves room
     for rounding the margin and this bound, ``tiny`` for underflowing products.
+    Both users of the shared ``P @ v`` trust it under this bound:
+    :func:`filter_appendix` and the improvement step of :func:`policy_iteration`.
     """
     k = (mdp.n_states + 4) * np.finfo(np.float64).eps / 2
     s = (1.0 + ROW_SUM_TOL) * float(np.max(np.abs(v)))
@@ -271,7 +274,7 @@ def _shared_error(mdp: Mdp, v: np.ndarray) -> float:
 
 def _filter_exact(mdp: Mdp, v: np.ndarray, active: np.ndarray,
                   bound: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
-    adv = mdp.rewards + mdp.coeffs @ v
+    adv = advantages(mdp, v)
     drop = active & (adv + bound < 0.0)
     if not np.any(drop):
         return active, ()
@@ -385,21 +388,61 @@ def evaluate_policy(mdp: Mdp, policy: Policy) -> np.ndarray:
 
 
 def evaluate_rows(mdp: Mdp, rows: np.ndarray) -> np.ndarray:
+    """Exact values of the policy taking row ``rows[s]`` at each state s;
+    ModelError when they overflow."""
     p = mdp.P[rows]
     r = mdp.rewards[rows]
     try:
-        return np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * p, r)
+        v = np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * p, r)
     except np.linalg.LinAlgError as exc:  # cannot occur for gamma < 1, guarded anyway
         raise SolverError(f"policy evaluation solve failed: {exc}") from exc
+    return as_values(v, mdp.n_states)
 
 
 @dataclass
 class PiTrace:
-    """Policies and their exact values along a policy-iteration run."""
+    """Policies and their exact values along a policy-iteration run.
+
+    ``switched`` holds, per round, the number of states whose row the
+    improvement changed (0 in the confirming last round); ``fallbacks``
+    counts the rounds that needed the exact advantage product (see
+    :func:`policy_iteration`).  Both stay in memory only.
+    """
 
     policies: tuple[tuple[str, ...], ...]
     values: np.ndarray
     iterations: int
+    switched: tuple[int, ...] = ()
+    fallbacks: int = 0
+
+
+def _improve(mdp: Mdp, rows: np.ndarray, adv: np.ndarray,
+             err: float | None = None) -> np.ndarray | None:
+    """Howard's improved rows at advantages ``adv``: a state keeps its row while
+    that is within PI_TIE_TOL of its best advantage, else takes its best row.
+
+    Given ``err``, a bound on how far ``adv`` lies from the exact product,
+    returns None unless every state provably decides as it would there:
+    either its keep test clears its threshold by more than 2*err (its row
+    and its best each move by at most err), or its top row leads the
+    runner-up by more than 2*err (so the exact top row is the same) and the
+    state holds that row or fails its keep test by more than 2*err.  Exact
+    ties go to the lowest action id, so a near-tie is never trusted.
+    """
+    if err is not None and not np.isfinite(adv).all():
+        return None
+    u, best = greedy(mdp, adv, error=SolverError)
+    nxt = np.where(adv[rows] >= u - PI_TIE_TOL, rows, best)
+    if err is None:
+        return nxt
+    order, starts, _ = mdp.groups
+    others = adv.copy()
+    others[best] = -np.inf
+    lead = u - np.maximum.reduceat(others[order], starts)  # inf for a single row
+    margin = adv[rows] - (u - PI_TIE_TOL)
+    clear = 2.0 * err
+    sure = (margin > clear) | ((lead > clear) & ((margin < -clear) | (best == rows)))
+    return nxt if sure.all() else None
 
 
 def policy_iteration(mdp: Mdp, pi0: Policy) -> tuple[Policy, PiTrace]:
@@ -409,23 +452,34 @@ def policy_iteration(mdp: Mdp, pi0: Policy) -> tuple[Policy, PiTrace]:
     Stops when the improved policy equals the current one.  The iteration
     count includes that confirming round, so a fixed point costs one
     iteration.
+
+    Each round forms the advantages as ``rewards + gamma * (P @ v) -
+    v[state_of]``, with no m x n coefficient matrix, and redoes the round
+    with the exact :func:`advantages` (counted in ``PiTrace.fallbacks``)
+    unless the bound of :func:`_shared_error` proves every decision.
     """
     validate(mdp)
     rows = policy_rows(mdp, pi0)
     pols: list[tuple[str, ...]] = []
     vals: list[np.ndarray] = []
+    switched: list[int] = []
+    fallbacks = 0
     while True:
         v = evaluate_rows(mdp, rows)
         pols.append(tuple(mdp.ids[k] for k in rows))
         vals.append(v)
-        adv = mdp.rewards + mdp.coeffs @ v
-        u, best = greedy(mdp, adv, error=SolverError)
-        nxt = np.where(adv[rows] >= u - PI_TIE_TOL, rows, best)
-        if np.array_equal(nxt, rows):
+        adv = mdp.rewards + mdp.gamma * (mdp.P @ v) - v[mdp.state_of]
+        nxt = _improve(mdp, rows, adv, _shared_error(mdp, v))
+        if nxt is None:
+            nxt = _improve(mdp, rows, advantages(mdp, v))
+            fallbacks += 1
+        switched.append(int(np.count_nonzero(nxt != rows)))
+        if not switched[-1]:
             break
         rows = nxt
     final = Policy(choice=pols[-1], values=vals[-1])
-    return final, PiTrace(policies=tuple(pols), values=np.vstack(vals), iterations=len(pols))
+    return final, PiTrace(policies=tuple(pols), values=np.vstack(vals), iterations=len(pols),
+                          switched=tuple(switched), fallbacks=fallbacks)
 
 
 def brute_force_solve(mdp: Mdp) -> tuple[Policy, np.ndarray]:
@@ -497,7 +551,7 @@ def solve_exact(mdp: Mdp, brute_check: bool | None = None) -> ExactSolution:
                 f"policy iteration and brute force disagree by {err:.3e}"
             )
 
-    adv = mdp.rewards + mdp.coeffs @ values
+    adv = advantages(mdp, values)
     chosen = np.zeros(mdp.m, dtype=bool)
     chosen[policy_rows(mdp, pol)] = True
     others = adv[~chosen]

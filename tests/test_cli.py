@@ -308,6 +308,20 @@ class TestCommands:
             "s00a00", "s01a00", "s02a00"
         )
 
+    def test_overflowing_values_exit_65(self, tmp_path, capsys):
+        # a valid model whose values overflow: every solver says so as VI does
+        big = Mdp(2, (Action("a", 0, (1.0, 0.0), 1e308), Action("b", 1, (0.0, 1.0), 0.0)), 0.9)
+        model = tmp_path / "big.json"
+        model.write_text(mdp_to_json(big))
+        for argv in (["solve-vi", "--stop", "span:1e-6"], ["solve-pi"],
+                     ["normalize", "--out", str(tmp_path / "norm.json")]):
+            code, cap = run(capsys, *argv, "--mdp", str(model))
+            assert (code, cap.out) == (EX_DATAERR, "")
+            assert cap.err == "error:ModelError:value vector has non-finite entries\n"
+        code, cap = run(capsys, "gamma-eff", "--mdp", str(model))
+        assert code == EX_OK
+        assert json.loads(cap.out)["gamma_eff"] == 0.9
+
     def test_certify_underflow_exit_code(self, tmp_path, capsys):
         half = (0.5, 0.5)
         mdp = Mdp(2, (Action("a1", 0, half, 0.0), Action("a2", 0, (1.0, 0.0), -0.01),

@@ -332,6 +332,14 @@ class TestAdvantage:
         for aid in sol.policy.choice:
             assert abs(advantage(mdp, aid, sol.values)) < 1e-8
 
+    @given(mdps_with_values())
+    def test_one_row_has_the_bits_of_the_matrix_row(self, case):
+        mdp, v = case
+        coeffs = mdp.coeffs
+        for k, aid in enumerate(mdp.ids):
+            assert action_vector(mdp, aid).coeffs.tobytes() == coeffs[k].tobytes()
+            assert advantage(mdp, aid, v) == float(mdp.rewards[k] + coeffs[k] @ v)
+
 
 class TestBellman:
     def test_policy_backup_rewards_only(self):

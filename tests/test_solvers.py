@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -6,7 +7,16 @@ import pytest
 from hypothesis import given
 
 from mdpgeo import solvers
-from mdpgeo.core import Action, Mdp, ModelError, Policy, advantages, policy_from_ids, span
+from mdpgeo.core import (
+    Action,
+    Mdp,
+    ModelError,
+    Policy,
+    advantages,
+    policy_from_ids,
+    span,
+    validate,
+)
 from mdpgeo.fixtures import m2, m2_mix
 from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import (
@@ -16,6 +26,7 @@ from mdpgeo.solvers import (
     evaluate_policy,
     filter_appendix,
     hard_iteration_cap,
+    max_reward_policy,
     policy_iteration,
     solve_exact,
     value_iteration,
@@ -275,12 +286,102 @@ def test_filtered_run_matches_the_exact_filter(mdp, t_max):
     assert shared.content_hash() == exact.content_hash()
 
 
+def _exact_pi(mdp, pi0):
+    """Policy iteration with every round improved from the exact product."""
+    with mock.patch.object(solvers, "_shared_error", lambda mdp, v: np.inf):
+        return policy_iteration(mdp, pi0)
+
+
+def _assert_same_run(shared, exact):
+    assert shared[0] == exact[0]
+    assert shared[0].values.tobytes() == exact[0].values.tobytes()
+    a, b = shared[1], exact[1]
+    assert (a.policies, a.iterations, a.switched) == (b.policies, b.iterations, b.switched)
+    assert a.values.tobytes() == b.values.tobytes()
+
+
+@given(mdps(), st.integers(0, 2**32 - 1))
+def test_howard_run_matches_the_exact_improvement(mdp, seed):
+    rng = np.random.default_rng(seed)
+    pi0 = Policy(tuple(mdp.ids[rng.choice(rows)] for rows in mdp.state_rows))
+    shared, exact = policy_iteration(mdp, pi0), _exact_pi(mdp, pi0)
+    assert exact[1].fallbacks == exact[1].iterations
+    _assert_same_run(shared, exact)
+
+
 class TestPolicyIteration:
     def test_m2_mix_from_worst_start(self):
         pol, trace = policy_iteration(m2_mix(), policy_from_ids(m2_mix(), ("a2", "b2")))
         assert pol.choice == ("a1", "b1")
         assert trace.iterations <= 4
         assert trace.policies == (("a2", "b2"), ("a2", "b1"), ("a1", "b1"))
+        assert trace.switched == (1, 1, 0)
+        assert trace.fallbacks == 0
+
+    def test_near_tie_takes_the_exact_product(self):
+        # at the values of (a, d), b and c tie up to rounding: the exact product
+        # puts c on top, r + gamma*(P @ v) - v_own puts b there
+        mdp = Mdp(2, (
+            Action("a", 0, (0.5969877305237564, 0.4030122694762436), -1.691664765997845),
+            Action("b", 0, (0.9176922571709127, 0.08230774282908726), -0.046203091657904594),
+            Action("c", 0, (0.689630155447081, 0.31036984455291905), -0.16827073021788863),
+            Action("d", 1, (0.500356430736871, 0.49964356926312903), -1.1486760186386626),
+        ), 0.9)
+        pi0 = Policy(("a", "d"))
+        v = evaluate_policy(mdp, pi0)
+        exact = advantages(mdp, v)
+        shared = mdp.rewards + mdp.gamma * (mdp.P @ v) - v[mdp.state_of]
+        assert exact[2] > exact[1] and shared[1] > shared[2]
+        run = policy_iteration(mdp, pi0)
+        assert run[1].policies[1] == ("c", "d")
+        assert run[1].fallbacks == 1
+        _assert_same_run(run, _exact_pi(mdp, pi0))
+
+    def test_keep_test_on_its_threshold_takes_the_exact_product(self):
+        # b beats a by PI_TIE_TOL up to rounding: the exact product keeps a,
+        # r + gamma*(P @ v) - v_own would switch to b
+        mdp = Mdp(2, (
+            Action("a", 0, (0.43263079080478717, 0.5673692091952128), -0.30886130691948877),
+            Action("b", 0, (0.9674359524936766, 0.03256404750632336), -0.1076281599069219),
+            Action("d", 1, (0.6692972985745202, 0.33070270142547975), 0.5327375970964656),
+        ), 0.5)
+        pi0 = Policy(("a", "d"))
+        v = evaluate_policy(mdp, pi0)
+        exact = advantages(mdp, v)
+        shared = mdp.rewards + mdp.gamma * (mdp.P @ v) - v[mdp.state_of]
+        tol = solvers.PI_TIE_TOL
+        assert exact[0] >= exact[1] - tol and not shared[0] >= shared[1] - tol
+        run = policy_iteration(mdp, pi0)
+        assert run[1].policies == (("a", "d"),) and run[1].fallbacks == 1
+        _assert_same_run(run, _exact_pi(mdp, pi0))
+
+    def test_non_finite_shared_advantages_are_not_trusted(self):
+        mdp = m2_mix()
+        rows = np.array([mdp.row("a2"), mdp.row("b2")])
+        adv = advantages(mdp, evaluate_policy(mdp, Policy(("a2", "b2"))))
+        assert solvers._improve(mdp, rows, adv, 1e-12) is not None
+        for bad in (np.inf, -np.inf, np.nan):
+            assert solvers._improve(mdp, rows, np.where(adv == adv.max(), bad, adv), 1e-12) is None
+
+    def test_no_second_coefficient_matrix(self):
+        mdp = generate(GenSpec(n_states=300, gamma=0.95, seed=3, structure="sparse",
+                               sparse_k=5, max_actions=8))
+        validate(mdp)
+        pi0 = max_reward_policy(mdp)
+        tracemalloc.start()
+        try:
+            _, trace = policy_iteration(mdp, pi0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.fallbacks == 0
+        assert peak < mdp.P.nbytes
+
+    def test_overflowing_values_are_a_model_error(self):
+        mdp = Mdp(2, (Action("a", 0, (1.0, 0.0), 1e308), Action("b", 1, (0.0, 1.0), 0.0)), 0.9)
+        for solve in (lambda: policy_iteration(mdp, Policy(("a", "b"))), lambda: solve_exact(mdp)):
+            with pytest.raises(ModelError, match="value vector has non-finite entries"):
+                solve()
 
     def test_single_action_converges_in_one(self):
         mdp = Mdp(2, (Action("a", 0, (1.0, 0.0), 0.0), Action("b", 1, (0.0, 1.0), 1.0)), 0.9)
