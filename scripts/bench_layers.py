@@ -12,8 +12,9 @@ number of repeats:
 - ``vi_filtered_iteration``: the same for a run with the action filter,
   started from the upper bound;
 - ``filter_appendix``: one filtering pass at V_100 of a run started from the
-  upper bound, where part of the actions are provably suboptimal, computing
-  its own advantage product;
+  upper bound, where part of the actions are provably suboptimal, forming
+  its own ``P @ V_100`` (the exact advantage product only where the shared
+  product's rounding bound cannot decide a row);
 - ``filter_appendix_shared``: the same pass given ``P @ V_100``, the product
   value iteration shares between the filter and the next backup (left out
   on checkouts whose filter takes no such argument);

@@ -223,6 +223,11 @@ def _predicted_vi_iters(gamma: float, epsilon: float, tau: float, N: int) -> flo
     return (log(1.0 / epsilon) + log(1.0 / (1.0 - gamma))) / denom
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (0.0 < epsilon < inf):
+        raise CertificationError(f"epsilon must be finite and > 0, got {epsilon}")
+
+
 def _check_run(mdp: Mdp, trace: RunTrace, k: int, alpha: float) -> None:
     """Reject a trace shorter than the k-step block or not a synchronous greedy run."""
     if trace.iterations < k:
@@ -264,8 +269,10 @@ def certify(mdp: Mdp, trace: RunTrace, epsilon: float = 1e-6) -> ConvergenceCert
     (the recurrence is re-verified from the values, so traces loaded from
     files certify the same way as fresh ones); a block whose mixing factor
     phi is not a finite float is rejected, and an underflowing block names
-    log10(n*phi) from the logs of phi's factors.
+    log10(n*phi) from the logs of phi's factors.  ``epsilon`` must be finite
+    and positive, here and in :func:`certify_alpha`.
     """
+    _check_epsilon(epsilon)
     sol, p_star = _require_assumptions(mdp, need_normalized=True)
     prim = primitivity(p_star)
     if prim is None:
@@ -314,6 +321,7 @@ def certify_alpha(
     """
     if not (0.0 < alpha < 1.0):
         raise CertificationError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    _check_epsilon(epsilon)
     sol, p_star = _require_assumptions(mdp, need_normalized=False)
     n_alpha = support_exponent_with_loops(p_star)
     _check_run(mdp, trace, n_alpha, alpha=alpha)

@@ -29,8 +29,9 @@ Every command emits a deterministic JSON summary
 on stdout carrying sha256 hashes of its input files; timestamps never enter
 any output.
 
-Flags can also be provided through MDPGEO_-prefixed environment variables
-(e.g. MDPGEO_ALPHA); an explicit flag wins.
+A value-taking flag can also be given as the environment variable
+MDPGEO_<DEST>, its dest upper-cased (MDPGEO_ALPHA; ``certify --alpha`` reads
+MDPGEO_CERT_ALPHA); an explicit flag wins.
 
 Exit codes: 0 success, 2 iteration-cap abort, 64 usage, 65 invalid data,
 66 missing input, 73 output cannot be written.
@@ -529,10 +530,17 @@ def _load_mdp(path: str) -> tuple[Mdp, str]:
     return _mdp_from_bytes(data), hashlib.sha256(data).hexdigest()
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
-    if out_path:
-        _write_chunks(out_path, [text])
+def _emit(args, fields: dict, inputs: dict | None = None, tail: dict | None = None,
+          out: str | None = None) -> None:
+    """Print the summary of ``args.command``: version, command, the command's own
+    ``fields``, the sha256 of the files it read (``inputs``), then ``tail``;
+    ``out`` also gets a copy."""
+    doc = {"version": 1, "command": args.command, **fields}
+    if inputs:
+        doc["input_hashes"] = inputs
+    text = json.dumps(doc | (tail or {}), indent=2) + "\n"
+    if out:
+        _write_chunks(out, [text])
     sys.stdout.write(text)
 
 
@@ -543,46 +551,49 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def _env(name: str, fallback=None):
-    return os.environ.get(f"MDPGEO_{name}", fallback)
+_STOP_RULES = {"time": ("time", "t_max", int), "span": ("span", "epsilon", float),
+               "vspan": ("value_span", "epsilon", float)}
+_V0_CHOICES = {"zeros": "zeros", "upper": "upper_bound"}
 
 
-def _stop_spec(text: str):
+def _stop_spec(text: str) -> dict:
+    """``--stop`` as ``ViConfig`` keywords: ``actions``, ``time:T``, ``span:EPS``
+    or ``vspan:EPS``."""
     if text == "actions":
-        return ("actions", None)
+        return {"stop": "actions"}
     kind, sep, value = text.partition(":")
     if not sep:
         raise argparse.ArgumentTypeError(f"bad stop spec {text!r}")
+    if kind not in _STOP_RULES:
+        raise argparse.ArgumentTypeError(f"unknown stop rule {text!r}")
+    stop, key, convert = _STOP_RULES[kind]
     try:
-        if kind == "time":
-            return ("time", int(value))
-        if kind == "span":
-            return ("span", float(value))
-        if kind == "vspan":
-            return ("value_span", float(value))
+        return {"stop": stop, key: convert(value)}
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad stop value in {text!r}") from None
-    raise argparse.ArgumentTypeError(f"unknown stop rule {text!r}")
 
 
-def _schedule_spec(text: str):
+def _schedule_spec(text: str) -> dict:
+    """``--schedule`` as ``ViConfig`` keywords: ``sync`` or ``rr:K``."""
     if text == "sync":
-        return ("sync", None)
+        return {"schedule": "sync"}
     kind, sep, value = text.partition(":")
     if kind == "rr" and sep:
         try:
-            return ("round_robin", int(value))
+            return {"schedule": "round_robin", "round_robin_k": int(value)}
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad round-robin count in {text!r}") from None
     raise argparse.ArgumentTypeError(f"unknown schedule {text!r}")
 
 
-def _v0_spec(text: str):
-    if text in ("zeros", "upper"):
-        return (text, None)
-    kind, sep, value = text.partition(":")
+def _v0_spec(text: str) -> dict:
+    """``--v0`` as ``ViConfig`` keywords: ``zeros``, ``upper`` or ``file:PATH``;
+    for a file, ``v0_values`` holds its path until the command reads it."""
+    if text in _V0_CHOICES:
+        return {"v0": _V0_CHOICES[text]}
+    kind, sep, path = text.partition(":")
     if kind == "file" and sep:
-        return ("file", value)
+        return {"v0": "given", "v0_values": path}
     raise argparse.ArgumentTypeError(f"unknown v0 choice {text!r}")
 
 
@@ -609,61 +620,34 @@ def _cmd_generate(args) -> int:
         )
     mdp = generate(spec)
     output_hash = _write_chunks(args.out, _mdp_json_pieces(mdp))
-    _emit(
-        {
-            "version": 1,
-            "command": "generate",
-            "seed": spec.seed,
-            "structure": spec.structure,
-            "n_states": mdp.n_states,
-            "n_actions": mdp.m,
-            "gamma": mdp.gamma,
-            "output_hash": output_hash,
-        },
-        None,
-    )
+    _emit(args, {
+        "seed": spec.seed,
+        "structure": spec.structure,
+        "n_states": mdp.n_states,
+        "n_actions": mdp.m,
+        "gamma": mdp.gamma,
+        "output_hash": output_hash,
+    })
     return EX_OK
 
 
 def _cmd_solve_vi(args) -> int:
     mdp, mdp_hash = _load_mdp(args.mdp)
-    stop_kind, stop_val = args.stop
-    sched_kind, sched_k = args.schedule
-    v0_kind, v0_arg = args.v0
-    v0_values = None
-    if v0_kind == "file":
-        v0_values = _read_list(v0_arg, "values file", float)
-        v0_kind = "given"
-    elif v0_kind == "upper":
-        v0_kind = "upper_bound"
-    cfg = ViConfig(
-        alpha=args.alpha,
-        stop=stop_kind,
-        t_max=stop_val if stop_kind == "time" else None,
-        epsilon=stop_val if stop_kind in ("span", "value_span") else None,
-        filter=args.filter,
-        schedule=sched_kind,
-        round_robin_k=sched_k or 1,
-        v0=v0_kind,
-        v0_values=v0_values,
-    )
+    v0 = args.v0
+    if v0["v0"] == "given":  # read here, so its errors exit 66/65, not 64
+        v0 = {"v0": "given", "v0_values": _read_list(v0["v0_values"], "values file", float)}
+    cfg = ViConfig(alpha=args.alpha, filter=args.filter, **args.stop, **args.schedule, **v0)
     trace = value_iteration(mdp, cfg)
     if args.trace:
         _write_chunks(args.trace, _trace_csv_lines(trace))
-    _emit(
-        {
-            "version": 1,
-            "command": "solve-vi",
-            "policy": list(trace.final_policy.choice),
-            "values": [float(x) for x in trace.values[-1]],
-            "iterations": trace.iterations,
-            "stop_reason": trace.stop_reason,
-            "active_actions": int(trace.active_counts[-1]),
-            "trace_hash": trace.content_hash(),
-            "input_hashes": {"mdp": mdp_hash},
-        },
-        args.out,
-    )
+    _emit(args, {
+        "policy": list(trace.final_policy.choice),
+        "values": [float(x) for x in trace.values[-1]],
+        "iterations": trace.iterations,
+        "stop_reason": trace.stop_reason,
+        "active_actions": int(trace.active_counts[-1]),
+        "trace_hash": trace.content_hash(),
+    }, {"mdp": mdp_hash}, out=args.out)
     return EX_OK if trace.converged else EX_CAP
 
 
@@ -676,18 +660,12 @@ def _cmd_solve_pi(args) -> int:
     else:
         pi0 = policy_from_ids(mdp, _read_list(args.pi0, "policy file", str))
     policy, trace = policy_iteration(mdp, pi0)
-    _emit(
-        {
-            "version": 1,
-            "command": "solve-pi",
-            "policy": list(policy.choice),
-            "values": [float(x) for x in policy.values],
-            "iterations": trace.iterations,
-            "policy_sequence": [list(c) for c in trace.policies],
-            "input_hashes": {"mdp": mdp_hash},
-        },
-        args.out,
-    )
+    _emit(args, {
+        "policy": list(policy.choice),
+        "values": [float(x) for x in policy.values],
+        "iterations": trace.iterations,
+        "policy_sequence": [list(c) for c in trace.policies],
+    }, {"mdp": mdp_hash}, out=args.out)
     return EX_OK
 
 
@@ -695,39 +673,27 @@ def _cmd_normalize(args) -> int:
     mdp, mdp_hash = _load_mdp(args.mdp)
     normalized, policy, log = normalize(mdp)
     output_hash = _write_chunks(args.out, _mdp_json_pieces(normalized))
-    _emit(
-        {
-            "version": 1,
-            "command": "normalize",
-            "optimal_policy": list(policy.choice),
-            "shifts": [
-                {"state": step.state, "delta": step.delta} for step in log.steps
-            ],
-            "output_hash": output_hash,
-            "input_hashes": {"mdp": mdp_hash},
-        },
-        None,
-    )
+    _emit(args, {
+        "optimal_policy": list(policy.choice),
+        "shifts": [
+            {"state": step.state, "delta": step.delta} for step in log.steps
+        ],
+        "output_hash": output_hash,
+    }, {"mdp": mdp_hash})
     return EX_OK
 
 
 def _cmd_gamma_eff(args) -> int:
     mdp, mdp_hash = _load_mdp(args.mdp)
     gamma_eff, log = effective_gamma(mdp)
-    _emit(
-        {
-            "version": 1,
-            "command": "gamma-eff",
-            "gamma": mdp.gamma,
-            "gamma_eff": gamma_eff,
-            "clamped": bool(gamma_eff <= GAMMA_FLOOR),
-            "steps": [
-                {"state": s.state, "gamma_to": s.gamma_to} for s in log.steps
-            ],
-            "input_hashes": {"mdp": mdp_hash},
-        },
-        args.out,
-    )
+    _emit(args, {
+        "gamma": mdp.gamma,
+        "gamma_eff": gamma_eff,
+        "clamped": bool(gamma_eff <= GAMMA_FLOOR),
+        "steps": [
+            {"state": s.state, "gamma_to": s.gamma_to} for s in log.steps
+        ],
+    }, {"mdp": mdp_hash}, out=args.out)
     return EX_OK
 
 
@@ -735,14 +701,11 @@ def _cmd_certify(args) -> int:
     mdp, mdp_hash = _load_mdp(args.mdp)
     trace_text, trace_hash = _read_text(args.trace)
     trace = trace_from_csv(trace_text, gamma=mdp.gamma)
-    if args.alpha is None:
+    if args.cert_alpha is None:
         cert = certify(mdp, trace, epsilon=args.epsilon)
     else:
-        cert = certify_alpha(mdp, trace, alpha=args.alpha, epsilon=args.epsilon)
-    doc = {"version": 1, "command": "certify"}
-    doc.update(cert.to_dict())
-    doc["input_hashes"] = {"mdp": mdp_hash, "trace": trace_hash}
-    _emit(doc, args.out)
+        cert = certify_alpha(mdp, trace, alpha=args.cert_alpha, epsilon=args.epsilon)
+    _emit(args, cert.to_dict(), {"mdp": mdp_hash, "trace": trace_hash}, out=args.out)
     return EX_OK
 
 
@@ -753,27 +716,20 @@ def _cmd_twostate(args) -> int:
     if args.mdp:
         mdp, mdp_hash = _load_mdp(args.mdp)
         report = verify_pi_bound(mdp)
-        doc = {
-            "version": 1,
-            "command": "twostate",
+        tail = {"certificate": inefficiency_certificate(mdp).to_dict()} if mdp.m >= 3 else None
+        _emit(args, {
             "action_count": report.action_count,
             "max_pi_iterations": report.max_iterations,
             "set_sizes": report.set_sizes,
             "violations": len(report.violations),
             "violation_details": report.violations,
-            "input_hashes": {"mdp": mdp_hash},
-        }
-        if mdp.m >= 3:
-            doc["certificate"] = inefficiency_certificate(mdp).to_dict()
-        _emit(doc, args.out)
+        }, {"mdp": mdp_hash}, tail, out=args.out)
         return EX_OK if report.ok else EX_DATAERR
 
     result = run_twostate_suite(
         n_instances=args.suite, max_actions=args.max_actions, seed=args.seed
     )
-    doc = {"version": 1, "command": "twostate"}
-    doc.update(result)
-    _emit(doc, args.out)
+    _emit(args, result, out=args.out)
     return EX_OK if result["violations"] == 0 else EX_DATAERR
 
 
@@ -782,66 +738,74 @@ def _cmd_twostate(args) -> int:
 
 
 def _build_parser() -> _Parser:
+    """The parser; a value-taking flag defaults to ``MDPGEO_<DEST>`` when that
+    variable is set (which also satisfies a required flag), and an explicit
+    flag wins."""
     parser = _Parser(prog="mdpgeo", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a seeded random model")
-    g.add_argument("--seed", type=int, required=_env("SEED") is None, default=_env("SEED"))
-    g.add_argument("--n-states", type=int, default=_env("N_STATES", "2"))
-    g.add_argument("--gamma", type=float, default=_env("GAMMA", "0.9"))
-    g.add_argument("--structure", choices=STRUCTURES, default=_env("STRUCTURE", "dense"))
-    g.add_argument("--min-actions", type=int, default=_env("MIN_ACTIONS", "1"))
-    g.add_argument("--max-actions", type=int, default=_env("MAX_ACTIONS", "4"))
-    g.add_argument("--sparse-k", type=int, default=_env("SPARSE_K", "2"))
-    g.add_argument("--beta", type=float, default=_env("BETA", "0.5"))
-    g.add_argument("--spec", default=_env("SPEC"), help="GenSpec JSON file")
-    g.add_argument("--out", required=_env("OUT") is None, default=_env("OUT"))
+    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--n-states", type=int, default=2)
+    g.add_argument("--gamma", type=float, default=0.9)
+    g.add_argument("--structure", choices=STRUCTURES, default="dense")
+    g.add_argument("--min-actions", type=int, default=1)
+    g.add_argument("--max-actions", type=int, default=4)
+    g.add_argument("--sparse-k", type=int, default=2)
+    g.add_argument("--beta", type=float, default=0.5)
+    g.add_argument("--spec", help="GenSpec JSON file")
+    g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_generate)
 
     vi = sub.add_parser("solve-vi", help="run value iteration")
-    vi.add_argument("--mdp", required=_env("MDP") is None, default=_env("MDP"))
-    vi.add_argument("--alpha", type=float, default=_env("ALPHA", "1.0"))
-    vi.add_argument("--stop", type=_stop_spec, default=_env("STOP", "span:1e-6"))
-    vi.add_argument("--filter", choices=("none", "appendix"), default=_env("FILTER", "none"))
-    vi.add_argument("--schedule", type=_schedule_spec, default=_env("SCHEDULE", "sync"))
-    vi.add_argument("--v0", type=_v0_spec, default=_env("V0", "zeros"))
-    vi.add_argument("--trace", default=_env("TRACE"))
-    vi.add_argument("--out", default=_env("OUT"))
+    vi.add_argument("--mdp", required=True)
+    vi.add_argument("--alpha", type=float, default=1.0)
+    vi.add_argument("--stop", type=_stop_spec, default="span:1e-6")
+    vi.add_argument("--filter", choices=("none", "appendix"), default="none")
+    vi.add_argument("--schedule", type=_schedule_spec, default="sync")
+    vi.add_argument("--v0", type=_v0_spec, default="zeros")
+    vi.add_argument("--trace")
+    vi.add_argument("--out")
     vi.set_defaults(func=_cmd_solve_vi)
 
     pi = sub.add_parser("solve-pi", help="run Howard policy iteration")
-    pi.add_argument("--mdp", required=_env("MDP") is None, default=_env("MDP"))
-    pi.add_argument("--pi0", default=_env("PI0", "maxreward"),
+    pi.add_argument("--mdp", required=True)
+    pi.add_argument("--pi0", default="maxreward",
                     help="maxreward | first | path to a JSON list of action ids")
-    pi.add_argument("--out", default=_env("OUT"))
+    pi.add_argument("--out")
     pi.set_defaults(func=_cmd_solve_pi)
 
     nm = sub.add_parser("normalize", help="shift rewards so optimal values are 0")
-    nm.add_argument("--mdp", required=_env("MDP") is None, default=_env("MDP"))
-    nm.add_argument("--out", required=_env("OUT") is None, default=_env("OUT"))
+    nm.add_argument("--mdp", required=True)
+    nm.add_argument("--out", required=True)
     nm.set_defaults(func=_cmd_normalize)
 
     ge = sub.add_parser("gamma-eff", help="lowest safely reachable discount factor")
-    ge.add_argument("--mdp", required=_env("MDP") is None, default=_env("MDP"))
-    ge.add_argument("--out", default=_env("OUT"))
+    ge.add_argument("--mdp", required=True)
+    ge.add_argument("--out")
     ge.set_defaults(func=_cmd_gamma_eff)
 
     ce = sub.add_parser("certify", help="convergence certificate from a trace")
-    ce.add_argument("--mdp", required=_env("MDP") is None, default=_env("MDP"))
-    ce.add_argument("--trace", required=_env("TRACE") is None, default=_env("TRACE"))
-    ce.add_argument("--alpha", type=float, default=_env("CERT_ALPHA"))
-    ce.add_argument("--epsilon", type=float, default=_env("EPSILON", "1e-6"))
-    ce.add_argument("--out", default=_env("OUT"))
+    ce.add_argument("--mdp", required=True)
+    ce.add_argument("--trace", required=True)
+    ce.add_argument("--alpha", type=float, dest="cert_alpha", metavar="ALPHA")
+    ce.add_argument("--epsilon", type=float, default=1e-6)
+    ce.add_argument("--out")
     ce.set_defaults(func=_cmd_certify)
 
     ts = sub.add_parser("twostate", help="two-state bound verification")
-    ts.add_argument("--mdp", default=_env("MDP"))
-    ts.add_argument("--suite", type=int, default=_env("SUITE"))
-    ts.add_argument("--max-actions", type=int, default=_env("MAX_ACTIONS", "12"))
-    ts.add_argument("--seed", type=int, default=_env("SEED", "0"))
-    ts.add_argument("--out", default=_env("OUT"))
+    ts.add_argument("--mdp")
+    ts.add_argument("--suite", type=int)
+    ts.add_argument("--max-actions", type=int, default=12)
+    ts.add_argument("--seed", type=int, default=0)
+    ts.add_argument("--out")
     ts.set_defaults(func=_cmd_twostate)
 
+    for command in sub.choices.values():
+        for action in command._actions:  # every one but -h takes a value
+            if action.nargs != 0 and (value := os.environ.get(
+                    f"MDPGEO_{action.dest.upper()}")) is not None:
+                action.default, action.required = value, False
     return parser
 
 
@@ -850,8 +814,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "twostate" and not args.mdp and not args.suite:
-        sys.stderr.write("error:usage:twostate needs either --mdp or --suite\n")
+    if args.command == "twostate" and not args.mdp and (args.suite is None or args.suite < 1):
+        sys.stderr.write("error:usage:twostate needs either --mdp or --suite N with N >= 1\n")
         return EX_USAGE
     try:
         return args.func(args)

@@ -237,12 +237,14 @@ def filter_appendix(mdp: Mdp, t: int, v, active: np.ndarray,
     every active row's margin is farther from 0 than the rounding bound of
     :func:`_shared_error`, and no state is emptied (the kept row is chosen
     by the advantage values).  Otherwise it computes the exact product.
-    With ``pv`` the result gains a third item, True when it fell back.
+    Without ``pv`` the pass validates the model and forms ``P @ v`` itself;
+    with it the result gains a third item, True when it fell back.
     """
     v = as_values(v, mdp.n_states)
-    bound = (1.0 - mdp.gamma * mdp.p_own) * mdp.gamma**t / (1.0 - mdp.gamma)
     if pv is None:
-        return _filter_exact(mdp, v, active, bound)
+        validate(mdp)
+        return filter_appendix(mdp, t, v, active, mdp.P @ v)[:2]
+    bound = (1.0 - mdp.gamma * mdp.p_own) * mdp.gamma**t / (1.0 - mdp.gamma)
     margin = mdp.rewards + mdp.gamma * pv - v[mdp.state_of] + bound
     if np.all((np.abs(margin) > _shared_error(mdp, v)) | ~active):
         drop = active & (margin < 0.0)
@@ -389,11 +391,17 @@ def evaluate_policy(mdp: Mdp, policy: Policy) -> np.ndarray:
 
 def evaluate_rows(mdp: Mdp, rows: np.ndarray) -> np.ndarray:
     """Exact values of the policy taking row ``rows[s]`` at each state s;
-    ModelError when they overflow."""
-    p = mdp.P[rows]
-    r = mdp.rewards[rows]
+    ModelError when they overflow.
+
+    ``I - gamma * P[rows]`` is built in the one copy ``P[rows]``, entry for
+    entry as that expression rounds: ``0.0 - x`` negates exactly (and gives
+    +0.0 for a zero) and ``-x + 1.0`` rounds as ``1.0 - x`` does."""
+    a = mdp.P[rows]
+    a *= mdp.gamma
+    np.subtract(0.0, a, out=a)
+    a.flat[::mdp.n_states + 1] += 1.0
     try:
-        v = np.linalg.solve(np.eye(mdp.n_states) - mdp.gamma * p, r)
+        v = np.linalg.solve(a, mdp.rewards[rows])
     except np.linalg.LinAlgError as exc:  # cannot occur for gamma < 1, guarded anyway
         raise SolverError(f"policy evaluation solve failed: {exc}") from exc
     return as_values(v, mdp.n_states)

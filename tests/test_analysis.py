@@ -398,6 +398,16 @@ class TestEmpiricalRate:
             empirical_rate(trace, burn_in=5)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, np.nan, np.inf])
+def test_epsilon_must_be_finite_and_positive(epsilon):
+    norm, trace = normalized_trace()
+    with pytest.raises(CertificationError, match="epsilon must be finite and > 0"):
+        certify(norm, trace, epsilon=epsilon)
+    norm, trace = normalized_trace(t_max=20, alpha=0.5)
+    with pytest.raises(CertificationError, match="epsilon must be finite and > 0"):
+        certify_alpha(norm, trace, alpha=0.5, epsilon=epsilon)
+
+
 class TestAlphaCertificate:
     def test_m2_mix(self):
         norm, trace = normalized_trace(t_max=20, alpha=0.5)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -258,6 +259,37 @@ class TestCommands:
         code, cap = run(capsys, "twostate")
         assert code == EX_USAGE
 
+    @pytest.mark.parametrize("k", ["0", "-1", "3"])
+    def test_round_robin_count_outside_the_states(self, model_path, capsys, k):
+        code, cap = run(capsys, "solve-vi", "--mdp", model_path, "--schedule", f"rr:{k}")
+        assert (code, cap.out) == (EX_USAGE, "")
+        assert cap.err == "error:config:round_robin_k must lie in [1, n_states]\n"
+
+    @pytest.mark.parametrize("suite", ["0", "-5"])
+    def test_twostate_suite_below_one(self, capsys, monkeypatch, suite):
+        code, cap = run(capsys, "twostate", "--suite", suite)
+        assert (code, cap.out) == (EX_USAGE, "")
+        monkeypatch.setenv("MDPGEO_SUITE", suite)
+        code, cap = run(capsys, "twostate")
+        assert (code, cap.out) == (EX_USAGE, "")
+
+    @pytest.mark.parametrize("alpha", [[], ["--alpha", "0.5"]])
+    @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
+    def test_certify_epsilon_must_be_finite_and_positive(self, tmp_path, capsys, epsilon,
+                                                         alpha):
+        norm, _, _ = normalize(m2_mix())
+        model = tmp_path / "norm.json"
+        model.write_text(mdp_to_json(norm))
+        cfg = ViConfig(alpha=0.5 if alpha else 1.0, stop="time", t_max=20, v0="given",
+                       v0_values=(1.0, 0.0))
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text(trace_to_csv(value_iteration(norm, cfg)))
+        code, cap = run(capsys, "certify", "--mdp", str(model), "--trace", str(trace_path),
+                        "--epsilon", epsilon, *alpha)
+        assert (code, cap.out) == (EX_DATAERR, "")
+        assert cap.err == ("error:CertificationError:epsilon must be finite and > 0, "
+                           f"got {float(epsilon)}\n")
+
     def test_env_variables_supply_flags(self, model_path, capsys, monkeypatch):
         monkeypatch.setenv("MDPGEO_MDP", model_path)
         monkeypatch.setenv("MDPGEO_STOP", "time:2")
@@ -354,6 +386,57 @@ class TestCommands:
         doc = json.loads(cap.out)
         assert doc["N_alpha"] == 1
         assert doc["margin"] >= 0
+
+
+_ENV_NAMES = {f"MDPGEO_{name}" for name in (
+    "SEED N_STATES GAMMA STRUCTURE MIN_ACTIONS MAX_ACTIONS SPARSE_K BETA SPEC OUT MDP ALPHA "
+    "STOP FILTER SCHEDULE V0 TRACE PI0 CERT_ALPHA EPSILON SUITE").split()}
+# two values each flag parses, by the flag's type
+_SAMPLES = {int: ("3", "5"), float: ("0.25", "0.5"), None: ("a.json", "b.json"),
+            cli._stop_spec: ("time:3", "vspan:0.5"), cli._schedule_spec: ("rr:2", "sync"),
+            cli._v0_spec: ("file:v.json", "upper")}
+
+
+def _value_flags():
+    """(command, action) for every value-taking flag of every subcommand."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, a) for name, p in sub.choices.items() for a in p._actions
+            if a.option_strings and a.nargs != 0]
+
+
+def _samples(action):
+    return (action.choices[-1], action.choices[0]) if action.choices else _SAMPLES[action.type]
+
+
+@pytest.mark.parametrize("command,action", _value_flags(),
+                         ids=lambda x: x.option_strings[0] if hasattr(x, "dest") else x)
+def test_environment_variable_parses_as_its_flag(command, action, monkeypatch):
+    for name in [n for n in os.environ if n.startswith("MDPGEO_")]:
+        monkeypatch.delenv(name)
+    required = [arg for name, other in _value_flags()
+                if name == command and other.required and other.dest != action.dest
+                for arg in (other.option_strings[0], _samples(other)[0])]
+
+    def parse(*argv):
+        return vars(cli._build_parser().parse_args([command, *required, *argv]))
+
+    flag, (value, other) = action.option_strings[0], _samples(action)
+    by_flag, by_other = parse(flag, value), parse(flag, other)
+    assert by_flag[action.dest] != by_other[action.dest]
+    if action.required:
+        with pytest.raises(SystemExit):
+            parse()
+    monkeypatch.setenv(f"MDPGEO_{action.dest.upper()}", value)
+    assert parse() == by_flag  # and the variable satisfies a required flag
+    assert parse(flag, other) == by_other  # an explicit flag wins
+
+
+def test_environment_variables_are_the_documented_names():
+    assert {f"MDPGEO_{a.dest.upper()}" for _, a in _value_flags()} == _ENV_NAMES
+    with mock.patch.object(os.environ, "get", wraps=os.environ.get) as get:
+        cli._build_parser()
+    assert {c.args[0] for c in get.call_args_list if c.args[0].startswith("MDPGEO_")} == _ENV_NAMES
 
 
 def _values_file(tmp_path, values):

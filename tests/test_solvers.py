@@ -259,15 +259,17 @@ class TestFilter:
         v = np.full(2, 100.0)  # every advantage sits far below the bound
         active = np.ones(mdp.m, dtype=bool)
         new, removed, fell_back = filter_appendix(mdp, 50, v, active, pv=mdp.P @ v)
-        expect, expect_removed = filter_appendix(mdp, 50, v, active)
+        with mock.patch.object(solvers, "_shared_error", lambda mdp, v: np.inf):
+            expect, expect_removed = filter_appendix(mdp, 50, v, active)
         assert fell_back and new.sum() == mdp.n_states
         np.testing.assert_array_equal(new, expect)
         assert removed == expect_removed
 
 
 def _exact_filter(mdp, t, v, active, pv=None):
-    """The filter without the shared product: the exact pass every time."""
-    return (*filter_appendix(mdp, t, v, active), True)
+    """The filter with no row proven: the exact pass every time."""
+    with mock.patch.object(solvers, "_shared_error", lambda mdp, v: np.inf):
+        return filter_appendix(mdp, t, v, active, pv)
 
 
 @given(mdps(), st.integers(0, 60))
@@ -284,6 +286,20 @@ def test_filtered_run_matches_the_exact_filter(mdp, t_max):
     assert shared.values.tobytes() == exact.values.tobytes()
     np.testing.assert_array_equal(shared.rows, exact.rows)
     assert shared.content_hash() == exact.content_hash()
+
+
+@given(mdps(max_states=6), st.data())
+def test_evaluation_solves_the_matrix_of_the_plain_form(mdp, data):
+    if data.draw(st.booleans()):  # -0.0 probabilities: the plain form gives +0.0 off the diagonal
+        mdp = Mdp.from_arrays(mdp.n_states, mdp.gamma, mdp.ids, mdp.state_of,
+                              np.where(mdp.P == 0.0, -0.0, mdp.P), mdp.rewards)
+    rows = np.array([data.draw(st.sampled_from(r.tolist())) for r in mdp.state_rows],
+                    dtype=np.intp)
+    plain = np.eye(mdp.n_states) - mdp.gamma * mdp.P[rows]
+    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+        v = solvers.evaluate_rows(mdp, rows)
+    assert solve.call_args.args[0].tobytes() == plain.tobytes()
+    assert v.tobytes() == np.linalg.solve(plain, mdp.rewards[rows]).tobytes()
 
 
 def _exact_pi(mdp, pi0):
@@ -376,6 +392,21 @@ class TestPolicyIteration:
             tracemalloc.stop()
         assert trace.fallbacks == 0
         assert peak < mdp.P.nbytes
+
+    def test_evaluation_holds_one_matrix(self):
+        n = 400
+        rng = np.random.default_rng(5)
+        P = rng.random((n, n))
+        P /= P.sum(axis=1, keepdims=True)
+        mdp = Mdp.from_arrays(n, 0.9, [f"a{k}" for k in range(n)], np.arange(n), P,
+                              rng.random(n))
+        tracemalloc.start()
+        try:
+            solvers.evaluate_rows(mdp, np.arange(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
     def test_overflowing_values_are_a_model_error(self):
         mdp = Mdp(2, (Action("a", 0, (1.0, 0.0), 1e308), Action("b", 1, (0.0, 1.0), 0.0)), 0.9)
