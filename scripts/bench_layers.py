@@ -38,9 +38,16 @@ the memory the command holds beyond the interpreter, in MiB.
 ``policy_iteration`` run on a fresh validated model: what it allocates beyond
 the model it is given.
 
-Two more layers run on ``GenSpec(structure="dense", n_states=100,
-gamma=0.95)`` with the same seed, where every state has slack, so each makes
-one transform step per state:
+Three more layers run on ``GenSpec(structure="dense", n_states=100,
+gamma=0.95)`` with the same seed:
+
+- ``generate_dense_100``: ``generate`` of that spec.  Almost every row of 100
+  entries is rejected and drawn again, so the block of uniforms that
+  ``generate`` draws first for a dense model is thrown away at its first row
+  and the row-by-row loop draws the model: the block draw's worst case.
+
+Every state of that model has slack, so the other two make one transform
+step per state:
 
 - ``normalize``: the exact solve plus one reward shift per state;
 - ``effective_gamma``: one discount change per state.
@@ -255,7 +262,9 @@ def main() -> None:
     checked = Mdp.from_arrays(mdp.n_states, mdp.gamma, mdp.ids, mdp.state_of, mdp.P.copy(),
                               mdp.rewards)
     layers["validate"] = _summary(_times(lambda: validate(checked), 20))
-    dense = generate(GenSpec(n_states=DENSE_N, gamma=0.95, seed=args.seed, structure="dense"))
+    dense_spec = GenSpec(n_states=DENSE_N, gamma=0.95, seed=args.seed, structure="dense")
+    layers["generate_dense_100"] = _summary(_times(lambda: generate(dense_spec), 5))
+    dense = generate(dense_spec)
     layers["normalize"] = _summary(_times(lambda: normalize(dense), 5))
     layers["effective_gamma"] = _summary(_times(lambda: effective_gamma(dense), 5))
     two = generate(GenSpec(n_states=2, gamma=0.9, seed=args.seed, structure="dense",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, twostate
+from . import analysis, gen, twostate
 from .core import Mdp, Policy, advantages, policy_rows, span
 from .gen import GenSpec, generate
 from .solvers import ViConfig, evaluate_policy, policy_iteration, solve_exact, value_iteration
@@ -206,27 +206,32 @@ def run_twostate_suite(n_instances: int, max_actions: int = 12, seed: int = 0) -
     Per instance: Howard iteration from every start stays within the action
     count, the produce/form dynamics lose an action per round, and (for
     three or more actions, nondegenerate slopes) a named inefficient action
-    exists and is indeed never produced.
+    exists and is indeed never produced.  Instances are checked in one batch per
+    pair of action counts; one that fails is checked alone, which words why.
     """
     per_state = max(1, max_actions // 2)
+    specs = [GenSpec(n_states=2, gamma=_GAMMAS[i % 3], seed=seed + i, structure="dense",
+                     min_actions=1, max_actions=min(per_state, 6)) for i in range(n_instances)]
+    groups: dict[tuple[int, ...], list] = {}
+    for i, spec in enumerate(specs):
+        counts, _, P, rewards = gen._draw(np.random.default_rng(spec.seed), spec, spec.bonus_beta)
+        groups.setdefault(tuple(counts.tolist()), []).append((i, P, rewards))
+    worst, degenerate, (certified, flagged) = 0, 0, np.zeros((2, n_instances), dtype=bool)
+    for (k0, k1), group in groups.items():
+        index, P, rewards = map(np.array, zip(*group))
+        report = twostate.check_batch(np.array(_GAMMAS)[index % 3], P, rewards, k0)
+        worst, flagged[index] = max(worst, int(report["max_iterations"].max())), ~report["ok"]
+        if k0 + k1 >= 3:
+            certified[index], margins = ~report["degenerate"], report["min_margins"]
+            degenerate += int(report["degenerate"].sum())
+            flagged[index] |= certified[index] & (report["produced"] | (margins[:, 1] <= 0.0)
+                                                  | (margins.min(axis=1) < -1e-12))
     violations: list[str] = []
-    degenerate = 0
-    certificates = 0
-    worst_iters = 0
-    for i in range(n_instances):
-        mdp = generate(GenSpec(n_states=2, gamma=(0.5, 0.9, 0.99)[i % 3],
-                               seed=seed + i, structure="dense",
-                               min_actions=1, max_actions=min(per_state, 6)))
-        report = twostate.verify_pi_bound(mdp)
-        worst_iters = max(worst_iters, report.max_iterations)
-        if not report.ok:
-            violations.extend(f"seed {seed + i}: {v}" for v in report.violations)
-        if mdp.m >= 3:
+    for i in np.flatnonzero(flagged).tolist():  # checked alone, as one model
+        report = twostate.verify_pi_bound(mdp := generate(specs[i]))
+        violations.extend(f"seed {seed + i}: {v}" for v in report.violations)
+        if certified[i]:
             cert = twostate.inefficiency_certificate(mdp)
-            if cert.degenerate:
-                degenerate += 1
-                continue
-            certificates += 1
             if cert.inefficient_action in report.sets[1]:  # what the full set produces
                 violations.append(
                     f"seed {seed + i}: named action {cert.inefficient_action} was produced"
@@ -240,8 +245,8 @@ def run_twostate_suite(n_instances: int, max_actions: int = 12, seed: int = 0) -
         "violations": len(violations),
         "violation_details": violations[:20],
         "degenerate": degenerate,
-        "certificates": certificates,
-        "max_pi_iterations": worst_iters,
+        "certificates": int(certified.sum()),
+        "max_pi_iterations": worst,
     }
 
 

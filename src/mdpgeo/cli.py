@@ -806,6 +806,8 @@ def _build_parser() -> _Parser:
             if action.nargs != 0 and (value := os.environ.get(
                     f"MDPGEO_{action.dest.upper()}")) is not None:
                 action.default, action.required = value, False
+                if action.choices is not None:  # argparse checks only a given flag's choices
+                    action.type = lambda text, c=command, a=action: c._check_value(a, text) or text
     return parser
 
 

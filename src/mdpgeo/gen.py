@@ -28,7 +28,9 @@ from .solvers import solve_exact
 __all__ = ["GenSpec", "PlantingError", "generate"]
 
 STRUCTURES = ("dense", "sparse", "planted_optimal", "periodic_optimal", "wielandt")
+PLANTED = STRUCTURES[2:]
 MIN_ROW_ENTRY = 1e-3
+_WIDEST_ROW = 1000  # a row of n entries has one <= 1/n, so a wider row never passes
 PLANT_ATTEMPTS = 10
 
 
@@ -60,13 +62,15 @@ class GenSpec:
             raise ValueError("need 1 <= min_actions <= max_actions")
         if self.structure == "sparse" and not (1 <= self.sparse_k <= self.n_states):
             raise ValueError("sparse_k must lie in [1, n_states]")
-        if self.structure in ("planted_optimal", "periodic_optimal", "wielandt"):
+        if self.structure in PLANTED:
             if not (0.0 < self.bonus_beta < 1.0):
                 raise ValueError("bonus_beta must lie strictly inside (0, 1)")
         return self
 
 
 def _dense_row(rng: np.random.Generator, n: int) -> np.ndarray:
+    if n > _WIDEST_ROW:
+        raise ValueError(f"a dense row of {n} entries cannot keep every entry >= {MIN_ROW_ENTRY}")
     while True:
         u = rng.uniform(size=n)
         row = u / u.sum()
@@ -79,14 +83,6 @@ def _sparse_row(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     row = np.zeros(n)
     row[support] = _dense_row(rng, k)
     return row
-
-
-def _reward(rng: np.random.Generator, high: float = 1.0) -> float:
-    return float(np.round(rng.uniform(0.0, high), 6))
-
-
-def _action_counts(rng: np.random.Generator, spec: GenSpec) -> np.ndarray:
-    return rng.integers(spec.min_actions, spec.max_actions + 1, size=spec.n_states)
 
 
 def _aid(state: int, j: int) -> str:
@@ -114,27 +110,40 @@ def _planted_row(rng: np.random.Generator, spec: GenSpec, s: int) -> np.ndarray:
     return row
 
 
+def _draw(rng: np.random.Generator, spec: GenSpec, beta: float) -> tuple[np.ndarray, ...]:
+    """Per state the action count, the rows' states, ``P`` and the rewards, in id order.
+    A dense model's rows and rewards come from one block of uniforms, the loop's draws while
+    it rejects no row (a double reads a 64-bit word and leaves the 32-bit half integer
+    draws buffer alone); from the first rejected row on, the loop draws the rest."""
+    n, planted = spec.n_states, spec.structure in PLANTED
+    counts = rng.integers(spec.min_actions, spec.max_actions + 1, size=n)
+    state_of = np.repeat(np.arange(n), counts)
+    P, rewards, stop = np.empty((state_of.size, n)), np.ones(state_of.size), 0
+    if spec.structure == "dense" and n <= _WIDEST_ROW:
+        saved, u = rng.bit_generator.state, rng.random((len(P), n + 1))
+        rows = u[:, :n] / u[:, :n].sum(axis=1, keepdims=True)
+        bad = np.flatnonzero(~(rows.min(axis=1) >= MIN_ROW_ENTRY) & (n > 1))
+        stop = int(bad[0]) if bad.size else len(P)
+        P[:stop], rewards[:stop] = rows[:stop], np.round(u[:stop, n], 6)
+        if bad.size:  # back to where the rejected row's draw began
+            rng.bit_generator.state = saved
+            rng.random(stop * (n + 1))
+    for k, s in enumerate(state_of[stop:].tolist(), start=stop):
+        if planted and (k == 0 or state_of[k - 1] != s):  # action 0
+            P[k] = _planted_row(rng, spec, s)
+        else:
+            P[k] = (_sparse_row(rng, n, spec.sparse_k) if spec.structure == "sparse"
+                    else _dense_row(rng, n))
+            rewards[k] = np.round(rng.uniform(0.0, (1.0 - beta) if planted else 1.0), 6)
+    return counts, state_of, P, rewards
+
+
 def _build(rng: np.random.Generator, spec: GenSpec, beta: float) -> Mdp:
-    planted = spec.structure in ("planted_optimal", "periodic_optimal", "wielandt")
-    counts = _action_counts(rng, spec)
-    P = np.empty((int(counts.sum()), spec.n_states))  # filled in place: one copy of P
-    ids, states, rewards = [], [], []  # drawn in id order
-    for s in range(spec.n_states):
-        for j in range(int(counts[s])):
-            if planted and j == 0:
-                P[len(ids)] = _planted_row(rng, spec, s)
-                reward = 1.0
-            else:
-                if spec.structure == "sparse":
-                    P[len(ids)] = _sparse_row(rng, spec.n_states, spec.sparse_k)
-                else:
-                    P[len(ids)] = _dense_row(rng, spec.n_states)
-                reward = _reward(rng, high=(1.0 - beta) if planted else 1.0)
-            ids.append(_aid(s, j))
-            states.append(s)
-            rewards.append(reward)
-    P.setflags(write=False)  # nothing writes it again, so the model is validated once
-    return Mdp.from_arrays(spec.n_states, spec.gamma, ids, states, P, rewards)
+    counts, state_of, P, rewards = _draw(rng, spec, beta)
+    for a in (P, state_of, rewards):  # nothing writes them again: the model is validated once
+        a.setflags(write=False)
+    ids = [_aid(s, j) for s, k in enumerate(counts.tolist()) for j in range(k)]
+    return Mdp.from_arrays(spec.n_states, spec.gamma, ids, state_of, P, rewards)
 
 
 def generate(spec: GenSpec) -> Mdp:
@@ -146,7 +155,7 @@ def generate(spec: GenSpec) -> Mdp:
     """
     spec = spec.validated()
     rng = np.random.default_rng(spec.seed)
-    planted = spec.structure in ("planted_optimal", "periodic_optimal", "wielandt")
+    planted = spec.structure in PLANTED
     if spec.structure == "periodic_optimal" and spec.n_states < 2:
         raise ValueError("periodic_optimal needs n_states >= 2")
     if spec.structure == "wielandt" and spec.n_states < 2:

@@ -9,11 +9,11 @@ witnessed constructively: two auxiliary self-loop actions pinned to the
 extreme-slope policies sandwich one concrete action's advantage below a
 surviving action's advantage on every formed policy.
 
-Everything runs on one pair core per model, with ``Policy`` objects only at
-the boundary (:func:`formed_policies`): each policy is a pair of action rows
-with closed-form values and every action's advantage at them.  An action set
-is a boolean mask per state, producing is one maximum per pair column, and
-Howard's improvement is an int map over the pairs.
+Everything runs on one pair core over a batch of models with equal action
+counts (one model is a batch of one), with ``Policy`` objects only at the
+boundary: each policy is a pair of action rows with closed-form values and
+every action's advantage at them.  An action set is a boolean mask per state,
+producing one maximum per pair column, Howard's improvement an int map on pairs.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .core import Mdp, ModelError, Policy, validate
 __all__ = [
     "InefficiencyCertificate",
     "PiBoundReport",
+    "check_batch",
     "formed_policies",
     "inefficiency_certificate",
     "produced_actions",
@@ -40,35 +41,44 @@ TIE_TOL = 1e-9
 DEGENERATE_TOL = 1e-9
 
 
+def _advantages(gamma, P, rewards, state_of, values) -> np.ndarray:
+    """(B, m, pairs) advantages at the pairs' values: per model, its gemm when alone."""
+    c = gamma[:, None, None] * P  # Mdp.coeffs: 1 subtracted at own states
+    c[:, np.arange(P.shape[1]), state_of] -= 1.0
+    return rewards[:, :, None] + c @ values.transpose(0, 2, 1)
+
+
+def _core(gamma, P, rewards, state_of, rows):
+    """The (B, pairs, 2) closed-form values and per state the (B, k_s, pairs)
+    advantages of models sharing ``state_of`` and ``rows`` (per state, its rows
+    in id order); pair ``i * k1 + j`` takes row i of state 0 and row j of state 1."""
+    g = gamma[:, None]
+    (p0, r0), (p1, r1) = ((P[:, k], rewards[:, k]) for k in rows)
+    a00 = (1.0 - g * p0[..., 0])[:, :, None]  # rows: choice at state 0
+    a01 = (g * p0[..., 1])[:, :, None]
+    b10 = (g * p1[..., 0])[:, None, :]  # cols: choice at state 1
+    b11 = (1.0 - g * p1[..., 1])[:, None, :]
+    det = a00 * b11 - a01 * b10
+    v0 = (r0[:, :, None] * b11 + a01 * r1[:, None, :]) / det
+    v1 = (r1[:, None, :] * a00 + b10 * r0[:, :, None]) / det
+    values = np.stack([v0.reshape(len(g), -1), v1.reshape(len(g), -1)], axis=2)
+    adv = _advantages(gamma, P, rewards, state_of, values)
+    return values, (adv[:, rows[0]], adv[:, rows[1]])
+
+
 @functools.lru_cache(maxsize=1)  # one model's checks share its core; holds one model alive
 def _pairs(mdp: Mdp) -> tuple[tuple[tuple[str, ...], ...], np.ndarray, tuple[np.ndarray, ...]]:
-    """The pair core: per state the action ids in id order (``Mdp.state_rows``),
-    the (pairs, 2) values of every pair, and per state the (k_s, pairs)
-    advantages of its rows.  Pair ``i * k1 + j`` takes the i-th action of state
-    0 and the j-th of state 1, so pairs run in product order.  Values come from
-    the closed form of the 2x2 system, equal to a dense solve to machine precision.
-    """
+    """Per state the action ids in id order, then the model's core as a batch of one."""
     if mdp.n_states != 2:
         raise ModelError(f"operation is defined for 2-state MDPs, got n={mdp.n_states}")
     validate(mdp)
-    rows0, rows1 = mdp.state_rows
-    g = mdp.gamma
-    r0, p0, r1, p1 = mdp.rewards[rows0], mdp.P[rows0], mdp.rewards[rows1], mdp.P[rows1]
-    a00 = (1.0 - g * p0[:, 0])[:, None]  # rows: choice at state 0
-    a01 = (g * p0[:, 1])[:, None]
-    b10 = (g * p1[:, 0])[None, :]  # cols: choice at state 1
-    b11 = (1.0 - g * p1[:, 1])[None, :]
-    det = a00 * b11 - a01 * b10
-    v0 = (r0[:, None] * b11 + a01 * r1[None, :]) / det
-    v1 = (r1[None, :] * a00 + b10 * r0[:, None]) / det
-    values = np.stack([v0.ravel(), v1.ravel()], axis=1)
-    adv = mdp.rewards[:, None] + mdp.coeffs @ values.T
-    ids = tuple(tuple(mdp.ids[k] for k in rows.tolist()) for rows in (rows0, rows1))
-    return ids, values, (adv[rows0], adv[rows1])
+    rows = mdp.state_rows
+    ids = tuple(tuple(mdp.ids[k] for k in r.tolist()) for r in rows)
+    return ids, *_core(np.array([mdp.gamma]), mdp.P[None], mdp.rewards[None], mdp.state_of, rows)
 
 
 def _members(mdp: Mdp, action_ids) -> tuple[np.ndarray, np.ndarray]:
-    """Per state, which of its rows (``Mdp.state_rows``) an action set holds."""
+    """Per state, which of its rows (``Mdp.state_rows``) a set holds; a batch of one."""
     if action_ids is None:
         masks = tuple(np.ones(rows.size, dtype=bool) for rows in mdp.state_rows)
     else:
@@ -77,26 +87,37 @@ def _members(mdp: Mdp, action_ids) -> tuple[np.ndarray, np.ndarray]:
         masks = tuple(member[rows] for rows in mdp.state_rows)
     if not (masks[0].any() and masks[1].any()):
         raise ModelError("action set must contain actions on both states")
-    return masks
+    return masks[0][None], masks[1][None]
 
 
 def _formed(masks) -> np.ndarray:
-    """The pairs an action set forms, in product order."""
-    return np.flatnonzero(np.outer(*masks))
+    """(B, pairs): the pairs each action set forms."""
+    return (masks[0][:, :, None] & masks[1][:, None, :]).reshape(len(masks[0]), -1)
 
 
 def _chosen(ids, masks) -> list[list[str]]:
-    return [list(itertools.compress(i, m.tolist())) for i, m in zip(ids, masks)]
+    return [list(itertools.compress(i, m[0].tolist())) for i, m in zip(ids, masks)]
 
 
-def _produce(adv, masks, cols) -> tuple[np.ndarray, np.ndarray]:
+def _produce(adv, masks, formed) -> tuple[np.ndarray, np.ndarray]:
     """Per state, the set's rows within ``TIE_TOL`` of the set's best advantage
-    at one of the columns."""
+    at one of the ``formed`` pairs."""
     out = []
     for a, mask in zip(adv, masks):
-        a = np.where(mask[:, None], a[:, cols], -np.inf)
-        out.append((a >= a.max(axis=0) - TIE_TOL).any(axis=1))
+        a = np.where(mask[:, :, None], a, -np.inf)
+        out.append(((a >= a.max(axis=1, keepdims=True) - TIE_TOL) & formed[:, None]).any(axis=2))
     return tuple(out)
+
+
+def _dynamics(adv, masks) -> tuple[list, np.ndarray]:
+    """Rounds of produce(form(.)), and (B, rounds) set sizes until they stop shrinking."""
+    rounds, sizes = [masks], [sum(m.sum(axis=1) for m in masks)]
+    live = sizes[0] > 2
+    while live.any():
+        rounds.append(_produce(adv, rounds[-1], _formed(rounds[-1])))
+        sizes.append(np.where(live, sum(m.sum(axis=1) for m in rounds[-1]), 0))
+        live &= (sizes[-1] > 2) & (sizes[-1] < sizes[-2])
+    return rounds, np.stack(sizes, axis=1)
 
 
 def formed_policies(mdp: Mdp, action_ids) -> tuple[Policy, ...]:
@@ -115,24 +136,17 @@ def produced_actions(mdp: Mdp, policies, action_ids) -> frozenset[str]:
     """
     ids = _pairs(mdp)[0]
     masks = _members(mdp, action_ids)
-    values = np.array([p.values for p in policies], dtype=np.float64).reshape(-1, 2)
-    adv = mdp.rewards[:, None] + mdp.coeffs @ values.T
-    produced = _produce([adv[rows] for rows in mdp.state_rows], masks, slice(None))
+    values = np.array([p.values for p in policies], dtype=np.float64).reshape(1, -1, 2)
+    adv = _advantages(np.array([mdp.gamma]), mdp.P[None], mdp.rewards[None], mdp.state_of, values)
+    produced = _produce([adv[:, rows] for rows in mdp.state_rows], masks, np.ones((1, 1), bool))
     return frozenset(itertools.chain(*_chosen(ids, produced)))
 
 
 def set_dynamics(mdp: Mdp, action_ids=None) -> list[frozenset[str]]:
     """Iterate produce(form(.)) from an action set until it stops shrinking."""
     ids, _, adv = _pairs(mdp)
-    masks = _members(mdp, action_ids)
-    sets, size = [masks], sum(map(np.count_nonzero, masks))
-    while size > mdp.n_states:
-        masks = _produce(adv, masks, _formed(masks))
-        sets.append(masks)
-        size, last = sum(map(np.count_nonzero, masks)), size
-        if size >= last:
-            break
-    return [frozenset(itertools.chain(*_chosen(ids, s))) for s in sets]
+    rounds, sizes = _dynamics(adv, _members(mdp, action_ids))
+    return [frozenset(itertools.chain(*_chosen(ids, s))) for s in rounds[:np.count_nonzero(sizes)]]
 
 
 @dataclass(frozen=True)
@@ -169,6 +183,27 @@ class InefficiencyCertificate:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "chain_rows"}
 
 
+def _choose(gamma, v, adv, masks):
+    """Per set of a batch: slope gap, state, (low, high) pairs, chain, aux rewards, margins."""
+    formed, b = _formed(masks), np.arange(len(gamma))
+    slopes = v[..., 0] - v[..., 1]
+    hi = np.where(formed, slopes, -np.inf).argmax(axis=1)  # largest, smallest slope
+    lo = np.where(formed, slopes, np.inf).argmin(axis=1)
+    # gap at state 1: min-slope policy above max-slope policy there;
+    # gap at state 0: max-slope policy above min-slope policy there.
+    # The two gaps sum to the slope gap, so the larger one is positive.
+    state = (v[b, lo, 1] - v[b, hi, 1] >= v[b, hi, 0] - v[b, lo, 0]).astype(int)
+    pair = np.where(state == 1, np.stack([hi, lo]), np.stack([lo, hi]))
+    pos = divmod(pair, adv[1].shape[1])  # per state, the two policies' rows there
+    ends = np.where(state[:, None] == 1, adv[1][b, pos[1]], adv[0][b, pos[0]])
+    at_state = np.where(state[:, None] == 1, v[..., 1], v[..., 0])
+    aux = (1.0 - gamma)[:, None] * at_state[b[:, None], pair.T]
+    loops = aux[:, :, None] + ((gamma - 1.0)[:, None] * at_state)[:, None]  # self-loops
+    chain = np.concatenate([ends[:1], loops.transpose(1, 0, 2), ends[1:]])
+    margins = np.where(formed, np.diff(chain, axis=0), np.inf).min(axis=2).T
+    return slopes[b, hi] - slopes[b, lo], state, pair, chain, aux, margins
+
+
 def inefficiency_certificate(mdp: Mdp, action_ids=None) -> InefficiencyCertificate:
     """Name one action the given set can never produce, with proof margins.
 
@@ -180,43 +215,27 @@ def inefficiency_certificate(mdp: Mdp, action_ids=None) -> InefficiencyCertifica
     """
     ids, values, adv = _pairs(mdp)
     masks = _members(mdp, action_ids)
-    if (size := sum(map(np.count_nonzero, masks))) < 3:
+    if (size := int(masks[0].sum() + masks[1].sum())) < 3:
         raise ModelError(f"inefficiency certificate needs |A| >= 3, got {size}")
-    cols = _formed(masks)
-    values = values[cols]
-    slopes = values[:, 0] - values[:, 1]
-    hi, lo = int(np.argmax(slopes)), int(np.argmin(slopes))  # largest, smallest slope
-    slope_gap = float(slopes[hi] - slopes[lo])
-    if slope_gap <= DEGENERATE_TOL:
+    gap, state, pair, chain, aux, margins = _choose(np.array([mdp.gamma]), values, adv, masks)
+    if (slope_gap := float(gap[0])) <= DEGENERATE_TOL:
         return InefficiencyCertificate(degenerate=True, slope_gap=slope_gap)
-
-    # gap at state 1: min-slope policy above max-slope policy there;
-    # gap at state 0: max-slope policy above min-slope policy there.
-    # The two gaps sum to the slope gap, so the larger one is positive.
-    if values[lo, 1] - values[hi, 1] >= values[hi, 0] - values[lo, 0]:
-        state, low, high = 1, hi, lo
-    else:
-        state, low, high = 0, lo, hi
-    choices = list(itertools.product(*_chosen(ids, masks)))
-    at_state = divmod(cols, len(ids[1]))[state]  # each formed pair's row position there
-    a_c, a_b = adv[state][at_state[[low, high]]][:, cols]
-    g = mdp.gamma
-    r_low, r_high = ((1.0 - g) * values[[low, high], state]).tolist()
-    a_low, a_high = np.add.outer([r_low, r_high], (g - 1.0) * values[:, state])  # self-loops
+    state = int(state[0])
+    low, high = (tuple(i[k] for i, k in zip(ids, divmod(p, len(ids[1]))))
+                 for p in pair[:, 0].tolist())
     return InefficiencyCertificate(
         degenerate=False,
         slope_gap=slope_gap,
         state=state,
-        inefficient_action=choices[low][state],
-        surviving_action=choices[high][state],
-        pi_low=choices[low],
-        pi_high=choices[high],
-        aux_low_reward=r_low,
-        aux_high_reward=r_high,
-        chain_rows=tuple(zip(choices, a_c.tolist(), a_low.tolist(), a_high.tolist(),
-                             a_b.tolist())),
-        min_margins=(float(np.min(a_low - a_c)), float(np.min(a_high - a_low)),
-                     float(np.min(a_b - a_high))),
+        inefficient_action=low[state],
+        surviving_action=high[state],
+        pi_low=low,
+        pi_high=high,
+        aux_low_reward=float(aux[0, 0]),
+        aux_high_reward=float(aux[0, 1]),
+        chain_rows=tuple(zip(itertools.product(*_chosen(ids, masks)),
+                             *chain[:, 0, _formed(masks)[0]].tolist())),
+        min_margins=tuple(margins[0].tolist()),
     )
 
 
@@ -240,24 +259,36 @@ class PiBoundReport:
         return not self.violations
 
 
-def _depths(nxt: list[int], cycle_depth: int) -> list[int]:
-    """Iterations from every start under the improvement map ``nxt``: 1 at a
-    fixed point, one more per step before it, ``cycle_depth`` on a cycle."""
+def _depths(adv, cycle_depth: int) -> np.ndarray:
+    """(B, pairs) Howard iterations from every start, 1 at a fixed point."""
+    # Howard's improvement as a map over pairs: per state, the incumbent is
+    # kept within TIE_TOL of the best, else the first best row is taken
+    k1, pairs = adv[1].shape[1], np.arange(adv[0].shape[2])
+    i, j = (np.where(a[:, inc, pairs] >= a.max(axis=1) - TIE_TOL, inc, a.argmax(axis=1))
+            for a, inc in zip(adv, divmod(pairs, k1)))
+    nxt, b = i * k1 + j, np.arange(len(i))[:, None]
+    cur, depth = np.broadcast_to(pairs, nxt.shape), np.ones(nxt.shape, int)
+    for _ in pairs:  # a path without a cycle makes fewer steps
+        if not (moved := (step := nxt[b, cur]) != cur).any():
+            return depth
+        depth, cur = depth + moved, step
+    for k in np.flatnonzero((nxt[b, cur] != cur).any(axis=1)):
+        depth[k] = _walk(nxt[k].tolist(), cycle_depth)  # a map with a cycle
+    return depth
+
+
+def _walk(nxt: list[int], cycle_depth: int) -> list[int]:
+    """One map's depths, walked from each start in turn."""
     depth = [0] * len(nxt)
     for start in range(len(nxt)):
         path, cur = [], start
-        while not depth[cur]:
-            if cur in path:  # improvement cycle; impossible without exact value ties
-                for node in path:
-                    depth[node] = cycle_depth
-                break
-            if nxt[cur] == cur:
-                depth[cur] = 1
-                break
+        while not depth[cur] and cur not in path and nxt[cur] != cur:
             path.append(cur)
             cur = nxt[cur]
-        for k, node in enumerate(reversed(path), start=depth[cur] + 1):
-            depth[node] = depth[node] or k
+        cycle = cur in path  # improvement cycle; impossible without exact value ties
+        depth[cur] = cycle_depth if cycle else depth[cur] or 1
+        for k, node in enumerate(reversed(path), start=1):
+            depth[node] = cycle_depth if cycle else depth[cur] + k
     return depth
 
 
@@ -271,13 +302,8 @@ def verify_pi_bound(mdp: Mdp) -> PiBoundReport:
     per round until only one action per state remains.  Violations are
     collected, not raised, and carry the instance for triage.
     """
-    ids, values, adv = _pairs(mdp)
-    # Howard's improvement as a map over pairs: per state, the incumbent is
-    # kept within TIE_TOL of the best, else the first best row is taken
-    k1, pairs = len(ids[1]), np.arange(len(values))
-    i, j = (np.where(a[inc, pairs] >= a.max(axis=0) - TIE_TOL, inc, a.argmax(axis=0))
-            for a, inc in zip(adv, divmod(pairs, k1)))
-    depth = _depths((i * k1 + j).tolist(), mdp.m + 1)
+    ids, _, adv = _pairs(mdp)
+    depth = _depths(adv, mdp.m + 1)[0].tolist()
     violations: list[str] = []
     worst = max(depth)
     if worst > mdp.m:
@@ -298,3 +324,21 @@ def verify_pi_bound(mdp: Mdp) -> PiBoundReport:
         violations=violations,
         violation_instance=mdp if violations else None,
     )
+
+
+def check_batch(gamma, P, rewards, k0: int) -> dict[str, np.ndarray]:
+    """Per model of discounts (B,), ``P`` (B, m, 2) and rewards (B, m) (rows in id order,
+    the first k0 at state 0): verify_pi_bound (set sizes padded with 0), the full set's
+    certificate (its low and high pair), and whether round 1 produces the named action."""
+    size, m = rewards.shape
+    rows = (np.arange(k0), np.arange(k0, m))
+    values, adv = _core(gamma, P, rewards, np.repeat([0, 1], [k0, m - k0]), rows)
+    worst = _depths(adv, m + 1).max(axis=1)
+    full = (np.ones((size, k0), dtype=bool), np.ones((size, m - k0), dtype=bool))
+    rounds, sizes = _dynamics(adv, full)
+    gap, state, pair, _, _, margins = _choose(gamma, values, adv, full)
+    (i, j), b, first = divmod(pair[0], m - k0), np.arange(size), rounds[min(1, len(rounds) - 1)]
+    lost_none = (sizes[:, :-1] > 2) & (sizes[:, 1:] >= sizes[:, :-1])  # verify_pi_bound's rule
+    return dict(ok=(worst <= m) & ~lost_none.any(axis=1), max_iterations=worst, set_sizes=sizes,
+                degenerate=gap <= DEGENERATE_TOL, state=state, pair=pair, min_margins=margins,
+                produced=np.where(state == 1, first[1][b, j], first[0][b, i]))

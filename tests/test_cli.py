@@ -432,6 +432,27 @@ def test_environment_variable_parses_as_its_flag(command, action, monkeypatch):
     assert parse(flag, other) == by_other  # an explicit flag wins
 
 
+@pytest.mark.parametrize("command,action", [(c, a) for c, a in _value_flags() if a.choices],
+                         ids=lambda x: x.option_strings[0] if hasattr(x, "dest") else x)
+def test_environment_value_outside_the_choices_is_the_flags_usage_error(command, action,
+                                                                         monkeypatch, capsys):
+    for name in [n for n in os.environ if n.startswith("MDPGEO_")]:
+        monkeypatch.delenv(name)
+    by_flag = run(capsys, command, action.option_strings[0], "bogus")
+    monkeypatch.setenv(f"MDPGEO_{action.dest.upper()}", "bogus")
+    assert run(capsys, command) == by_flag
+    assert by_flag[0] == EX_USAGE and "invalid choice: 'bogus'" in by_flag[1].err
+
+
+def test_generate_refuses_dense_rows_wider_than_a_thousand(tmp_path, capsys):
+    code, cap = run(capsys, "generate", "--seed", "1", "--n-states", "1001",
+                    "--out", str(tmp_path / "x.json"))
+    assert code == EX_DATAERR
+    assert cap.err == ("error:ValueError:a dense row of 1001 entries cannot keep every entry "
+                       ">= 0.001\n")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_environment_variables_are_the_documented_names():
     assert {f"MDPGEO_{a.dest.upper()}" for _, a in _value_flags()} == _ENV_NAMES
     with mock.patch.object(os.environ, "get", wraps=os.environ.get) as get:

@@ -1,10 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from mdpgeo import gen
 from mdpgeo.analysis import primitivity, wielandt_bound
 from mdpgeo.cli import mdp_to_json
 from mdpgeo.core import policy_rows, validate
-from mdpgeo.gen import GenSpec, generate
+from mdpgeo.gen import STRUCTURES, GenSpec, generate
 from mdpgeo.solvers import solve_exact
 
 
@@ -82,3 +85,142 @@ def test_bad_specs_rejected():
                          structure="planted_optimal", bonus_beta=0.0))
     with pytest.raises(ValueError, match="sparse_k"):
         generate(GenSpec(n_states=2, gamma=0.9, seed=0, structure="sparse", sparse_k=5))
+
+
+# --------------------------------------------------------------------------
+# block draws against the row-by-row loop they replace
+
+
+def _row_by_row(rng, spec, beta, rejected=None):
+    """The model's arrays drawn one row at a time, as the generator drew them
+    before it drew blocks; ``rejected`` counts the redrawn rows."""
+    n, planted = spec.n_states, spec.structure in gen.PLANTED
+
+    def dense_row(width):
+        while True:
+            u = rng.uniform(size=width)
+            row = u / u.sum()
+            if width == 1 or row.min() >= gen.MIN_ROW_ENTRY:
+                return row
+            if rejected is not None:
+                rejected.append(width)
+
+    counts = rng.integers(spec.min_actions, spec.max_actions + 1, size=n)
+    P, rewards = [], []
+    for s in range(n):
+        for j in range(int(counts[s])):
+            if planted and j == 0:
+                row = np.zeros(n)
+                if spec.structure == "planted_optimal":
+                    row = 0.45 * dense_row(n)
+                    row[s] += 0.55
+                elif spec.structure == "periodic_optimal":
+                    row[(s + 1) % n] = 1.0
+                elif s < n - 1:
+                    row[s + 1] = 1.0
+                else:
+                    row[0] = 0.5
+                    row[1 % n] += 0.5
+                P.append(row)
+                rewards.append(1.0)
+                continue
+            if spec.structure == "sparse":
+                row, support = np.zeros(n), rng.choice(n, size=spec.sparse_k, replace=False)
+                row[support] = dense_row(spec.sparse_k)
+                P.append(row)
+            else:
+                P.append(dense_row(n))
+            high = (1.0 - beta) if planted else 1.0
+            rewards.append(float(np.round(rng.uniform(0.0, high), 6)))
+    return counts, np.repeat(np.arange(n), counts), np.array(P).reshape(-1, n), np.array(rewards)
+
+
+def _seeds(spec_of, first: int, rejecting: int) -> list[int]:
+    """The first seeds, and the first that draw a rejected row."""
+    found = []
+    for seed in range(5000):
+        if len(found) == rejecting:
+            break
+        rejected = []
+        _row_by_row(np.random.default_rng(seed), spec_of(seed), 0.5, rejected)
+        found += [seed] * bool(rejected)
+    assert len(found) == rejecting
+    return sorted(set(range(first)) | set(found))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 20, 50])
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_block_draws_match_the_row_by_row_loop(structure, n):
+    def spec_of(seed):
+        return GenSpec(n_states=n, gamma=0.9, seed=seed, structure=structure,
+                       sparse_k=min(3, n))
+
+    for seed in _seeds(spec_of, first=8, rejecting=4 if n > 1 else 0):
+        spec, ours, ref = spec_of(seed), np.random.default_rng(seed), np.random.default_rng(seed)
+        for beta in (0.5, 0.65):  # a planted retry draws again from the same generator
+            counts, state_of, P, rewards = gen._draw(ours, spec, beta)
+            ref_counts, ref_state_of, ref_P, ref_rewards = _row_by_row(ref, spec, beta)
+            assert counts.tolist() == ref_counts.tolist()
+            assert state_of.tolist() == ref_state_of.tolist()
+            assert P.tobytes() == ref_P.tobytes() and rewards.tobytes() == ref_rewards.tobytes()
+            # the full state, the buffered 32-bit half of integer draws included
+            assert ours.bit_generator.state == ref.bit_generator.state
+        if n >= 2 or structure not in ("periodic_optimal", "wielandt"):
+            assert mdp_to_json(generate(spec)) == mdp_to_json(_generated_row_by_row(spec))
+
+
+def _generated_row_by_row(spec):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gen, "_draw", _row_by_row)
+        return generate(spec)
+
+
+def test_buffered_half_is_kept_across_a_rewind():
+    # integers() over an odd count leaves half of a 64-bit word buffered; the
+    # next integer draws read it, so a rewound block must keep it
+    kept = 0
+    for seed in range(100):
+        spec, rejected = GenSpec(n_states=21, gamma=0.9, seed=seed), []
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        gen._draw(ours, spec, 0.5)
+        _row_by_row(ref, spec, 0.5, rejected)
+        kept += bool(rejected) and ref.bit_generator.state["has_uint32"]
+        assert ours.integers(0, 2**31, size=4).tolist() == ref.integers(0, 2**31, size=4).tolist()
+    assert kept >= 10
+
+
+def test_planted_retry_draws_as_the_row_by_row_loop(monkeypatch):
+    # planted rewards are all 1, so the plant is always optimal; refuse the
+    # first attempt to make generate draw a second model from the same generator
+    real = gen.solve_exact
+
+    def refuse_first(mdp, **kw):
+        sol = real(mdp, **kw)
+        refuse_first.calls += 1
+        return sol if refuse_first.calls % 2 == 0 else SimpleNamespace(policy=SimpleNamespace(
+            choice=()), delta=sol.delta)
+
+    monkeypatch.setattr(gen, "solve_exact", refuse_first)
+    for structure in gen.PLANTED:
+        spec = GenSpec(n_states=6, gamma=0.9, seed=11, structure=structure)
+        refuse_first.calls = 0
+        ours = generate(spec)
+        assert refuse_first.calls == 2
+        refuse_first.calls = 0
+        assert mdp_to_json(ours) == mdp_to_json(_generated_row_by_row(spec))
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_rows_wider_than_a_thousand_are_refused(structure):
+    spec = GenSpec(n_states=1001, gamma=0.9, seed=0, structure=structure, sparse_k=1001)
+    with pytest.raises(ValueError, match="dense row of 1001 entries"):
+        generate(spec)
+
+
+def test_wide_models_without_dense_rows_still_generate():
+    periodic = generate(GenSpec(n_states=1001, gamma=0.9, seed=0,
+                                structure="periodic_optimal", max_actions=1))
+    assert periodic.m == 1001 and np.all(periodic.P.sum(axis=1) == 1.0)
+    sparse = generate(GenSpec(n_states=1001, gamma=0.9, seed=0, structure="sparse",
+                              max_actions=1))
+    assert all(np.count_nonzero(row) == 2 for row in sparse.P)

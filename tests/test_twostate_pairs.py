@@ -5,7 +5,9 @@ The reference below is that implementation, kept verbatim: it forms one
 product per policy and walks Howard's improvement over choice tuples.  The
 pair core must give the same iteration counts, the same set dynamics, the
 same produced sets and the same certificates, bit for bit, on exact-rational
-models (which tie exactly) and on the seeded instances of the suite.
+models (which tie exactly) and on the seeded instances of the suite.  The
+suite's batches (``check_batch``) must give each model's single-model reports,
+and the suite must word its violations as its one-model loop did.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from hypothesis import given
 
 from conftest import mdps
 from mdpgeo import twostate
+from mdpgeo.acceptance import run_twostate_suite
 from mdpgeo.core import Action, Mdp, ModelError, Policy, validate
+from mdpgeo.gen import GenSpec, generate
 from mdpgeo.twostate import DEGENERATE_TOL, TIE_TOL, InefficiencyCertificate
 from test_twostate import random_instance
 
@@ -280,6 +284,7 @@ def _assert_same(mdp):
         ref.max_iterations, ref.set_sizes, ref.violations)
     sets = set_dynamics(mdp)
     assert new.sets == sets == twostate.set_dynamics(mdp)
+    assert _batch_fields([mdp]) == [_single_fields(mdp)]
     for ids in [mdp.ids, *sets]:
         pols, new_pols = formed_policies(mdp, ids), twostate.formed_policies(mdp, ids)
         assert [p.choice for p in new_pols] == [p.choice for p in pols]
@@ -320,3 +325,161 @@ def test_mirrored_states_tie_the_gaps():
                   Action("b1", 1, (0.3, 0.7), 1.0), Action("b2", 1, (0.8, 0.2), 0.5)), 0.9)
     _assert_same(mdp)
     assert twostate.inefficiency_certificate(mdp).state == 1
+
+
+# --------------------------------------------------------------------------
+# the suite's batches against the single-model reports
+
+
+def _single_fields(mdp) -> list:
+    """What the suite reads of one model's reports."""
+    report = twostate.verify_pi_bound(mdp)
+    fields = [report.max_iterations, report.set_sizes, report.ok]
+    if mdp.m >= 3:
+        cert = twostate.inefficiency_certificate(mdp)
+        fields.append(cert.degenerate)
+        if not cert.degenerate:
+            fields += [cert.state, cert.inefficient_action, cert.surviving_action,
+                       cert.min_margins, cert.inefficient_action in report.sets[1]]
+    return fields
+
+
+def _batch_fields(mdps) -> list[list]:
+    """The same, from one batch over models with the same action counts."""
+    order = [np.concatenate(mdp.state_rows) for mdp in mdps]
+    report = twostate.check_batch(np.array([mdp.gamma for mdp in mdps]),
+                                  np.stack([mdp.P[k] for mdp, k in zip(mdps, order)]),
+                                  np.stack([mdp.rewards[k] for mdp, k in zip(mdps, order)]),
+                                  len(mdps[0].state_rows[0]))
+    out = []
+    for b, mdp in enumerate(mdps):
+        ids = [[mdp.ids[k] for k in rows] for rows in mdp.state_rows]
+        r = {name: field[..., b] if name == "pair" else field[b] for name, field in report.items()}
+        fields = [int(r["max_iterations"]), [int(s) for s in r["set_sizes"] if s], bool(r["ok"])]
+        if mdp.m >= 3:
+            fields.append(bool(r["degenerate"]))
+            if not r["degenerate"]:
+                s = int(r["state"])
+                named, kept = (divmod(int(p), len(ids[1]))[s] for p in r["pair"])
+                fields += [s, ids[s][named], ids[s][kept],
+                           tuple(r["min_margins"].tolist()), bool(r["produced"])]
+        out.append(fields)
+    return out
+
+
+@pytest.mark.parametrize("max_actions,first", [(4, 0), (6, 100_000), (12, 200_000)])
+def test_batches_match_single_model_reports(max_actions, first):
+    groups: dict[tuple[int, ...], list[Mdp]] = {}
+    for i in range(3_400):  # the suite's specs, all three discounts
+        mdp = generate(GenSpec(n_states=2, gamma=(0.5, 0.9, 0.99)[i % 3], seed=first + i,
+                               structure="dense", max_actions=min(max_actions // 2, 6)))
+        groups.setdefault(tuple(map(len, mdp.state_rows)), []).append(mdp)
+    for group in groups.values():
+        assert _batch_fields(group) == [_single_fields(mdp) for mdp in group]
+
+
+def _walk_reference(nxt: list[int], cycle_depth: int) -> list[int]:
+    """Howard depths as the one-model check walked them, kept verbatim."""
+    depth = [0] * len(nxt)
+    for start in range(len(nxt)):
+        path, cur = [], start
+        while not depth[cur]:
+            if cur in path:  # improvement cycle; impossible without exact value ties
+                for node in path:
+                    depth[node] = cycle_depth
+                break
+            if nxt[cur] == cur:
+                depth[cur] = 1
+                break
+            path.append(cur)
+            cur = nxt[cur]
+        for k, node in enumerate(reversed(path), start=depth[cur] + 1):
+            depth[node] = depth[node] or k
+    return depth
+
+
+def _advantages_improving_to(nxt, k0, k1):
+    """Per state, advantages whose Howard improvement is the map ``nxt`` over
+    pairs: 1 at the row the map moves to, 0 elsewhere."""
+    return tuple((np.arange(k)[:, None] == target[:, None, :]).astype(float)
+                 for k, target in zip((k0, k1), divmod(nxt, k1)))
+
+
+@pytest.mark.parametrize("k0,k1", [(1, 1), (1, 2), (3, 1), (2, 3), (6, 6)])
+def test_depths_match_the_walk_with_and_without_cycles(k0, k1):
+    rng, pairs = np.random.default_rng(k0 * k1), k0 * k1
+    free = rng.integers(0, pairs, size=(200, pairs))  # most of these maps have a cycle
+    down = rng.integers(0, np.arange(1, pairs + 1), size=(200, pairs))  # none of these
+    nxt = np.concatenate([free, down])
+    cycles = 0
+    for maps in (nxt, nxt[:1], nxt[-1:]):  # in a mixed batch and alone
+        got = twostate._depths(_advantages_improving_to(maps, k0, k1), 99)
+        for row, depth in zip(maps.tolist(), got.tolist()):
+            assert depth == _walk_reference(row, 99)
+            cycles += max(depth) >= 99
+    assert cycles or pairs == 1
+
+
+def _suite_reference(n_instances: int, max_actions: int = 12, seed: int = 0) -> dict:
+    """The suite as a loop over models, one model's checks at a time, kept verbatim."""
+    per_state = max(1, max_actions // 2)
+    violations: list[str] = []
+    degenerate = 0
+    certificates = 0
+    worst_iters = 0
+    for i in range(n_instances):
+        mdp = generate(GenSpec(n_states=2, gamma=(0.5, 0.9, 0.99)[i % 3],
+                               seed=seed + i, structure="dense",
+                               min_actions=1, max_actions=min(per_state, 6)))
+        report = twostate.verify_pi_bound(mdp)
+        worst_iters = max(worst_iters, report.max_iterations)
+        if not report.ok:
+            violations.extend(f"seed {seed + i}: {v}" for v in report.violations)
+        if mdp.m >= 3:
+            cert = twostate.inefficiency_certificate(mdp)
+            if cert.degenerate:
+                degenerate += 1
+                continue
+            certificates += 1
+            if cert.inefficient_action in report.sets[1]:  # what the full set produces
+                violations.append(
+                    f"seed {seed + i}: named action {cert.inefficient_action} was produced"
+                )
+            if min(cert.min_margins) < -1e-12 or cert.min_margins[1] <= 0.0:
+                violations.append(f"seed {seed + i}: certificate chain margins failed")
+    return {
+        "instances": n_instances,
+        "max_actions": max_actions,
+        "seed": seed,
+        "violations": len(violations),
+        "violation_details": violations[:20],
+        "degenerate": degenerate,
+        "certificates": certificates,
+        "max_pi_iterations": worst_iters,
+    }
+
+
+@pytest.mark.parametrize("max_actions,seed", [(2, 0), (4, 10), (12, 7)])
+def test_suite_matches_the_one_model_loop(max_actions, seed):
+    assert run_twostate_suite(300, max_actions, seed) == _suite_reference(300, max_actions, seed)
+
+
+def test_flagged_instances_word_their_violations_as_the_one_model_loop(monkeypatch):
+    # within a tie tolerance of 1e9 every action ties: no round loses an
+    # action and every named action is produced
+    monkeypatch.setattr(twostate, "TIE_TOL", 1e9)
+    got = run_twostate_suite(100, 12, 3)
+    assert got["violations"] > 20
+    assert got == _suite_reference(100, 12, 3)
+
+
+def test_checking_every_instance_alone_changes_nothing(monkeypatch):
+    batch = twostate.check_batch
+
+    def flag_all(*args):
+        report = batch(*args)
+        return {**report, "ok": np.zeros_like(report["ok"])}
+
+    expected = run_twostate_suite(300, 12, 9)
+    monkeypatch.setattr(twostate, "check_batch", flag_all)
+    assert run_twostate_suite(300, 12, 9) == expected
