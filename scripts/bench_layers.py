@@ -52,6 +52,14 @@ step per state:
 - ``normalize``: the exact solve plus one reward shift per state;
 - ``effective_gamma``: one discount change per state.
 
+One layer runs on ``GenSpec(structure="planted_optimal", n_states=6,
+min_actions=2, gamma=0.9)`` with the same seed, the shape of acceptance
+criterion 3's models:
+
+- ``generate_planted_6``: ``generate`` of that spec (on checkouts whose
+  planted ``generate`` solves its own output to check the plant, that solve
+  is part of the time).
+
 And one layer on a compact dense model that numpy builds (``n=200``, four
 actions per state, every probability positive), since the dense generator
 does not finish at that size:
@@ -265,6 +273,9 @@ def main() -> None:
     dense_spec = GenSpec(n_states=DENSE_N, gamma=0.95, seed=args.seed, structure="dense")
     layers["generate_dense_100"] = _summary(_times(lambda: generate(dense_spec), 5))
     dense = generate(dense_spec)
+    planted_spec = GenSpec(n_states=6, gamma=0.9, seed=args.seed, structure="planted_optimal",
+                           min_actions=2)
+    layers["generate_planted_6"] = _summary(_times(lambda: generate(planted_spec), 50))
     layers["normalize"] = _summary(_times(lambda: normalize(dense), 5))
     layers["effective_gamma"] = _summary(_times(lambda: effective_gamma(dense), 5))
     two = generate(GenSpec(n_states=2, gamma=0.9, seed=args.seed, structure="dense",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -31,9 +32,6 @@ class CriterionResult:
     passed: bool
     detail: str
     runtime_s: float
-
-
-_cache: dict[str, object] = {}
 
 
 def _instance(seed: int, n: int, gamma: float, structure: str = "dense",
@@ -133,9 +131,8 @@ def criterion_2() -> CriterionResult:
 # 3. certified span contraction (and measured rate below gamma)
 
 
+@cache
 def _contraction_artifacts():
-    if "c3" in _cache:
-        return _cache["c3"]
     artifacts = []
     for i in range(300):
         n = 2 + i % 5
@@ -153,7 +150,6 @@ def _contraction_artifacts():
         rate = analysis.empirical_rate(trace)
         sol = solve_exact(norm)
         artifacts.append((norm, trace, sol, cert, rate))
-    _cache["c3"] = artifacts
     return artifacts
 
 
@@ -214,7 +210,7 @@ def run_twostate_suite(n_instances: int, max_actions: int = 12, seed: int = 0) -
                      min_actions=1, max_actions=min(per_state, 6)) for i in range(n_instances)]
     groups: dict[tuple[int, ...], list] = {}
     for i, spec in enumerate(specs):
-        counts, _, P, rewards = gen._draw(np.random.default_rng(spec.seed), spec, spec.bonus_beta)
+        counts, _, P, rewards = gen._draw(np.random.default_rng(spec.seed), spec)
         groups.setdefault(tuple(counts.tolist()), []).append((i, P, rewards))
     worst, degenerate, (certified, flagged) = 0, 0, np.zeros((2, n_instances), dtype=bool)
     for (k0, k1), group in groups.items():
@@ -267,9 +263,8 @@ def criterion_5() -> CriterionResult:
 # 6. span stop yields epsilon-optimal policies
 
 
+@cache
 def _stop_rule_artifacts():
-    if "c6" in _cache:
-        return _cache["c6"]
     artifacts = []
     for i in range(200):
         n = 2 + i % 2
@@ -280,7 +275,6 @@ def _stop_rule_artifacts():
             cfg = ViConfig(stop="span", epsilon=eps)
             trace = value_iteration(mdp, cfg)
             artifacts.append((mdp, trace, sol, eps))
-    _cache["c6"] = artifacts
     return artifacts
 
 

@@ -200,19 +200,28 @@ def _verify_sync_recurrence(mdp: Mdp, values: np.ndarray, alpha: float) -> np.nd
     return residuals
 
 
+def _optimum(mdp: Mdp, solution: ExactSolution | None,
+             unnormalized: str | None = None) -> tuple[ExactSolution, np.ndarray, np.ndarray]:
+    """The exact solution (``solution``, else solved here), its rows and P*; with an
+    ``unnormalized`` message, AssumptionError with it unless V* ~ 0."""
+    sol = solution or solve_exact(mdp)
+    if unnormalized and float(np.max(np.abs(sol.values))) > NORMALIZED_TOL:
+        raise AssumptionError(unnormalized)
+    opt_rows = policy_rows(mdp, sol.policy)
+    return sol, opt_rows, mdp.P[opt_rows]
+
+
 def _require_assumptions(mdp: Mdp, need_normalized: bool) -> tuple[ExactSolution, np.ndarray]:
     if mdp.n_states < 2:
         raise AssumptionError("certification needs at least two states")
-    sol = solve_exact(mdp)
-    if need_normalized and float(np.max(np.abs(sol.values))) > NORMALIZED_TOL:
-        raise AssumptionError("MDP is not normalized: optimal values are not ~0")
+    sol, _, p_star = _optimum(mdp, None, "MDP is not normalized: optimal values are not ~0"
+                              if need_normalized else None)
     if not np.isfinite(sol.delta):
         raise AssumptionError("no actions outside the optimal policy; delta is undefined")
     if sol.delta <= DELTA_UNIQUE_TOL:
         raise AssumptionError(
             f"optimal policy is not unique within tolerance (delta={sol.delta:.3e})"
         )
-    p_star = mdp.P[policy_rows(mdp, sol.policy)]
     return sol, p_star
 
 
@@ -407,8 +416,7 @@ def check_error_recursion(
     Where the recorded choice coincides with the optimal action the relation
     is an equality; the report carries the worst gap among those states.
     """
-    sol = solution or solve_exact(mdp)
-    opt_rows = policy_rows(mdp, sol.policy)
+    sol, opt_rows, _ = _optimum(mdp, solution)
     errors = trace.values - sol.values
     worst = 0.0
     worst_eq = 0.0
@@ -430,16 +438,6 @@ def check_error_recursion(
     )
 
 
-def _optimum(mdp: Mdp, solution: ExactSolution | None,
-             what: str) -> tuple[ExactSolution, np.ndarray, np.ndarray]:
-    """The exact solution, its rows and P*; AssumptionError unless V* ~ 0."""
-    sol = solution or solve_exact(mdp)
-    if float(np.max(np.abs(sol.values))) > NORMALIZED_TOL:
-        raise AssumptionError(f"{what} requires a normalized MDP")
-    opt_rows = policy_rows(mdp, sol.policy)
-    return sol, opt_rows, mdp.P[opt_rows]
-
-
 def check_update_sandwich(
     mdp: Mdp, trace: RunTrace, solution: ExactSolution | None = None
 ) -> float:
@@ -448,7 +446,7 @@ def check_update_sandwich(
     Valid for standard runs on normalized MDPs, where optimal rewards are 0
     and all rewards are <= 0.
     """
-    _, _, p_star = _optimum(mdp, solution, "update sandwich")
+    _, _, p_star = _optimum(mdp, solution, "update sandwich requires a normalized MDP")
     worst = 0.0
     for t in range(trace.iterations):
         rows = trace.rows[t]
@@ -482,7 +480,7 @@ def check_mixing_bound(
     backups coincide leave d undetermined and are skipped (counted).
     Requires a normalized MDP.
     """
-    sol, opt_rows, p_star = _optimum(mdp, solution, "mixing bound")
+    sol, opt_rows, p_star = _optimum(mdp, solution, "mixing bound requires a normalized MDP")
     gamma = mdp.gamma
     checked = 0
     skipped = 0

@@ -8,12 +8,17 @@ fixtures are stable.
 
 Structures: "dense" rows are entrywise positive (so any optimal matrix
 mixes in one step); "sparse" rows have k-state support; "planted_optimal"
-gives the first action of each state reward 1.0 and a strongly mixing row,
-with every other reward capped at 1 - beta, which makes the planted policy
-optimal with a gap of at least beta; "periodic_optimal" plants the same way
-but with the cycle permutation as the optimal matrix; "wielandt" plants the
-cycle plus the single shortcut whose primitivity exponent attains
-n^2 - 2n + 2.
+gives the first action of each state reward 1.0 and a strongly mixing row;
+"periodic_optimal" plants the same way but with the cycle permutation as the
+optimal matrix; "wielandt" plants the cycle plus the single shortcut whose
+primitivity exponent attains n^2 - 2n + 2.
+
+A plant is optimal by construction.  Its rewards are all 1.0, so the
+planted policy's value is 1/(1 - gamma) at every state, the upper bound for
+rewards <= 1, and every other action's advantage there is exactly r - 1.
+Every other reward is round(U[0, 1 - beta), 6) <= 1 - beta + 5e-7, so for
+beta >= 1e-6 (the reward grid; specs below it are refused) every other
+action trails the plant by at least beta / 2 and the optimum is unique.
 """
 
 from __future__ import annotations
@@ -23,19 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Mdp, validate
-from .solvers import solve_exact
 
-__all__ = ["GenSpec", "PlantingError", "generate"]
+__all__ = ["GenSpec", "generate"]
 
 STRUCTURES = ("dense", "sparse", "planted_optimal", "periodic_optimal", "wielandt")
 PLANTED = STRUCTURES[2:]
 MIN_ROW_ENTRY = 1e-3
 _WIDEST_ROW = 1000  # a row of n entries has one <= 1/n, so a wider row never passes
-PLANT_ATTEMPTS = 10
-
-
-class PlantingError(RuntimeError):
-    """The designated policy failed to come out optimal after all retries."""
+MIN_BETA = 1e-6  # the reward grid: a smaller bonus could round a reward up to the plant's 1.0
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,11 @@ class GenSpec:
         if self.structure in PLANTED:
             if not (0.0 < self.bonus_beta < 1.0):
                 raise ValueError("bonus_beta must lie strictly inside (0, 1)")
+            if self.structure != "planted_optimal" and self.n_states < 2:
+                raise ValueError(f"{self.structure} needs n_states >= 2")
+            if self.bonus_beta < MIN_BETA:
+                raise ValueError(f"bonus_beta must be at least {MIN_BETA:g}, the reward grid, "
+                                 f"got {self.bonus_beta}")
         return self
 
 
@@ -110,7 +115,7 @@ def _planted_row(rng: np.random.Generator, spec: GenSpec, s: int) -> np.ndarray:
     return row
 
 
-def _draw(rng: np.random.Generator, spec: GenSpec, beta: float) -> tuple[np.ndarray, ...]:
+def _draw(rng: np.random.Generator, spec: GenSpec) -> tuple[np.ndarray, ...]:
     """Per state the action count, the rows' states, ``P`` and the rewards, in id order.
     A dense model's rows and rewards come from one block of uniforms, the loop's draws while
     it rejects no row (a double reads a 64-bit word and leaves the 32-bit half integer
@@ -134,45 +139,21 @@ def _draw(rng: np.random.Generator, spec: GenSpec, beta: float) -> tuple[np.ndar
         else:
             P[k] = (_sparse_row(rng, n, spec.sparse_k) if spec.structure == "sparse"
                     else _dense_row(rng, n))
-            rewards[k] = np.round(rng.uniform(0.0, (1.0 - beta) if planted else 1.0), 6)
+            rewards[k] = np.round(rng.uniform(0.0, (1.0 - spec.bonus_beta) if planted else 1.0), 6)
     return counts, state_of, P, rewards
-
-
-def _build(rng: np.random.Generator, spec: GenSpec, beta: float) -> Mdp:
-    counts, state_of, P, rewards = _draw(rng, spec, beta)
-    for a in (P, state_of, rewards):  # nothing writes them again: the model is validated once
-        a.setflags(write=False)
-    ids = [_aid(s, j) for s, k in enumerate(counts.tolist()) for j in range(k)]
-    return Mdp.from_arrays(spec.n_states, spec.gamma, ids, state_of, P, rewards)
 
 
 def generate(spec: GenSpec) -> Mdp:
     """Generate one valid MDP from a spec.
 
-    Planted structures are verified: the designated policy (action 0 of each
-    state) must come out optimal with gap at least bonus_beta / 2, else the
-    instance is redrawn with a larger bonus, up to 10 attempts.
+    In the planted structures action 0 of each state is the unique optimum,
+    with gap at least bonus_beta / 2 (see the module docstring for why).
     """
     spec = spec.validated()
-    rng = np.random.default_rng(spec.seed)
-    planted = spec.structure in PLANTED
-    if spec.structure == "periodic_optimal" and spec.n_states < 2:
-        raise ValueError("periodic_optimal needs n_states >= 2")
-    if spec.structure == "wielandt" and spec.n_states < 2:
-        raise ValueError("wielandt needs n_states >= 2")
-
-    beta = spec.bonus_beta
-    for _ in range(PLANT_ATTEMPTS):
-        mdp = _build(rng, spec, beta)
-        validate(mdp)
-        if not planted:
-            return mdp
-        sol = solve_exact(mdp, brute_check=False)
-        wanted = tuple(_aid(s, 0) for s in range(spec.n_states))
-        gap_ok = sol.delta >= spec.bonus_beta / 2.0
-        if sol.policy.choice == wanted and gap_ok:
-            return mdp
-        beta = min(1.3 * beta, 0.98)
-    raise PlantingError(
-        f"planted policy failed to come out optimal after {PLANT_ATTEMPTS} attempts"
-    )
+    counts, state_of, P, rewards = _draw(np.random.default_rng(spec.seed), spec)
+    for a in (P, state_of, rewards):  # nothing writes them again: the model is validated once
+        a.setflags(write=False)
+    ids = [_aid(s, j) for s, k in enumerate(counts.tolist()) for j in range(k)]
+    mdp = Mdp.from_arrays(spec.n_states, spec.gamma, ids, state_of, P, rewards)
+    validate(mdp)
+    return mdp

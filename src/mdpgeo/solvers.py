@@ -74,7 +74,8 @@ class ConsistencyError(RuntimeError):
 def hard_iteration_cap(gamma: float) -> int:
     """Generous multiple of the classical worst-case iteration count."""
     eps_machine = np.finfo(np.float64).eps
-    return 10 * ceil(log(1.0 / eps_machine) / log(1.0 / gamma))
+    inverse = 1.0 / float(gamma)  # inf below ~5.6e-309; near 1, -log(gamma) would move caps
+    return 10 * ceil(log(1.0 / eps_machine) / (log(inverse) if isfinite(inverse) else -log(gamma)))
 
 
 @dataclass(frozen=True)

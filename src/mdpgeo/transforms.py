@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Mdp, Policy, validate
+from .solvers import solve_exact
 
 __all__ = [
     "DiscountChange",
@@ -229,8 +230,6 @@ def normalize(mdp: Mdp) -> tuple[Mdp, Policy, TransformLog]:
     optimal policy is not unique within tolerance, in which case some
     rewards of actions outside the returned policy may also be ~0.
     """
-    from .solvers import solve_exact
-
     validate(mdp)
     sol = solve_exact(mdp)
     if not sol.unique:

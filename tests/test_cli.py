@@ -453,6 +453,37 @@ def test_generate_refuses_dense_rows_wider_than_a_thousand(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("route", ["flag", "env", "spec"])
+def test_generate_refuses_a_planted_bonus_below_the_reward_grid(route, tmp_path, capsys,
+                                                                monkeypatch):
+    argv = ["generate", "--seed", "1", "--structure", "planted_optimal",
+            "--out", str(tmp_path / "x.json")]
+    if route == "flag":
+        argv += ["--beta", "5e-7"]
+    elif route == "env":
+        monkeypatch.setenv("MDPGEO_BETA", "5e-7")
+    else:
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"n_states": 3, "gamma": 0.9, "structure": "planted_optimal", "bonus_beta": 5e-7}))
+        argv += ["--spec", str(tmp_path / "spec.json")]
+    code, cap = run(capsys, *argv)
+    assert (code, cap.out) == (EX_DATAERR, "")
+    assert cap.err == ("error:ValueError:bonus_beta must be at least 1e-06, the reward grid, "
+                       "got 5e-07\n")
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("gamma", [1e-310, 5e-324])
+def test_solve_vi_on_a_subnormal_gamma_stops_by_span(gamma, tmp_path, capsys):
+    model = tmp_path / "tiny.json"
+    model.write_text(mdp_to_json(Mdp(2, (Action("a", 0, (0.5, 0.5), 1.0),
+                                         Action("b", 1, (1.0, 0.0), 0.0)), gamma)))
+    code, cap = run(capsys, "solve-vi", "--mdp", str(model))
+    assert code == EX_OK
+    doc = json.loads(cap.out)
+    assert (doc["stop_reason"], doc["iterations"]) == ("span", 1)
+
+
 def test_environment_variables_are_the_documented_names():
     assert {f"MDPGEO_{a.dest.upper()}" for _, a in _value_flags()} == _ENV_NAMES
     with mock.patch.object(os.environ, "get", wraps=os.environ.get) as get:

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -85,13 +83,25 @@ def test_bad_specs_rejected():
                          structure="planted_optimal", bonus_beta=0.0))
     with pytest.raises(ValueError, match="sparse_k"):
         generate(GenSpec(n_states=2, gamma=0.9, seed=0, structure="sparse", sparse_k=5))
+    for structure in ("periodic_optimal", "wielandt"):
+        with pytest.raises(ValueError, match=f"^{structure} needs n_states >= 2$"):
+            generate(GenSpec(n_states=1, gamma=0.9, seed=0, structure=structure))
+
+
+@pytest.mark.parametrize("structure", gen.PLANTED)
+def test_planted_bonus_below_the_reward_grid_is_refused(structure):
+    # below 1e-6 a reward rounded to 6 places could tie the plant's 1.0
+    with pytest.raises(ValueError, match="^bonus_beta must be at least 1e-06, the reward grid"):
+        generate(GenSpec(n_states=3, gamma=0.9, seed=0, structure=structure, bonus_beta=5e-7))
+    generate(GenSpec(n_states=3, gamma=0.9, seed=0, structure=structure, bonus_beta=1e-6))
+    generate(GenSpec(n_states=3, gamma=0.9, seed=0, bonus_beta=5e-7))  # not planted: unused
 
 
 # --------------------------------------------------------------------------
 # block draws against the row-by-row loop they replace
 
 
-def _row_by_row(rng, spec, beta, rejected=None):
+def _row_by_row(rng, spec, rejected=None):
     """The model's arrays drawn one row at a time, as the generator drew them
     before it drew blocks; ``rejected`` counts the redrawn rows."""
     n, planted = spec.n_states, spec.structure in gen.PLANTED
@@ -130,7 +140,7 @@ def _row_by_row(rng, spec, beta, rejected=None):
                 P.append(row)
             else:
                 P.append(dense_row(n))
-            high = (1.0 - beta) if planted else 1.0
+            high = (1.0 - spec.bonus_beta) if planted else 1.0
             rewards.append(float(np.round(rng.uniform(0.0, high), 6)))
     return counts, np.repeat(np.arange(n), counts), np.array(P).reshape(-1, n), np.array(rewards)
 
@@ -142,7 +152,7 @@ def _seeds(spec_of, first: int, rejecting: int) -> list[int]:
         if len(found) == rejecting:
             break
         rejected = []
-        _row_by_row(np.random.default_rng(seed), spec_of(seed), 0.5, rejected)
+        _row_by_row(np.random.default_rng(seed), spec_of(seed), rejected)
         found += [seed] * bool(rejected)
     assert len(found) == rejecting
     return sorted(set(range(first)) | set(found))
@@ -157,9 +167,9 @@ def test_block_draws_match_the_row_by_row_loop(structure, n):
 
     for seed in _seeds(spec_of, first=8, rejecting=4 if n > 1 else 0):
         spec, ours, ref = spec_of(seed), np.random.default_rng(seed), np.random.default_rng(seed)
-        for beta in (0.5, 0.65):  # a planted retry draws again from the same generator
-            counts, state_of, P, rewards = gen._draw(ours, spec, beta)
-            ref_counts, ref_state_of, ref_P, ref_rewards = _row_by_row(ref, spec, beta)
+        for _ in range(2):  # a second draw from the same generator starts where the first ended
+            counts, state_of, P, rewards = gen._draw(ours, spec)
+            ref_counts, ref_state_of, ref_P, ref_rewards = _row_by_row(ref, spec)
             assert counts.tolist() == ref_counts.tolist()
             assert state_of.tolist() == ref_state_of.tolist()
             assert P.tobytes() == ref_P.tobytes() and rewards.tobytes() == ref_rewards.tobytes()
@@ -182,32 +192,28 @@ def test_buffered_half_is_kept_across_a_rewind():
     for seed in range(100):
         spec, rejected = GenSpec(n_states=21, gamma=0.9, seed=seed), []
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        gen._draw(ours, spec, 0.5)
-        _row_by_row(ref, spec, 0.5, rejected)
+        gen._draw(ours, spec)
+        _row_by_row(ref, spec, rejected)
         kept += bool(rejected) and ref.bit_generator.state["has_uint32"]
         assert ours.integers(0, 2**31, size=4).tolist() == ref.integers(0, 2**31, size=4).tolist()
     assert kept >= 10
 
 
-def test_planted_retry_draws_as_the_row_by_row_loop(monkeypatch):
-    # planted rewards are all 1, so the plant is always optimal; refuse the
-    # first attempt to make generate draw a second model from the same generator
-    real = gen.solve_exact
-
-    def refuse_first(mdp, **kw):
-        sol = real(mdp, **kw)
-        refuse_first.calls += 1
-        return sol if refuse_first.calls % 2 == 0 else SimpleNamespace(policy=SimpleNamespace(
-            choice=()), delta=sol.delta)
-
-    monkeypatch.setattr(gen, "solve_exact", refuse_first)
-    for structure in gen.PLANTED:
-        spec = GenSpec(n_states=6, gamma=0.9, seed=11, structure=structure)
-        refuse_first.calls = 0
-        ours = generate(spec)
-        assert refuse_first.calls == 2
-        refuse_first.calls = 0
-        assert mdp_to_json(ours) == mdp_to_json(_generated_row_by_row(spec))
+@pytest.mark.parametrize("n", [2, 3, 6, 20])
+@pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("beta", [1e-6, 0.05, 0.5, 0.95])
+@pytest.mark.parametrize("structure", gen.PLANTED)
+def test_plant_is_the_optimum_by_construction(structure, beta, gamma, n):
+    # the plant's values are 1/(1 - gamma), so every other action's gap is 1 - r
+    for seed in range(3):
+        mdp = generate(GenSpec(n_states=n, gamma=gamma, seed=seed, structure=structure,
+                               min_actions=2, bonus_beta=beta))
+        sol = solve_exact(mdp, brute_check=False)
+        assert sol.policy.choice == tuple(f"s{s:02d}a00" for s in range(n))
+        plant = policy_rows(mdp, sol.policy)
+        assert np.all(mdp.rewards[plant] == 1.0)
+        assert abs(sol.delta - (1.0 - np.delete(mdp.rewards, plant).max())) <= 1e-12
+        assert sol.delta >= beta / 2
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)

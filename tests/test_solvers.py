@@ -1,4 +1,5 @@
 import tracemalloc
+from math import ceil, log
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -115,6 +116,22 @@ class TestValueIteration:
         assert not trace.converged
         assert trace.iterations == hard_iteration_cap(mdp.gamma)
         assert np.all(trace.values[:, 1] == 5.0)
+
+    @pytest.mark.parametrize("gamma", [1e-310, 5e-324])
+    def test_subnormal_gamma_runs_to_its_stop(self, gamma):
+        # 1/gamma overflows to inf here, which once made the cap 0
+        mdp = Mdp(2, (Action("a", 0, (0.5, 0.5), 1.0), Action("b", 1, (1.0, 0.0), 0.0)), gamma)
+        assert hard_iteration_cap(gamma) == 10
+        trace = value_iteration(mdp, ViConfig(stop="span", epsilon=1e-6))
+        assert (trace.stop_reason, trace.iterations) == ("span", 1)
+
+    def test_cap_of_normal_gammas_is_the_classical_formula(self):
+        # -log(gamma) rounds apart from log(1/gamma) for thousands of these
+        eps = np.finfo(np.float64).eps
+        grid = np.concatenate([np.linspace(0.0, 1.0, 20001)[1:-1],
+                               1.0 - np.logspace(-16, -1, 20000), np.logspace(-307, -1, 1000)])
+        for g in grid.tolist():
+            assert hard_iteration_cap(g) == 10 * ceil(log(1.0 / eps) / log(1.0 / g)), g
 
     def test_value_span_stop(self):
         norm, _, _ = normalize(m2_mix())
