@@ -211,6 +211,21 @@ def _optimum(mdp: Mdp, solution: ExactSolution | None,
     return sol, opt_rows, mdp.P[opt_rows]
 
 
+def _spans(x: np.ndarray) -> np.ndarray:
+    """Per-row max minus min, row for row the bits of :func:`core.span`."""
+    return x.max(axis=1) - x.min(axis=1)
+
+
+def _step_products(a: np.ndarray, rows: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """Row t is ``a[rows[t]] @ x[t]`` (``a @ x[t]`` for rows None), one gemv per step as
+    each step forms it alone, so every product keeps its bits; a batched gemm may not.
+    A trace read from a file records no greedy rows: AssumptionError."""
+    if rows is not None and len(rows) != len(x):
+        raise AssumptionError(f"trace has {len(rows)} recorded greedy rows for {len(x)} steps")
+    return np.array([(a if rows is None else a[rows[t]]) @ v
+                     for t, v in enumerate(x)]).reshape(x.shape)
+
+
 def _require_assumptions(mdp: Mdp, need_normalized: bool) -> tuple[ExactSolution, np.ndarray]:
     if mdp.n_states < 2:
         raise AssumptionError("certification needs at least two states")
@@ -290,7 +305,7 @@ def certify(mdp: Mdp, trace: RunTrace, epsilon: float = 1e-6) -> ConvergenceCert
     _check_run(mdp, trace, N, alpha=1.0)
 
     gamma = mdp.gamma
-    spans = trace.span_v
+    spans = _spans(trace.values[: N + 1])
     # phi chains the per-step mixing floors delta / (gamma * span(V_t)); each
     # step's floor uses the span of the iterate entering it, t = 0 .. N-1.
     block = spans[0:N]
@@ -336,8 +351,7 @@ def certify_alpha(
     _check_run(mdp, trace, n_alpha, alpha=alpha)
 
     gamma = mdp.gamma
-    errors = trace.values[: n_alpha + 1] - sol.values
-    e_spans = np.array([span(e) for e in errors])
+    e_spans = _spans(trace.values[: n_alpha + 1] - sol.values)
     if np.any(e_spans <= 0.0):
         raise CertificationError("an error span inside the certified block vanished")
     p_min = float(np.min(p_star[p_star > 0.0]))
@@ -385,12 +399,11 @@ def empirical_rate(trace: RunTrace, burn_in: int = 5) -> float:
     Needs more than burn_in + 2 iterations and all post-burn-in spans above
     1e-13 (otherwise the ratio is dominated by float noise).
     """
-    spans = trace.span_v
     if trace.iterations <= burn_in + 2:
         raise ValueError(
             f"trace too short: {trace.iterations} iterations, need > {burn_in + 2}"
         )
-    used = spans[burn_in:]
+    used = _spans(trace.values[burn_in:])
     if np.any(used <= 1e-13):
         raise ValueError("span underflow: spans after burn-in fall below 1e-13")
     ratios = np.log(used[1:]) - np.log(used[:-1])
@@ -418,23 +431,13 @@ def check_error_recursion(
     """
     sol, opt_rows, _ = _optimum(mdp, solution)
     errors = trace.values - sol.values
-    worst = 0.0
-    worst_eq = 0.0
-    eq_checks = 0
-    for t in range(trace.iterations):
-        rows = trace.rows[t]
-        bound = mdp.gamma * (mdp.P[rows] @ errors[t])
-        diff = errors[t + 1] - bound
-        worst = max(worst, float(np.max(diff)))
-        agree = rows == opt_rows
-        if np.any(agree):
-            eq_checks += int(agree.sum())
-            worst_eq = max(worst_eq, float(np.max(np.abs(diff[agree]))))
+    diff = errors[1:] - mdp.gamma * _step_products(mdp.P, trace.rows, errors[:-1])
+    agree = trace.rows == opt_rows
     return ErrorRecursionReport(
         steps=trace.iterations,
-        max_violation=worst,
-        max_equality_gap=worst_eq,
-        equality_checks=eq_checks,
+        max_violation=max(0.0, float(np.max(diff, initial=-inf))),
+        max_equality_gap=float(np.max(np.abs(diff), where=agree, initial=0.0)),
+        equality_checks=int(agree.sum()),
     )
 
 
@@ -447,14 +450,10 @@ def check_update_sandwich(
     and all rewards are <= 0.
     """
     _, _, p_star = _optimum(mdp, solution, "update sandwich requires a normalized MDP")
-    worst = 0.0
-    for t in range(trace.iterations):
-        rows = trace.rows[t]
-        lower = mdp.gamma * (p_star @ trace.values[t])
-        upper = mdp.gamma * (mdp.P[rows] @ trace.values[t])
-        v_next = trace.values[t + 1]
-        worst = max(worst, float(np.max(lower - v_next)), float(np.max(v_next - upper)))
-    return worst
+    v, v_next = trace.values[:-1], trace.values[1:]
+    above = v_next - mdp.gamma * _step_products(mdp.P, trace.rows, v)
+    below = mdp.gamma * _step_products(p_star, None, v) - v_next
+    return max(0.0, float(np.max(below, initial=-inf)), float(np.max(above, initial=-inf)))
 
 
 @dataclass(frozen=True)
@@ -482,24 +481,17 @@ def check_mixing_bound(
     """
     sol, opt_rows, p_star = _optimum(mdp, solution, "mixing bound requires a normalized MDP")
     gamma = mdp.gamma
-    checked = 0
-    skipped = 0
-    min_margin = float("inf")
-    for t in range(trace.iterations):
-        v = trace.values[t]
-        sp = span(v)
-        if sp <= 1e-13:
-            skipped += mdp.n_states
-            continue
-        rows = trace.rows[t]
-        cur = mdp.P[rows] @ v
-        denom = gamma * (cur - p_star @ v)
-        off = rows != opt_rows
-        tied = off & (np.abs(denom) < 1e-12)
-        use = off & ~tied
-        skipped += int(np.count_nonzero(tied))
-        if use.any():
-            d = (gamma * cur[use] - trace.values[t + 1][use]) / denom[use]
-            checked += int(np.count_nonzero(use))
-            min_margin = min(min_margin, float(np.min(d - sol.delta / (gamma * sp))))
-    return MixingBoundReport(checked=checked, skipped=skipped, min_margin=min_margin)
+    v, v_next = trace.values[:-1], trace.values[1:]
+    cur = _step_products(mdp.P, trace.rows, v)
+    denom = gamma * (cur - _step_products(p_star, None, v))
+    sp = _spans(v)
+    off = (trace.rows != opt_rows) & (sp > 1e-13)[:, None]
+    tied = off & (np.abs(denom) < 1e-12)
+    use = off & ~tied
+    d = (gamma * cur[use] - v_next[use]) / denom[use]
+    floor = sol.delta / (gamma * sp[np.nonzero(use)[0]])
+    return MixingBoundReport(
+        checked=int(np.count_nonzero(use)),
+        skipped=mdp.n_states * int(np.count_nonzero(sp <= 1e-13)) + int(np.count_nonzero(tied)),
+        min_margin=float(np.min(d - floor, initial=inf)),
+    )

@@ -400,7 +400,7 @@ def _trace_values(tails: list[str], n: int) -> np.ndarray:
 
 
 def trace_from_csv(text: str, gamma: float = float("nan")) -> RunTrace:
-    """Rebuild a trace from CSV; per-step policy rows are not stored on disk.
+    """Rebuild a trace from CSV; greedy rows are not stored on disk, so it has none.
 
     Each row's first five fields are checked in turn; the value fields of all
     rows are converted in one pass, so a problem in them is reported ahead of

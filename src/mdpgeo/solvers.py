@@ -174,6 +174,7 @@ class RunTrace:
     ``filter_fallbacks`` counts the passes that needed the exact advantage
     product (see :func:`filter_appendix`).  Wall-clock timings and the
     fallback count stay in memory only; serialized traces are deterministic.
+    A trace read from a file has no greedy rows: ``rows`` has shape (0, n).
     """
 
     gamma: float
@@ -344,7 +345,7 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
         t0 = time.perf_counter() if cfg.record_wall_clock else 0.0
         sel = cfg.states_for(t, n)
         q = mdp.rewards + gamma * pv
-        u, best = greedy(mdp, np.where(active, q, -np.inf), error=SolverError)
+        u, best = greedy(mdp, np.where(active, q, -np.inf))
         v_new = v.copy()
         v_new[sel] = (1.0 - alpha) * v[sel] + alpha * u[sel]
         span_v.append(span(v_new))

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -9,6 +10,7 @@ from mdpgeo.analysis import (
     RECURRENCE_BLOCK,
     AssumptionError,
     CertificationError,
+    ErrorRecursionReport,
     MixingBoundReport,
     certify,
     certify_alpha,
@@ -22,7 +24,8 @@ from mdpgeo.analysis import (
     wielandt_bound,
     _verify_sync_recurrence,
 )
-from mdpgeo.core import Action, Mdp, ModelError, greedy, span
+from mdpgeo.cli import trace_from_csv, trace_to_csv
+from mdpgeo.core import Action, Mdp, ModelError, greedy, policy_rows, span
 from mdpgeo.fixtures import m2_mix
 from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import ViConfig, solve_exact, value_iteration
@@ -139,6 +142,100 @@ def per_state_mixing_bound(mdp, trace):
             checked += 1
             min_margin = min(min_margin, float(d - sol.delta / (mdp.gamma * sp)))
     return MixingBoundReport(checked=checked, skipped=skipped, min_margin=min_margin)
+
+
+def per_step_error_recursion(mdp, trace):
+    """Reference for check_error_recursion: one step at a time."""
+    sol = solve_exact(mdp)
+    opt_rows = policy_rows(mdp, sol.policy)
+    errors = trace.values - sol.values
+    worst = 0.0
+    worst_eq = 0.0
+    eq_checks = 0
+    for t in range(trace.iterations):
+        rows = trace.rows[t]
+        bound = mdp.gamma * (mdp.P[rows] @ errors[t])
+        diff = errors[t + 1] - bound
+        worst = max(worst, float(np.max(diff)))
+        agree = rows == opt_rows
+        if np.any(agree):
+            eq_checks += int(agree.sum())
+            worst_eq = max(worst_eq, float(np.max(np.abs(diff[agree]))))
+    return ErrorRecursionReport(
+        steps=trace.iterations,
+        max_violation=worst,
+        max_equality_gap=worst_eq,
+        equality_checks=eq_checks,
+    )
+
+
+def per_step_update_sandwich(mdp, trace):
+    """Reference for check_update_sandwich: one step at a time."""
+    p_star = mdp.P[policy_rows(mdp, solve_exact(mdp).policy)]
+    worst = 0.0
+    for t in range(trace.iterations):
+        rows = trace.rows[t]
+        lower = mdp.gamma * (p_star @ trace.values[t])
+        upper = mdp.gamma * (mdp.P[rows] @ trace.values[t])
+        v_next = trace.values[t + 1]
+        worst = max(worst, float(np.max(lower - v_next)), float(np.max(v_next - upper)))
+    return worst
+
+
+def assert_checks_match_references(mdp, trace):
+    assert check_error_recursion(mdp, trace) == per_step_error_recursion(mdp, trace)
+    assert check_update_sandwich(mdp, trace) == per_step_update_sandwich(mdp, trace)
+    assert check_mixing_bound(mdp, trace) == per_state_mixing_bound(mdp, trace)
+
+
+@st.composite
+def normalized_runs(draw):
+    """A standard run of 0 to 40 steps on a normalized generated model; a start
+    of scale 1e-12 has spans below 1e-13 after a few steps."""
+    n = draw(st.integers(2, 6))
+    gamma = draw(st.sampled_from([0.5, 0.9, 0.95]))
+    seed = draw(st.integers(0, 9999))
+    norm, _, _ = normalize(generate(GenSpec(n_states=n, gamma=gamma, seed=seed, max_actions=4)))
+    scale = draw(st.sampled_from([1e-12, 1.0, 30.0]))
+    v0 = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    cfg = ViConfig(stop="time", t_max=draw(st.integers(0, 40)), v0="given", v0_values=tuple(v0))
+    return norm, value_iteration(norm, cfg)
+
+
+def dyadic_model():
+    """Normalized by construction (V* = 0, delta = 1/4) with dyadic rows, so
+    backups of values on a dyadic grid tie exactly: b0 and a0 back up
+    (1, 1/2, 0) to 1/2 both."""
+    return Mdp(3, (Action("a0", 0, (0.5, 0.0, 0.5), 0.0), Action("b0", 0, (0.0, 1.0, 0.0), -0.25),
+                   Action("a1", 1, (0.0, 0.5, 0.5), 0.0), Action("b1", 1, (1.0, 0.0, 0.0), -0.25),
+                   Action("a2", 2, (0.5, 0.5, 0.0), 0.0), Action("b2", 2, (0.0, 0.0, 1.0), -0.5)),
+               0.5)
+
+
+def recorded(mdp, values, choices):
+    """A trace of ``mdp`` holding ``values`` and the rows of the action ids ``choices``."""
+    base = value_iteration(mdp, ViConfig(stop="time", t_max=0))
+    rows = np.array([[mdp.row_of[a] for a in step] for step in choices], dtype=np.int32)
+    return replace(base, values=np.array(values, dtype=np.float64),
+                   rows=rows.reshape(len(choices), mdp.n_states))
+
+
+def tied_trace():
+    """One step choosing b0, whose backup ties a0's at V_0: a tied denominator."""
+    return recorded(dyadic_model(), [[1.0, 0.5, 0.0], [0.0, 0.0, 0.0]], [("b0", "a1", "a2")])
+
+
+@st.composite
+def dyadic_traces(draw):
+    """Any values on a grid of quarters (or 1e-14) with any recorded choices, on
+    :func:`dyadic_model`: constant and tiny-span steps, exact ties."""
+    steps = draw(st.integers(0, 12))
+    grid = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e-14])
+    values = draw(st.lists(st.lists(grid, min_size=3, max_size=3),
+                           min_size=steps + 1, max_size=steps + 1))
+    choices = draw(st.lists(st.tuples(*(st.sampled_from([f"a{s}", f"b{s}"]) for s in range(3))),
+                            min_size=steps, max_size=steps))
+    return recorded(dyadic_model(), values, choices)
 
 
 def wielandt_trace(n=50, gamma=0.999, seed=1):
@@ -480,6 +577,23 @@ class TestTraceChecks:
             checked += rep.checked
         assert checked > 0
 
+    @settings(max_examples=40, deadline=None)
+    @given(normalized_runs())
+    @example(normalized_trace(t_max=0))
+    @example(normalized_trace(t_max=30))  # the span reaches exactly 0 partway
+    def test_checks_match_per_step_loops_on_runs(self, run):
+        assert_checks_match_references(*run)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dyadic_traces())
+    @example(tied_trace())
+    def test_checks_match_per_step_loops_on_any_recorded_rows(self, trace):
+        assert_checks_match_references(dyadic_model(), trace)
+
+    def test_tied_denominator_is_skipped(self):
+        assert check_mixing_bound(dyadic_model(), tied_trace()) == MixingBoundReport(
+            checked=0, skipped=1, min_margin=float("inf"))
+
     def test_delta_equals_worst_normalized_reward(self):
         for seed in range(8):
             mdp = generate(GenSpec(n_states=3, gamma=0.9, seed=950 + seed, max_actions=3))
@@ -503,3 +617,41 @@ class TestTraceChecks:
             run = value_iteration(norm, ViConfig(stop="span", epsilon=1e-4,
                                                  v0="given", v0_values=v0))
             assert run.iterations <= 10 * max(cert.predicted_vi_iters, 1.0)
+
+
+def forged(text):
+    """The trace file with every span_v and span_dv field replaced."""
+    head, *rows = text.splitlines(keepends=True)
+    return head + "".join(f"{t},1e-30,7,{rest}" for t, _, _, rest in
+                          (row.split(",", 3) for row in rows))
+
+
+def certificate_json(cert):
+    return json.dumps(cert.to_dict())
+
+
+class TestLoadedTraces:
+    @pytest.mark.parametrize("check", [check_error_recursion, check_update_sandwich,
+                                       check_mixing_bound])
+    def test_checkers_need_recorded_rows(self, check):
+        norm, trace = normalized_trace(t_max=10)
+        with pytest.raises(AssumptionError, match="0 recorded greedy rows for 10 steps"):
+            check(norm, trace_from_csv(trace_to_csv(trace)))
+
+    @pytest.mark.parametrize("t_max, alpha, result", [
+        (10, 1.0, lambda mdp, trace: certificate_json(certify(mdp, trace))),
+        (20, 0.5, lambda mdp, trace: certificate_json(certify_alpha(mdp, trace, alpha=0.5))),
+        (4, 1.0, lambda mdp, trace: empirical_rate(trace, burn_in=1)),
+    ], ids=["certify", "certify_alpha", "empirical_rate"])
+    def test_forged_span_columns_move_no_result(self, t_max, alpha, result):
+        norm, trace = normalized_trace(t_max=t_max, alpha=alpha)
+        text = trace_to_csv(trace)
+        fake = trace_from_csv(forged(text))
+        assert fake.span_v[1] == 1e-30
+        assert result(norm, fake) == result(norm, trace_from_csv(text))
+
+    def test_csv_round_trip_certifies_as_in_memory(self):
+        for t_max in (1, 10, 40):
+            norm, trace = normalized_trace(t_max=t_max)
+            loaded = trace_from_csv(trace_to_csv(trace))
+            assert certificate_json(certify(norm, loaded)) == certificate_json(certify(norm, trace))

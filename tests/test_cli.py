@@ -354,6 +354,17 @@ class TestCommands:
         assert code == EX_OK
         assert json.loads(cap.out)["gamma_eff"] == 0.9
 
+    @pytest.mark.parametrize("stop", ["time:50", "span:1e-6"])
+    def test_overflowing_backup_exits_65_under_every_stop(self, stop, tmp_path, capsys):
+        # the second backup is -inf in every row: the loop's greedy and the
+        # final one (reached first by the span stop) report it the same way
+        low = Mdp(2, (Action("a", 0, (1.0, 0.0), -1e308), Action("b", 1, (0.0, 1.0), -1e308)), 0.9)
+        model = tmp_path / "low.json"
+        model.write_text(mdp_to_json(low))
+        code, cap = run(capsys, "solve-vi", "--mdp", str(model), "--stop", stop)
+        assert (code, cap.out) == (EX_DATAERR, "")
+        assert cap.err == "error:ModelError:state 0 has no active action\n"
+
     def test_certify_underflow_exit_code(self, tmp_path, capsys):
         half = (0.5, 0.5)
         mdp = Mdp(2, (Action("a1", 0, half, 0.0), Action("a2", 0, (1.0, 0.0), -0.01),
