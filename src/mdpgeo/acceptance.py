@@ -15,7 +15,7 @@ from functools import cache
 import numpy as np
 
 from . import analysis, gen, twostate
-from .core import Mdp, Policy, advantages, policy_rows, span
+from .core import Mdp, Policy, advantages, policy_rows, row_spans
 from .gen import GenSpec, generate
 from .solvers import ViConfig, evaluate_policy, policy_iteration, solve_exact, value_iteration
 from .transforms import apply_J, normalize, state_slack
@@ -70,6 +70,7 @@ def criterion_1() -> CriterionResult:
             rng = np.random.default_rng(20_000 + i)
             pseudo = rng.uniform(-5.0, 5.0, size=(20, n))
             adv0 = np.stack([advantages(mdp, v) for v in pseudo])
+            sp0 = row_spans(pseudo)
             slack = state_slack(mdp)
             for s in range(n):
                 targets = []
@@ -81,9 +82,7 @@ def criterion_1() -> CriterionResult:
                     mapped = np.stack([change.map_values(v) for v in pseudo])
                     adv1 = np.stack([advantages(new, v) for v in mapped])
                     worst_adv = max(worst_adv, float(np.max(np.abs(adv1 - adv0))))
-                    sp0 = pseudo.max(axis=1) - pseudo.min(axis=1)
-                    sp1 = mapped.max(axis=1) - mapped.min(axis=1)
-                    worst_span = max(worst_span, float(np.max(np.abs(sp1 - sp0))))
+                    worst_span = max(worst_span, float(np.max(np.abs(row_spans(mapped) - sp0))))
                     checked += 1
         ok = worst_adv < 1e-8 and worst_span < 1e-8
         return ok, (

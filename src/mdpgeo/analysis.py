@@ -25,7 +25,7 @@ from math import inf, isfinite, log
 
 import numpy as np
 
-from .core import Mdp, ModelError, advantages, as_values, greedy, policy_rows, span
+from .core import Mdp, ModelError, advantages, as_values, greedy, policy_rows, row_spans, span
 from .solvers import ExactSolution, RunTrace, solve_exact
 from . import transforms
 
@@ -211,11 +211,6 @@ def _optimum(mdp: Mdp, solution: ExactSolution | None,
     return sol, opt_rows, mdp.P[opt_rows]
 
 
-def _spans(x: np.ndarray) -> np.ndarray:
-    """Per-row max minus min, row for row the bits of :func:`core.span`."""
-    return x.max(axis=1) - x.min(axis=1)
-
-
 def _step_products(a: np.ndarray, rows: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     """Row t is ``a[rows[t]] @ x[t]`` (``a @ x[t]`` for rows None), one gemv per step as
     each step forms it alone, so every product keeps its bits; a batched gemm may not.
@@ -305,7 +300,7 @@ def certify(mdp: Mdp, trace: RunTrace, epsilon: float = 1e-6) -> ConvergenceCert
     _check_run(mdp, trace, N, alpha=1.0)
 
     gamma = mdp.gamma
-    spans = _spans(trace.values[: N + 1])
+    spans = row_spans(trace.values[: N + 1])
     # phi chains the per-step mixing floors delta / (gamma * span(V_t)); each
     # step's floor uses the span of the iterate entering it, t = 0 .. N-1.
     block = spans[0:N]
@@ -351,7 +346,7 @@ def certify_alpha(
     _check_run(mdp, trace, n_alpha, alpha=alpha)
 
     gamma = mdp.gamma
-    e_spans = _spans(trace.values[: n_alpha + 1] - sol.values)
+    e_spans = row_spans(trace.values[: n_alpha + 1] - sol.values)
     if np.any(e_spans <= 0.0):
         raise CertificationError("an error span inside the certified block vanished")
     p_min = float(np.min(p_star[p_star > 0.0]))
@@ -403,7 +398,7 @@ def empirical_rate(trace: RunTrace, burn_in: int = 5) -> float:
         raise ValueError(
             f"trace too short: {trace.iterations} iterations, need > {burn_in + 2}"
         )
-    used = _spans(trace.values[burn_in:])
+    used = row_spans(trace.values[burn_in:])
     if np.any(used <= 1e-13):
         raise ValueError("span underflow: spans after burn-in fall below 1e-13")
     ratios = np.log(used[1:]) - np.log(used[:-1])
@@ -484,7 +479,7 @@ def check_mixing_bound(
     v, v_next = trace.values[:-1], trace.values[1:]
     cur = _step_products(mdp.P, trace.rows, v)
     denom = gamma * (cur - _step_products(p_star, None, v))
-    sp = _spans(v)
+    sp = row_spans(v)
     off = (trace.rows != opt_rows) & (sp > 1e-13)[:, None]
     tied = off & (np.abs(denom) < 1e-12)
     use = off & ~tied

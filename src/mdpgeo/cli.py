@@ -58,6 +58,7 @@ from .core import Mdp, ModelError, Policy, policy_from_ids, validate
 from .gen import STRUCTURES, GenSpec, generate
 from .solvers import (
     ConfigError,
+    ConsistencyError,
     RunTrace,
     ViConfig,
     max_reward_policy,
@@ -399,18 +400,18 @@ def _trace_values(tails: list[str], n: int) -> np.ndarray:
     return flat.reshape(len(tails), n)
 
 
-def trace_from_csv(text: str, gamma: float = float("nan")) -> RunTrace:
+def trace_from_csv(text: str) -> RunTrace:
     """Rebuild a trace from CSV; greedy rows are not stored on disk, so it has none.
 
-    Each row's first five fields are checked in turn; the value fields of all
-    rows are converted in one pass, so a problem in them is reported ahead of
-    any problem in a later row, as a row-by-row read would."""
+    Each row's first five fields are checked in turn, the spans only as numbers;
+    the value fields of all rows are converted in one pass, so a problem in them
+    is reported ahead of any problem in a later row, as a row-by-row read would."""
     lines = [ln for ln in text.split("\n") if ln]
     header = lines[0].split(",") if lines else []
     if header[:len(_TRACE_HEADER)] != _TRACE_HEADER:
         raise ModelError("trace file has an unexpected header")
     width, n = len(header), len(header) - len(_TRACE_HEADER)
-    tails, span_v, span_dv, counts = [], [], [], []
+    tails, counts = [], []
     stop_reason, problem = "", None
     for t, ln in enumerate(lines[1:]):
         fields = ln.count(",") + 1
@@ -421,8 +422,7 @@ def trace_from_csv(text: str, gamma: float = float("nan")) -> RunTrace:
         try:
             if int(parts[0]) != t:
                 raise ValueError(f"t={parts[0]}, expected {t}")
-            span_v.append(float(parts[1]))
-            span_dv.append(float(parts[2]))
+            float(parts[1]), float(parts[2])
             counts.append(np.intp(parts[3]))
         except (ValueError, OverflowError) as exc:
             problem = f"trace row {t} is malformed: {exc}"
@@ -434,16 +434,10 @@ def trace_from_csv(text: str, gamma: float = float("nan")) -> RunTrace:
         raise ModelError(problem)
     if not tails:
         raise ModelError("trace file has no data rows")
-    span_v = np.array(span_v)
-    if not (np.isfinite(values).all() and np.isfinite(span_v).all()):
-        raise ModelError("trace file has non-finite values or spans")
+    if not np.isfinite(values).all():
+        raise ModelError("trace file has non-finite values")
     return RunTrace(
-        gamma=gamma,
-        alpha=float("nan"),
-        schedule="unknown",
         values=values,
-        span_v=span_v,
-        span_dv=np.array(span_dv),
         active_counts=np.array(counts, dtype=np.intp),
         rows=np.empty((0, values.shape[1]), dtype=np.int32),
         ids=(),
@@ -700,7 +694,7 @@ def _cmd_gamma_eff(args) -> int:
 def _cmd_certify(args) -> int:
     mdp, mdp_hash = _load_mdp(args.mdp)
     trace_text, trace_hash = _read_text(args.trace)
-    trace = trace_from_csv(trace_text, gamma=mdp.gamma)
+    trace = trace_from_csv(trace_text)
     if args.cert_alpha is None:
         cert = certify(mdp, trace, epsilon=args.epsilon)
     else:
@@ -830,7 +824,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"error:config:{exc}\n")
         return EX_USAGE
-    except ValueError as exc:  # ModelError, AssumptionError, CertificationError, ...
+    except (ValueError, ConsistencyError) as exc:  # ModelError, AssumptionError, ...
         sys.stderr.write(f"error:{type(exc).__name__}:{exc}\n")
         return EX_DATAERR
 

@@ -43,6 +43,7 @@ __all__ = [
     "bellman_policy",
     "greedy",
     "policy_from_ids",
+    "row_spans",
     "span",
     "validate",
 ]
@@ -58,6 +59,11 @@ def span(v) -> float:
     """Max minus min of a value vector; zero for constants, always >= 0."""
     v = np.asarray(v, dtype=np.float64)
     return float(np.max(v) - np.min(v))
+
+
+def row_spans(x: np.ndarray) -> np.ndarray:
+    """Per-row max minus min, row for row the bits of :func:`span`."""
+    return x.max(axis=1) - x.min(axis=1)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -27,11 +27,13 @@ import numpy as np
 from .core import (
     ROW_SUM_TOL,
     Mdp,
+    ModelError,
     Policy,
     advantages,
     as_values,
     greedy,
     policy_rows,
+    row_spans,
     span,
     validate,
 )
@@ -164,25 +166,20 @@ class ViConfig:
 
 @dataclass
 class RunTrace:
-    """Everything recorded along one value-iteration run.
+    """Everything one value-iteration run produced.
 
     Row t of ``values`` is V_t, so there are iterations+1 rows.  Row t of
     ``rows`` (int32, shape (iterations, n)) holds the action rows of the
-    greedy policy computed at V_t; ``policies`` is the same sequence as
-    tuples of action ids, built from ``ids`` on first access.  ``filtered``
-    holds the ids discarded by each update's filtering pass, and
-    ``filter_fallbacks`` counts the passes that needed the exact advantage
-    product (see :func:`filter_appendix`).  Wall-clock timings and the
-    fallback count stay in memory only; serialized traces are deterministic.
+    greedy policy computed at V_t.  Formed on first access: ``policies``, the
+    rows as action ids; ``span_v``, the span of each V_t; ``span_dv``, NaN and
+    then the span of each V_t - V_(t-1).  ``filtered`` holds the ids dropped by
+    each update's filter pass, ``filter_fallbacks`` counts the passes that
+    needed the exact product (see :func:`filter_appendix`).  Wall-clock times
+    and that count stay in memory only; serialized traces are deterministic.
     A trace read from a file has no greedy rows: ``rows`` has shape (0, n).
     """
 
-    gamma: float
-    alpha: float
-    schedule: str
     values: np.ndarray
-    span_v: np.ndarray
-    span_dv: np.ndarray
     active_counts: np.ndarray
     rows: np.ndarray
     ids: tuple[str, ...]
@@ -199,6 +196,14 @@ class RunTrace:
     @property
     def converged(self) -> bool:
         return self.stop_reason != "cap"
+
+    @cached_property
+    def span_v(self) -> np.ndarray:
+        return row_spans(self.values)
+
+    @cached_property
+    def span_dv(self) -> np.ndarray:
+        return np.concatenate(([np.nan], row_spans(np.diff(self.values, axis=0))))
 
     @cached_property
     def policies(self) -> tuple[tuple[str, ...], ...]:
@@ -291,6 +296,15 @@ def _filter_exact(mdp: Mdp, v: np.ndarray, active: np.ndarray,
     return new, removed
 
 
+def _backup(mdp: Mdp, pv: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`greedy` over the active rows of ``rewards + gamma * pv``.  The filter
+    leaves every state an active row, so a state whose active rows all overflow
+    to -inf has left the float range: ModelError, as for any non-finite value."""
+    with np.errstate(over="ignore"):
+        q = np.where(active, mdp.rewards + mdp.gamma * pv, -np.inf)
+    return greedy(mdp, q, error=lambda _: ModelError("value vector has non-finite entries"))
+
+
 def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
     """Run the general value-iteration loop until a stop rule fires.
 
@@ -311,8 +325,6 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
     cap = None if cfg.stop == "time" else hard_iteration_cap(gamma)
 
     values = [v]
-    span_v = [span(v)]
-    span_dv = [np.nan]
     counts = [mdp.m]
     rows: list[np.ndarray] = []
     filtered: list[tuple[str, ...]] = []
@@ -328,9 +340,9 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
         if cfg.stop == "time":
             return "time" if t == cfg.t_max else None
         if cfg.stop == "span":
-            return "span" if t >= 1 and span_dv[t] <= threshold else None
+            return "span" if t >= 1 and span(values[t] - values[t - 1]) <= threshold else None
         if cfg.stop == "value_span":
-            return "value_span" if span_v[t] < threshold else None
+            return "value_span" if span(values[t]) < threshold else None
         return "actions" if counts[t] == n else None
 
     t = 0
@@ -344,20 +356,16 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
             break
         t0 = time.perf_counter() if cfg.record_wall_clock else 0.0
         sel = cfg.states_for(t, n)
-        q = mdp.rewards + gamma * pv
-        u, best = greedy(mdp, np.where(active, q, -np.inf))
+        u, best = _backup(mdp, pv, active)
         v_new = v.copy()
         v_new[sel] = (1.0 - alpha) * v[sel] + alpha * u[sel]
-        span_v.append(span(v_new))
-        if not isfinite(span_v[-1]):  # inf or NaN values have no finite span
-            as_values(v_new, n)  # ModelError, unless only the span overflowed
+        as_values(v_new, n)  # ModelError on an inf or NaN entry
         pv = mdp.P @ v_new
         removed: tuple[str, ...] = ()
         if cfg.filter == "appendix":
             active, removed, fell_back = filter_appendix(mdp, t + 1, v_new, active, pv)
             fallbacks += fell_back
         values.append(v_new)
-        span_dv.append(span(v_new - v))
         counts.append(int(active.sum()))
         rows.append(best.astype(np.int32))
         filtered.append(removed)
@@ -366,14 +374,9 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
         v = v_new
         t += 1
 
-    _, best = greedy(mdp, np.where(active, mdp.rewards + gamma * pv, -np.inf))
+    _, best = _backup(mdp, pv, active)
     return RunTrace(
-        gamma=gamma,
-        alpha=alpha,
-        schedule=cfg.schedule,
         values=np.vstack(values),
-        span_v=np.array(span_v),
-        span_dv=np.array(span_dv),
         active_counts=np.array(counts, dtype=np.intp),
         rows=np.array(rows, dtype=np.int32).reshape(len(rows), n),
         ids=mdp.ids,

