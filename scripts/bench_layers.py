@@ -25,7 +25,8 @@ number of repeats:
 - ``load_mdp_compact_sparse``: the CLI's read path on that compact model
   written to a file: read the file, hash it, parse and validate;
 - ``validate``: the full invariant check of the model, built on a writable
-  copy of its ``P`` (a model whose arrays are all read-only is checked once);
+  copy of its ``P`` so that older checkouts, which checked a model whose
+  arrays were all read-only only once, measure the same full check;
 - ``policy_iteration``: Howard policy iteration from the max-reward policy,
   each repeat on a fresh validated model over the same arrays, so nothing a
   model caches is reused, as in one ``solve-pi`` command.

@@ -8,7 +8,10 @@ script by default) once per seed and workload, for the run length its
 ``BENCHMARK.json`` sets, seed by seed, so the workloads alternate and a slow
 spell of the machine falls on all of them.  Writes ``BENCH_<pr>.json`` into
 this repository: the machine (nproc, CPU, Python, numpy, BLAS and its thread
-count, as the benchmark's worker reports them), the commit, the seeds, every
+count, as the benchmark's worker reports them, and the
+``PYTHONDONTWRITEBYTECODE`` setting the runs inherit: where it is set, every
+fresh process compiles mdpgeo from source, so ``setup_s`` moves with the size
+of ``src/``), the commit, the seeds, every
 run's summary line, and per workload the median and [q1, q3] of each
 end-to-end metric over the seeds, with the failed share of the operations
 attempted.  Then prints, per workload and metric, the change of the median
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -92,7 +96,8 @@ def main() -> int:
     for seed in args.seeds:
         for workload in workloads:
             env, summary = _run(checkout, workload, seed, seconds)
-            machine = machine or env
+            machine = machine or {
+                **env, "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
             runs.append({"workload": workload, "seed": seed, **summary})
             print(f"{workload} seed {seed}: {json.dumps(summary['metrics'])}", file=sys.stderr)
 

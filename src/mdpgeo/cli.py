@@ -60,6 +60,7 @@ from .solvers import (
     ConfigError,
     ConsistencyError,
     RunTrace,
+    SolverError,
     ViConfig,
     max_reward_policy,
     policy_iteration,
@@ -333,7 +334,6 @@ def _probs_matrix(data: bytes, spans: list[tuple[int, int]], n: int) -> np.ndarr
     for r0 in range(0, len(spans), step):
         rows = spans[r0:r0 + step]
         fill(P[r0:r0 + len(rows)].reshape(-1), rows)
-    P.setflags(write=False)  # nothing writes it again, so the model is validated once
     return P
 
 
@@ -824,7 +824,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"error:config:{exc}\n")
         return EX_USAGE
-    except (ValueError, ConsistencyError) as exc:  # ModelError, AssumptionError, ...
+    except (ValueError, ConsistencyError, SolverError) as exc:  # ModelError, AssumptionError, ...
         sys.stderr.write(f"error:{type(exc).__name__}:{exc}\n")
         return EX_DATAERR
 

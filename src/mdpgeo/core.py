@@ -72,21 +72,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _read_only(given, dtype) -> np.ndarray:
-    """``given`` as a read-only view; a private copy that ``np.asarray`` made is
-    frozen as well, while a caller's own array stays writable."""
-    a = np.asarray(given, dtype=dtype)
-    if a is not given and a.base is None:
-        a.setflags(write=False)
-    return _freeze(a.view())
-
-
-def _sealed(a: np.ndarray) -> bool:
-    """Whether no array under ``a`` can be written."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        a = a.base
-    return a is None
+    """``given`` as a read-only view; a caller's own array stays writable."""
+    return _freeze(np.asarray(given, dtype=dtype).view())
 
 
 def as_values(v, n_states: int) -> np.ndarray:
@@ -137,15 +124,13 @@ class Mdp:
 
     The read-only arrays are set once, from :class:`Action` records by
     ``Mdp(n_states, actions, gamma)`` or by :meth:`from_arrays`; both check
-    shapes only, so call :func:`validate` for the full invariant check.  A
-    model remembers that it passed when no array under it can be written:
-    copies the model made are frozen, a caller's own arrays are left as they
-    are, and a writable one is checked again at every call (a caller who
-    makes a frozen array writable again must not hand it to a model).
-    Derived arrays (own-state probabilities, per-state rows sorted by action
-    id) are computed lazily and cached; ``actions`` makes the rows into
-    records.  The coefficient matrix ``coeffs`` is as large as ``P`` and is
-    formed at each access instead.
+    shapes only, so call :func:`validate` for the full invariant check.
+    :func:`validate` reads the arrays at every call, while what is derived
+    from them (own-state probabilities, per-state rows sorted by action id,
+    the id index, the ``actions`` records, ``twostate``'s per-model core) is
+    formed once, so an array handed to a model must not change afterwards.
+    The coefficient matrix ``coeffs`` is as large as ``P`` and is formed at
+    each access instead.
     """
 
     n_states: int
@@ -283,12 +268,9 @@ def validate(mdp: Mdp) -> None:
     a known state, a proper distribution over next states (nonnegative,
     summing to 1 within 1e-12) and a finite reward; every state owns at
     least one action.  Each check runs over all rows at once and names the
-    lowest offending row; shapes are checked when the model is built.  A model
-    whose arrays are all sealed (see ``Mdp``) is checked once.
+    lowest offending row; shapes are checked when the model is built.  Every
+    check reads the arrays at every call; nothing is remembered.
     """
-    sealed = _sealed(mdp.P) and _sealed(mdp.state_of) and _sealed(mdp.rewards)
-    if sealed and vars(mdp).get("_validated"):  # a copy of a model may hold writable arrays
-        return
     if mdp.n_states < 1:
         raise ModelError(f"n_states must be >= 1, got {mdp.n_states}")
     if not (0.0 < mdp.gamma < 1.0):
@@ -315,8 +297,6 @@ def validate(mdp: Mdp) -> None:
     counts = np.bincount(states, minlength=mdp.n_states)
     if not counts.all():
         raise ModelError(f"state {int(np.argmin(counts))} has no actions")
-    if sealed:
-        vars(mdp)["_validated"] = True
 
 
 def action_vector(mdp: Mdp, action_id: str) -> ActionVector:

@@ -151,8 +151,6 @@ def generate(spec: GenSpec) -> Mdp:
     """
     spec = spec.validated()
     counts, state_of, P, rewards = _draw(np.random.default_rng(spec.seed), spec)
-    for a in (P, state_of, rewards):  # nothing writes them again: the model is validated once
-        a.setflags(write=False)
     ids = [_aid(s, j) for s, k in enumerate(counts.tolist()) for j in range(k)]
     mdp = Mdp.from_arrays(spec.n_states, spec.gamma, ids, state_of, P, rewards)
     validate(mdp)

@@ -464,7 +464,9 @@ def policy_iteration(mdp: Mdp, pi0: Policy) -> tuple[Policy, PiTrace]:
     A state keeps its action while it is within 1e-9 of the best advantage.
     Stops when the improved policy equals the current one.  The iteration
     count includes that confirming round, so a fixed point costs one
-    iteration.
+    iteration.  In exact arithmetic Howard never returns to a policy, so an
+    improvement that returns to an earlier one shows that rounding decided a
+    tie; the run would cycle for ever and raises SolverError instead.
 
     Each round forms the advantages as ``rewards + gamma * (P @ v) -
     v[state_of]``, with no m x n coefficient matrix, and redoes the round
@@ -477,8 +479,10 @@ def policy_iteration(mdp: Mdp, pi0: Policy) -> tuple[Policy, PiTrace]:
     vals: list[np.ndarray] = []
     switched: list[int] = []
     fallbacks = 0
+    seen: dict[bytes, int] = {}  # the rows of every policy evaluated -> its round
     while True:
         v = evaluate_rows(mdp, rows)
+        seen[rows.tobytes()] = len(pols) + 1
         pols.append(tuple(mdp.ids[k] for k in rows))
         vals.append(v)
         adv = mdp.rewards + mdp.gamma * (mdp.P @ v) - v[mdp.state_of]
@@ -489,6 +493,9 @@ def policy_iteration(mdp: Mdp, pi0: Policy) -> tuple[Policy, PiTrace]:
         switched.append(int(np.count_nonzero(nxt != rows)))
         if not switched[-1]:
             break
+        if (again := seen.get(nxt.tobytes())) is not None:
+            raise SolverError(f"round {len(pols)} of policy iteration improves back to the "
+                              f"policy of round {again}: rounding decided a tie")
         rows = nxt
     final = Policy(choice=pols[-1], values=vals[-1])
     return final, PiTrace(policies=tuple(pols), values=np.vstack(vals), iterations=len(pols),

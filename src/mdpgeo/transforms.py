@@ -230,7 +230,6 @@ def normalize(mdp: Mdp) -> tuple[Mdp, Policy, TransformLog]:
     optimal policy is not unique within tolerance, in which case some
     rewards of actions outside the returned policy may also be ~0.
     """
-    validate(mdp)
     sol = solve_exact(mdp)
     if not sol.unique:
         warnings.warn(

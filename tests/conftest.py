@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import hypothesis.strategies as st
 from hypothesis import settings
@@ -42,3 +45,19 @@ def loop_spans(values):
     span_v = [span(v) for v in values]
     span_dv = [np.nan] + [span(b - a) for a, b in zip(values[:-1], values[1:])]
     return np.array(span_v), np.array(span_dv)
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the block once it has run ``seconds``, so a run
+    that never ends fails its test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -23,7 +23,7 @@ from mdpgeo.core import (
     validate,
 )
 from mdpgeo import core
-from mdpgeo.cli import mdp_to_json
+from mdpgeo.cli import mdp_from_json, mdp_to_json
 from mdpgeo.fixtures import m2, m2_mix
 from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import evaluate_policy, policy_iteration, solve_exact
@@ -231,7 +231,7 @@ class TestArrayModel:
 
 
 class TestValidatedOnce:
-    """A model remembers a passing ``validate`` only when nothing can write its arrays."""
+    """``validate`` remembers no pass: every call runs every check on the arrays."""
 
     @staticmethod
     def _checks_again(mdp) -> bool:
@@ -260,16 +260,18 @@ class TestValidatedOnce:
         validate(mdp)
         assert self._checks_again(mdp)
 
-    def test_private_copies_are_sealed(self):
-        # lists, and arrays of another dtype, are copied by the model and frozen
-        for P in ([[0.5, 0.5], [0.0, 1.0]], np.array([[0.5, 0.5], [0.0, 1.0]], np.float32)):
-            mdp = Mdp.from_arrays(2, 0.9, ("a", "b"), [0, 1], P, [0.0, 1.0])
-            assert self._checks_again(mdp)  # not validated yet
-            validate(mdp)
-            assert not self._checks_again(mdp)
-        mdp = m2()  # from Action records
+    @pytest.mark.parametrize("build", [
+        lambda: generate(GenSpec(n_states=4, gamma=0.9, seed=3, structure="sparse")),
+        lambda: mdp_from_json(mdp_to_json(m2_mix())),
+        m2,  # from Action records
+        lambda: Mdp.from_arrays(2, 0.9, ("a", "b"), [0, 1], [[0.5, 0.5], [0.0, 1.0]], [0.0, 1.0]),
+    ], ids=["generated", "read", "records", "lists"])
+    def test_every_call_runs_every_check(self, build):
+        mdp = build()
         validate(mdp)
-        assert not self._checks_again(mdp)
+        validate(mdp)
+        assert self._checks_again(mdp) and self._checks_again(mdp)
+        validate(mdp)
 
     @pytest.mark.parametrize("copy", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
     def test_a_copy_with_writable_arrays_is_checked_again(self, copy):
@@ -279,12 +281,6 @@ class TestValidatedOnce:
         twin.P[0, 0] = 5.0
         with pytest.raises(ModelError, match="row sums to"):
             validate(twin)
-
-    def test_generated_models_are_validated_once(self):
-        mdp = generate(GenSpec(n_states=4, gamma=0.9, seed=3, structure="sparse"))
-        assert not self._checks_again(mdp)
-        assert self._checks_again(Mdp.from_arrays(4, 0.9, mdp.ids, mdp.state_of,
-                                                  mdp.P.copy(), mdp.rewards))
 
 
 class TestActionVector:

@@ -24,6 +24,7 @@ from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import (
     ConfigError,
     RunTrace,
+    SolverError,
     ViConfig,
     brute_force_solve,
     evaluate_policy,
@@ -36,7 +37,7 @@ from mdpgeo.solvers import (
 )
 from mdpgeo.transforms import apply_J, normalize
 
-from conftest import loop_spans, mdps
+from conftest import loop_spans, mdps, time_limit
 
 
 class TestViConfig:
@@ -454,6 +455,35 @@ class TestPolicyIteration:
         for solve in (lambda: policy_iteration(mdp, Policy(("a", "b"))), lambda: solve_exact(mdp)):
             with pytest.raises(ModelError, match="value vector has non-finite entries"):
                 solve()
+
+    def test_a_revisited_policy_names_both_rounds(self):
+        mdp = m2_mix()
+        step = {("a2", "b2"): ("a2", "b1"), ("a2", "b1"): ("a1", "b1"), ("a1", "b1"): ("a2", "b1")}
+
+        def cycling(mdp, rows, adv, err=None):
+            return np.array([mdp.row(a) for a in step[tuple(mdp.ids[k] for k in rows)]])
+
+        with mock.patch.object(solvers, "_improve", cycling), time_limit(2):
+            with pytest.raises(SolverError, match="^round 3 of policy iteration improves back "
+                                                  "to the policy of round 2: rounding decided"):
+                policy_iteration(mdp, Policy(("a2", "b2")))
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_a_run_that_would_cycle_raises(self, n, seed):
+        # with every reward 1e6 one ulp of the values exceeds PI_TIE_TOL, so rounding
+        # decides the exact ties, and these 25 of the 80 runs revisit a policy
+        cycling = {2: {2, 15, 17}, 6: {0, 1, 5, 6, 7, 14, 15, 16, 18, 19, 20, 21, 22, 24, 25, 26,
+                                       27, 31, 32, 35, 38, 39}}
+        drawn = generate(GenSpec(n_states=n, gamma=0.99, seed=seed, structure="dense"))
+        mdp = Mdp.from_arrays(n, 0.99, drawn.ids, drawn.state_of, drawn.P, np.full(drawn.m, 1e6))
+        with time_limit(2):
+            if seed in cycling[n]:
+                with pytest.raises(SolverError, match="improves back to the policy of round"):
+                    policy_iteration(mdp, max_reward_policy(mdp))
+            else:
+                _, trace = policy_iteration(mdp, max_reward_policy(mdp))
+                assert len(set(trace.policies)) == trace.iterations
 
     def test_single_action_converges_in_one(self):
         mdp = Mdp(2, (Action("a", 0, (1.0, 0.0), 0.0), Action("b", 1, (0.0, 1.0), 1.0)), 0.9)
