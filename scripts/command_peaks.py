@@ -11,7 +11,10 @@ measures that one) on two pipelines, in a temporary directory:
   ``solve-vi --trace`` and ``solve-pi`` on it;
 - ``generate`` of a Wielandt model (n = 50, three actions per state,
   gamma = 0.999), ``normalize``, a 2,402-step ``solve-vi --trace`` and
-  ``certify`` on the normalized model.
+  ``certify`` on the normalized model;
+
+and on its own, ``twostate --suite 100000 --max-actions 12`` (instances from
+``--seed``), whose peak shows whether the suite's memory grows with its size.
 
 Each command runs ``--repeats`` times.  Prints one JSON object: per command,
 its exit code, the largest peak RSS of its runs in MB (``ru_maxrss`` from
@@ -49,6 +52,8 @@ def _pipeline(d: str, seed: int) -> list[tuple[str, list[str]]]:
         ("solve-vi-wielandt", ["solve-vi", "--mdp", norm, "--stop", "time:2402",
                                "--trace", p("wielandt.csv")]),
         ("certify", ["certify", "--mdp", norm, "--trace", p("wielandt.csv")]),
+        ("twostate-suite", ["twostate", "--suite", "100000", "--max-actions", "12",
+                            "--seed", str(seed)]),
     ]
 
 

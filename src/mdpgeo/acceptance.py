@@ -195,52 +195,60 @@ def criterion_4() -> CriterionResult:
 # 5. two-state policy-iteration bound
 
 
+_SUITE_BLOCK = 10_000  # instances drawn and checked at a time: the suite's memory is one block's
+
+
 def run_twostate_suite(n_instances: int, max_actions: int = 12, seed: int = 0) -> dict:
     """Exhaustive two-state checks over seeded random instances.
 
     Per instance: Howard iteration from every start stays within the action
     count, the produce/form dynamics lose an action per round, and (for
     three or more actions, nondegenerate slopes) a named inefficient action
-    exists and is indeed never produced.  Instances are checked in one batch per
-    pair of action counts; one that fails is checked alone, which words why.
+    exists and is indeed never produced.  Instances are drawn as arrays and
+    checked in blocks of ``_SUITE_BLOCK``, in one batch per pair of action
+    counts; a flagged instance's violations are worded from its batch's arrays.
     """
     per_state = max(1, max_actions // 2)
-    specs = [GenSpec(n_states=2, gamma=_GAMMAS[i % 3], seed=seed + i, structure="dense",
-                     min_actions=1, max_actions=min(per_state, 6)) for i in range(n_instances)]
-    groups: dict[tuple[int, ...], list] = {}
-    for i, spec in enumerate(specs):
-        counts, _, P, rewards = gen._draw(np.random.default_rng(spec.seed), spec)
-        groups.setdefault(tuple(counts.tolist()), []).append((i, P, rewards))
-    worst, degenerate, (certified, flagged) = 0, 0, np.zeros((2, n_instances), dtype=bool)
-    for (k0, k1), group in groups.items():
-        index, P, rewards = map(np.array, zip(*group))
-        report = twostate.check_batch(np.array(_GAMMAS)[index % 3], P, rewards, k0)
-        worst, flagged[index] = max(worst, int(report["max_iterations"].max())), ~report["ok"]
-        if k0 + k1 >= 3:
-            certified[index], margins = ~report["degenerate"], report["min_margins"]
-            degenerate += int(report["degenerate"].sum())
-            flagged[index] |= certified[index] & (report["produced"] | (margins[:, 1] <= 0.0)
-                                                  | (margins.min(axis=1) < -1e-12))
-    violations: list[str] = []
-    for i in np.flatnonzero(flagged).tolist():  # checked alone, as one model
-        report = twostate.verify_pi_bound(mdp := generate(specs[i]))
-        violations.extend(f"seed {seed + i}: {v}" for v in report.violations)
-        if certified[i]:
-            cert = twostate.inefficiency_certificate(mdp)
-            if cert.inefficient_action in report.sets[1]:  # what the full set produces
-                violations.append(
-                    f"seed {seed + i}: named action {cert.inefficient_action} was produced"
-                )
-            if min(cert.min_margins) < -1e-12 or cert.min_margins[1] <= 0.0:
-                violations.append(f"seed {seed + i}: certificate chain margins failed")
+    worst, degenerate, certificates, n_violations, details = 0, 0, 0, 0, []
+    for start in range(0, n_instances, _SUITE_BLOCK):
+        groups: dict[tuple[int, ...], list] = {}
+        for i in range(start, min(start + _SUITE_BLOCK, n_instances)):
+            spec = GenSpec(n_states=2, gamma=_GAMMAS[i % 3], seed=seed + i, structure="dense",
+                           min_actions=1, max_actions=min(per_state, 6))
+            counts, _, P, rewards = gen._draw(np.random.default_rng(spec.seed), spec)
+            groups.setdefault(tuple(counts.tolist()), []).append((i, P, rewards))
+        words: dict[int, list[str]] = {}  # per flagged instance of the block
+        for (k0, k1), group in groups.items():
+            index, P, rewards = map(np.array, zip(*group))
+            report = twostate.check_batch(np.array(_GAMMAS)[index % 3], P, rewards, k0)
+            worst = max(worst, int(report["max_iterations"].max()))
+            many = k0 + k1 >= 3  # a certificate needs three actions
+            degenerate += many * int(report["degenerate"].sum())
+            certified = many & ~report["degenerate"]
+            certificates += int(certified.sum())
+            margins = report["min_margins"]
+            produced = certified & report["produced"]
+            chain = certified & ((margins.min(axis=1) < -1e-12) | (margins[:, 1] <= 0.0))
+            for b in np.flatnonzero(~report["ok"] | produced | chain).tolist():
+                found = words[int(index[b])] = twostate._bound_words(
+                    k0 + k1, int(report["max_iterations"][b]), report["set_sizes"][b].tolist())
+                if produced[b]:
+                    state = int(report["state"][b])
+                    named = gen._aid(state, divmod(int(report["pair"][0, b]), k1)[state])
+                    found.append(f"named action {named} was produced")
+                if chain[b]:
+                    found.append("certificate chain margins failed")
+        for i in sorted(words):
+            n_violations += len(words[i])
+            details.extend(f"seed {seed + i}: {v}" for v in words[i][:20 - len(details)])
     return {
         "instances": n_instances,
         "max_actions": max_actions,
         "seed": seed,
-        "violations": len(violations),
-        "violation_details": violations[:20],
+        "violations": n_violations,
+        "violation_details": details,
         "degenerate": degenerate,
-        "certificates": int(certified.sum()),
+        "certificates": certificates,
         "max_pi_iterations": worst,
     }
 

@@ -48,7 +48,6 @@ __all__ = [
     "wielandt_bound",
 ]
 
-DELTA_UNIQUE_TOL = 1e-9
 NORMALIZED_TOL = 1e-6
 RECURRENCE_TOL = 1e-9
 RECURRENCE_BLOCK = 256  # trace steps checked per gemm
@@ -228,7 +227,7 @@ def _require_assumptions(mdp: Mdp, need_normalized: bool) -> tuple[ExactSolution
                               if need_normalized else None)
     if not np.isfinite(sol.delta):
         raise AssumptionError("no actions outside the optimal policy; delta is undefined")
-    if sol.delta <= DELTA_UNIQUE_TOL:
+    if not sol.unique:
         raise AssumptionError(
             f"optimal policy is not unique within tolerance (delta={sol.delta:.3e})"
         )

@@ -260,7 +260,8 @@ class PiBoundReport:
 
 
 def _depths(adv, cycle_depth: int) -> np.ndarray:
-    """(B, pairs) Howard iterations from every start, 1 at a fixed point."""
+    """(B, pairs) Howard iterations from every start, 1 at a fixed point and
+    ``cycle_depth`` for a start whose improvements never reach one."""
     # Howard's improvement as a map over pairs: per state, the incumbent is
     # kept within TIE_TOL of the best, else the first best row is taken
     k1, pairs = adv[1].shape[1], np.arange(adv[0].shape[2])
@@ -272,24 +273,23 @@ def _depths(adv, cycle_depth: int) -> np.ndarray:
         if not (moved := (step := nxt[b, cur]) != cur).any():
             return depth
         depth, cur = depth + moved, step
-    for k in np.flatnonzero((nxt[b, cur] != cur).any(axis=1)):
-        depth[k] = _walk(nxt[k].tolist(), cycle_depth)  # a map with a cycle
-    return depth
+    # still moving: an improvement cycle, impossible without exact value ties
+    return np.where(nxt[b, cur] != cur, cycle_depth, depth)
 
 
-def _walk(nxt: list[int], cycle_depth: int) -> list[int]:
-    """One map's depths, walked from each start in turn."""
-    depth = [0] * len(nxt)
-    for start in range(len(nxt)):
-        path, cur = [], start
-        while not depth[cur] and cur not in path and nxt[cur] != cur:
-            path.append(cur)
-            cur = nxt[cur]
-        cycle = cur in path  # improvement cycle; impossible without exact value ties
-        depth[cur] = cycle_depth if cycle else depth[cur] or 1
-        for k, node in enumerate(reversed(path), start=1):
-            depth[node] = cycle_depth if cycle else depth[cur] + k
-    return depth
+def _bound_broken(m: int, worst, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """The bound per model of a batch, from the worst Howard depths (B,) and the set
+    sizes (B, rounds), padded with 0: whether Howard took more than ``m`` iterations,
+    and which rounds held more than two actions and lost none."""
+    return worst > m, (sizes[:, :-1] > 2) & (sizes[:, 1:] >= sizes[:, :-1])
+
+
+def _bound_words(m: int, worst: int, sizes: list[int]) -> list[str]:
+    """One model's breaches of the bound, in words."""
+    over, lost_none = _bound_broken(m, np.array([worst]), np.array([sizes]))
+    words = [f"policy iteration took {worst} iterations with only {m} actions"] * int(over[0])
+    return words + [f"set dynamics step lost no action: {a} -> {b}"
+                    for a, b, lost in zip(sizes, sizes[1:], lost_none[0].tolist()) if lost]
 
 
 def verify_pi_bound(mdp: Mdp) -> PiBoundReport:
@@ -304,18 +304,8 @@ def verify_pi_bound(mdp: Mdp) -> PiBoundReport:
     """
     ids, _, adv = _pairs(mdp)
     depth = _depths(adv, mdp.m + 1)[0].tolist()
-    violations: list[str] = []
-    worst = max(depth)
-    if worst > mdp.m:
-        violations.append(
-            f"policy iteration took {worst} iterations with only {mdp.m} actions"
-        )
-
-    sets = set_dynamics(mdp)
-    sizes = [len(s) for s in sets]
-    for a, b in zip(sizes, sizes[1:]):
-        if a > mdp.n_states and b > a - 1:
-            violations.append(f"set dynamics step lost no action: {a} -> {b}")
+    worst, sets = max(depth), set_dynamics(mdp)
+    violations = _bound_words(mdp.m, worst, [len(s) for s in sets])
     return PiBoundReport(
         action_count=mdp.m,
         max_iterations=worst,
@@ -338,7 +328,7 @@ def check_batch(gamma, P, rewards, k0: int) -> dict[str, np.ndarray]:
     rounds, sizes = _dynamics(adv, full)
     gap, state, pair, _, _, margins = _choose(gamma, values, adv, full)
     (i, j), b, first = divmod(pair[0], m - k0), np.arange(size), rounds[min(1, len(rounds) - 1)]
-    lost_none = (sizes[:, :-1] > 2) & (sizes[:, 1:] >= sizes[:, :-1])  # verify_pi_bound's rule
-    return dict(ok=(worst <= m) & ~lost_none.any(axis=1), max_iterations=worst, set_sizes=sizes,
+    over, lost_none = _bound_broken(m, worst, sizes)
+    return dict(ok=~over & ~lost_none.any(axis=1), max_iterations=worst, set_sizes=sizes,
                 degenerate=gap <= DEGENERATE_TOL, state=state, pair=pair, min_margins=margins,
                 produced=np.where(state == 1, first[1][b, j], first[0][b, i]))

@@ -13,6 +13,7 @@ and the suite must word its violations as its one-model loop did.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given
 
 from conftest import mdps
-from mdpgeo import twostate
+from mdpgeo import acceptance, twostate
 from mdpgeo.acceptance import run_twostate_suite
 from mdpgeo.core import Action, Mdp, ModelError, Policy, validate
 from mdpgeo.gen import GenSpec, generate
@@ -378,23 +379,16 @@ def test_batches_match_single_model_reports(max_actions, first):
         assert _batch_fields(group) == [_single_fields(mdp) for mdp in group]
 
 
-def _walk_reference(nxt: list[int], cycle_depth: int) -> list[int]:
-    """Howard depths as the one-model check walked them, kept verbatim."""
-    depth = [0] * len(nxt)
+def _depth_reference(nxt: list[int], cycle_depth: int) -> list[int]:
+    """Howard depths walked from each start alone: 1 plus the steps to a fixed
+    point, or ``cycle_depth`` for a start whose improvements enter a cycle."""
+    depth = []
     for start in range(len(nxt)):
-        path, cur = [], start
-        while not depth[cur]:
-            if cur in path:  # improvement cycle; impossible without exact value ties
-                for node in path:
-                    depth[node] = cycle_depth
-                break
-            if nxt[cur] == cur:
-                depth[cur] = 1
-                break
-            path.append(cur)
+        seen, cur = set(), start
+        while nxt[cur] != cur and cur not in seen:
+            seen.add(cur)
             cur = nxt[cur]
-        for k, node in enumerate(reversed(path), start=depth[cur] + 1):
-            depth[node] = depth[node] or k
+        depth.append(cycle_depth if nxt[cur] != cur else len(seen) + 1)
     return depth
 
 
@@ -415,9 +409,16 @@ def test_depths_match_the_walk_with_and_without_cycles(k0, k1):
     for maps in (nxt, nxt[:1], nxt[-1:]):  # in a mixed batch and alone
         got = twostate._depths(_advantages_improving_to(maps, k0, k1), 99)
         for row, depth in zip(maps.tolist(), got.tolist()):
-            assert depth == _walk_reference(row, 99)
+            assert depth == _depth_reference(row, 99)
             cycles += max(depth) >= 99
     assert cycles or pairs == 1
+
+
+def test_a_cycle_gives_every_start_that_enters_it_the_same_depth():
+    # one map and its relabelling: starts 0-2 enter a cycle, whatever the order
+    maps = np.array([[1, 0, 0, 3], [1, 2, 1, 3]])
+    got = twostate._depths(_advantages_improving_to(maps, 2, 2), 99)
+    assert got.tolist() == [[99, 99, 99, 1], [99, 99, 99, 1]]
 
 
 def _suite_reference(n_instances: int, max_actions: int = 12, seed: int = 0) -> dict:
@@ -473,7 +474,38 @@ def test_flagged_instances_word_their_violations_as_the_one_model_loop(monkeypat
     assert got == _suite_reference(100, 12, 3)
 
 
-def test_checking_every_instance_alone_changes_nothing(monkeypatch):
+@pytest.mark.parametrize("kernel", ["_depths", "_choose"])
+def test_broken_bounds_and_chains_are_worded_as_the_one_model_loop(monkeypatch, kernel):
+    # the pair core, which both routes share, made to report that every start
+    # cycles, or that every certificate chain has lost a margin of 1
+    real = getattr(twostate, kernel)
+
+    def broken(*args):
+        out = real(*args)
+        return np.full_like(out, args[1]) if kernel == "_depths" else (*out[:5], out[5] - 1.0)
+
+    monkeypatch.setattr(twostate, kernel, broken)
+    got = run_twostate_suite(100, 12, 3)
+    assert got["violations"] > 20
+    assert got == _suite_reference(100, 12, 3)
+
+
+def test_the_suite_builds_and_rechecks_no_model(monkeypatch):
+    # at a tie tolerance of 1e9 every instance is flagged; its words come
+    # from its batch, not from a model built and checked alone
+    monkeypatch.setattr(twostate, "TIE_TOL", 1e9)
+    expected = _suite_reference(100, 12, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suite checks each instance once, in its batch")
+
+    for module, name in [(acceptance, "generate"), (twostate, "verify_pi_bound"),
+                         (twostate, "inefficiency_certificate")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert run_twostate_suite(100, 12, 3) == expected
+
+
+def test_flagging_every_instance_changes_nothing(monkeypatch):
     batch = twostate.check_batch
 
     def flag_all(*args):
@@ -483,3 +515,34 @@ def test_checking_every_instance_alone_changes_nothing(monkeypatch):
     expected = run_twostate_suite(300, 12, 9)
     monkeypatch.setattr(twostate, "check_batch", flag_all)
     assert run_twostate_suite(300, 12, 9) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 5_000, 60_000])
+def test_small_blocks_change_nothing(monkeypatch, seed):
+    # 1,000 instances in blocks of 128: the last block is partial
+    monkeypatch.setattr(acceptance, "_SUITE_BLOCK", 128, raising=False)
+    assert run_twostate_suite(1000, 12, seed) == _suite_reference(1000, 12, seed)
+
+
+def test_violations_keep_their_order_across_blocks(monkeypatch):
+    # every instance is flagged at a tie tolerance of 1e9; in blocks of 2 the
+    # first 20 violations span several blocks
+    monkeypatch.setattr(twostate, "TIE_TOL", 1e9)
+    monkeypatch.setattr(acceptance, "_SUITE_BLOCK", 2, raising=False)
+    got = run_twostate_suite(100, 12, 3)
+    assert len({detail.split(":")[0] for detail in got["violation_details"]}) > 2
+    assert got == _suite_reference(100, 12, 3)
+
+
+def test_suite_memory_does_not_grow_with_the_instance_count(monkeypatch):
+    monkeypatch.setattr(acceptance, "_SUITE_BLOCK", 1000, raising=False)
+    run_twostate_suite(50, 12, 0)  # first-call allocations out of the way
+    peaks = []
+    for n in (1000, 4000):
+        tracemalloc.start()
+        try:
+            run_twostate_suite(n, 12, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 256 * 1024  # a quarter MiB: about 1/4 of one block's peak
