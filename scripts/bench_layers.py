@@ -83,7 +83,15 @@ Two layers run the certificate's checks:
 - ``verify_recurrence``: the check that a 2,402-step run of value iteration
   on the normalized ``GenSpec(structure="wielandt", n_states=50,
   min_actions=3, max_actions=3, gamma=0.999)`` model is a synchronous greedy
-  run, as ``certify`` makes it.
+  run, as ``certify`` makes it;
+- ``trace_from_csv_2402``: reading that run's trace CSV (2,403 rows of 50
+  values), the read ``certify`` makes.
+
+Two more peaks, in MiB, show what the readers hold beyond their input:
+``dense_read_peak_mib`` is the ``tracemalloc`` peak of ``mdp_from_json`` on
+the compact dense text (it includes the UTF-8 copy of the text that the
+reader makes first), and ``trace_read_peak_mib`` that of ``trace_from_csv`` on
+the 2,403-row trace.
 
 The dense size is fixed: dense generation does not finish for n of about 150
 and more.
@@ -113,7 +121,7 @@ from mdpgeo.acceptance import run_twostate_suite
 from mdpgeo.analysis import _verify_sync_recurrence, primitivity, wielandt_bound
 from mdpgeo.cli import _load_mdp
 from mdpgeo.cli import main as cli_main
-from mdpgeo.cli import mdp_from_json, mdp_to_json
+from mdpgeo.cli import mdp_from_json, mdp_to_json, trace_from_csv, trace_to_csv
 from mdpgeo.core import Mdp, bellman_optimal, validate
 from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import (
@@ -192,15 +200,20 @@ def _pi_times(mdp: Mdp, repeats: int) -> list[float]:
     return out
 
 
-def _pi_peak_mib(mdp: Mdp) -> float:
-    """The tracemalloc peak of policy iteration on a fresh model, in MiB."""
-    fresh, pi0 = _fresh(mdp), max_reward_policy(mdp)
+def _peak_mib(fn) -> float:
+    """The tracemalloc peak of ``fn()``, in MiB."""
     tracemalloc.start()
     try:
-        policy_iteration(fresh, pi0)
+        fn()
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def _pi_peak_mib(mdp: Mdp) -> float:
+    """The tracemalloc peak of policy iteration on a fresh model, in MiB."""
+    fresh, pi0 = _fresh(mdp), max_reward_policy(mdp)
+    return _peak_mib(lambda: policy_iteration(fresh, pi0))
 
 
 def _generate_peak_mib(n: int, k: int, seed: int) -> tuple[float, float]:
@@ -298,6 +311,10 @@ def main() -> None:
                                          v0="given", v0_values=tuple(v0)))
     layers["verify_recurrence"] = _summary(
         _times(lambda: _verify_sync_recurrence(wiel, run.values, 1.0), 5))
+    trace_text = trace_to_csv(run)
+    layers["trace_from_csv_2402"] = _summary(_times(lambda: trace_from_csv(trace_text), 7))
+    read_peaks = {"dense_read_peak_mib": _peak_mib(lambda: mdp_from_json(dense_text)),
+                  "trace_read_peak_mib": _peak_mib(lambda: trace_from_csv(trace_text))}
     # last: a large allocation and free here would change how fast later rows allocate
     layers["policy_iteration"] = _summary(_pi_times(mdp, 5))
     pi_peak_mib = _pi_peak_mib(mdp)
@@ -311,6 +328,7 @@ def main() -> None:
         "generate_write_peak_mib": peak_mib,
         "generate_file_mib": file_mib,
         "policy_iteration_peak_mib": pi_peak_mib,
+        **read_peaks,
         "layers": layers,
     }, indent=2))
 

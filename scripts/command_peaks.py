@@ -4,7 +4,7 @@
 
 Runs ``python -m mdpgeo.cli`` with ``PYTHONPATH=DIR`` (default: the ``src``
 of the checkout holding this script, so ``--src`` of another checkout
-measures that one) on two pipelines, in a temporary directory:
+measures that one) on three pipelines, in a temporary directory:
 
 - ``generate`` of the sparse 1000-state model of the benchmark's
   ``large_sparse_solve`` (``--sparse-k 5 --max-actions 8``), then
@@ -12,6 +12,13 @@ measures that one) on two pipelines, in a temporary directory:
 - ``generate`` of a Wielandt model (n = 50, three actions per state,
   gamma = 0.999), ``normalize``, a 2,402-step ``solve-vi --trace`` and
   ``certify`` on the normalized model;
+- a compact dense model (n = 200, four actions per state, every probability
+  positive, gamma = 0.95) that this script writes with numpy, as
+  ``bench_layers.py`` does, since the dense generator does not finish at that
+  size; its first action per state earns 0 and the others less, so it is
+  normalized (every optimal value is 0).  Then ``gamma-eff``, a 20-step
+  ``solve-vi --trace`` from random values and ``certify`` on it: their peaks
+  are those of the dense model reader;
 
 and on its own, ``twostate --suite 100000 --max-actions 12`` (instances from
 ``--seed``), whose peak shows whether the suite's memory grows with its size.
@@ -33,12 +40,36 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
+DENSE_N, DENSE_ACTIONS = 200, 4
+
+
+def _write_dense(d: str, seed: int) -> None:
+    """``dense.json``, a compact normalized model with ``DENSE_ACTIONS`` rows of
+    positive probabilities per state, and ``dense_v0.json``, start values for it."""
+    rng = np.random.default_rng([seed, 2])
+    m = DENSE_ACTIONS * DENSE_N
+    P = rng.uniform(1e-3, 1.0, size=(m, DENSE_N))
+    P /= P.sum(axis=1, keepdims=True)
+    rewards = -rng.uniform(0.05, 0.5, size=m)
+    rewards[::DENSE_ACTIONS] = 0.0  # the optimal action of each state: every value is 0
+    actions = [{"id": f"s{k // DENSE_ACTIONS:03d}a{k % DENSE_ACTIONS}",
+                "state": k // DENSE_ACTIONS, "probs": p, "reward": r}
+               for k, (p, r) in enumerate(zip(P.tolist(), rewards.tolist()))]
+    with open(os.path.join(d, "dense.json"), "w", encoding="utf-8") as fh:
+        json.dump({"version": 1, "n_states": DENSE_N, "gamma": 0.95, "actions": actions}, fh,
+                  separators=(",", ":"))
+    with open(os.path.join(d, "dense_v0.json"), "w", encoding="utf-8") as fh:
+        json.dump(rng.uniform(0.0, 1.0, size=DENSE_N).tolist(), fh)
 
 
 def _pipeline(d: str, seed: int) -> list[tuple[str, list[str]]]:
     p = lambda name: os.path.join(d, name)  # noqa: E731
     grid, wiel, norm = p("sparse.json"), p("wielandt.json"), p("normalized.json")
+    _write_dense(d, seed)
+    dense = p("dense.json")
     return [
         ("generate", ["generate", "--seed", str(seed), "--structure", "sparse",
                       "--n-states", "1000", "--sparse-k", "5", "--max-actions", "8",
@@ -52,6 +83,10 @@ def _pipeline(d: str, seed: int) -> list[tuple[str, list[str]]]:
         ("solve-vi-wielandt", ["solve-vi", "--mdp", norm, "--stop", "time:2402",
                                "--trace", p("wielandt.csv")]),
         ("certify", ["certify", "--mdp", norm, "--trace", p("wielandt.csv")]),
+        ("gamma-eff-dense", ["gamma-eff", "--mdp", dense]),
+        ("solve-vi-dense", ["solve-vi", "--mdp", dense, "--stop", "time:20",
+                            "--v0", f"file:{p('dense_v0.json')}", "--trace", p("dense.csv")]),
+        ("certify-dense", ["certify", "--mdp", dense, "--trace", p("dense.csv")]),
         ("twostate-suite", ["twostate", "--suite", "100000", "--max-actions", "12",
                             "--seed", str(seed)]),
     ]

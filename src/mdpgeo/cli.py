@@ -16,9 +16,15 @@ both neighbours holds only whole zero fields and two commas, so it is skipped
 as two fields.  numpy checks the rest of each chunk's bytes (every row has
 exactly ``n_states`` fields, no whitespace splits a number) and marks its
 zeros; ``json`` converts only the other fields, so a sparse model makes no
-Python float per zero.  Otherwise ``json`` converts every row where it stands.  Either way ``P`` holds the very floats
-``json.loads`` gives.  The ``input_hashes`` of model and trace files are the
-sha256 of their bytes on disk.
+Python float per zero.  Otherwise ``json`` converts every row where it stands,
+and the row goes into ``P`` before the next is read.  Either way ``P`` holds
+the very floats ``json.loads`` gives.  Should the cut skeleton not parse (a
+body held a ``]`` in a string or a nested list), ``json`` reads the whole file,
+so its message names places in the file.  The trace reader walks its text line
+by line into arrays allocated once and converts the value fields ``_BLOCK`` rows
+at a time.  So no reader holds a Python object per number beyond one row or one
+block.  The ``input_hashes`` of model and trace files are the sha256 of their
+bytes on disk.
 
 The writers stream: a model or trace file goes to disk in UTF-8 blocks of at
 most 64 actions or rows, each fed to sha256 as it is written, so no whole
@@ -49,6 +55,7 @@ import re
 import sys
 import tempfile
 import typing
+import warnings
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -84,7 +91,7 @@ _SPEC_TYPES = typing.get_type_hints(GenSpec)
 # file formats
 
 
-_BLOCK = 64  # pieces (model actions, trace rows) per block written: bounds the text held
+_BLOCK = 64  # pieces (model actions, trace rows) per block written or read: bounds the text held
 _ITEM = ",\n        "  # between two probabilities at indent=2
 _PROBS = json.JSONEncoder(separators=(_ITEM, ": "))  # no indent: json's C encoder
 
@@ -219,17 +226,25 @@ def _json_row(data: bytes, a: int, b: int):
 
 
 def _fill_with_json(out: np.ndarray, data: bytes, rows: list[tuple[int, int]], n: int) -> None:
-    """``json`` converts every field, each body read where it stands."""
-    lists, find = [], data.find
-    for a, b in rows:
+    """``json`` converts every field, each body read where it stands and written
+    into ``out`` before the next is read.  A field that is no number is reported
+    after the bodies of the chunk are checked, as when the chunk was converted
+    at once."""
+    find, late = data.find, None
+    for k, (a, b) in enumerate(rows):
         row = _json_row(data, a, b)
         if len(row) != n:
             raise ModelError(f"every action's probs must hold n_states={n} numbers")
         # a string, true, false, null, NaN or Infinity shows '"', "t", "a" or "n"
         if max(find(b'"', a, b), find(b"t", a, b), find(b"a", a, b), find(b"n", a, b)) >= 0:
             raise ModelError("action probs must be JSON numbers")
-        lists.append(row)
-    out[:] = _floats(itertools.chain.from_iterable(lists), out.size)
+        if late is None:
+            try:
+                out[k * n:(k + 1) * n] = _floats(row, n)
+            except ModelError as exc:
+                late = exc
+    if late is not None:
+        raise late
 
 
 def _zero_runs(words: np.ndarray, spans: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -337,9 +352,18 @@ def _probs_matrix(data: bytes, spans: list[tuple[int, int]], n: int) -> np.ndarr
     return P
 
 
+def _plain(probs) -> bool:
+    """Whether ``json`` read ``probs`` as a list of numbers."""
+    return isinstance(probs, list) and all(type(x) in (int, float) for x in probs)
+
+
 def _mdp_from_bytes(data: bytes) -> Mdp:
     skeleton, spans = _cut_probs(data)
-    doc = _parse_json(skeleton.decode("utf-8", "surrogatepass"), "model file")
+    try:
+        doc = json.loads(skeleton.decode("utf-8", "surrogatepass"))
+    except (ValueError, RecursionError):  # a cut body held a "]", or the file is no JSON:
+        # json reads the file itself, so a message gives places in the file
+        doc, spans = _parse_json(data.decode("utf-8", "surrogatepass"), "model file"), None
     _fields(doc, _MDP_KEYS, "model file")
     if doc["version"] != 1:
         raise ModelError(f"unsupported model file version {doc['version']!r}")
@@ -353,8 +377,12 @@ def _mdp_from_bytes(data: bytes) -> Mdp:
         ids.append(_typed(entry["id"], str, "action id"))
         states.append(_typed(entry["state"], int, f"action {entry['id']!r} state"))
         rewards.append(_typed(entry["reward"], float, f"action {entry['id']!r} reward"))
-        if entry["probs"] != [k]:  # every list-valued "probs" key was cut, in order
+        # every list-valued "probs" key was cut, in order; in the file's own reading,
+        # json kept no list that holds a "]"
+        if not (entry["probs"] == [k] if spans is not None else _plain(entry["probs"])):
             raise ModelError(f"action {entry['id']!r} probs must be one JSON list of numbers")
+    if spans is None:  # each list json kept is plain, so a repeated key dropped the odd one
+        raise ModelError("model file repeats a key whose dropped value holds a probs list")
     P = _probs_matrix(data, spans, n)
     mdp = Mdp.from_arrays(n, gamma, ids, states, P, rewards)
     validate(mdp)
@@ -383,37 +411,56 @@ def trace_to_csv(trace: RunTrace) -> str:
     return "".join(_trace_csv_lines(trace))
 
 
-def _trace_values(tails: list[str], n: int) -> np.ndarray:
-    """The (len(tails), n) matrix of the comma-separated numbers in ``tails``, each
-    converted by ``float``; every tail holds exactly n fields."""
-    if not tails or not n:
-        return np.empty((len(tails), n))
-    try:
-        flat = np.fromiter(map(float, ",".join(tails).split(",")), np.float64, len(tails) * n)
-    except ValueError:  # rescan to name the first bad row
-        for t, tail in enumerate(tails):
+_LINE = re.compile(r"[^\n]++")
+
+
+def _block_values(out: np.ndarray, tails: list[str], t0: int) -> None:
+    """Write the comma-separated numbers of ``tails``, rows ``t0``, ``t0 + 1``, ...,
+    into the rows of ``out``, each as ``float`` reads it; every tail holds exactly
+    ``out.shape[1]`` fields.
+
+    numpy converts a block of plain decimal numbers at once (both it and ``float``
+    round correctly), and counts as read only when it gives every number with no
+    warning; any other block goes field by field through ``float``, which names
+    the first row it cannot read."""
+    if not out.size:
+        return
+    block = ",".join(tails)
+    if block.isascii() and not block.encode().translate(None, _NUMBER + b","):
+        with warnings.catch_warnings():  # numpy < 2 warns on text it cannot read
+            warnings.simplefilter("error", DeprecationWarning)
             try:
-                list(map(float, tail.split(",")))
-            except ValueError as exc:
-                raise ModelError(f"trace row {t} is malformed: {exc}") from None
-        raise
-    return flat.reshape(len(tails), n)
+                flat = np.fromstring(block, sep=",")
+            except (ValueError, DeprecationWarning):
+                flat = None
+        if flat is not None and flat.size == out.size:
+            out[:] = flat.reshape(out.shape)
+            return
+    for t, tail in enumerate(tails, t0):
+        try:
+            out[t - t0] = [float(x) for x in tail.split(",")]
+        except ValueError as exc:
+            raise ModelError(f"trace row {t} is malformed: {exc}") from None
 
 
 def trace_from_csv(text: str) -> RunTrace:
     """Rebuild a trace from CSV; greedy rows are not stored on disk, so it has none.
 
-    Each row's first five fields are checked in turn, the spans only as numbers;
-    the value fields of all rows are converted in one pass, so a problem in them
-    is reported ahead of any problem in a later row, as a row-by-row read would."""
-    lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",") if lines else []
+    The text is walked line by line into arrays allocated once.  Each row's
+    first five fields are checked in turn, the spans only as numbers; the value
+    fields are converted ``_BLOCK`` rows at a time, so a problem in them is
+    reported ahead of any problem in a later row, as a row-by-row read would."""
+    lines = _LINE.finditer(text)
+    first = next(lines, None)
+    header = first[0].split(",") if first else []
     if header[:len(_TRACE_HEADER)] != _TRACE_HEADER:
         raise ModelError("trace file has an unexpected header")
     width, n = len(header), len(header) - len(_TRACE_HEADER)
-    tails, counts = [], []
-    stop_reason, problem = "", None
-    for t, ln in enumerate(lines[1:]):
+    size = sum(1 for _ in _LINE.finditer(text, first.end()))
+    values, counts = np.empty((size, n)), np.empty(size, dtype=np.intp)
+    tails, t0, stop_reason, problem = [], 0, "", None  # tails: the rows from t0 on
+    for t, line in enumerate(lines):
+        ln = line[0]
         fields = ln.count(",") + 1
         if fields != width:
             problem = f"trace row {t} has {fields} fields, expected {width}"
@@ -423,23 +470,26 @@ def trace_from_csv(text: str) -> RunTrace:
             if int(parts[0]) != t:
                 raise ValueError(f"t={parts[0]}, expected {t}")
             float(parts[1]), float(parts[2])
-            counts.append(np.intp(parts[3]))
+            counts[t] = np.intp(parts[3])
         except (ValueError, OverflowError) as exc:
             problem = f"trace row {t} is malformed: {exc}"
             break
         stop_reason = parts[4]
-        tails.append(parts[-1] if n else "")
-    values = _trace_values(tails, n)
+        tails.append(parts[-1])
+        if len(tails) == _BLOCK:
+            _block_values(values[t0:t + 1], tails, t0)
+            tails, t0 = [], t + 1
+    _block_values(values[t0:t0 + len(tails)], tails, t0)
     if problem:
         raise ModelError(problem)
-    if not tails:
+    if not size:
         raise ModelError("trace file has no data rows")
     if not np.isfinite(values).all():
         raise ModelError("trace file has non-finite values")
     return RunTrace(
         values=values,
-        active_counts=np.array(counts, dtype=np.intp),
-        rows=np.empty((0, values.shape[1]), dtype=np.int32),
+        active_counts=counts,
+        rows=np.empty((0, n), dtype=np.int32),
         ids=(),
         filtered=(),
         stop_reason=stop_reason,
@@ -471,16 +521,18 @@ def _read_bytes(path: str) -> bytes:
     return data
 
 
-def _text(data: bytes) -> str:
-    """UTF-8 ``data`` as text, each ``\\r\\n`` or ``\\r`` read as ``\\n``."""
-    text = data.decode("utf-8")
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-
-
 def _read_text(path: str) -> tuple[str, str]:
-    """The text of ``path`` and the sha256 of its bytes."""
+    """The text of ``path``, each ``\\r\\n`` or ``\\r`` read as ``\\n``, and the
+    sha256 of its bytes.  The bytes are hashed, decoded and dropped before any
+    line end is rewritten, so a caller parses the one copy of the file."""
     data = _read_bytes(path)
-    return _text(data), hashlib.sha256(data).hexdigest()
+    digest = hashlib.sha256(data).hexdigest()
+    text = data.decode("utf-8")
+    del data
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        text = text.replace("\r", "\n")
+    return text, digest
 
 
 def _write_chunks(path: str, pieces: Iterable[str]) -> str:

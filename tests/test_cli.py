@@ -5,6 +5,7 @@ import os
 import re
 import timeit
 import tracemalloc
+import warnings
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -893,17 +894,14 @@ def _json_error_on_kept_fields(text: str) -> str:
     raise AssertionError("json reads the kept fields")
 
 
-def _skeleton_error(text: str) -> str:
-    """The message of a reader that parses ``text`` with each probs body, up to
-    its first ``]``, replaced by the body's index."""
-    head, *parts = text.split('"probs":[')
-    skeleton = head + "".join(f'"probs":[{k}{part[part.index("]"):]}'
-                              for k, part in enumerate(parts))
+def _file_json_error(text: str) -> str:
+    """json's message on the whole of ``text``: its places are in the file, not
+    in the skeleton that is left when each body is cut at its first ``]``."""
     try:
-        json.loads(skeleton)
+        json.loads(text)
     except ValueError as exc:
         return f"model file is not valid JSON: {exc}"
-    raise AssertionError("json reads the skeleton")
+    raise AssertionError("json reads the file")
 
 
 _BETWEEN_COMMAS = "action probs must hold one number between commas"
@@ -939,7 +937,7 @@ _ODD_IN_A_RUN = {
     "0.0 0.0": _BETWEEN_COMMAS,
     "0;0": _N_STATES_80,
     '"0"': "action probs may hold only JSON numbers, commas and whitespace",
-    "0]": _skeleton_error,
+    "0]": _file_json_error,
 }
 
 
@@ -1196,3 +1194,137 @@ class TestStreamedWriters:
         assert [len(h.sizes) for h in handles] == [2]  # the first block went to the temp file
         assert target.read_bytes() == b"the previous file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "target"]
+
+
+# ---------------------------------------------------------------------------
+# readers that hold no Python object per number
+
+
+def _peak(fn) -> int:
+    """The tracemalloc peak of ``fn()``, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def certify_trace() -> str:
+    """The trace ``certify`` reads for a Wielandt n = 50 model: 2,402 steps, 2,403 rows."""
+    wiel, _, _ = normalize(generate(GenSpec(n_states=50, gamma=0.999, seed=7,
+                                            structure="wielandt", min_actions=3,
+                                            max_actions=3)))
+    v0 = np.random.default_rng([7, 3]).uniform(0.0, 1.0, size=50)
+    run = value_iteration(wiel, ViConfig(stop="time", t_max=2402, v0="given",
+                                         v0_values=tuple(v0)))
+    return trace_to_csv(run)
+
+
+def _dense_model_bytes(n: int = 200, m: int = 800) -> bytes:
+    """A compact model with every probability positive, as numpy writes it."""
+    rng = np.random.default_rng([7, 2])
+    P = rng.uniform(1e-3, 1.0, size=(m, n))
+    P /= P.sum(axis=1, keepdims=True)
+    actions = [{"id": f"a{k}", "state": k * n // m, "probs": p, "reward": 0.5}
+               for k, p in enumerate(P.tolist())]
+    return json.dumps({"version": 1, "n_states": n, "gamma": 0.95, "actions": actions},
+                      separators=(",", ":")).encode()
+
+
+# spellings a trace value field may hold: numpy reads the plain decimal ones
+_VALUE_FIELDS = ("1e", ".5", "+1", "1.", "1_0", " 2", "nan", "inf", "-0", "1e-400", "1e400",
+                 "", "-", ".", "e5", "1e+", "1..2", "0.30000000000000004", "5e-324")
+
+
+class TestReadersHoldNoObjectPerNumber:
+    def test_trace_read_peaks_below_the_text(self, certify_trace):
+        assert certify_trace.count("\n") == 2404
+        peak = _peak(lambda: trace_from_csv(certify_trace))
+        assert peak < len(certify_trace)
+
+    def test_dense_read_peaks_below_the_file_size(self):
+        # mdp_from_json and the CLI read a model through its bytes; what the read holds
+        # beyond them stays below their size
+        data = _dense_model_bytes()
+        mdp = cli._mdp_from_bytes(data)
+        assert mdp.P.tobytes() == _reference_arrays(data.decode())[2].tobytes()
+        assert _peak(lambda: cli._mdp_from_bytes(data)) < len(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from(_VALUE_FIELDS) | st.text("0123456789+-.eE", max_size=6)
+                 | st.floats().map(repr) | st.floats().map("%.17g".__mod__),
+                 min_size=n, max_size=n), min_size=1, max_size=5)),
+           t0=st.integers(0, 3))
+    def test_block_converter_reads_as_float_does(self, rows, t0):
+        tails = [",".join(r) for r in rows]
+        out = np.full((len(rows), len(rows[0])), 7.0)
+        expected = np.empty_like(out)
+        message = None
+        for t, r in enumerate(rows, t0):
+            try:
+                expected[t - t0] = [float(x) for x in r]
+            except ValueError as exc:
+                message = f"trace row {t} is malformed: {exc}"
+                break
+        if message is None:
+            cli._block_values(out, tails, t0)
+            assert out.tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+                cli._block_values(out, tails, t0)
+
+    @pytest.mark.parametrize("fault", ["raises", "warns", "miscounts"])
+    def test_a_failing_converter_falls_back_to_float(self, fault, certify_trace, monkeypatch):
+        expected = trace_from_csv(certify_trace)
+        fromstring, calls = np.fromstring, []
+
+        def converter(text, sep):
+            calls.append(len(text))
+            if fault == "raises":
+                raise ValueError("string or file could not be read to its end")
+            if fault == "warns":  # as numpy < 2 does on text it cannot read
+                warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return fromstring(text, sep=sep)[:-1 if fault == "miscounts" else None]
+
+        monkeypatch.setattr(np, "fromstring", converter)
+        trace = trace_from_csv(certify_trace)
+        assert len(calls) == -(-2403 // cli._BLOCK)  # one call per block: the fast path ran
+        assert trace.values.tobytes() == expected.values.tobytes()
+        assert trace.active_counts.tobytes() == expected.active_counts.tobytes()
+        assert trace.stop_reason == expected.stop_reason
+
+    @pytest.mark.parametrize("probs, message", [
+        ("[[0.5], 0.5]", "action 'b' probs must be one JSON list of numbers"),
+        ('["]", 0.5]', "action 'b' probs must be one JSON list of numbers"),
+        ("[0.5], 0.5]", "model file is not valid JSON: Expecting property name enclosed in "
+                        "double quotes: line 1 column 135 (char 134)"),
+    ])
+    def test_a_bracket_in_a_body_is_reported_from_the_file(self, probs, message):
+        text = ('{"version":1,"n_states":2,"gamma":0.9,"actions":[{"id":"a","state":0,'
+                f'"probs":[0.5,0.5],"reward":0}},{{"id":"b","state":1,"probs":{probs},'
+                '"reward":0}]}')
+        if "not valid" in message:  # the place is the file's
+            with pytest.raises(ValueError) as exc:
+                json.loads(text)
+            assert message.endswith(str(exc.value))
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            mdp_from_json(text)
+
+    def test_a_repeated_key_that_hides_a_bracket_is_named(self):
+        text = ('{"version":1,"n_states":1,"gamma":0.9,"actions":[{"id":{"probs":[[1]]},'
+                '"id":"a","state":0,"probs":[1],"reward":0}]}')
+        with pytest.raises(ModelError, match="repeats a key"):
+            mdp_from_json(text)
+
+    def test_text_inputs_hold_one_copy_of_the_file(self, tmp_path):
+        # CRLF line ends are rewritten after the bytes are dropped: two copies at most
+        lf = "".join(f"{k},{k * 0.25!r}\n" for k in range(100_000))
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(lf.replace("\n", "\r\n").encode())
+        result = []
+        peak = _peak(lambda: result.append(cli._read_text(str(path))))
+        assert result[0] == (lf, hashlib.sha256(path.read_bytes()).hexdigest())
+        assert peak < 2.2 * path.stat().st_size
