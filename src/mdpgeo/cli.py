@@ -20,11 +20,12 @@ Python float per zero.  Otherwise ``json`` converts every row where it stands,
 and the row goes into ``P`` before the next is read.  Either way ``P`` holds
 the very floats ``json.loads`` gives.  Should the cut skeleton not parse (a
 body held a ``]`` in a string or a nested list), ``json`` reads the whole file,
-so its message names places in the file.  The trace reader walks its text line
-by line into arrays allocated once and converts the value fields ``_BLOCK`` rows
-at a time.  So no reader holds a Python object per number beyond one row or one
-block.  The ``input_hashes`` of model and trace files are the sha256 of their
-bytes on disk.
+so its message names places in the file, and keeps of each probs list only
+whether it holds numbers.  The trace reader walks its text line by line into
+arrays allocated once and converts the value fields ``_BLOCK`` rows at a time.
+So no reader holds a Python object per number beyond one row or one block.
+The ``input_hashes`` of model and trace files are the sha256 of their bytes on
+disk.
 
 The writers stream: a model or trace file goes to disk in UTF-8 blocks of at
 most 64 actions or rows, each fed to sha256 as it is written, so no whole
@@ -55,7 +56,6 @@ import re
 import sys
 import tempfile
 import typing
-import warnings
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -162,9 +162,9 @@ def _typed(value, kind: type, what: str):
         raise ModelError(f"{what} is out of range for a float") from None
 
 
-def _parse_json(text: str, what: str):
+def _parse_json(text: str, what: str, **hooks):
     try:
-        return json.loads(text)
+        return json.loads(text, **hooks)
     except (ValueError, RecursionError) as exc:
         raise ModelError(f"{what} is not valid JSON: {exc}") from None
 
@@ -352,9 +352,12 @@ def _probs_matrix(data: bytes, spans: list[tuple[int, int]], n: int) -> np.ndarr
     return P
 
 
-def _plain(probs) -> bool:
-    """Whether ``json`` read ``probs`` as a list of numbers."""
-    return isinstance(probs, list) and all(type(x) in (int, float) for x in probs)
+def _plain_probs(pairs: list[tuple]) -> dict:
+    """An object as ``json`` reads it, with each ``"probs"`` value replaced by
+    whether it is a list of numbers: a whole file is then read holding one
+    probs list at a time."""
+    return {key: isinstance(value, list) and all(type(x) in (int, float) for x in value)
+            if key == "probs" else value for key, value in pairs}
 
 
 def _mdp_from_bytes(data: bytes) -> Mdp:
@@ -363,7 +366,9 @@ def _mdp_from_bytes(data: bytes) -> Mdp:
         doc = json.loads(skeleton.decode("utf-8", "surrogatepass"))
     except (ValueError, RecursionError):  # a cut body held a "]", or the file is no JSON:
         # json reads the file itself, so a message gives places in the file
-        doc, spans = _parse_json(data.decode("utf-8", "surrogatepass"), "model file"), None
+        doc = _parse_json(data.decode("utf-8", "surrogatepass"), "model file",
+                          object_pairs_hook=_plain_probs)
+        spans = None
     _fields(doc, _MDP_KEYS, "model file")
     if doc["version"] != 1:
         raise ModelError(f"unsupported model file version {doc['version']!r}")
@@ -379,7 +384,7 @@ def _mdp_from_bytes(data: bytes) -> Mdp:
         rewards.append(_typed(entry["reward"], float, f"action {entry['id']!r} reward"))
         # every list-valued "probs" key was cut, in order; in the file's own reading,
         # json kept no list that holds a "]"
-        if not (entry["probs"] == [k] if spans is not None else _plain(entry["probs"])):
+        if not (entry["probs"] == [k] if spans is not None else entry["probs"] is True):
             raise ModelError(f"action {entry['id']!r} probs must be one JSON list of numbers")
     if spans is None:  # each list json kept is plain, so a repeated key dropped the odd one
         raise ModelError("model file repeats a key whose dropped value holds a probs list")
@@ -416,31 +421,21 @@ _LINE = re.compile(r"[^\n]++")
 
 def _block_values(out: np.ndarray, tails: list[str], t0: int) -> None:
     """Write the comma-separated numbers of ``tails``, rows ``t0``, ``t0 + 1``, ...,
-    into the rows of ``out``, each as ``float`` reads it; every tail holds exactly
-    ``out.shape[1]`` fields.
-
-    numpy converts a block of plain decimal numbers at once (both it and ``float``
-    round correctly), and counts as read only when it gives every number with no
-    warning; any other block goes field by field through ``float``, which names
-    the first row it cannot read."""
-    if not out.size:
+    into ``out``, each converted by ``float``; every tail holds ``out.shape[1]``
+    fields, and ``out`` has a row for each tail unless a number fails to convert
+    (a row whose numbers convert is well formed, and the text has room for it)."""
+    if not tails or not out.shape[1]:
         return
-    block = ",".join(tails)
-    if block.isascii() and not block.encode().translate(None, _NUMBER + b","):
-        with warnings.catch_warnings():  # numpy < 2 warns on text it cannot read
-            warnings.simplefilter("error", DeprecationWarning)
+    try:
+        out[:] = np.fromiter(map(float, ",".join(tails).split(",")), np.float64,
+                             len(tails) * out.shape[1]).reshape(len(tails), -1)
+    except ValueError:  # rescan to name the first bad row
+        for t, tail in enumerate(tails, t0):
             try:
-                flat = np.fromstring(block, sep=",")
-            except (ValueError, DeprecationWarning):
-                flat = None
-        if flat is not None and flat.size == out.size:
-            out[:] = flat.reshape(out.shape)
-            return
-    for t, tail in enumerate(tails, t0):
-        try:
-            out[t - t0] = [float(x) for x in tail.split(",")]
-        except ValueError as exc:
-            raise ModelError(f"trace row {t} is malformed: {exc}") from None
+                list(map(float, tail.split(",")))
+            except ValueError as exc:
+                raise ModelError(f"trace row {t} is malformed: {exc}") from None
+        raise
 
 
 def trace_from_csv(text: str) -> RunTrace:
@@ -449,16 +444,23 @@ def trace_from_csv(text: str) -> RunTrace:
     The text is walked line by line into arrays allocated once.  Each row's
     first five fields are checked in turn, the spans only as numbers; the value
     fields are converted ``_BLOCK`` rows at a time, so a problem in them is
-    reported ahead of any problem in a later row, as a row-by-row read would."""
+    reported ahead of any problem in a later row, as a row-by-row read would.
+    A well-formed row holds at least ``2 * width - 1`` characters with the line
+    end before it, so the arrays hold no more rows than the text has room for:
+    a wide header over short rows reaches its first short row, not a huge
+    allocation."""
     lines = _LINE.finditer(text)
     first = next(lines, None)
-    header = first[0].split(",") if first else []
+    header = first[0].split(",", len(_TRACE_HEADER)) if first else []
     if header[:len(_TRACE_HEADER)] != _TRACE_HEADER:
         raise ModelError("trace file has an unexpected header")
-    width, n = len(header), len(header) - len(_TRACE_HEADER)
+    width = first[0].count(",") + 1
+    n = width - len(_TRACE_HEADER)
     size = sum(1 for _ in _LINE.finditer(text, first.end()))
-    values, counts = np.empty((size, n)), np.empty(size, dtype=np.intp)
-    tails, t0, stop_reason, problem = [], 0, "", None  # tails: the rows from t0 on
+    rows = min(size, (len(text) - first.end()) // (2 * width - 1))
+    values, counts = np.empty((rows, n)), np.empty(rows, dtype=np.intp)
+    # the value fields and counts of the rows from t0 on, written once the values convert
+    tails, pending, t0, stop_reason, problem = [], [], 0, "", None
     for t, line in enumerate(lines):
         ln = line[0]
         fields = ln.count(",") + 1
@@ -470,7 +472,7 @@ def trace_from_csv(text: str) -> RunTrace:
             if int(parts[0]) != t:
                 raise ValueError(f"t={parts[0]}, expected {t}")
             float(parts[1]), float(parts[2])
-            counts[t] = np.intp(parts[3])
+            pending.append(np.intp(parts[3]))
         except (ValueError, OverflowError) as exc:
             problem = f"trace row {t} is malformed: {exc}"
             break
@@ -478,8 +480,10 @@ def trace_from_csv(text: str) -> RunTrace:
         tails.append(parts[-1])
         if len(tails) == _BLOCK:
             _block_values(values[t0:t + 1], tails, t0)
-            tails, t0 = [], t + 1
+            counts[t0:t + 1] = pending
+            tails, pending, t0 = [], [], t + 1
     _block_values(values[t0:t0 + len(tails)], tails, t0)
+    counts[t0:t0 + len(tails)] = pending
     if problem:
         raise ModelError(problem)
     if not size:

@@ -5,7 +5,6 @@ import os
 import re
 import timeit
 import tracemalloc
-import warnings
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -1233,7 +1232,7 @@ def _dense_model_bytes(n: int = 200, m: int = 800) -> bytes:
                       separators=(",", ":")).encode()
 
 
-# spellings a trace value field may hold: numpy reads the plain decimal ones
+# spellings a trace value field may hold, read or refused as float does
 _VALUE_FIELDS = ("1e", ".5", "+1", "1.", "1_0", " 2", "nan", "inf", "-0", "1e-400", "1e400",
                  "", "-", ".", "e5", "1e+", "1..2", "0.30000000000000004", "5e-324")
 
@@ -1256,45 +1255,38 @@ class TestReadersHoldNoObjectPerNumber:
     @given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
         st.lists(st.sampled_from(_VALUE_FIELDS) | st.text("0123456789+-.eE", max_size=6)
                  | st.floats().map(repr) | st.floats().map("%.17g".__mod__),
-                 min_size=n, max_size=n), min_size=1, max_size=5)),
-           t0=st.integers(0, 3))
-    def test_block_converter_reads_as_float_does(self, rows, t0):
-        tails = [",".join(r) for r in rows]
-        out = np.full((len(rows), len(rows[0])), 7.0)
-        expected = np.empty_like(out)
-        message = None
-        for t, r in enumerate(rows, t0):
+                 min_size=n, max_size=n), min_size=1, max_size=5)))
+    def test_trace_values_read_as_float_does(self, rows):
+        # the shortest rows a reader can be given: one-character fields, no stop reason
+        header = ",".join(cli._TRACE_HEADER + [f"value_{i}" for i in range(len(rows[0]))])
+        text = header + "".join(f"\n{t},0,0,0,," + ",".join(r) for t, r in enumerate(rows))
+        expected, message = np.empty((len(rows), len(rows[0]))), None
+        for t, r in enumerate(rows):
             try:
-                expected[t - t0] = [float(x) for x in r]
+                expected[t] = [float(x) for x in r]
             except ValueError as exc:
                 message = f"trace row {t} is malformed: {exc}"
                 break
+        if message is None and not np.isfinite(expected).all():
+            message = "trace file has non-finite values"
         if message is None:
-            cli._block_values(out, tails, t0)
-            assert out.tobytes() == expected.tobytes()
+            assert trace_from_csv(text).values.tobytes() == expected.tobytes()
         else:
             with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
-                cli._block_values(out, tails, t0)
+                trace_from_csv(text)
 
-    @pytest.mark.parametrize("fault", ["raises", "warns", "miscounts"])
-    def test_a_failing_converter_falls_back_to_float(self, fault, certify_trace, monkeypatch):
-        expected = trace_from_csv(certify_trace)
-        fromstring, calls = np.fromstring, []
+    def test_a_wide_header_over_short_rows_allocates_for_the_text(self):
+        # 100,000 columns over 100,000 rows of "0": sized by its lines, the value array
+        # would take 80 GB; the first row is reported as a row-by-row read reports it,
+        # holding the header line and its last field
+        header = ",".join(cli._TRACE_HEADER + [f"value_{i}" for i in range(100_000)])
+        text = header + "\n0" * 100_000
 
-        def converter(text, sep):
-            calls.append(len(text))
-            if fault == "raises":
-                raise ValueError("string or file could not be read to its end")
-            if fault == "warns":  # as numpy < 2 does on text it cannot read
-                warnings.warn("string or file could not be read to its end", DeprecationWarning)
-            return fromstring(text, sep=sep)[:-1 if fault == "miscounts" else None]
+        def read():
+            with pytest.raises(ModelError, match="^trace row 0 has 1 fields, expected 100005$"):
+                trace_from_csv(text)
 
-        monkeypatch.setattr(np, "fromstring", converter)
-        trace = trace_from_csv(certify_trace)
-        assert len(calls) == -(-2403 // cli._BLOCK)  # one call per block: the fast path ran
-        assert trace.values.tobytes() == expected.values.tobytes()
-        assert trace.active_counts.tobytes() == expected.active_counts.tobytes()
-        assert trace.stop_reason == expected.stop_reason
+        assert _peak(read) < 2 * len(text)
 
     @pytest.mark.parametrize("probs, message", [
         ("[[0.5], 0.5]", "action 'b' probs must be one JSON list of numbers"),
@@ -1318,6 +1310,21 @@ class TestReadersHoldNoObjectPerNumber:
                 '"id":"a","state":0,"probs":[1],"reward":0}]}')
         with pytest.raises(ModelError, match="repeats a key"):
             mdp_from_json(text)
+
+    def test_a_model_cut_short_is_read_one_probs_list_at_a_time(self):
+        # the skeleton does not parse, so json reads the file: the decoded text and one
+        # row, no float per probability
+        data = _dense_model_bytes()
+        data = data[:data.rindex(b"]", 0, data.rindex(b'"reward"')) + 1]
+        with pytest.raises(ValueError) as exc:
+            json.loads(data)
+        message = f"model file is not valid JSON: {exc.value}"
+
+        def read():
+            with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+                cli._mdp_from_bytes(data)
+
+        assert _peak(read) < 1.2 * len(data)
 
     def test_text_inputs_hold_one_copy_of_the_file(self, tmp_path):
         # CRLF line ends are rewritten after the bytes are dropped: two copies at most
