@@ -91,7 +91,12 @@ Two more peaks, in MiB, show what the readers hold beyond their input:
 ``dense_read_peak_mib`` is the ``tracemalloc`` peak of ``mdp_from_json`` on
 the compact dense text (it includes the UTF-8 copy of the text that the
 reader makes first), and ``trace_read_peak_mib`` that of ``trace_from_csv`` on
-the 2,403-row trace.
+the 2,403-row trace.  Two peaks show what the CLI's model read of a file
+(``mdpgeo.cli._load_mdp``) holds, its probability matrix included:
+``grid_read_peak_mib`` on the benchmark's 1024-state torus gridworld
+(``perfbench/inputs.py``, compact, 21.7 MB at seed 7; its matrix is 40 MiB)
+and ``sparse_indented_read_peak_mib`` on the file that ``generate`` writes for
+the 1000-state spec above.
 
 The dense size is fixed: dense generation does not finish for n of about 150
 and more.
@@ -111,9 +116,11 @@ import json
 import os
 import platform
 import statistics
+import sys
 import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -133,6 +140,9 @@ from mdpgeo.solvers import (
 )
 from mdpgeo.transforms import effective_gamma, normalize
 from mdpgeo.twostate import verify_pi_bound
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from inputs import gridworld  # noqa: E402
 
 DENSE_N = 100
 WIELANDT_TRACE_N = 50
@@ -216,8 +226,9 @@ def _pi_peak_mib(mdp: Mdp) -> float:
     return _peak_mib(lambda: policy_iteration(fresh, pi0))
 
 
-def _generate_peak_mib(n: int, k: int, seed: int) -> tuple[float, float]:
-    """The tracemalloc peak of the ``generate`` command and the size of its file, in MiB."""
+def _generate_peak_mib(n: int, k: int, seed: int) -> tuple[float, float, float]:
+    """The tracemalloc peak of the ``generate`` command, the size of its file and
+    the peak of the CLI's read of that file, in MiB."""
     with tempfile.TemporaryDirectory() as d:
         out = os.path.join(d, "model.json")
         argv = ["generate", "--seed", str(seed), "--structure", "sparse", "--n-states", str(n),
@@ -231,7 +242,16 @@ def _generate_peak_mib(n: int, k: int, seed: int) -> tuple[float, float]:
             tracemalloc.stop()
         if code != 0:
             raise RuntimeError(f"generate exited {code}")
-        return peak / 2**20, os.path.getsize(out) / 2**20
+        return peak / 2**20, os.path.getsize(out) / 2**20, _peak_mib(lambda: _load_mdp(out))
+
+
+def _grid_read_peak_mib(seed: int) -> float:
+    """The tracemalloc peak of the CLI's read of the benchmark's gridworld file, in MiB."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "grid.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(gridworld(seed).to_json())
+        return _peak_mib(lambda: _load_mdp(path))
 
 
 def main() -> None:
@@ -318,7 +338,9 @@ def main() -> None:
     # last: a large allocation and free here would change how fast later rows allocate
     layers["policy_iteration"] = _summary(_pi_times(mdp, 5))
     pi_peak_mib = _pi_peak_mib(mdp)
-    peak_mib, file_mib = _generate_peak_mib(args.n, args.k, args.seed)
+    peak_mib, file_mib, read_peaks["sparse_indented_read_peak_mib"] = _generate_peak_mib(
+        args.n, args.k, args.seed)
+    read_peaks["grid_read_peak_mib"] = _grid_read_peak_mib(args.seed)
     print(json.dumps({
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},

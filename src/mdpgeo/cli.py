@@ -5,27 +5,23 @@ unknown fields rejected, floats at full precision); per-iteration traces as
 CSV with one row per iterate and 17-significant-digit numbers, so every
 float round-trips exactly.
 
-The model reader works on the file's bytes, read once: it hashes them, cuts
-each action's ``"probs": [...]`` body out (a body ends at its first ``]`` and
-may hold only JSON number characters, commas and JSON whitespace), parses the
-small remaining skeleton with ``json``, and fills a preallocated ``P`` a
-bounded chunk of rows at a time.  When more than 3/4 of the fields of a sample
-of rows are exactly ``0`` or ``0.0``, it views the bytes as little-endian
-8-byte words: a word that is one phase of a run of ``0.0`` fields and equals
-both neighbours holds only whole zero fields and two commas, so it is skipped
-as two fields.  numpy checks the rest of each chunk's bytes (every row has
-exactly ``n_states`` fields, no whitespace splits a number) and marks its
-zeros; ``json`` converts only the other fields, so a sparse model makes no
-Python float per zero.  Otherwise ``json`` converts every row where it stands,
-and the row goes into ``P`` before the next is read.  Either way ``P`` holds
-the very floats ``json.loads`` gives.  Should the cut skeleton not parse (a
-body held a ``]`` in a string or a nested list), ``json`` reads the whole file,
-so its message names places in the file, and keeps of each probs list only
-whether it holds numbers.  The trace reader walks its text line by line into
-arrays allocated once and converts the value fields ``_BLOCK`` rows at a time.
-So no reader holds a Python object per number beyond one row or one block.
-The ``input_hashes`` of model and trace files are the sha256 of their bytes on
-disk.
+The model reader reads a file in two passes and never holds it whole.  The
+first hashes 64 KiB blocks, checks them as UTF-8 and cuts each action's
+``"probs": [...]`` body out (a body ends at its first ``]`` and may hold only
+JSON number characters, commas and JSON whitespace), carrying only the skeleton
+that straddles a block's end; ``json`` parses the skeleton.  The second fills a
+preallocated ``P`` a chunk of rows at a time, read at the bodies' offsets.  When
+more than 3/4 of the fields of a sample of rows are ``0`` or ``0.0``, it skips
+each 8-byte word of the file that is a phase of a run of ``0.0`` fields, as both
+its neighbours are (it holds two whole zero fields); numpy checks the rest
+(every row has ``n_states`` fields, no whitespace splits a number) and ``json``
+converts its other fields; otherwise ``json`` converts each row where it stands.
+``P`` holds the very floats ``json.loads`` gives.  A message that names places in
+the file (bad UTF-8, a body holding a ``]``) comes from the whole file read again;
+a file whose size or mtime moves between the passes exits 65, and a stream that
+cannot seek is read into memory.  The trace reader walks its text line by line
+into arrays allocated once, converting the values ``_BLOCK`` rows at a time: no
+reader holds a Python object per number beyond one row or one block.
 
 The writers stream: a model or trace file goes to disk in UTF-8 blocks of at
 most 64 actions or rows, each fed to sha256 as it is written, so no whole
@@ -33,7 +29,7 @@ output file is ever held in memory.  Files are still written atomically (temp
 file + rename); ``output_hash`` is the digest of the bytes written.
 
 Every command emits a deterministic JSON summary
-on stdout carrying sha256 hashes of its input files; timestamps never enter
+on stdout carrying the sha256 of its input files' bytes; timestamps never enter
 any output.
 
 A value-taking flag can also be given as the environment variable
@@ -47,8 +43,10 @@ Exit codes: 0 success, 2 iteration-cap abort, 64 usage, 65 invalid data,
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -173,35 +171,61 @@ _STRING = rb'"[^"\\]*+(?:\\.[^"\\]*+)*+"'
 # "probs" in every JSON spelling: each letter as itself or as a \u escape
 _PROBS_KEY = rb'"(?:p|\\u0070)(?:r|\\u0072)(?:o|\\u006[fF])(?:b|\\u0062)(?:s|\\u0073)"'
 _OPENS_LIST = rb"[ \t\n\r]*:[ \t\n\r]*\["
-# from a point outside any string, string by string: up to the "[" that opens the next
-# probs list; possessive, so a text with no such key left fails in one pass.  On UTF-8
-# bytes: no byte of a multibyte character is ASCII
-_PROBS_LIST = re.compile(
-    rb'(?:[^"]*+(?!' + _PROBS_KEY + _OPENS_LIST + rb')' + _STRING + rb')*+[^"]*+'
-    + _PROBS_KEY + _OPENS_LIST)
+# from a point outside any string, string by string, up to the first that opens a probs
+# list or that the bytes at hand leave open (past any whitespace, neither a byte but ":"
+# nor ":" and a byte follow it); possessive: one pass.  No byte of UTF-8 multibyte is ASCII
+_WALK = (rb'(?:[^"]*+(?!' + _PROBS_KEY + _OPENS_LIST + rb')' + _STRING
+         + rb'(?=[ \t\n\r]*+(?::[ \t\n\r]*+[^ \t\n\r]|[^ \t\n\r:])))*+[^"]*+')
+_DECIDED = re.compile(_WALK)
+_PROBS_LIST = re.compile(_WALK + _PROBS_KEY + _OPENS_LIST)  # to the "[" that opens the list
+_READ = 1 << 16  # bytes per block of a model's first pass: below glibc's mmap threshold
 _DECODE = json.JSONDecoder().raw_decode
 _WS = b" \t\n\r"
 _NUMBER = b"0123456789+-.eE"
-_CHUNK = 1 << 17  # probabilities per fill step: bounds the temporaries
+_CHUNK = 1 << 19  # bytes of probs text per fill step: bounds the text held and the temporaries
 # the 8-byte words of a run of "0.0" fields, at each phase; each holds two commas
 _ZERO_RUN = np.array([int.from_bytes(w, "little")
                      for w in (b",0.0,0.0", b"0.0,0.0,", b".0,0.0,0", b"0,0.0,0.")], dtype="<u8")
 
 
-def _cut_probs(data: bytes) -> tuple[bytes, list[tuple[int, int]]]:
-    """``data`` with the body of its k-th ``"probs"`` list replaced by ``k``, and
-    the ``(start, end)`` byte offsets of every body in ``data``."""
-    parts, spans, pos = [], [], 0
-    while opens := _PROBS_LIST.match(data, pos):
-        start = opens.end()
-        end = data.find(b"]", start)
-        if end < 0:
-            raise ModelError("model file is not valid JSON: a probs list is not closed")
-        parts += (data[pos:start], b"%d" % len(spans))
-        spans.append((start, end))
-        pos = end
-    parts.append(data[pos:])
-    return b"".join(parts), spans
+def _read_at(fh, a: int = 0, b: int | None = None) -> bytes:
+    """Bytes ``a:b`` of ``fh``; all of them for a message that names places in them."""
+    fh.seek(a)
+    return fh.read(-1 if b is None else b - a)
+
+
+def _cut_probs(fh, digest) -> tuple[bytes, list[tuple[int, int]]]:
+    """The bytes of ``fh`` with the body of their k-th ``"probs"`` list replaced by
+    ``k``, and the ``(start, end)`` offsets of every body, read in blocks that go to
+    ``digest`` and are checked as UTF-8 unless it is None; a block carries to the
+    next only the skeleton from its first string that it cannot decide."""
+    parts, spans, data, base, start = [], [], b"", 0, None
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    try:
+        for block in iter(functools.partial(fh.read, _READ), b""):
+            if digest is not None:  # a file; text in memory came from a str
+                digest.update(block)
+                decode(block)
+            data, pos = data + block, 0
+            while start is None or (end := data.find(b"]", pos)) >= 0:
+                if start is not None:  # a body ends at its first "]"
+                    spans.append((start, base + end))
+                    pos, start = end, None
+                if not (opens := _PROBS_LIST.match(data, pos)):
+                    break
+                parts += (data[pos:opens.end()], b"%d" % len(spans))
+                pos, start = opens.end(), base + opens.end()
+            stop = len(data) if start is not None else _DECIDED.match(data, pos).end()
+            if start is None:
+                parts.append(data[pos:stop])
+            data, base = data[stop:], base + stop
+        decode(b"", True)
+    except UnicodeDecodeError:  # the message with its place in the whole text
+        _read_at(fh).decode("utf-8")
+        raise
+    if start is not None:
+        raise ModelError("model file is not valid JSON: a probs list is not closed")
+    return b"".join(parts) + data, spans  # what is left holds no list
 
 
 def _floats(values, count: int) -> np.ndarray:
@@ -211,28 +235,30 @@ def _floats(values, count: int) -> np.ndarray:
         raise ModelError(f"action probs must be JSON numbers: {exc}") from None
 
 
-def _json_row(data: bytes, a: int, b: int):
+def _json_row(data: bytes, a: int, b: int, whole):
     """The JSON value that opens with the ``[`` at ``data[a - 1]``, as ``json``
-    reads it where it stands in the whole text."""
+    reads it in place in the whole text, whose bytes and ``data``'s offset ``whole()`` gives."""
     try:  # a well-formed body is ASCII and ends at the first "]"
         return _DECODE(data[a - 1:b + 1].decode("ascii"))[0]
     except (ValueError, RecursionError):
         pass
-    text = data.decode("utf-8", "surrogatepass")  # json's own message, or a list past b
+    data, base = whole()  # json's own message, or a list past b
+    text = data.decode("utf-8", "surrogatepass")
     try:
-        return _DECODE(text, len(data[:a - 1].decode("utf-8", "surrogatepass")))[0]
+        return _DECODE(text, len(data[:base + a - 1].decode("utf-8", "surrogatepass")))[0]
     except (ValueError, RecursionError) as exc:
         raise ModelError(f"action probs are not a JSON list: {exc}") from None
 
 
-def _fill_with_json(out: np.ndarray, data: bytes, rows: list[tuple[int, int]], n: int) -> None:
+def _fill_with_json(out: np.ndarray, data: bytes, rows: list[tuple[int, int]], n: int,
+                    whole) -> None:
     """``json`` converts every field, each body read where it stands and written
     into ``out`` before the next is read.  A field that is no number is reported
     after the bodies of the chunk are checked, as when the chunk was converted
     at once."""
     find, late = data.find, None
     for k, (a, b) in enumerate(rows):
-        row = _json_row(data, a, b)
+        row = _json_row(data, a, b, whole)
         if len(row) != n:
             raise ModelError(f"every action's probs must hold n_states={n} numbers")
         # a string, true, false, null, NaN or Infinity shows '"', "t", "a" or "n"
@@ -269,13 +295,14 @@ def _zero_runs(words: np.ndarray, spans: np.ndarray) -> tuple[np.ndarray, ...]:
     return start[inside], stop[inside], body[inside], 2 * (last - first)[inside]
 
 
-def _fill_skipping_zeros(out: np.ndarray, data: bytes, words: np.ndarray,
-                         rows: list[tuple[int, int]], n: int) -> None:
+def _fill_skipping_zeros(out: np.ndarray, data: bytes, rows: list[tuple[int, int]],
+                         n: int) -> None:
     """Cut the proven zero runs (``_zero_runs``) out of the bodies and join what
     is left, each body with its closing ``]``; numpy checks that text and finds
     its fields that are exactly ``0`` or ``0.0``; ``json`` converts the others."""
     spans = np.array(rows, dtype=np.int64)
-    cut_start, cut_stop, cut_row, cut_fields = _zero_runs(words, spans)
+    cut_start, cut_stop, cut_row, cut_fields = _zero_runs(
+        np.frombuffer(data, "<u8", len(data) // 8), spans)
     body_ends = spans[:, 1] + 1
     body_ends[-1] -= 1  # no "]" after the last body
     starts = np.sort(np.concatenate((spans[:, 0], cut_stop)))
@@ -326,12 +353,13 @@ def _fill_skipping_zeros(out: np.ndarray, data: bytes, words: np.ndarray,
         values, field.size)
 
 
-def _probs_matrix(data: bytes, spans: list[tuple[int, int]], n: int) -> np.ndarray:
-    """The (len(spans), n) matrix whose row k holds the numbers of ``data[a:b]``
-    for ``(a, b) = spans[k]``; ModelError unless each body is exactly n JSON
-    numbers separated by commas.  The zeros are skipped when they are more than
-    3/4 of the fields of eight rows spread over the model: about where the two
-    fills cost the same (2/3 of the fields for compact text, 4/5 for indented)."""
+def _probs_matrix(fh, spans: list[tuple[int, int]], n: int) -> np.ndarray:
+    """The (len(spans), n) matrix whose row k holds the numbers of bytes ``a:b``
+    of ``fh`` for ``(a, b) = spans[k]``; ModelError unless each body is exactly n
+    JSON numbers separated by commas.  The zeros are skipped when they are more
+    than 3/4 of the fields of eight rows spread over the model: about where the
+    two fills cost the same (2/3 of the fields for compact text, 4/5 for indented).
+    A chunk is read from the 8-byte word of its first ``[`` to its last ``]``."""
     if n < 0 or any(b - a < 2 * n - 1 for a, b in spans):
         raise ModelError(f"every action's probs must hold n_states={n} numbers")
     try:
@@ -339,16 +367,19 @@ def _probs_matrix(data: bytes, spans: list[tuple[int, int]], n: int) -> np.ndarr
     except ValueError as exc:  # no rows, and n past numpy's largest shape
         raise ModelError(f"model arrays are malformed: {exc}") from None
     sample = spans[::max(1, -(-len(spans) // 8))]
-    fields = [f.strip(_WS) for a, b in sample for f in data[a:b].split(b",")]
-    if 4 * (fields.count(b"0") + fields.count(b"0.0")) > 3 * len(sample) * n:
-        words = np.frombuffer(data, "<u8", len(data) // 8)  # a view: no copy
-        fill = lambda out, rows: _fill_skipping_zeros(out, data, words, rows, n)  # noqa: E731
-    else:
-        fill = lambda out, rows: _fill_with_json(out, data, rows, n)  # noqa: E731
-    step = _CHUNK // max(n, 1) or 1
-    for r0 in range(0, len(spans), step):
-        rows = spans[r0:r0 + step]
-        fill(P[r0:r0 + len(rows)].reshape(-1), rows)
+    fields = [f.strip(_WS) for a, b in sample for f in _read_at(fh, a, b).split(b",")]
+    skip = 4 * (fields.count(b"0") + fields.count(b"0.0")) > 3 * len(sample) * n
+    ends, r0 = np.array([b for _, b in spans]), 0
+    while r0 < len(spans):  # the rows whose text fits in _CHUNK bytes, or one row
+        r1 = max(r0 + 1, int(np.searchsorted(ends, spans[r0][0] + _CHUNK, "right")))
+        base, end = (spans[r0][0] - 1) // 8 * 8, spans[r1 - 1][1]
+        data = _read_at(fh, base, max(end + 1, -(-end // 8) * 8))
+        out, rows = P[r0:r1].reshape(-1), [(a - base, b - base) for a, b in spans[r0:r1]]
+        if skip:
+            _fill_skipping_zeros(out, data, rows, n)
+        else:
+            _fill_with_json(out, data, rows, n, lambda: (_read_at(fh), base))  # noqa: B023
+        r0, data = r1, None  # one window at a time
     return P
 
 
@@ -360,13 +391,14 @@ def _plain_probs(pairs: list[tuple]) -> dict:
             if key == "probs" else value for key, value in pairs}
 
 
-def _mdp_from_bytes(data: bytes) -> Mdp:
-    skeleton, spans = _cut_probs(data)
+def _read_model(fh, digest=None) -> Mdp:
+    """The model in the seekable binary stream ``fh``, its bytes fed to ``digest``."""
+    skeleton, spans = _cut_probs(fh, digest)
     try:
         doc = json.loads(skeleton.decode("utf-8", "surrogatepass"))
     except (ValueError, RecursionError):  # a cut body held a "]", or the file is no JSON:
         # json reads the file itself, so a message gives places in the file
-        doc = _parse_json(data.decode("utf-8", "surrogatepass"), "model file",
+        doc = _parse_json(_read_at(fh).decode("utf-8", "surrogatepass"), "model file",
                           object_pairs_hook=_plain_probs)
         spans = None
     _fields(doc, _MDP_KEYS, "model file")
@@ -388,10 +420,14 @@ def _mdp_from_bytes(data: bytes) -> Mdp:
             raise ModelError(f"action {entry['id']!r} probs must be one JSON list of numbers")
     if spans is None:  # each list json kept is plain, so a repeated key dropped the odd one
         raise ModelError("model file repeats a key whose dropped value holds a probs list")
-    P = _probs_matrix(data, spans, n)
+    P = _probs_matrix(fh, spans, n)
     mdp = Mdp.from_arrays(n, gamma, ids, states, P, rewards)
     validate(mdp)
     return mdp
+
+
+def _mdp_from_bytes(data: bytes) -> Mdp:
+    return _read_model(io.BytesIO(data))
 
 
 def mdp_from_json(text: str) -> Mdp:
@@ -513,23 +549,15 @@ class _OutputError(Exception):
     pass
 
 
-def _read_bytes(path: str) -> bytes:
-    """The bytes of ``path``, which must be UTF-8 (UnicodeDecodeError otherwise)."""
+def _read_text(path: str) -> tuple[str, str]:
+    """The text of ``path``, each ``\\r\\n`` or ``\\r`` read as ``\\n``, and the
+    sha256 of its bytes.  The bytes are hashed, decoded and dropped before any
+    line end is rewritten, so a caller parses the one copy of the file."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    if not data.isascii():
-        data.decode("utf-8")
-    return data
-
-
-def _read_text(path: str) -> tuple[str, str]:
-    """The text of ``path``, each ``\\r\\n`` or ``\\r`` read as ``\\n``, and the
-    sha256 of its bytes.  The bytes are hashed, decoded and dropped before any
-    line end is rewritten, so a caller parses the one copy of the file."""
-    data = _read_bytes(path)
     digest = hashlib.sha256(data).hexdigest()
     text = data.decode("utf-8")
     del data
@@ -575,9 +603,21 @@ def _read_list(path: str, what: str, kind: type) -> tuple:
 
 
 def _load_mdp(path: str) -> tuple[Mdp, str]:
-    """The model in ``path`` and the sha256 of the file's bytes."""
-    data = _read_bytes(path)
-    return _mdp_from_bytes(data), hashlib.sha256(data).hexdigest()
+    """The model in ``path`` and the sha256 of the file's bytes (module docstring)."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            if not fh.seekable():
+                return _read_model(io.BytesIO(fh.read()), digest), digest.hexdigest()
+            before = os.fstat(fh.fileno())
+            try:
+                return _read_model(fh, digest), digest.hexdigest()
+            finally:  # the change, not what it broke, is reported
+                after = os.fstat(fh.fileno())
+                if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
+                    raise ModelError(f"model file {path} changed while it was read")
+    except OSError as exc:
+        raise _InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(args, fields: dict, inputs: dict | None = None, tail: dict | None = None,

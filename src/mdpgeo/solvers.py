@@ -396,12 +396,16 @@ def evaluate_policy(mdp: Mdp, policy: Policy) -> np.ndarray:
 
 def evaluate_rows(mdp: Mdp, rows: np.ndarray) -> np.ndarray:
     """Exact values of the policy taking row ``rows[s]`` at each state s;
-    ModelError when they overflow.
+    ModelError when they overflow."""
+    return _evaluate_in(mdp, rows, mdp.P[rows])
 
-    ``I - gamma * P[rows]`` is built in the one copy ``P[rows]``, entry for
-    entry as that expression rounds: ``0.0 - x`` negates exactly (and gives
-    +0.0 for a zero) and ``-x + 1.0`` rounds as ``1.0 - x`` does."""
-    a = mdp.P[rows]
+
+def _evaluate_in(mdp: Mdp, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """:func:`evaluate_rows` given ``a = P[rows]``, which is overwritten.
+
+    ``I - gamma * P[rows]`` is built in ``a``, entry for entry as that
+    expression rounds: ``0.0 - x`` negates exactly (and gives +0.0 for a zero)
+    and ``-x + 1.0`` rounds as ``1.0 - x`` does."""
     a *= mdp.gamma
     np.subtract(0.0, a, out=a)
     a.flat[::mdp.n_states + 1] += 1.0
@@ -480,8 +484,10 @@ def policy_iteration(mdp: Mdp, pi0: Policy) -> tuple[Policy, PiTrace]:
     switched: list[int] = []
     fallbacks = 0
     seen: dict[bytes, int] = {}  # the rows of every policy evaluated -> its round
+    a = np.empty((mdp.n_states, mdp.n_states))  # P[rows] of each round, in one buffer
     while True:
-        v = evaluate_rows(mdp, rows)
+        # "clip" writes into a where "raise" takes a copy first; rows are in range
+        v = _evaluate_in(mdp, rows, np.take(mdp.P, rows, axis=0, out=a, mode="clip"))
         seen[rows.tobytes()] = len(pols) + 1
         pols.append(tuple(mdp.ids[k] for k in rows))
         vals.append(v)

@@ -1,8 +1,10 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import re
+import threading
 import timeit
 import tracemalloc
 from unittest import mock
@@ -819,9 +821,9 @@ def model_texts(draw):
 
 class TestModelReader:
     @settings(max_examples=300, deadline=None)
-    @given(text=model_texts(), chunk=st.sampled_from([1, 5, 1 << 17]))
+    @given(text=model_texts(), chunk=st.sampled_from([1, 64, 1 << 17]))
     def test_matches_the_plain_json_reader(self, text, chunk):
-        with mock.patch.object(cli, "_CHUNK", chunk):  # several chunks, both kinds of fill
+        with mock.patch.object(cli, "_CHUNK", chunk):  # bytes: one row, a few or all a chunk
             mdp = mdp_from_json(text)
         ids, states, P, rewards = _reference_arrays(text)
         assert list(mdp.ids) == ids
@@ -959,7 +961,7 @@ def _counting_runs(monkeypatch) -> _Runs:
 
 
 class TestWordReader:
-    @pytest.mark.parametrize("chunk", [1, 300, 1 << 17])
+    @pytest.mark.parametrize("chunk", [1, 300, 1200, 1 << 17])
     @pytest.mark.parametrize("zero", ["0.0", "0"])
     @pytest.mark.parametrize("pad", range(8))
     def test_zero_runs_of_every_length_read_as_json_does(self, pad, zero, chunk, monkeypatch):
@@ -973,7 +975,7 @@ class TestWordReader:
         rows.append(["-0.0"] + [zero] * (n - 2) + ["1"])
         text = _word_model(rows, pad, zero)
         runs = _counting_runs(monkeypatch)
-        monkeypatch.setattr(cli, "_CHUNK", chunk)  # one, three or all rows a step
+        monkeypatch.setattr(cli, "_CHUNK", chunk)  # bytes: one row (1, 300), a few or all
         mdp = mdp_from_json(text)
         _, _, P, _ = _reference_arrays(text)
         assert mdp.P.tobytes() == P.tobytes()
@@ -1335,3 +1337,137 @@ class TestReadersHoldNoObjectPerNumber:
         peak = _peak(lambda: result.append(cli._read_text(str(path))))
         assert result[0] == (lf, hashlib.sha256(path.read_bytes()).hexdigest())
         assert peak < 2.2 * path.stat().st_size
+
+
+# ---------------------------------------------------------------------------
+# the model reader's two passes in blocks
+
+
+def _load_outcome(path) -> tuple:
+    """What the CLI's model read makes of ``path``: its arrays and hash, or its error."""
+    try:
+        mdp, digest = cli._load_mdp(str(path))
+    except ValueError as exc:  # ModelError, UnicodeDecodeError
+        return type(exc).__name__, str(exc)
+    return list(mdp.ids), mdp.state_of.tobytes(), mdp.P.tobytes(), mdp.rewards.tobytes(), digest
+
+
+def _with_id(raw: bytes) -> bytes:
+    return _small_model("1,0,0", "0,1,0").encode().replace(b'"a1"', b'"' + raw + b'"')
+
+
+# files the reader refuses for their bytes or before their skeleton parses
+_BAD_BYTES = {
+    "invalid_start_byte": lambda: _with_id(b"a\xff"),
+    "encoded_surrogate": lambda: _with_id(b"a\xed\xa0\x80"),
+    "character_cut_at_the_end": lambda: _with_id("é".encode()) + "é".encode()[:1],
+    "cut_inside_a_string": lambda: _small_model("1,0,0", "0,1,0").encode()[:-40],
+    "last_probs_list_not_closed": lambda: (lambda t: t[:t.rindex(b"[") + 4])(
+        _small_model("1,0,0", "0,1,0").encode()),
+    "bracket_in_a_body": lambda: _small_model("1,0,0", '"]",1,0').encode(),
+    "nested_body": lambda: _small_model("1,0,0", "[0],1,0").encode(),
+}
+_BLOCK_SIZES = [1, 7, 64]
+_SLACK = 6 * 2**20  # beyond P: 5.3 MB measured on the indented model, 3.4 MB on the compact
+
+
+class TestTwoPassReader:
+    @settings(max_examples=200, deadline=None)
+    @given(text=model_texts(), block=st.sampled_from(_BLOCK_SIZES),
+           chunk=st.sampled_from([1, 64, 1 << 17]))
+    def test_blocks_of_any_size_read_the_plain_json_model(self, text, block, chunk):
+        data = text.encode()
+        with mock.patch.object(cli, "_READ", block), mock.patch.object(cli, "_CHUNK", chunk):
+            mdp = cli._read_model(io.BytesIO(data), digest := hashlib.sha256())
+        ids, states, P, rewards = _reference_arrays(text)
+        assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+        assert list(mdp.ids) == ids and np.array_equal(mdp.state_of, states)
+        assert mdp.P.tobytes() == P.tobytes() and mdp.rewards.tobytes() == rewards.tobytes()
+
+    @pytest.mark.parametrize("block", _BLOCK_SIZES)
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS) + sorted(_BAD_BYTES))
+    def test_messages_do_not_depend_on_the_block_size(self, case, block, tmp_path,
+                                                      monkeypatch):
+        data = _BAD_BYTES[case]() if case in _BAD_BYTES else MALFORMED_MODELS[case]().encode()
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        whole = _load_outcome(path)  # the file is one block
+        assert len(whole) == 2
+        monkeypatch.setattr(cli, "_READ", block)
+        assert _load_outcome(path) == whole
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # the message names the place in the whole file
+            assert whole == ("UnicodeDecodeError", str(exc))
+
+    @pytest.mark.parametrize("block", _BLOCK_SIZES)
+    @pytest.mark.parametrize("spelling", ["0.0 0.0", "0]", '"0"', "0,,0", "00"])
+    def test_odd_spelling_deep_in_a_run_under_small_blocks(self, spelling, block, tmp_path,
+                                                           monkeypatch):
+        row = ["1"] + ["0.0"] * 79
+        row[40:41 + spelling.count(",")] = [spelling]
+        path = tmp_path / "model.json"
+        path.write_text(_word_model([row], 3))
+        whole = _load_outcome(path)
+        monkeypatch.setattr(cli, "_READ", block)
+        assert _load_outcome(path) == whole
+
+    def test_compact_sparse_read_holds_p_and_a_fixed_slack(self, tmp_path):
+        mdp = generate(GenSpec(n_states=600, gamma=0.9, seed=3, structure="sparse",
+                               sparse_k=3, max_actions=8))
+        path = tmp_path / "compact.json"
+        path.write_text(json.dumps({"version": 1, "n_states": 600, "gamma": 0.9, "actions": [
+            {"id": i, "state": s, "probs": p, "reward": r} for i, s, p, r in zip(
+                mdp.ids, mdp.state_of.tolist(), mdp.P.tolist(), mdp.rewards.tolist())]},
+            separators=(",", ":")))
+        assert path.stat().st_size > 5_000_000
+        result = []
+        peak = _peak(lambda: result.append(cli._load_mdp(str(path))))
+        assert result[0][0].P.tobytes() == mdp.P.tobytes()
+        assert peak < mdp.P.nbytes + _SLACK
+
+    def test_indented_read_holds_p_and_a_fixed_slack(self, tmp_path, capsys):
+        path = tmp_path / "indented.json"
+        assert main(_generate_argv(path, 400)) == EX_OK
+        capsys.readouterr()
+        result = []
+        peak = _peak(lambda: result.append(cli._load_mdp(str(path))))
+        assert result[0][1] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert peak < result[0][0].P.nbytes + _SLACK
+
+    @pytest.mark.parametrize("change", ["appended", "rewritten_in_place"])
+    def test_a_file_changed_between_the_passes_exits_65(self, change, tmp_path, capsys,
+                                                        monkeypatch):
+        path = tmp_path / "model.json"
+        assert main(_generate_argv(path, 12)) == EX_OK
+        capsys.readouterr()
+        fill = cli._probs_matrix
+
+        def changed(fh, spans, n):
+            data = path.read_bytes()
+            if change == "appended":
+                path.write_bytes(data + b"\n")
+            else:  # same size; the mtime moves on
+                path.write_bytes(data.replace(b'"reward": ', b'"reward":-', 1))
+                stat = path.stat()
+                os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1000))
+            return fill(fh, spans, n)
+
+        monkeypatch.setattr(cli, "_probs_matrix", changed)
+        code, cap = run(capsys, "solve-pi", "--mdp", str(path))
+        assert (code, cap.out) == (EX_DATAERR, "")
+        assert cap.err == f"error:ModelError:model file {path} changed while it was read\n"
+
+    def test_a_fifo_is_read_once_and_gives_the_files_outputs(self, tmp_path, capsys):
+        path, fifo = tmp_path / "model.json", tmp_path / "model.fifo"
+        assert main(_generate_argv(path, 12)) == EX_OK
+        capsys.readouterr()
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),),
+                                  daemon=True)
+        writer.start()  # it waits for the reader to open the FIFO
+        piped = run(capsys, "solve-pi", "--mdp", str(fifo))
+        writer.join(10)
+        assert not writer.is_alive()
+        code, cap = run(capsys, "solve-pi", "--mdp", str(path))
+        assert code == EX_OK and (piped[0], piped[1].out) == (code, cap.out)
