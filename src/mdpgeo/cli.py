@@ -5,7 +5,8 @@ unknown fields rejected, floats at full precision); per-iteration traces as
 CSV with one row per iterate and 17-significant-digit numbers, so every
 float round-trips exactly.
 
-The model reader reads a file in two passes and never holds it whole.  The
+``mdp_from_json`` is the one model reader, of JSON text or of a seekable binary
+stream (the CLI's files); it reads in two passes and never holds a file whole.  The
 first hashes 64 KiB blocks, checks them as UTF-8 and cuts each action's
 ``"probs": [...]`` body out (a body ends at its first ``]`` and may hold only
 JSON number characters, commas and JSON whitespace), carrying only the skeleton
@@ -36,8 +37,8 @@ A value-taking flag can also be given as the environment variable
 MDPGEO_<DEST>, its dest upper-cased (MDPGEO_ALPHA; ``certify --alpha`` reads
 MDPGEO_CERT_ALPHA); an explicit flag wins.
 
-Exit codes: 0 success, 2 iteration-cap abort, 64 usage, 65 invalid data,
-66 missing input, 73 output cannot be written.
+Exit codes: 0 success, 2 iteration-cap abort, 64 usage, 65 invalid data or a
+model too large to allocate, 66 missing input, 73 output cannot be written.
 """
 
 from __future__ import annotations
@@ -391,8 +392,9 @@ def _plain_probs(pairs: list[tuple]) -> dict:
             if key == "probs" else value for key, value in pairs}
 
 
-def _read_model(fh, digest=None) -> Mdp:
-    """The model in the seekable binary stream ``fh``, its bytes fed to ``digest``."""
+def mdp_from_json(source, digest=None) -> Mdp:
+    """The model in JSON text or a seekable binary stream, whose bytes feed ``digest``."""
+    fh = io.BytesIO(source.encode("utf-8", "surrogatepass")) if isinstance(source, str) else source
     skeleton, spans = _cut_probs(fh, digest)
     try:
         doc = json.loads(skeleton.decode("utf-8", "surrogatepass"))
@@ -424,14 +426,6 @@ def _read_model(fh, digest=None) -> Mdp:
     mdp = Mdp.from_arrays(n, gamma, ids, states, P, rewards)
     validate(mdp)
     return mdp
-
-
-def _mdp_from_bytes(data: bytes) -> Mdp:
-    return _read_model(io.BytesIO(data))
-
-
-def mdp_from_json(text: str) -> Mdp:
-    return _mdp_from_bytes(text.encode("utf-8", "surrogatepass"))
 
 
 _TRACE_HEADER = ["t", "span_v", "span_dv", "active_actions", "stop_reason_final"]
@@ -603,15 +597,15 @@ def _read_list(path: str, what: str, kind: type) -> tuple:
 
 
 def _load_mdp(path: str) -> tuple[Mdp, str]:
-    """The model in ``path`` and the sha256 of the file's bytes (module docstring)."""
+    """The model in ``path``, read by ``mdp_from_json``, and the sha256 of its bytes."""
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
             if not fh.seekable():
-                return _read_model(io.BytesIO(fh.read()), digest), digest.hexdigest()
+                return mdp_from_json(io.BytesIO(fh.read()), digest), digest.hexdigest()
             before = os.fstat(fh.fileno())
             try:
-                return _read_model(fh, digest), digest.hexdigest()
+                return mdp_from_json(fh, digest), digest.hexdigest()
             finally:  # the change, not what it broke, is reported
                 after = os.fstat(fh.fileno())
                 if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
@@ -886,7 +880,8 @@ def _build_parser() -> _Parser:
     ts = sub.add_parser("twostate", help="two-state bound verification")
     ts.add_argument("--mdp")
     ts.add_argument("--suite", type=int)
-    ts.add_argument("--max-actions", type=int, default=12)
+    ts.add_argument("--max-actions", type=int, default=12, help="at least 2; the suite "
+                    "draws 1 to min(MAX_ACTIONS // 2, 6) actions per state")
     ts.add_argument("--seed", type=int, default=0)
     ts.add_argument("--out")
     ts.set_defaults(func=_cmd_twostate)
@@ -909,6 +904,9 @@ def main(argv=None) -> int:
     if args.command == "twostate" and not args.mdp and (args.suite is None or args.suite < 1):
         sys.stderr.write("error:usage:twostate needs either --mdp or --suite N with N >= 1\n")
         return EX_USAGE
+    if args.command == "twostate" and not args.mdp and args.max_actions < 2:
+        sys.stderr.write("error:usage:twostate --suite needs --max-actions M with M >= 2\n")
+        return EX_USAGE
     try:
         return args.func(args)
     except _InputError as exc:
@@ -920,8 +918,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"error:config:{exc}\n")
         return EX_USAGE
-    except (ValueError, ConsistencyError, SolverError) as exc:  # ModelError, AssumptionError, ...
-        sys.stderr.write(f"error:{type(exc).__name__}:{exc}\n")
+    except (ValueError, ConsistencyError, SolverError, MemoryError) as exc:
+        # ModelError, AssumptionError, ...; numpy's "Unable to allocate" subclasses MemoryError
+        kind = MemoryError if isinstance(exc, MemoryError) else type(exc)
+        sys.stderr.write(f"error:{kind.__name__}:{exc}\n")
         return EX_DATAERR
 
 

@@ -394,18 +394,18 @@ def evaluate_policy(mdp: Mdp, policy: Policy) -> np.ndarray:
     return evaluate_rows(mdp, rows)
 
 
-def evaluate_rows(mdp: Mdp, rows: np.ndarray) -> np.ndarray:
+def evaluate_rows(mdp: Mdp, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Exact values of the policy taking row ``rows[s]`` at each state s;
-    ModelError when they overflow."""
-    return _evaluate_in(mdp, rows, mdp.P[rows])
+    ModelError when they overflow.
 
-
-def _evaluate_in(mdp: Mdp, rows: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """:func:`evaluate_rows` given ``a = P[rows]``, which is overwritten.
-
-    ``I - gamma * P[rows]`` is built in ``a``, entry for entry as that
-    expression rounds: ``0.0 - x`` negates exactly (and gives +0.0 for a zero)
-    and ``-x + 1.0`` rounds as ``1.0 - x`` does."""
+    ``I - gamma * P[rows]`` is built in a new array, or in ``out``, an (n, n)
+    float64 array, entry for entry as that expression rounds: ``0.0 - x``
+    negates exactly (and gives +0.0 for a zero) and ``-x + 1.0`` rounds as
+    ``1.0 - x`` does."""
+    if rows.size and not 0 <= rows.min() <= rows.max() < mdp.m:
+        raise IndexError(f"policy rows must lie in 0..{mdp.m - 1}")
+    # "clip" writes into out where "raise" takes a copy first; the rows are in range
+    a = np.take(mdp.P, rows, axis=0, out=out, mode="clip")
     a *= mdp.gamma
     np.subtract(0.0, a, out=a)
     a.flat[::mdp.n_states + 1] += 1.0
@@ -486,8 +486,7 @@ def policy_iteration(mdp: Mdp, pi0: Policy) -> tuple[Policy, PiTrace]:
     seen: dict[bytes, int] = {}  # the rows of every policy evaluated -> its round
     a = np.empty((mdp.n_states, mdp.n_states))  # P[rows] of each round, in one buffer
     while True:
-        # "clip" writes into a where "raise" takes a copy first; rows are in range
-        v = _evaluate_in(mdp, rows, np.take(mdp.P, rows, axis=0, out=a, mode="clip"))
+        v = evaluate_rows(mdp, rows, out=a)
         seen[rows.tobytes()] = len(pols) + 1
         pols.append(tuple(mdp.ids[k] for k in rows))
         vals.append(v)

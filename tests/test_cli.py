@@ -1,4 +1,5 @@
 import argparse
+import collections
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from mdpgeo import cli
+from mdpgeo import cli, gen, solvers
 from mdpgeo.cli import (
     EX_CANTCREAT,
     EX_CAP,
@@ -295,6 +296,35 @@ class TestCommands:
         monkeypatch.setenv("MDPGEO_SUITE", suite)
         code, cap = run(capsys, "twostate")
         assert (code, cap.out) == (EX_USAGE, "")
+
+    @pytest.mark.parametrize("m", ["1", "0", "-3"])
+    def test_twostate_suite_below_two_actions(self, capsys, m):
+        # the suite draws 1 to min(M // 2, 6) actions per state: M < 2 would still draw one
+        code, cap = run(capsys, "twostate", "--suite", "5", "--max-actions", m)
+        assert (code, cap.out) == (EX_USAGE, "")
+        assert cap.err == "error:usage:twostate --suite needs --max-actions M with M >= 2\n"
+
+    def test_twostate_suite_of_two_actions(self, capsys):
+        code, cap = run(capsys, "twostate", "--suite", "5", "--max-actions", "2")
+        assert code == EX_OK
+        assert json.loads(cap.out)["max_actions"] == 2
+
+    def test_twostate_suite_draws_at_most_six_actions_a_state(self, capsys):
+        docs = [json.loads(run(capsys, "twostate", "--suite", "20", "--max-actions", m)[1].out)
+                for m in ("13", "40")]
+        assert [doc.pop("max_actions") for doc in docs] == [13, 40] and docs[0] == docs[1]
+
+    # numpy's "Unable to allocate" error is a subclass of MemoryError
+    @pytest.mark.parametrize("error", [MemoryError, type("_ArrayMemoryError", (MemoryError,), {})])
+    def test_a_model_too_large_to_allocate_exits_65(self, tmp_path, capsys, error):
+        # the draw is patched to fail: nothing large is allocated
+        out = tmp_path / "model.json"
+        with mock.patch.object(gen, "_draw", side_effect=error("Unable to allocate 745. GiB")):
+            code, cap = run(capsys, "generate", "--seed", "1", "--n-states", "100000000000",
+                            "--out", str(out))
+        assert (code, cap.out) == (EX_DATAERR, "")
+        assert cap.err == "error:MemoryError:Unable to allocate 745. GiB\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("alpha", [[], ["--alpha", "0.5"]])
     @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
@@ -1249,9 +1279,9 @@ class TestReadersHoldNoObjectPerNumber:
         # mdp_from_json and the CLI read a model through its bytes; what the read holds
         # beyond them stays below their size
         data = _dense_model_bytes()
-        mdp = cli._mdp_from_bytes(data)
+        mdp = mdp_from_json(io.BytesIO(data))
         assert mdp.P.tobytes() == _reference_arrays(data.decode())[2].tobytes()
-        assert _peak(lambda: cli._mdp_from_bytes(data)) < len(data)
+        assert _peak(lambda: mdp_from_json(io.BytesIO(data))) < len(data)
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
@@ -1324,7 +1354,7 @@ class TestReadersHoldNoObjectPerNumber:
 
         def read():
             with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
-                cli._mdp_from_bytes(data)
+                mdp_from_json(io.BytesIO(data))
 
         assert _peak(read) < 1.2 * len(data)
 
@@ -1378,7 +1408,7 @@ class TestTwoPassReader:
     def test_blocks_of_any_size_read_the_plain_json_model(self, text, block, chunk):
         data = text.encode()
         with mock.patch.object(cli, "_READ", block), mock.patch.object(cli, "_CHUNK", chunk):
-            mdp = cli._read_model(io.BytesIO(data), digest := hashlib.sha256())
+            mdp = mdp_from_json(io.BytesIO(data), digest := hashlib.sha256())
         ids, states, P, rewards = _reference_arrays(text)
         assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
         assert list(mdp.ids) == ids and np.array_equal(mdp.state_of, states)
@@ -1471,3 +1501,31 @@ class TestTwoPassReader:
         assert not writer.is_alive()
         code, cap = run(capsys, "solve-pi", "--mdp", str(path))
         assert code == EX_OK and (piped[0], piped[1].out) == (code, cap.out)
+
+
+class TestOneImplementationPerJob:
+    def test_commands_read_and_evaluate_through_the_public_functions(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # each wrapper replaces the module binding, as perfbench's tracer does
+        calls = collections.Counter()
+        for module, name in ((cli, "mdp_from_json"), (solvers, "evaluate_rows")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        path = tmp_path / "model.json"
+        path.write_text(mdp_to_json(generate(GenSpec(n_states=4, gamma=0.9, seed=2))))
+        for argv in (["solve-pi", "--mdp", str(path)],
+                     ["normalize", "--mdp", str(path), "--out", str(tmp_path / "norm.json")]):
+            calls.clear()
+            assert run(capsys, *argv)[0] == EX_OK
+            assert calls["mdp_from_json"] == 1 and calls["evaluate_rows"] >= 1
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_text_and_file_are_refused_alike(self, case, tmp_path):
+        text = MALFORMED_MODELS[case]()
+        path = tmp_path / "bad.json"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as exc:
+            mdp_from_json(text)
+        assert _load_outcome(path) == (type(exc.value).__name__, str(exc.value))

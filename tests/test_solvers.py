@@ -338,10 +338,21 @@ def test_evaluation_solves_the_matrix_of_the_plain_form(mdp, data):
     rows = np.array([data.draw(st.sampled_from(r.tolist())) for r in mdp.state_rows],
                     dtype=np.intp)
     plain = np.eye(mdp.n_states) - mdp.gamma * mdp.P[rows]
-    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
-        v = solvers.evaluate_rows(mdp, rows)
-    assert solve.call_args.args[0].tobytes() == plain.tobytes()
-    assert v.tobytes() == np.linalg.solve(plain, mdp.rewards[rows]).tobytes()
+    for out in (None, np.full((mdp.n_states, mdp.n_states), np.nan)):  # a new array, or out
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+            v = solvers.evaluate_rows(mdp, rows, out=out)
+        assert out is None or solve.call_args.args[0] is out
+        assert solve.call_args.args[0].tobytes() == plain.tobytes()
+        assert v.tobytes() == np.linalg.solve(plain, mdp.rewards[rows]).tobytes()
+
+
+@pytest.mark.parametrize("row", [-1, 4])
+@pytest.mark.parametrize("out", [False, True])
+def test_evaluation_refuses_a_row_outside_p(row, out):
+    mdp = m2_mix()  # rows 0..3
+    buf = np.zeros((2, 2)) if out else None
+    with pytest.raises(IndexError, match=r"^policy rows must lie in 0\.\.3$"):
+        solvers.evaluate_rows(mdp, np.array([0, row], dtype=np.intp), out=buf)
 
 
 def _exact_pi(mdp, pi0):
