@@ -73,7 +73,8 @@ Two layers run the two-state checks:
   six actions per state (``GenSpec(structure="dense", min_actions=6,
   max_actions=6, gamma=0.9)``), each repeat on a fresh copy of the model so
   nothing computed for an earlier repeat is reused;
-- ``twostate_suite``: ``run_twostate_suite(200, seed=seed)``.
+- ``twostate_suite``: ``run_twostate_suite(1000, 12, seed)``, the size of the
+  benchmark's ``twostate_suite`` workload, as a median of 21 repeats.
 
 Two layers run the certificate's checks:
 
@@ -149,6 +150,7 @@ WIELANDT_TRACE_N = 50
 READ_SPARSE_N = 1024
 READ_DENSE_N = 200
 TWOSTATE_REPEATS = 50
+SUITE_REPEATS = 21  # a median of 5 moved by +-40 % between runs of the script
 
 
 def _compact(n: int, ids, state_of, P, rewards) -> str:
@@ -319,7 +321,7 @@ def main() -> None:
     layers["twostate_verify_pi_bound"] = _summary(
         _times(lambda: verify_pi_bound(next(copies)), TWOSTATE_REPEATS))
     layers["twostate_suite"] = _summary(
-        _times(lambda: run_twostate_suite(200, seed=args.seed), 5))
+        _times(lambda: run_twostate_suite(1000, 12, args.seed), SUITE_REPEATS))
     for n in (50, 100):
         p = _wielandt_matrix(n)
         layers[f"primitivity_{n}"] = _summary(_times(lambda: primitivity(p), 5))

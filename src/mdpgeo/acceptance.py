@@ -204,23 +204,38 @@ def run_twostate_suite(n_instances: int, max_actions: int = 12, seed: int = 0) -
     Per instance: Howard iteration from every start stays within the action
     count, the produce/form dynamics lose an action per round, and (for
     three or more actions, nondegenerate slopes) a named inefficient action
-    exists and is indeed never produced.  Instances are drawn as arrays and
-    checked in blocks of ``_SUITE_BLOCK``, in one batch per pair of action
-    counts; a flagged instance's violations are worded from its batch's arrays.
+    exists and is indeed never produced.  Instance i is ``gen``'s dense
+    2-state model of seed ``seed + i``, drawn in blocks of ``_SUITE_BLOCK``:
+    from its own generator come its action counts, then its uniforms, into one
+    buffer whose rows ``gen._dense_rows`` forms for the whole block; an instance
+    with a rejected row is drawn again by ``gen._draw``.  A block is checked in
+    one batch per pair of action counts; a flagged instance's violations are
+    worded from its batch's arrays.
     """
-    per_state = max(1, max_actions // 2)
+    spec = GenSpec(n_states=2, gamma=_GAMMAS[0], seed=seed, structure="dense", min_actions=1,
+                   max_actions=min(max(1, max_actions // 2), 6)).validated()
+    top, width = spec.max_actions + 1, 2 * spec.max_actions  # an instance's rows at most
+    uniforms = np.empty((min(_SUITE_BLOCK, n_instances), width, 3))  # each row's draws
+    counts, gammas = np.empty((len(uniforms), 2), dtype=np.int64), np.array(_GAMMAS)
     worst, degenerate, certificates, n_violations, details = 0, 0, 0, 0, []
     for start in range(0, n_instances, _SUITE_BLOCK):
-        groups: dict[tuple[int, ...], list] = {}
-        for i in range(start, min(start + _SUITE_BLOCK, n_instances)):
-            spec = GenSpec(n_states=2, gamma=_GAMMAS[i % 3], seed=seed + i, structure="dense",
-                           min_actions=1, max_actions=min(per_state, 6))
-            counts, _, P, rewards = gen._draw(np.random.default_rng(spec.seed), spec)
-            groups.setdefault(tuple(counts.tolist()), []).append((i, P, rewards))
+        size = min(_SUITE_BLOCK, n_instances - start)
+        for j in range(size):  # gen._draw's first draws; spare uniforms go unused
+            rng = np.random.default_rng(seed + start + j)
+            counts[j] = rng.integers(1, top, size=2)
+            rng.random(out=uniforms[j])
+        rows, bad, rewards = gen._dense_rows(uniforms[:size])
+        total = counts[:size].sum(axis=1)
+        for j in np.flatnonzero((bad & (np.arange(width) < total[:, None])).any(axis=1)).tolist():
+            _, _, P, r = gen._draw(np.random.default_rng(seed + start + j), spec)
+            rows[j, :total[j]], rewards[j, :total[j]] = P, r
+        key = counts[:size, 0] * top + counts[:size, 1]
+        order = np.argsort(key, kind="stable")
         words: dict[int, list[str]] = {}  # per flagged instance of the block
-        for (k0, k1), group in groups.items():
-            index, P, rewards = map(np.array, zip(*group))
-            report = twostate.check_batch(np.array(_GAMMAS)[index % 3], P, rewards, k0)
+        for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+            (k0, k1), index = counts[group[0]].tolist(), start + group
+            report = twostate.check_batch(gammas[index % 3], rows[group, :k0 + k1],
+                                          rewards[group, :k0 + k1], k0)
             worst = max(worst, int(report["max_iterations"].max()))
             many = k0 + k1 >= 3  # a certificate needs three actions
             degenerate += many * int(report["degenerate"].sum())

@@ -901,11 +901,11 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "twostate" and not args.mdp and (args.suite is None or args.suite < 1):
-        sys.stderr.write("error:usage:twostate needs either --mdp or --suite N with N >= 1\n")
-        return EX_USAGE
-    if args.command == "twostate" and not args.mdp and args.max_actions < 2:
-        sys.stderr.write("error:usage:twostate --suite needs --max-actions M with M >= 2\n")
+    if args.command == "twostate" and not args.mdp and (need := (
+            "needs either --mdp or --suite N with N >= 1" if args.suite is None or args.suite < 1
+            else "--suite needs --max-actions M with M >= 2" if args.max_actions < 2
+            else "--suite needs --seed S with S >= 0" if args.seed < 0 else "")):
+        sys.stderr.write(f"error:usage:twostate {need}\n")
         return EX_USAGE
     try:
         return args.func(args)

@@ -58,6 +58,8 @@ class GenSpec:
             raise ValueError(f"gamma must lie strictly inside (0, 1), got {self.gamma}")
         if self.n_states < 1:
             raise ValueError("n_states must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (1 <= self.min_actions <= self.max_actions):
             raise ValueError("need 1 <= min_actions <= max_actions")
         if self.structure == "sparse" and not (1 <= self.sparse_k <= self.n_states):
@@ -71,6 +73,17 @@ class GenSpec:
                 raise ValueError(f"bonus_beta must be at least {MIN_BETA:g}, the reward grid, "
                                  f"got {self.bonus_beta}")
         return self
+
+
+def _dense_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dense-row rule, in place on uniforms ``u`` (..., n + 1) holding one row's draws
+    along the last axis: the rows and the rounded rewards, both views of ``u``, and whether
+    each row is rejected (an entry below MIN_ROW_ENTRY)."""
+    n = u.shape[-1] - 1
+    rows, rewards = u[..., :n], u[..., n]
+    rows /= rows.sum(axis=-1, keepdims=True)
+    np.round(rewards, 6, out=rewards)
+    return rows, ~(rows.min(axis=-1) >= MIN_ROW_ENTRY) & (n > 1), rewards
 
 
 def _dense_row(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -125,11 +138,11 @@ def _draw(rng: np.random.Generator, spec: GenSpec) -> tuple[np.ndarray, ...]:
     state_of = np.repeat(np.arange(n), counts)
     P, rewards, stop = np.empty((state_of.size, n)), np.ones(state_of.size), 0
     if spec.structure == "dense" and n <= _WIDEST_ROW:
-        saved, u = rng.bit_generator.state, rng.random((len(P), n + 1))
-        rows = u[:, :n] / u[:, :n].sum(axis=1, keepdims=True)
-        bad = np.flatnonzero(~(rows.min(axis=1) >= MIN_ROW_ENTRY) & (n > 1))
+        saved = rng.bit_generator.state
+        rows, bad, drawn = _dense_rows(rng.random((len(P), n + 1)))
+        bad = np.flatnonzero(bad)
         stop = int(bad[0]) if bad.size else len(P)
-        P[:stop], rewards[:stop] = rows[:stop], np.round(u[:stop, n], 6)
+        P[:stop], rewards[:stop] = rows[:stop], drawn[:stop]
         if bad.size:  # back to where the rejected row's draw began
             rng.bit_generator.state = saved
             rng.random(stop * (n + 1))

@@ -304,6 +304,23 @@ class TestCommands:
         assert (code, cap.out) == (EX_USAGE, "")
         assert cap.err == "error:usage:twostate --suite needs --max-actions M with M >= 2\n"
 
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_twostate_suite_negative_seed(self, capsys, monkeypatch, via_env):
+        if via_env:
+            monkeypatch.setenv("MDPGEO_SEED", "-1")
+        code, cap = run(capsys, "twostate", "--suite", "5", *([] if via_env else ["--seed", "-1"]))
+        assert (code, cap.out) == (EX_USAGE, "")
+        assert cap.err == "error:usage:twostate --suite needs --seed S with S >= 0\n"
+
+    def test_generate_negative_seed_exits_65(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"n_states": 2, "gamma": 0.9, "seed": -3}))
+        for argv, seed in ((["--seed", "-1"], -1), (["--seed", "1", "--spec", str(spec_path)], -3)):
+            code, cap = run(capsys, "generate", *argv, "--out", str(tmp_path / "m.json"))
+            assert (code, cap.out) == (EX_DATAERR, "")
+            assert cap.err == f"error:ValueError:seed must be >= 0, got {seed}\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_twostate_suite_of_two_actions(self, capsys):
         code, cap = run(capsys, "twostate", "--suite", "5", "--max-actions", "2")
         assert code == EX_OK

@@ -81,6 +81,8 @@ def test_bad_specs_rejected():
     with pytest.raises(ValueError, match="bonus_beta"):
         generate(GenSpec(n_states=2, gamma=0.9, seed=0,
                          structure="planted_optimal", bonus_beta=0.0))
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        generate(GenSpec(n_states=2, gamma=0.9, seed=-1))
     with pytest.raises(ValueError, match="sparse_k"):
         generate(GenSpec(n_states=2, gamma=0.9, seed=0, structure="sparse", sparse_k=5))
     for structure in ("periodic_optimal", "wielandt"):

@@ -12,6 +12,7 @@ and the suite must word its violations as its one-model loop did.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import tracemalloc
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given
 
 from conftest import mdps
-from mdpgeo import acceptance, twostate
+from mdpgeo import acceptance, gen, twostate
 from mdpgeo.acceptance import run_twostate_suite
 from mdpgeo.core import Action, Mdp, ModelError, Policy, validate
 from mdpgeo.gen import GenSpec, generate
@@ -522,6 +523,67 @@ def test_small_blocks_change_nothing(monkeypatch, seed):
     # 1,000 instances in blocks of 128: the last block is partial
     monkeypatch.setattr(acceptance, "_SUITE_BLOCK", 128, raising=False)
     assert run_twostate_suite(1000, 12, seed) == _suite_reference(1000, 12, seed)
+
+
+def _suite_spec(max_actions: int, seed: int) -> GenSpec:
+    return GenSpec(n_states=2, gamma=0.5, seed=seed, structure="dense", min_actions=1,
+                   max_actions=min(max(1, max_actions // 2), 6))
+
+
+def _rejects(spec: GenSpec) -> bool:
+    """Whether ``gen._draw`` rejects a row of the spec's instance: it then draws more
+    than the counts and one block of three uniforms a row."""
+    drawn, block = np.random.default_rng(spec.seed), np.random.default_rng(spec.seed)
+    counts = gen._draw(drawn, spec)[0]
+    block.integers(1, spec.max_actions + 1, size=2)
+    block.random(3 * int(counts.sum()))
+    return drawn.bit_generator.state != block.bit_generator.state
+
+
+@pytest.mark.parametrize("block", [1, 7, 128])
+@pytest.mark.parametrize("max_actions", range(2, 14))
+def test_block_draws_give_each_instance_its_own_draw(monkeypatch, max_actions, block):
+    # from seed 0 up to the third seed whose instance has a rejected row
+    rejecting = (s for s in itertools.count() if _rejects(_suite_spec(max_actions, s)))
+    n = list(itertools.islice(rejecting, 3))[-1] + 1
+    draws = [gen._draw(np.random.default_rng(i), _suite_spec(max_actions, i)) for i in range(n)]
+    expected = collections.Counter()
+    for start in range(0, n, block):  # a block's batches: one per count pair, in seed order
+        groups = collections.defaultdict(list)
+        for i in range(start, min(start + block, n)):
+            groups[tuple(draws[i][0].tolist())].append(i)
+        for (k0, _), index in groups.items():
+            expected[k0, np.array([(0.5, 0.9, 0.99)[i % 3] for i in index]).tobytes(),
+                     np.array([draws[i][2] for i in index]).tobytes(),
+                     np.array([draws[i][3] for i in index]).tobytes()] += 1
+    got, fallbacks, draw, check = collections.Counter(), [], gen._draw, twostate.check_batch
+
+    def spy_draw(rng, spec):
+        fallbacks.append(spec)
+        return draw(rng, spec)
+
+    def spy_check(gamma, P, rewards, k0):
+        got[k0, gamma.tobytes(), P.tobytes(), rewards.tobytes()] += 1
+        return check(gamma, P, rewards, k0)
+
+    monkeypatch.setattr(acceptance, "_SUITE_BLOCK", block)
+    monkeypatch.setattr(gen, "_draw", spy_draw)
+    monkeypatch.setattr(twostate, "check_batch", spy_check)
+    run_twostate_suite(n, max_actions, 0)
+    assert got == expected
+    assert len(fallbacks) == 3
+    assert all(spec.max_actions == _suite_spec(max_actions, 0).max_actions for spec in fallbacks)
+
+
+def test_criterion_5_suite_is_pinned():
+    assert run_twostate_suite(10_000, 12, 60_000) == {
+        "instances": 10000, "max_actions": 12, "seed": 60000, "violations": 0,
+        "violation_details": [], "degenerate": 0, "certificates": 9725, "max_pi_iterations": 5}
+
+
+def test_a_negative_seed_is_refused():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        run_twostate_suite(5, 12, -1)
 
 
 def test_violations_keep_their_order_across_blocks(monkeypatch):
