@@ -67,14 +67,19 @@ does not finish at that size:
 
 - ``mdp_from_json_compact_dense``: reading its JSON text.
 
-Two layers run the two-state checks:
+Three layers run the two-state checks:
 
 - ``twostate_verify_pi_bound``: ``verify_pi_bound`` on one 2-state model with
   six actions per state (``GenSpec(structure="dense", min_actions=6,
   max_actions=6, gamma=0.9)``), each repeat on a fresh copy of the model so
   nothing computed for an earlier repeat is reused;
 - ``twostate_suite``: ``run_twostate_suite(1000, 12, seed)``, the size of the
-  benchmark's ``twostate_suite`` workload, as a median of 21 repeats.
+  benchmark's ``twostate_suite`` workload, as a median of 21 repeats;
+- ``twostate_draw_1000``: that suite's draw alone, the action counts and
+  uniforms of its 1,000 instances (6 actions per state), as a median of 21
+  repeats: ``gen._dense_pair_draws``, or on checkouts without it the loop the
+  suite ran before, one ``default_rng(seed + i)`` with ``integers`` and
+  ``random`` per instance.
 
 Two layers run the certificate's checks:
 
@@ -131,6 +136,7 @@ from mdpgeo.cli import _load_mdp
 from mdpgeo.cli import main as cli_main
 from mdpgeo.cli import mdp_from_json, mdp_to_json, trace_from_csv, trace_to_csv
 from mdpgeo.core import Mdp, bellman_optimal, validate
+from mdpgeo import gen
 from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import (
     ViConfig,
@@ -169,6 +175,18 @@ def _dense_text(seed: int) -> str:
     ids = [f"s{s:03d}a{k}" for s in range(READ_DENSE_N) for k in range(4)]
     return _compact(READ_DENSE_N, ids, np.repeat(np.arange(READ_DENSE_N), 4), P,
                     rng.uniform(0.0, 1.0, size=m))
+
+
+def _suite_draw(seed: int, n: int = 1000, k: int = 6) -> None:
+    """The counts and uniforms of ``run_twostate_suite(n, 2 * k, seed)``'s instances."""
+    counts, uniforms = np.empty((n, 2), dtype=np.int64), np.empty((n, 2 * k, 3))
+    if hasattr(gen, "_dense_pair_draws"):
+        gen._dense_pair_draws(seed, k, counts, uniforms)
+        return
+    for j in range(n):
+        rng = np.random.default_rng(seed + j)
+        counts[j] = rng.integers(1, k + 1, size=2)
+        rng.random(out=uniforms[j])
 
 
 def _wielandt_matrix(n: int) -> np.ndarray:
@@ -322,6 +340,7 @@ def main() -> None:
         _times(lambda: verify_pi_bound(next(copies)), TWOSTATE_REPEATS))
     layers["twostate_suite"] = _summary(
         _times(lambda: run_twostate_suite(1000, 12, args.seed), SUITE_REPEATS))
+    layers["twostate_draw_1000"] = _summary(_times(lambda: _suite_draw(args.seed), SUITE_REPEATS))
     for n in (50, 100):
         p = _wielandt_matrix(n)
         layers[f"primitivity_{n}"] = _summary(_times(lambda: primitivity(p), 5))

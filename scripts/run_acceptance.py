@@ -17,7 +17,7 @@ def main() -> int:
         status = "PASS" if result.passed else "FAIL"
         print(
             f"criterion {result.number:2d} {result.name:<42s} {status} "
-            f"[{result.runtime_s:6.1f}s]  {result.detail}"
+            f"[{result.runtime_s:8.3f}s]  {result.detail}"
         )
         failures += 0 if result.passed else 1
     print(f"\n{10 - failures}/10 criteria passed")

@@ -206,9 +206,11 @@ def run_twostate_suite(n_instances: int, max_actions: int = 12, seed: int = 0) -
     three or more actions, nondegenerate slopes) a named inefficient action
     exists and is indeed never produced.  Instance i is ``gen``'s dense
     2-state model of seed ``seed + i``, drawn in blocks of ``_SUITE_BLOCK``:
-    from its own generator come its action counts, then its uniforms, into one
-    buffer whose rows ``gen._dense_rows`` forms for the whole block; an instance
-    with a rejected row is drawn again by ``gen._draw``.  A block is checked in
+    ``gen._dense_pair_draws`` writes the action counts and uniforms of the
+    block's ``default_rng(seed + i)`` into two buffers, and ``gen._dense_rows``
+    forms the rows.  ``gen._draw`` draws an instance again, counts included,
+    when a row is rejected or the kernel returns it (a rejected count word, a
+    seed of 2**64 or more, or numpy's draws differing).  A block is checked in
     one batch per pair of action counts; a flagged instance's violations are
     worded from its batch's arrays.
     """
@@ -220,15 +222,13 @@ def run_twostate_suite(n_instances: int, max_actions: int = 12, seed: int = 0) -
     worst, degenerate, certificates, n_violations, details = 0, 0, 0, 0, []
     for start in range(0, n_instances, _SUITE_BLOCK):
         size = min(_SUITE_BLOCK, n_instances - start)
-        for j in range(size):  # gen._draw's first draws; spare uniforms go unused
-            rng = np.random.default_rng(seed + start + j)
-            counts[j] = rng.integers(1, top, size=2)
-            rng.random(out=uniforms[j])
+        redo = gen._dense_pair_draws(seed + start, spec.max_actions, counts[:size], uniforms[:size])
         rows, bad, rewards = gen._dense_rows(uniforms[:size])
-        total = counts[:size].sum(axis=1)
-        for j in np.flatnonzero((bad & (np.arange(width) < total[:, None])).any(axis=1)).tolist():
-            _, _, P, r = gen._draw(np.random.default_rng(seed + start + j), spec)
-            rows[j, :total[j]], rewards[j, :total[j]] = P, r
+        bad = (bad & (np.arange(width) < counts[:size].sum(axis=1)[:, None])).any(axis=1)
+        bad[redo] = True
+        for j in np.flatnonzero(bad).tolist():
+            counts[j], _, P, r = gen._draw(np.random.default_rng(seed + start + j), spec)
+            rows[j, :len(P)], rewards[j, :len(P)] = P, r
         key = counts[:size, 0] * top + counts[:size, 1]
         order = np.argsort(key, kind="stable")
         words: dict[int, list[str]] = {}  # per flagged instance of the block

@@ -878,11 +878,13 @@ def _build_parser() -> _Parser:
     ce.set_defaults(func=_cmd_certify)
 
     ts = sub.add_parser("twostate", help="two-state bound verification")
-    ts.add_argument("--mdp")
+    ts.add_argument("--mdp", help="check this one 2-state model file instead of a suite")
     ts.add_argument("--suite", type=int)
     ts.add_argument("--max-actions", type=int, default=12, help="at least 2; the suite "
                     "draws 1 to min(MAX_ACTIONS // 2, 6) actions per state")
-    ts.add_argument("--seed", type=int, default=0)
+    ts.add_argument("--seed", type=int, default=0, help="instance i of the suite is the "
+                    "dense 2-state model that generate draws from seed SEED + i, with gamma "
+                    "0.5, 0.9 and 0.99 by i mod 3")
     ts.add_argument("--out")
     ts.set_defaults(func=_cmd_twostate)
 

@@ -23,6 +23,7 @@ action trails the plant by at least beta / 2 and the optimum is unique.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,90 @@ def _dense_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows /= rows.sum(axis=-1, keepdims=True)
     np.round(rewards, 6, out=rewards)
     return rows, ~(rows.min(axis=-1) >= MIN_ROW_ENTRY) & (n > 1), rewards
+
+
+# numpy's default_rng(seed) for seeds below 2**64, on arrays of seeds: SeedSequence's hash of
+# the seed's two 32-bit words into a pool of four, PCG64 (a 128-bit LCG with XSL-RR output),
+# Lemire's bounded integers and 53-bit doubles
+_M32, _HASH_A, _HASH_B, _MIX = 0xFFFFFFFF, (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED), (
+    0xCA01F9DD, 0x4973F715)
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # the LCG multiplier's two halves
+
+
+def _seed_hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of uint32 words, and the hash constant after it."""
+    value, const = value ^ const, const * mult & _M32
+    value = value * const
+    return value ^ value >> 16, const
+
+
+def _pcg64_seeded(seeds: np.ndarray) -> tuple[tuple, tuple]:
+    """The (hi, lo) uint64 state and increment of ``PCG64(seed)`` for each seed."""
+    pool, const = [(seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32)], _HASH_A[0]
+    pool += [np.zeros_like(pool[0])] * 2
+    for i in range(4):
+        pool[i], const = _seed_hash(pool[i], const, _HASH_A[1])
+    for src, dst in itertools.permutations(range(4), 2):  # every word into every other
+        hashed, const = _seed_hash(pool[src], const, _HASH_A[1])
+        mixed = pool[dst] * _MIX[0] - hashed * _MIX[1]
+        pool[dst] = mixed ^ mixed >> 16
+    words, const = [], _HASH_B[0]
+    for i in range(8):
+        word, const = _seed_hash(pool[i % 4], const, _HASH_B[1])
+        words.append(word.astype(np.uint64))
+    s_hi, s_lo, i_hi, i_lo = (words[j] | words[j + 1] << 32 for j in range(0, 8, 2))
+    inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
+    lo = s_lo + inc[1]  # from state 0 one step reaches inc; then the seed is added and stepped
+    return _pcg_next((s_hi + inc[0] + (lo < inc[1]), lo), inc)[0], inc
+
+
+def _pcg_next(state: tuple, inc: tuple) -> tuple[tuple, np.ndarray]:
+    """PCG64's step ``state * mult + inc`` mod 2**128 on (hi, lo) uint64 arrays, and the new
+    state's XSL-RR output: hi ^ lo rotated right by hi's top 6 bits."""
+    hi, lo = state
+    a, b = lo >> 32, lo & _M32  # the high word of lo * _PCG_LO, from 32-bit halves
+    mid = a * (_PCG_LO & _M32) + (b * (_PCG_LO & _M32) >> 32)
+    high = a * (_PCG_LO >> 32) + (mid >> 32) + (b * (_PCG_LO >> 32) + (mid & _M32) >> 32)
+    lo = lo * _PCG_LO + inc[1]
+    hi = hi * _PCG_LO + state[1] * _PCG_HI + high + inc[0] + (lo < inc[1])
+    word, turn = hi ^ lo, hi >> 58
+    return (hi, lo), word >> turn | word << (64 - turn & 63)
+
+
+def _bounded_pair(word: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``Generator.integers(1, k + 1, size=2)`` from one output word per instance by Lemire's
+    rule, low half first: the pair, and whether a half is rejected (numpy draws again)."""
+    scaled = np.stack((word & _M32, word >> 32), axis=1) * k
+    return 1 + (scaled >> 32), ((scaled & _M32) < ((1 << 32) - k) % k).any(axis=1)
+
+
+def _same_as_numpy(seed: int, k: int, counts: np.ndarray, uniforms: np.ndarray) -> bool:
+    rng = np.random.default_rng(seed)
+    return (np.array_equal(rng.integers(1, k + 1, size=2), counts)
+            and np.array_equal(rng.random(uniforms.shape), uniforms))
+
+
+def _dense_pair_draws(seed: int, k: int, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Fill ``counts[j]`` and ``uniforms[j]`` as ``rng = default_rng(seed + j)``,
+    ``rng.integers(1, k + 1, size=2)`` and ``rng.random(out=...)`` would, stepping the block's
+    generators together, and return the instances not reproduced: a rejected count word, a
+    seed of 2**64 or more, or all if the first other one differs from numpy's draws."""
+    n = len(counts)
+    redo = np.arange(n) >= min(max((1 << 64) - seed, 0), n)  # more seed words; theirs wrap
+    state, inc = _pcg64_seeded(np.arange(n, dtype=np.uint64) + np.uint64(seed % (1 << 64)))
+    if k == 1:  # numpy draws nothing for a range of one value
+        counts[:] = 1
+    else:
+        state, word = _pcg_next(state, inc)
+        counts[:], rejected = _bounded_pair(word, k)
+        redo |= rejected
+    for index in np.ndindex(uniforms.shape[1:]):  # numpy's fill order
+        state, word = _pcg_next(state, inc)
+        uniforms[(slice(None), *index)] = (word >> 11) * 2.0 ** -53
+    first = np.flatnonzero(~redo)[:1].tolist()
+    if first and not _same_as_numpy(seed + first[0], k, counts[first[0]], uniforms[first[0]]):
+        return np.arange(n)
+    return np.flatnonzero(redo)
 
 
 def _dense_row(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -232,3 +232,60 @@ def test_wide_models_without_dense_rows_still_generate():
     sparse = generate(GenSpec(n_states=1001, gamma=0.9, seed=0, structure="sparse",
                               max_actions=1))
     assert all(np.count_nonzero(row) == 2 for row in sparse.P)
+
+
+def _numpy_pair_draws(seed: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return rng.integers(1, k + 1, size=2), rng.random((2 * k, 3))
+
+
+@pytest.mark.parametrize("seeds", [range(0, 2), range(2**32 - 2, 2**32 + 2),
+                                   range(2**63 - 1, 2**63 + 2)])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_pair_draws_are_default_rngs_draws(k, seeds):
+    # one, then two 32-bit seed words, and the top bit of a 64-bit seed
+    counts, uniforms = np.empty((len(seeds), 2), dtype=np.int64), np.empty((len(seeds), 2 * k, 3))
+    assert gen._dense_pair_draws(seeds[0], k, counts, uniforms).tolist() == []
+    for j, seed in enumerate(seeds):
+        numpy_counts, numpy_uniforms = _numpy_pair_draws(seed, k)
+        assert counts[j].tolist() == numpy_counts.tolist()
+        assert uniforms[j].tobytes() == numpy_uniforms.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 6])
+def test_seeds_past_two_to_the_64_are_returned(k):
+    counts, uniforms = np.empty((6, 2), dtype=np.int64), np.empty((6, 2 * k, 3))
+    assert gen._dense_pair_draws(2**64 - 3, k, counts, uniforms).tolist() == [3, 4, 5]
+    for j in range(3):
+        assert uniforms[j].tobytes() == _numpy_pair_draws(2**64 - 3 + j, k)[1].tobytes()
+    assert gen._dense_pair_draws(2**128 - 1, k, counts, uniforms).tolist() == list(range(6))
+
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _halves(value: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([value >> 64], dtype=np.uint64), np.array([value % 2**64], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("low,high", [(0x12345678, 0x9ABCDEF0), (0, 0x9ABCDEF0),
+                                      (0x2AAAAAAB, 7), (0x12345678, 0), (5, 0xAAAAAAAB)])
+def test_the_count_rule_rejects_as_numpy_does(low, high):
+    # a PCG64 state set by hand whose next step leaves hi = 0, so its output word is lo;
+    # at k = 6 Lemire's rule rejects a half h with 6 h mod 2**32 < (2**32 - 6) % 6 = 4
+    word, inc = high << 32 | low, 0x5851F42D4C957F2D14057B7EF767814F  # any odd increment
+    before = (word - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128
+    assert gen._pcg_next(_halves(before), _halves(inc))[1].tolist() == [word]
+    bits = np.random.PCG64()
+    bits.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+    drawn = np.random.Generator(bits).integers(1, 7, size=2).tolist()
+    pair, rejected = gen._bounded_pair(np.array([word], dtype=np.uint64), 6)
+    rejects = [(6 * half) % 2**32 < 4 for half in (low, high)]
+    assert rejected.tolist() == [any(rejects)]
+    # numpy took a second word exactly when a half was rejected
+    assert (bits.state["state"]["state"] != word) == any(rejects)
+    if not any(rejects):
+        assert pair[0].tolist() == drawn
+    else:  # the half that was kept gives numpy's first count
+        assert pair[0, rejects.index(False)] == drawn[0]

@@ -575,6 +575,58 @@ def test_block_draws_give_each_instance_its_own_draw(monkeypatch, max_actions, b
     assert all(spec.max_actions == _suite_spec(max_actions, 0).max_actions for spec in fallbacks)
 
 
+def _spy_draw_seeds(monkeypatch) -> list[int]:
+    """The seeds of the instances that go through ``gen._draw``, in call order."""
+    seeds, draw = [], gen._draw
+
+    def spy_draw(rng, spec):
+        seeds.append(rng.bit_generator.seed_seq.entropy)
+        return draw(rng, spec)
+
+    monkeypatch.setattr(gen, "_draw", spy_draw)
+    return seeds
+
+
+@pytest.mark.parametrize("max_actions", [2, 12])
+@pytest.mark.parametrize("seed", [2**64 - 20, 2**128 - 1])
+def test_seeds_past_two_to_the_64_go_through_draw(monkeypatch, seed, max_actions):
+    # the first block straddles 2**64 (or lies wholly past it), the second does not
+    monkeypatch.setattr(acceptance, "_SUITE_BLOCK", 30)
+    seeds = _spy_draw_seeds(monkeypatch)
+    got = run_twostate_suite(40, max_actions, seed)
+    assert {s for s in range(seed, seed + 40) if s >= 2**64} <= set(seeds)
+    assert got == _suite_reference(40, max_actions, seed)
+
+
+def test_rejected_count_words_go_through_draw(monkeypatch):
+    # the rule made to reject the count word of chosen instances of every block, whose
+    # pairs are then not numpy's (6 + 1 - c differs from c)
+    chosen, rule = [0, 3, 29, 30, 77], gen._bounded_pair
+
+    def rejecting(word, k):
+        pair, rejected = rule(word, k)
+        flagged = [j for j in chosen if j < len(word)]
+        pair[flagged], rejected[flagged] = k + 1 - pair[flagged], True
+        return pair, rejected
+
+    monkeypatch.setattr(acceptance, "_SUITE_BLOCK", 100)
+    monkeypatch.setattr(gen, "_bounded_pair", rejecting)
+    monkeypatch.setattr(twostate, "TIE_TOL", 1e9)  # every instance's words name its count
+    seeds = _spy_draw_seeds(monkeypatch)
+    got = run_twostate_suite(250, 12, 5)
+    assert {5 + start + j for start in (0, 100, 200) for j in chosen if start + j < 250} \
+        <= set(seeds)
+    assert got == _suite_reference(250, 12, 5)
+
+
+def test_a_block_that_fails_the_cross_check_goes_through_draw(monkeypatch):
+    monkeypatch.setattr(gen, "_same_as_numpy", lambda *args: False)
+    seeds = _spy_draw_seeds(monkeypatch)
+    got = run_twostate_suite(200, 12, 9)
+    assert seeds == list(range(9, 209))
+    assert got == _suite_reference(200, 12, 9)
+
+
 def test_criterion_5_suite_is_pinned():
     assert run_twostate_suite(10_000, 12, 60_000) == {
         "instances": 10000, "max_actions": 12, "seed": 60000, "violations": 0,
