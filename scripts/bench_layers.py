@@ -19,6 +19,10 @@ number of repeats:
   value iteration shares between the filter and the next backup (left out
   on checkouts whose filter takes no such argument);
 - ``mdp_to_json``: writing the whole model as JSON;
+- ``generate_sparse_draw``: ``generate`` of that spec (draw, ids and validation);
+- ``write_model_sparse``: the CLI's model writer on that model, to a file in a
+  temporary directory (encode, hash, write and rename: ``_mdp_json_blocks``,
+  or ``_mdp_json_pieces`` on checkouts without it, through ``_write_chunks``);
 - ``mdp_from_json``: reading that JSON text back (parse, build, validate);
 - ``mdp_from_json_compact_sparse``: reading a sparse ``n=1024`` model of the
   same kind written compactly (no whitespace; most probabilities are ``0.0``);
@@ -136,7 +140,7 @@ from mdpgeo.cli import _load_mdp
 from mdpgeo.cli import main as cli_main
 from mdpgeo.cli import mdp_from_json, mdp_to_json, trace_from_csv, trace_to_csv
 from mdpgeo.core import Mdp, bellman_optimal, validate
-from mdpgeo import gen
+from mdpgeo import cli, gen
 from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import (
     ViConfig,
@@ -157,6 +161,7 @@ READ_SPARSE_N = 1024
 READ_DENSE_N = 200
 TWOSTATE_REPEATS = 50
 SUITE_REPEATS = 21  # a median of 5 moved by +-40 % between runs of the script
+SPARSE_REPEATS = 15  # the same for the sparse model's generate and write rows
 
 
 def _compact(n: int, ids, state_of, P, rewards) -> str:
@@ -187,6 +192,14 @@ def _suite_draw(seed: int, n: int = 1000, k: int = 6) -> None:
         rng = np.random.default_rng(seed + j)
         counts[j] = rng.integers(1, k + 1, size=2)
         rng.random(out=uniforms[j])
+
+
+def _write_model_times(mdp: Mdp) -> list[float]:
+    """Times of the CLI's model writer writing ``mdp`` to a temporary file."""
+    pieces = getattr(cli, "_mdp_json_blocks", None) or cli._mdp_json_pieces
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.json")
+        return _times(lambda: cli._write_chunks(path, pieces(mdp)), SPARSE_REPEATS)
 
 
 def _wielandt_matrix(n: int) -> np.ndarray:
@@ -281,8 +294,9 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    mdp = generate(GenSpec(n_states=args.n, gamma=0.95, seed=args.seed, structure="sparse",
-                           sparse_k=args.k, max_actions=8))
+    spec = GenSpec(n_states=args.n, gamma=0.95, seed=args.seed, structure="sparse",
+                   sparse_k=args.k, max_actions=8)
+    mdp = generate(spec)
     v = np.random.default_rng([args.seed, 1]).uniform(0.0, 1.0, size=mdp.n_states)
     bellman_optimal(mdp, v)  # fills the model's cached arrays
 
@@ -303,6 +317,8 @@ def main() -> None:
         "vi_filtered_iteration": _summary(vi_filtered),
         "filter_appendix": _summary(_times(lambda: filter_appendix(mdp, 100, v100, active), 20)),
         "mdp_to_json": _summary(_times(lambda: mdp_to_json(mdp), 3)),
+        "generate_sparse_draw": _summary(_times(lambda: generate(spec), SPARSE_REPEATS)),
+        "write_model_sparse": _summary(_write_model_times(mdp)),
     }
     if "pv" in inspect.signature(filter_appendix).parameters:
         pv = mdp.P @ v100

@@ -90,56 +90,56 @@ _SPEC_TYPES = typing.get_type_hints(GenSpec)
 # file formats
 
 
-_BLOCK = 64  # pieces (model actions, trace rows) per block written or read: bounds the text held
+_BLOCK = 64  # model actions or trace rows per block written or read: bounds the text held
 _ITEM = ",\n        "  # between two probabilities at indent=2
 _PROBS = json.JSONEncoder(separators=(_ITEM, ": "))  # no indent: json's C encoder
-
-
 _STRIDE = len("0.0" + _ITEM)
 
 
-@functools.lru_cache(maxsize=4)
-def _zero_items(n: int) -> str:
-    """The items of a row of n zeros: item k is ``"0.0"`` at offset ``k * _STRIDE``."""
-    return _ITEM.join(["0.0"] * n)
+def _mdp_json_blocks(mdp: Mdp) -> Iterator[bytes]:
+    """``mdp_to_json(mdp)`` as ASCII bytes: the head, a block per ``_BLOCK`` actions, the tail.
 
-
-def _probs_items(p: np.ndarray) -> str:
-    """The items of row ``p``: its entries other than +0.0, encoded, spliced
-    into the cached row of zeros."""
-    nz = np.flatnonzero((p != 0.0) | np.signbit(p))
-    encoded = _PROBS.encode(p[nz].tolist())[1:-1]
-    if nz.size == p.size:
-        return encoded
-    zeros, parts, pos = _zero_items(p.size), [], 0
-    for k, x in zip((nz * _STRIDE).tolist(), encoded.split(_ITEM)):
-        parts += (zeros[pos:k], x)
-        pos = k + len("0.0")
-    parts.append(zeros[pos:])
-    return "".join(parts)
-
-
-def _mdp_json_pieces(mdp: Mdp) -> Iterator[str]:
-    """``mdp_to_json(mdp)`` in pieces: the head, one piece per action, the tail.
-
-    Each probability row is encoded on its own and spliced into the fixed
-    indent=2 layout; ids, states and rewards go through ``json.dumps``.
-    """
-    yield (f'{{\n  "version": 1,\n  "n_states": {json.dumps(mdp.n_states)},\n'
-           f'  "gamma": {json.dumps(mdp.gamma)},\n  "actions": [')
-    sep = "\n"
-    for aid, state, p, reward in zip(mdp.ids, mdp.state_of.tolist(), mdp.P,
-                                     mdp.rewards.tolist()):
-        probs = f"[\n        {_probs_items(p)}\n      ]" if p.size else "[]"
-        yield (f'{sep}    {{\n      "id": {json.dumps(aid)},\n      "state": {json.dumps(state)},'
-               f'\n      "probs": {probs},\n      "reward": {json.dumps(reward)}\n    }}')
-        sep = ",\n"
-    yield "\n  ]\n}\n" if mdp.m else "]\n}\n"
+    A block's frames take ids through ``encode_basestring_ascii`` and states through
+    ``str``.  Its rewards, and the entries other than +0.0 of its rows that hold a +0.0,
+    are one encoder call each; these entries go between slices of a row of zeros, item k
+    at ``k * _STRIDE``.  A row with no +0.0 is encoded on its own."""
+    n, zeros = mdp.n_states, memoryview(_ITEM.encode().join([b"0.0"] * mdp.n_states))
+    opening, closing = ("[\n        ", "\n      ]") if n else ("[", "]")
+    yield (f'{{\n  "version": 1,\n  "n_states": {json.dumps(n)},\n'
+           f'  "gamma": {json.dumps(mdp.gamma)},\n  "actions": [').encode()
+    for b in range(0, mdp.m, _BLOCK):
+        P, block = mdp.P[b:b + _BLOCK], slice(b, b + _BLOCK)
+        frames = ((",\n" if b else "\n") + ",\n".join(
+            f'    {{\n      "id": {aid},\n      "state": {state},\n      "probs": {opening}\0'
+            f'{closing},\n      "reward": {reward}\n    }}' for aid, state, reward in zip(
+                map(json.encoder.encode_basestring_ascii, mdp.ids[block]),
+                mdp.state_of[block].tolist(),
+                _PROBS.encode(mdp.rewards[block].tolist())[1:-1].split(_ITEM)))
+        ).encode().split(b"\0")  # at each row's place: an escaped id holds no NUL
+        nz = P.view(np.int64) != 0  # every entry but +0.0, whose bits are all 0
+        full = nz.all(axis=1).tolist()
+        nz[full] = False  # a full row is encoded on its own
+        rows, cols = np.divmod(np.flatnonzero(nz), n or 1)
+        items = _PROBS.encode(P[rows, cols].tolist())[1:-1].encode().split(_ITEM.encode())
+        # texts: each row's frame, then its items; zs[j], a slice of zeros, follows texts[j]
+        slot, cut, size = np.arange(rows.size) + rows, cols * _STRIDE, rows.size + len(P)
+        starts, ends = np.zeros(size, np.intp), np.full(size, len(zeros))
+        ends[slot], starts[slot + 1] = cut, cut + 3  # slot: the index of the text before item
+        zs, texts, e = [zeros[a:z] for a, z in zip(starts.tolist(), ends.tolist())], [], 0
+        for r, count in enumerate(np.bincount(rows, minlength=len(P)).tolist()):
+            if full[r]:  # its own text for its one slice, the whole row of zeros
+                zs[e + r] = _PROBS.encode(P[r].tolist())[1:-1].encode()
+            texts += (frames[r], *items[e:e + count])
+            e += count
+        parts = [frames[-1]] * (2 * size + 1)
+        parts[:-1:2], parts[1::2] = texts, zs
+        yield b"".join(parts)
+    yield b"\n  ]\n}\n" if mdp.m else b"]\n}\n"
 
 
 def mdp_to_json(mdp: Mdp) -> str:
     """The model exactly as ``json.dumps(doc, indent=2) + "\\n"`` prints it."""
-    return "".join(_mdp_json_pieces(mdp))
+    return b"".join(_mdp_json_blocks(mdp)).decode()
 
 
 def _fields(doc, keys: set[str], what: str, optional: frozenset[str] = frozenset()) -> None:
@@ -431,19 +431,21 @@ def mdp_from_json(source, digest=None) -> Mdp:
 _TRACE_HEADER = ["t", "span_v", "span_dv", "active_actions", "stop_reason_final"]
 
 
-def _trace_csv_lines(trace: RunTrace) -> Iterator[str]:
-    """``trace_to_csv(trace)`` line by line, each line ending in ``\\n``."""
+def _trace_csv_blocks(trace: RunTrace) -> Iterator[bytes]:
+    """``trace_to_csv(trace)`` as UTF-8 bytes, ``_BLOCK`` lines a block."""
     n = trace.values.shape[1]
-    yield ",".join(_TRACE_HEADER + [f"value_{i}" for i in range(n)]) + "\n"
     row = ",".join(["%d", "%.17g", "%.17g", "%d", "%s"] + ["%.17g"] * n) + "\n"
-    for t, (span_v, span_dv, active, values) in enumerate(zip(
+    lines = itertools.chain([",".join(_TRACE_HEADER + [f"value_{i}" for i in range(n)]) + "\n"], (
+        row % (t, span_v, span_dv, active, trace.stop_reason, *values.tolist())
+        for t, (span_v, span_dv, active, values) in enumerate(zip(
             trace.span_v.tolist(), trace.span_dv.tolist(), trace.active_counts.tolist(),
-            trace.values)):
-        yield row % (t, span_v, span_dv, active, trace.stop_reason, *values.tolist())
+            trace.values))))
+    while block := "".join(itertools.islice(lines, _BLOCK)):
+        yield block.encode()
 
 
 def trace_to_csv(trace: RunTrace) -> str:
-    return "".join(_trace_csv_lines(trace))
+    return b"".join(_trace_csv_blocks(trace)).decode()
 
 
 _LINE = re.compile(r"[^\n]++")
@@ -561,19 +563,19 @@ def _read_text(path: str) -> tuple[str, str]:
     return text, digest
 
 
-def _write_chunks(path: str, pieces: Iterable[str]) -> str:
-    """Write the text of ``pieces`` to ``path`` as UTF-8, atomically (a temp file
-    beside it, then a rename), and return the sha256 of the bytes written.
+def _write_chunks(path: str, blocks: Iterable[bytes]) -> str:
+    """Write ``blocks`` to ``path`` atomically (a temp file beside it, then a
+    rename), and return the sha256 of the bytes written.
 
-    The pieces are joined, encoded, hashed and written ``_BLOCK`` at a time, so
-    the whole text is never held at once; no piece is empty."""
-    digest, pieces = hashlib.sha256(), iter(pieces)
+    Each block is hashed and written as it comes, so a writer that yields its
+    text a block at a time never holds the whole of it."""
+    digest = hashlib.sha256()
     try:
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mdpgeo-")
         try:
             with os.fdopen(fd, "wb") as fh:
-                while block := "".join(itertools.islice(pieces, _BLOCK)).encode("utf-8"):
+                for block in blocks:
                     fh.write(block)
                     digest.update(block)
             os.replace(tmp, path)
@@ -624,7 +626,7 @@ def _emit(args, fields: dict, inputs: dict | None = None, tail: dict | None = No
         doc["input_hashes"] = inputs
     text = json.dumps(doc | (tail or {}), indent=2) + "\n"
     if out:
-        _write_chunks(out, [text])
+        _write_chunks(out, [text.encode()])
     sys.stdout.write(text)
 
 
@@ -703,7 +705,7 @@ def _cmd_generate(args) -> int:
             bonus_beta=args.beta,
         )
     mdp = generate(spec)
-    output_hash = _write_chunks(args.out, _mdp_json_pieces(mdp))
+    output_hash = _write_chunks(args.out, _mdp_json_blocks(mdp))
     _emit(args, {
         "seed": spec.seed,
         "structure": spec.structure,
@@ -723,7 +725,7 @@ def _cmd_solve_vi(args) -> int:
     cfg = ViConfig(alpha=args.alpha, filter=args.filter, **args.stop, **args.schedule, **v0)
     trace = value_iteration(mdp, cfg)
     if args.trace:
-        _write_chunks(args.trace, _trace_csv_lines(trace))
+        _write_chunks(args.trace, _trace_csv_blocks(trace))
     _emit(args, {
         "policy": list(trace.final_policy.choice),
         "values": [float(x) for x in trace.values[-1]],
@@ -756,7 +758,7 @@ def _cmd_solve_pi(args) -> int:
 def _cmd_normalize(args) -> int:
     mdp, mdp_hash = _load_mdp(args.mdp)
     normalized, policy, log = normalize(mdp)
-    output_hash = _write_chunks(args.out, _mdp_json_pieces(normalized))
+    output_hash = _write_chunks(args.out, _mdp_json_blocks(normalized))
     _emit(args, {
         "optimal_policy": list(policy.choice),
         "shifts": [

@@ -175,17 +175,10 @@ def _dense_row(rng: np.random.Generator, n: int) -> np.ndarray:
     if n > _WIDEST_ROW:
         raise ValueError(f"a dense row of {n} entries cannot keep every entry >= {MIN_ROW_ENTRY}")
     while True:
-        u = rng.uniform(size=n)
+        u = rng.random(n)  # the bits of uniform(size=n), 0 + 1 * d
         row = u / u.sum()
         if n == 1 or row.min() >= MIN_ROW_ENTRY:
             return row
-
-
-def _sparse_row(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    support = rng.choice(n, size=k, replace=False)
-    row = np.zeros(n)
-    row[support] = _dense_row(rng, k)
-    return row
 
 
 def _aid(state: int, j: int) -> str:
@@ -221,7 +214,7 @@ def _draw(rng: np.random.Generator, spec: GenSpec) -> tuple[np.ndarray, ...]:
     n, planted = spec.n_states, spec.structure in PLANTED
     counts = rng.integers(spec.min_actions, spec.max_actions + 1, size=n)
     state_of = np.repeat(np.arange(n), counts)
-    P, rewards, stop = np.empty((state_of.size, n)), np.ones(state_of.size), 0
+    P, rewards, stop = np.zeros((state_of.size, n)), np.ones(state_of.size), 0
     if spec.structure == "dense" and n <= _WIDEST_ROW:
         saved = rng.bit_generator.state
         rows, bad, drawn = _dense_rows(rng.random((len(P), n + 1)))
@@ -234,10 +227,15 @@ def _draw(rng: np.random.Generator, spec: GenSpec) -> tuple[np.ndarray, ...]:
     for k, s in enumerate(state_of[stop:].tolist(), start=stop):
         if planted and (k == 0 or state_of[k - 1] != s):  # action 0
             P[k] = _planted_row(rng, spec, s)
+            continue
+        if spec.structure == "sparse":  # into the zeros of its row
+            support = rng.choice(n, size=spec.sparse_k, replace=False)
+            P[k, support] = _dense_row(rng, spec.sparse_k)
         else:
-            P[k] = (_sparse_row(rng, n, spec.sparse_k) if spec.structure == "sparse"
-                    else _dense_row(rng, n))
-            rewards[k] = np.round(rng.uniform(0.0, (1.0 - spec.bonus_beta) if planted else 1.0), 6)
+            P[k] = _dense_row(rng, n)
+        # the bits of uniform(0, high): 0 + high * d
+        rewards[k] = ((1.0 - spec.bonus_beta) if planted else 1.0) * rng.random()
+    np.round(rewards[stop:], 6, out=rewards[stop:])
     return counts, state_of, P, rewards
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import tempfile
 import threading
 import timeit
 import tracemalloc
@@ -1153,7 +1154,51 @@ def _watch_writes(monkeypatch, **failure) -> list[_Writes]:
     return handles
 
 
+_ODD_FLOATS = (-0.0, 5e-324, -5e-324, 1e16, 1e-300, 0.1, 1.0, 1 / 3, float("nan"),
+               float("inf"), float("-inf"))
+_ODD_IDS = ('say "hi"', "back\\slash", "naïve", "日本\t", "\x00\x1f\x7f", "", "s00a00")
+
+
+@st.composite
+def odd_models(draw):
+    """A model of odd floats, ids and states, whose rows mix full, partly zero and
+    all-zero rows and rows whose one nonzero is the first or the last entry, with a
+    block size and a number of actions on either side of a multiple of it."""
+    block = draw(st.sampled_from([1, 3, 64]))
+    m = draw(st.sampled_from(sorted({0, 1, block - 1, block, block + 1, 2 * block + 1})))
+    n = draw(st.sampled_from([0, 1, 2, 5, 17]))
+    ids = draw(st.lists(st.text(max_size=5), min_size=1, max_size=4)) + list(_ODD_IDS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array(_ODD_FLOATS + tuple(rng.uniform(-1e3, 1e3, size=4)))
+    P = rng.choice(pool, size=(m, n))
+    for row, kind in zip(P, rng.integers(0, 5, size=m)):  # 0: left full
+        if kind == 1:
+            row[rng.random(n) < 0.6] = 0.0
+        elif kind > 1:
+            row[[k for k in range(n) if (kind, k) not in ((3, 0), (4, n - 1))]] = 0.0
+    mdp = Mdp.from_arrays(n, float(rng.choice(pool)), [ids[k] for k in rng.integers(
+        0, len(ids), size=m)], rng.integers(-5, 10**12, size=m), P,
+        rng.choice(np.append(pool, [0.0, 1e16, -0.0]), size=m))
+    return mdp, block
+
+
 class TestStreamedWriters:
+    @settings(max_examples=300, deadline=None)
+    @given(model=odd_models())
+    def test_writer_prints_what_json_dumps_does(self, model):
+        mdp, block = model
+        doc = {"version": 1, "n_states": mdp.n_states, "gamma": mdp.gamma, "actions": [
+            {"id": i, "state": s, "probs": p, "reward": r} for i, s, p, r in zip(
+                mdp.ids, mdp.state_of.tolist(), mdp.P.tolist(), mdp.rewards.tolist())]}
+        with mock.patch.object(cli, "_BLOCK", block), tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "model.json")
+            digest = cli._write_chunks(path, cli._mdp_json_blocks(mdp))
+            with open(path, "rb") as fh:
+                data = fh.read()
+        assert data == (json.dumps(doc, indent=2) + "\n").encode()
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert mdp_to_json(mdp) == data.decode()
+
     @pytest.mark.parametrize("block", [1, 2, 64])
     def test_blocks_join_to_the_whole_file(self, block, tmp_path, monkeypatch):
         mdp = generate(GenSpec(n_states=5, gamma=0.9, seed=2, structure="sparse",
@@ -1165,14 +1210,14 @@ class TestStreamedWriters:
         model, rows = tmp_path / "model.json", tmp_path / "trace.csv"
         handles = _watch_writes(monkeypatch)
         monkeypatch.setattr(cli, "_BLOCK", block)
-        model_hash = cli._write_chunks(str(model), cli._mdp_json_pieces(mdp))
-        cli._write_chunks(str(rows), cli._trace_csv_lines(trace))
+        model_hash = cli._write_chunks(str(model), cli._mdp_json_blocks(mdp))
+        cli._write_chunks(str(rows), cli._trace_csv_blocks(trace))
         text = model.read_bytes()
         assert text == (json.dumps(doc, indent=2) + "\n").encode() == mdp_to_json(mdp).encode()
         assert model_hash == hashlib.sha256(text).hexdigest()
         assert rows.read_text() == trace_to_csv(trace) and trace_to_csv(trace).count("\n") == 72
-        # head, 15 actions and tail; header and 71 rows
-        assert [len(h.sizes) for h in handles] == [-(-17 // block), -(-72 // block)]
+        # head, 15 actions in blocks and tail; header and 71 rows
+        assert [len(h.sizes) for h in handles] == [2 + -(-15 // block), -(-72 // block)]
 
     @settings(max_examples=200, deadline=None)
     @given(edits=st.lists(st.tuples(st.integers(1, 11), st.integers(0, 6),

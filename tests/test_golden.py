@@ -8,7 +8,9 @@ model writer replaced the per-state loops, and the ``normalize``/``gamma-eff``
 pins on the dense and sparse models from the implementation that rebuilt the
 model after every transform step, and the ``twostate`` pins from the
 implementation that evaluated and improved one ``Policy`` object at a time, so any change to a printed or written byte,
-including float formatting and tie-breaking, fails here.
+including float formatting and tie-breaking, fails here.  The 1000-state sparse
+``generate`` pins and the 60-state dense ``generate``/``normalize`` pins (full rows
+across block boundaries) come from the writer that encoded one row at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ GOLDEN = {
     "certify_alpha.exit": 0,
     "certify_alpha.stdout": "10910985a3b404ad90b6141e5bd08e4933a4e08ef740faccc3c8a25218402bec",
     "dense.json": "ab2c761ef7147ab37390000509f6cff8f3c5163ec49651d08a665c2361fda254",
+    "dense_60.json": "c38273734fd11aefe55c2cef6cc101bce808814fb290fd65b37adbb8f1197856",
+    "dense_60_normalized.json": "97cfcebe2d082089ab688de260eda6b3c33f42f4c4f3eec8f26466d6b9cce326",
     "dense_normalized.json": "82e15ddf9fb604e9ae3d6572939f2162833b5581ab48468c70f54ef1218a4dcc",
     "gamma_eff.exit": 0,
     "gamma_eff.stdout": "7bcd1fa41e761a146c795ad5b6140eb691a038af41395e07d9849b534dd0e108",
@@ -41,8 +45,12 @@ GOLDEN = {
     "gamma_eff_sparse.stdout": "769cd042818360ad74b2ae4b00350be28d77d17bf77b01ec10f116b7498a420e",
     "generate_dense.exit": 0,
     "generate_dense.stdout": "4b666b4cd9cacf05a7ebb342daed559760e52f2fd56d2ceeb8f42695a56b8308",
+    "generate_dense_60.exit": 0,
+    "generate_dense_60.stdout": "87379cec0c9c58ee8a1b76646e2012e118adc9e20ac7378f8e3a4495906a25d9",
     "generate_sparse.exit": 0,
     "generate_sparse.stdout": "41d355433e5599725155aef02be9543b74d97ac13a7e25bf1bf2ae44b4f33246",
+    "generate_sparse_1000.exit": 0,
+    "generate_sparse_1000.stdout": "37961f5be1887223b73519c7da83e622c7f5afff1ba9d8ff883510c760129118",
     "generate_twostate.exit": 0,
     "generate_twostate.stdout": "a82117974fdecdc296bff24947be0ea1c5d90120e076de08dbb301f7d87412f6",
     "m2_mix.json": "cb1949e7e73fc0754aedb1af05f99b17ac4ad08d5d796f41b185f8a0ad772b58",
@@ -51,6 +59,8 @@ GOLDEN = {
     "normalize.stdout": "5606e23f55af7f714949a53ab713b837baa89605362c45c064713b2d157d81cb",
     "normalize_dense.exit": 0,
     "normalize_dense.stdout": "f1db4dc915613a4e51b9cdf70a9d03de05aa6ac5cfc7b3af279f67c4cdb963bd",
+    "normalize_dense_60.exit": 0,
+    "normalize_dense_60.stdout": "74babcf74c298896d3e229439dcbfbadbe296f4588f48c64c364137f44dd728d",
     "normalize_sparse.exit": 0,
     "normalize_sparse.stdout": "f3778fcb5fd4ca3dafceaa69ac27021c288787789f6072246f5fc93cf8574d30",
     "normalized.csv": "b55a4853bb0ea910bce837e79aee8ae499b6e1716277305d309e47b3de34500b",
@@ -69,6 +79,7 @@ GOLDEN = {
     "solve_vi_normalized.exit": 0,
     "solve_vi_normalized.stdout": "19777c90782128570c4835b202b2f60797e445c73e1fbb907b44bc764fef8038",
     "sparse.json": "bd13699881657ee4f58a5f250f0669481aa6acec03614de9d9f6268d69c05629",
+    "sparse_1000.json": "f884145d67f90833996bbd59ba4575b2bd212d9f1c73360a077b893790f8a639",
     "sparse_normalized.json": "ae7e4292713d2a669c170987afac382ccfce911695fe451a59abe8ffd0fa6c91",
     "twostate.json": "f7ed3b87ae6e6538e4f704927ff121441ddbba5bf3c015fcf075dc55093b14be",
     "twostate_mdp.exit": 0,
@@ -100,8 +111,7 @@ def observed(tmp_path_factory) -> dict:
 
     def record(*files: str) -> None:
         for f in files:
-            with open(p(f), encoding="utf-8", newline="") as fh:
-                seen[f] = _sha(fh.read())
+            seen[f] = hashlib.sha256((d / f).read_bytes()).hexdigest()
 
     run("generate_sparse", "generate", "--seed", "11", "--structure", "sparse",
         "--n-states", "40", "--sparse-k", "3", "--max-actions", "4", "--out", p("sparse.json"))
@@ -148,6 +158,15 @@ def observed(tmp_path_factory) -> dict:
     run("twostate_mdp", "twostate", "--mdp", p("twostate.json"))
     run("twostate_suite_7", "twostate", "--suite", "200", "--seed", "7")
     run("twostate_suite_0", "twostate", "--suite", "200", "--seed", "0")
+
+    run("generate_sparse_1000", "generate", "--seed", "7", "--structure", "sparse",
+        "--n-states", "1000", "--sparse-k", "5", "--max-actions", "8",
+        "--out", p("sparse_1000.json"))
+    run("generate_dense_60", "generate", "--seed", "3", "--structure", "dense",
+        "--n-states", "60", "--out", p("dense_60.json"))
+    run("normalize_dense_60", "normalize", "--mdp", p("dense_60.json"),
+        "--out", p("dense_60_normalized.json"))
+    record("sparse_1000.json", "dense_60.json", "dense_60_normalized.json")
     return seen
 
 
