@@ -15,9 +15,10 @@ number of repeats:
   upper bound, where part of the actions are provably suboptimal, forming
   its own ``P @ V_100`` (the exact advantage product only where the shared
   product's rounding bound cannot decide a row);
-- ``filter_appendix_shared``: the same pass given ``P @ V_100``, the product
-  value iteration shares between the filter and the next backup (left out
-  on checkouts whose filter takes no such argument);
+- ``filter_appendix_shared``: the same pass given the product value iteration
+  shares between the filter and the next backup: ``q_values(mdp, V_100)`` where
+  the filter's fifth argument is ``q``, ``P @ V_100`` where it is ``pv`` (left
+  out on checkouts whose filter takes neither);
 - ``mdp_to_json``: writing the whole model as JSON;
 - ``generate_sparse_draw``: ``generate`` of that spec (draw, ids and validation);
 - ``write_model_sparse``: the CLI's model writer on that model, to a file in a
@@ -140,7 +141,7 @@ from mdpgeo.cli import _load_mdp
 from mdpgeo.cli import main as cli_main
 from mdpgeo.cli import mdp_from_json, mdp_to_json, trace_from_csv, trace_to_csv
 from mdpgeo.core import Mdp, bellman_optimal, validate
-from mdpgeo import cli, gen
+from mdpgeo import cli, core, gen
 from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import (
     ViConfig,
@@ -320,10 +321,11 @@ def main() -> None:
         "generate_sparse_draw": _summary(_times(lambda: generate(spec), SPARSE_REPEATS)),
         "write_model_sparse": _summary(_write_model_times(mdp)),
     }
-    if "pv" in inspect.signature(filter_appendix).parameters:
-        pv = mdp.P @ v100
+    params = inspect.signature(filter_appendix).parameters
+    if "q" in params or "pv" in params:
+        product = core.q_values(mdp, v100) if "q" in params else mdp.P @ v100
         layers["filter_appendix_shared"] = _summary(
-            _times(lambda: filter_appendix(mdp, 100, v100, active, pv), 20))
+            _times(lambda: filter_appendix(mdp, 100, v100, active, product), 20))
     text = mdp_to_json(mdp)
     layers["mdp_from_json"] = _summary(_times(lambda: mdp_from_json(text), 3))
     wide = generate(GenSpec(n_states=READ_SPARSE_N, gamma=0.95, seed=args.seed,

@@ -83,6 +83,7 @@ def _first_positive_power(b: np.ndarray, bound: int) -> int | None:
     squares from the top bit down builds the largest power that is not
     positive, b^(k-1).  Each product is one float32 sgemm clipped to 1; its
     entries count paths, integers <= n, exact for n < 2**24.
+    A path count in float32, not a P v backup, so it stays outside core.q_values.
     """
     squares = [b]
     while not squares[-1].all() and 2 ** (len(squares) - 1) < bound:
@@ -179,6 +180,7 @@ def _verify_sync_recurrence(mdp: Mdp, values: np.ndarray, alpha: float) -> np.nd
     u_t the greedy backup of V_t.  Steps are checked RECURRENCE_BLOCK at a
     time, one ``P @ V.T`` gemm and one greedy pass each, so the work memory
     stays at RECURRENCE_BLOCK * m floats; the first failing step is reported.
+    A referee's own product: judged at RECURRENCE_TOL, it needs no run's bits.
     """
     if values.ndim != 2 or values.shape[1] != mdp.n_states:
         raise ModelError(f"trace values have shape {values.shape}, expected (T, {mdp.n_states})")
@@ -213,6 +215,7 @@ def _optimum(mdp: Mdp, solution: ExactSolution | None,
 def _step_products(a: np.ndarray, rows: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     """Row t is ``a[rows[t]] @ x[t]`` (``a @ x[t]`` for rows None), one gemv per step as
     each step forms it alone, so every product keeps its bits; a batched gemm may not.
+    The theorem checkers' own product, P_t x_t with no reward: a referee, not a backup.
     A trace read from a file records no greedy rows: AssumptionError."""
     if rows is not None and len(rows) != len(x):
         raise AssumptionError(f"trace has {len(rows)} recorded greedy rows for {len(x)} steps")

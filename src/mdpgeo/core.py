@@ -43,6 +43,7 @@ __all__ = [
     "bellman_policy",
     "greedy",
     "policy_from_ids",
+    "q_values",
     "row_spans",
     "span",
     "validate",
@@ -320,11 +321,16 @@ def advantages(mdp: Mdp, v) -> np.ndarray:
     return mdp.rewards + mdp.coeffs @ v
 
 
+def q_values(mdp: Mdp, v: np.ndarray, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """``rewards + gamma * (P @ v)`` over all action rows, or over ``rows``: the one
+    place the run path (backups, value iteration, Howard) forms r + gamma * P v."""
+    return mdp.rewards[rows] + mdp.gamma * (mdp.P[rows] @ v)
+
+
 def bellman_policy(mdp: Mdp, policy: Policy, v) -> np.ndarray:
     """One application of the policy's backup: r_pi + gamma * P_pi v."""
     v = as_values(v, mdp.n_states)
-    rows = policy_rows(mdp, policy)
-    return mdp.rewards[rows] + mdp.gamma * (mdp.P[rows] @ v)
+    return q_values(mdp, v, policy_rows(mdp, policy))
 
 
 def active_mask(mdp: Mdp, active: Iterable[str] | np.ndarray | None) -> np.ndarray:
@@ -376,6 +382,6 @@ def bellman_optimal(
     values and the argmax policy.
     """
     v = as_values(v, mdp.n_states)
-    q = mdp.rewards + mdp.gamma * (mdp.P @ v)
+    q = q_values(mdp, v)
     u, rows = greedy(mdp, np.where(active_mask(mdp, active), q, -np.inf))
     return u, Policy(choice=tuple(mdp.ids[k] for k in rows))

@@ -33,6 +33,7 @@ from .core import (
     as_values,
     greedy,
     policy_rows,
+    q_values,
     row_spans,
     span,
     validate,
@@ -221,7 +222,7 @@ class RunTrace:
 
 
 def filter_appendix(mdp: Mdp, t: int, v, active: np.ndarray,
-                    pv: np.ndarray | None = None) -> tuple:
+                    q: np.ndarray | None = None) -> tuple:
     """Drop actions whose optimal-values advantage is provably negative.
 
     ``v`` must be the iterate V_t of a standard run started from the
@@ -238,21 +239,21 @@ def filter_appendix(mdp: Mdp, t: int, v, active: np.ndarray,
     The last surviving action of a state is never dropped; every state needs
     an active action on entry.  Returns the new mask and the dropped ids.
 
-    The advantage is ``rewards + coeffs @ v`` in floats.  Given ``pv =
-    P @ v`` (of a validated model), the pass forms it as ``rewards + gamma *
-    pv - v[state_of]`` and keeps that only when it provably decides alike:
+    The advantage is ``rewards + coeffs @ v`` in floats.  Given ``q =
+    q_values(mdp, v)`` (of a validated model), the pass forms it as ``q -
+    v[state_of]`` and keeps that only when it provably decides alike:
     every active row's margin is farther from 0 than the rounding bound of
     :func:`_shared_error`, and no state is emptied (the kept row is chosen
     by the advantage values).  Otherwise it computes the exact product.
-    Without ``pv`` the pass validates the model and forms ``P @ v`` itself;
+    Without ``q`` the pass validates the model and forms ``q`` itself;
     with it the result gains a third item, True when it fell back.
     """
     v = as_values(v, mdp.n_states)
-    if pv is None:
+    if q is None:
         validate(mdp)
-        return filter_appendix(mdp, t, v, active, mdp.P @ v)[:2]
+        return filter_appendix(mdp, t, v, active, q_values(mdp, v))[:2]
     bound = (1.0 - mdp.gamma * mdp.p_own) * mdp.gamma**t / (1.0 - mdp.gamma)
-    margin = mdp.rewards + mdp.gamma * pv - v[mdp.state_of] + bound
+    margin = q - v[mdp.state_of] + bound
     if np.all((np.abs(margin) > _shared_error(mdp, v)) | ~active):
         drop = active & (margin < 0.0)
         if not np.any(drop):
@@ -272,7 +273,7 @@ def _shared_error(mdp: Mdp, v: np.ndarray) -> float:
     two products differ by at most 3*gamma_n*S, the rounded ``coeffs`` entries
     and the scalar operations by under 8u*S + 3u*|r|; the factor 4 leaves room
     for rounding the margin and this bound, ``tiny`` for underflowing products.
-    Both users of the shared ``P @ v`` trust it under this bound:
+    Both users of the shared :func:`q_values` trust it under this bound:
     :func:`filter_appendix` and the improvement step of :func:`policy_iteration`.
     """
     k = (mdp.n_states + 4) * np.finfo(np.float64).eps / 2
@@ -296,15 +297,6 @@ def _filter_exact(mdp: Mdp, v: np.ndarray, active: np.ndarray,
     return new, removed
 
 
-def _backup(mdp: Mdp, pv: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`greedy` over the active rows of ``rewards + gamma * pv``.  The filter
-    leaves every state an active row, so a state whose active rows all overflow
-    to -inf has left the float range: ModelError, as for any non-finite value."""
-    with np.errstate(over="ignore"):
-        q = np.where(active, mdp.rewards + mdp.gamma * pv, -np.inf)
-    return greedy(mdp, q, error=lambda _: ModelError("value vector has non-finite entries"))
-
-
 def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
     """Run the general value-iteration loop until a stop rule fires.
 
@@ -320,7 +312,9 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
     gamma, alpha = mdp.gamma, cfg.alpha
 
     v = cfg.initial_values(mdp)
-    pv = mdp.P @ v  # shared by the filter at v and the next backup
+    with np.errstate(over="ignore"):  # a row at -inf beside a finite one is never chosen
+        q = q_values(mdp, v)  # shared by the filter at v and the next greedy pass
+    overflow = lambda _: ModelError("value vector has non-finite entries")  # noqa: E731
     active = np.ones(mdp.m, dtype=bool)
     cap = None if cfg.stop == "time" else hard_iteration_cap(gamma)
 
@@ -356,14 +350,15 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
             break
         t0 = time.perf_counter() if cfg.record_wall_clock else 0.0
         sel = cfg.states_for(t, n)
-        u, best = _backup(mdp, pv, active)
+        u, best = greedy(mdp, np.where(active, q, -np.inf), error=overflow)
         v_new = v.copy()
         v_new[sel] = (1.0 - alpha) * v[sel] + alpha * u[sel]
         as_values(v_new, n)  # ModelError on an inf or NaN entry
-        pv = mdp.P @ v_new
+        with np.errstate(over="ignore"):
+            q = q_values(mdp, v_new)
         removed: tuple[str, ...] = ()
         if cfg.filter == "appendix":
-            active, removed, fell_back = filter_appendix(mdp, t + 1, v_new, active, pv)
+            active, removed, fell_back = filter_appendix(mdp, t + 1, v_new, active, q)
             fallbacks += fell_back
         values.append(v_new)
         counts.append(int(active.sum()))
@@ -374,7 +369,7 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
         v = v_new
         t += 1
 
-    _, best = _backup(mdp, pv, active)
+    _, best = greedy(mdp, np.where(active, q, -np.inf), error=overflow)
     return RunTrace(
         values=np.vstack(values),
         active_counts=np.array(counts, dtype=np.intp),
@@ -472,8 +467,8 @@ def policy_iteration(mdp: Mdp, pi0: Policy) -> tuple[Policy, PiTrace]:
     improvement that returns to an earlier one shows that rounding decided a
     tie; the run would cycle for ever and raises SolverError instead.
 
-    Each round forms the advantages as ``rewards + gamma * (P @ v) -
-    v[state_of]``, with no m x n coefficient matrix, and redoes the round
+    Each round forms the advantages as ``q_values(mdp, v) - v[state_of]``,
+    with no m x n coefficient matrix, and redoes the round
     with the exact :func:`advantages` (counted in ``PiTrace.fallbacks``)
     unless the bound of :func:`_shared_error` proves every decision.
     """
@@ -490,7 +485,7 @@ def policy_iteration(mdp: Mdp, pi0: Policy) -> tuple[Policy, PiTrace]:
         seen[rows.tobytes()] = len(pols) + 1
         pols.append(tuple(mdp.ids[k] for k in rows))
         vals.append(v)
-        adv = mdp.rewards + mdp.gamma * (mdp.P @ v) - v[mdp.state_of]
+        adv = q_values(mdp, v) - v[mdp.state_of]
         nxt = _improve(mdp, rows, adv, _shared_error(mdp, v))
         if nxt is None:
             nxt = _improve(mdp, rows, advantages(mdp, v))

@@ -42,7 +42,8 @@ DEGENERATE_TOL = 1e-9
 
 
 def _advantages(gamma, P, rewards, state_of, values) -> np.ndarray:
-    """(B, m, pairs) advantages at the pairs' values: per model, its gemm when alone."""
+    """(B, m, pairs) advantages at the pairs' values: per model, its gemm when alone.
+    The coefficient form batched over B models: a one-model q_values would loop over them."""
     c = gamma[:, None, None] * P  # Mdp.coeffs: 1 subtracted at own states
     c[:, np.arange(P.shape[1]), state_of] -= 1.0
     return rewards[:, :, None] + c @ values.transpose(0, 2, 1)

@@ -12,7 +12,7 @@ from hypothesis import given
 
 from conftest import mdps
 from mdpgeo.core import (Action, Mdp, ModelError, Policy, bellman_optimal, greedy,
-                         policy_rows)
+                         policy_rows, q_values)
 from mdpgeo.fixtures import m2
 from mdpgeo.solvers import PI_TIE_TOL, SolverError, filter_appendix, policy_iteration
 
@@ -123,9 +123,9 @@ class TestErrors:
         mdp = m2()
         active = np.array([True, True, False, False])
         v = np.full(2, 100.0)  # every advantage sits far below the bound
-        for pv in (None, mdp.P @ v):
+        for q in (None, q_values(mdp, v)):
             with pytest.raises(SolverError, match="state 1 has no active action"):
-                filter_appendix(mdp, 50, v, active, pv)
+                filter_appendix(mdp, 50, v, active, q)
 
     def test_state_without_rows(self):
         mdp = Mdp(3, (Action("a", 0, (1.0, 0.0, 0.0), 0.0),
@@ -154,6 +154,6 @@ def test_filter_keeps_the_best_active_row_of_an_emptied_state(case, t, level):
     np.testing.assert_array_equal(new, expect)
     assert removed == tuple(mdp.ids[k] for k in np.flatnonzero(active & ~expect))
 
-    shared, shared_removed, _ = filter_appendix(mdp, t, v, active, pv=mdp.P @ v)
+    shared, shared_removed, _ = filter_appendix(mdp, t, v, active, q=q_values(mdp, v))
     np.testing.assert_array_equal(shared, new)
     assert shared_removed == removed

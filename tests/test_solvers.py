@@ -16,6 +16,7 @@ from mdpgeo.core import (
     Policy,
     advantages,
     policy_from_ids,
+    q_values,
     span,
     validate,
 )
@@ -276,7 +277,7 @@ class TestFilter:
         v = np.array([2.0])
         active = np.ones(2, dtype=bool)
         assert advantages(mdp, v)[1] + 0.5 == 0.0
-        new, removed, fell_back = filter_appendix(mdp, 1, v, active, pv=mdp.P @ v)
+        new, removed, fell_back = filter_appendix(mdp, 1, v, active, q=q_values(mdp, v))
         assert fell_back and removed == () and new.all()
         cfg = ViConfig(stop="actions", filter="appendix", v0="upper_bound")
         trace = value_iteration(mdp, cfg)
@@ -293,14 +294,14 @@ class TestFilter:
         slack = (1.0 - 0.3) * 0.3**24 / (1.0 - 0.3)
         assert advantages(mdp, v)[1] + slack > 0.0
         assert mdp.rewards[1] + 0.3 * (mdp.P @ v)[0] - v[0] + slack < 0.0
-        new, removed, fell_back = filter_appendix(mdp, 24, v, active, pv=mdp.P @ v)
+        new, removed, fell_back = filter_appendix(mdp, 24, v, active, q=q_values(mdp, v))
         assert fell_back and removed == () and new.all()
 
     def test_emptied_state_takes_the_exact_pass(self):
         mdp = m2()
         v = np.full(2, 100.0)  # every advantage sits far below the bound
         active = np.ones(mdp.m, dtype=bool)
-        new, removed, fell_back = filter_appendix(mdp, 50, v, active, pv=mdp.P @ v)
+        new, removed, fell_back = filter_appendix(mdp, 50, v, active, q=q_values(mdp, v))
         with mock.patch.object(solvers, "_shared_error", lambda mdp, v: np.inf):
             expect, expect_removed = filter_appendix(mdp, 50, v, active)
         assert fell_back and new.sum() == mdp.n_states
@@ -308,10 +309,10 @@ class TestFilter:
         assert removed == expect_removed
 
 
-def _exact_filter(mdp, t, v, active, pv=None):
+def _exact_filter(mdp, t, v, active, q=None):
     """The filter with no row proven: the exact pass every time."""
     with mock.patch.object(solvers, "_shared_error", lambda mdp, v: np.inf):
-        return filter_appendix(mdp, t, v, active, pv)
+        return filter_appendix(mdp, t, v, active, q)
 
 
 @given(mdps(), st.integers(0, 60))
