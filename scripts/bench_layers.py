@@ -72,7 +72,7 @@ does not finish at that size:
 
 - ``mdp_from_json_compact_dense``: reading its JSON text.
 
-Three layers run the two-state checks:
+Seven layers run the two-state checks:
 
 - ``twostate_verify_pi_bound``: ``verify_pi_bound`` on one 2-state model with
   six actions per state (``GenSpec(structure="dense", min_actions=6,
@@ -80,6 +80,11 @@ Three layers run the two-state checks:
   nothing computed for an earlier repeat is reused;
 - ``twostate_suite``: ``run_twostate_suite(1000, 12, seed)``, the size of the
   benchmark's ``twostate_suite`` workload, as a median of 21 repeats;
+- ``twostate_suite_small_1``, ``_10`` and ``_100``: ``run_twostate_suite(n, 12,
+  seed)`` for n = 1, 10 and 100, where a block's fixed costs weigh most, as a
+  median of 21 repeats;
+- ``twostate_suite_wide_seed``: ``run_twostate_suite(2000, 12, 2**128 - 1)``,
+  whose seeds have four and five 32-bit words, as a median of 21 repeats;
 - ``twostate_draw_1000``: that suite's draw alone, the action counts and
   uniforms of its 1,000 instances (6 actions per state), as a median of 21
   repeats: ``gen._dense_pair_draws``, or on checkouts without it the loop the
@@ -358,6 +363,11 @@ def main() -> None:
         _times(lambda: verify_pi_bound(next(copies)), TWOSTATE_REPEATS))
     layers["twostate_suite"] = _summary(
         _times(lambda: run_twostate_suite(1000, 12, args.seed), SUITE_REPEATS))
+    for n in (1, 10, 100):
+        layers[f"twostate_suite_small_{n}"] = _summary(
+            _times(lambda: run_twostate_suite(n, 12, args.seed), SUITE_REPEATS))
+    layers["twostate_suite_wide_seed"] = _summary(
+        _times(lambda: run_twostate_suite(2000, 12, 2**128 - 1), SUITE_REPEATS))
     layers["twostate_draw_1000"] = _summary(_times(lambda: _suite_draw(args.seed), SUITE_REPEATS))
     for n in (50, 100):
         p = _wielandt_matrix(n)

@@ -196,6 +196,7 @@ def criterion_4() -> CriterionResult:
 
 
 _SUITE_BLOCK = 10_000  # instances drawn and checked at a time: the suite's memory is one block's
+_PAIR_DRAWS_FROM = 24  # a smaller block draws each instance alone: the kernel costs ~1 ms a call
 
 
 def run_twostate_suite(n_instances: int, max_actions: int = 12, seed: int = 0) -> dict:
@@ -209,43 +210,43 @@ def run_twostate_suite(n_instances: int, max_actions: int = 12, seed: int = 0) -
     ``gen._dense_pair_draws`` writes the action counts and uniforms of the
     block's ``default_rng(seed + i)`` into two buffers, and ``gen._dense_rows``
     forms the rows.  ``gen._draw`` draws an instance again, counts included,
-    when a row is rejected or the kernel returns it (a rejected count word, a
-    seed of 2**64 or more, or numpy's draws differing).  A block is checked in
-    one batch per pair of action counts; a flagged instance's violations are
-    worded from its batch's arrays.
+    when a row is rejected or the kernel returns it (a rejected count word, or
+    numpy's draws differing), and draws every instance of a block smaller
+    than ``_PAIR_DRAWS_FROM``.  A block is checked in one ``check_batch``; a
+    flagged instance's violations are worded from its slice's arrays.
     """
     spec = GenSpec(n_states=2, gamma=_GAMMAS[0], seed=seed, structure="dense", min_actions=1,
                    max_actions=min(max(1, max_actions // 2), 6)).validated()
-    top, width = spec.max_actions + 1, 2 * spec.max_actions  # an instance's rows at most
-    uniforms = np.empty((min(_SUITE_BLOCK, n_instances), width, 3))  # each row's draws
-    counts, gammas = np.empty((len(uniforms), 2), dtype=np.int64), np.array(_GAMMAS)
+    width = 2 * spec.max_actions  # an instance's rows at most
+    # each row's draws and the action counts; ones, so that a block whose instances are all
+    # drawn alone reads no unset memory
+    uniforms = np.ones((min(_SUITE_BLOCK, n_instances), width, 3))
+    counts, gammas = np.ones((len(uniforms), 2), dtype=np.int64), np.array(_GAMMAS)
     worst, degenerate, certificates, n_violations, details = 0, 0, 0, 0, []
     for start in range(0, n_instances, _SUITE_BLOCK):
         size = min(_SUITE_BLOCK, n_instances - start)
-        redo = gen._dense_pair_draws(seed + start, spec.max_actions, counts[:size], uniforms[:size])
+        redo = (np.arange(size) if size < _PAIR_DRAWS_FROM else gen._dense_pair_draws(
+            seed + start, spec.max_actions, counts[:size], uniforms[:size]))
         rows, bad, rewards = gen._dense_rows(uniforms[:size])
         bad = (bad & (np.arange(width) < counts[:size].sum(axis=1)[:, None])).any(axis=1)
         bad[redo] = True
         for j in np.flatnonzero(bad).tolist():
             counts[j], _, P, r = gen._draw(np.random.default_rng(seed + start + j), spec)
             rows[j, :len(P)], rewards[j, :len(P)] = P, r
-        key = counts[:size, 0] * top + counts[:size, 1]
-        order = np.argsort(key, kind="stable")
         words: dict[int, list[str]] = {}  # per flagged instance of the block
-        for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-            (k0, k1), index = counts[group[0]].tolist(), start + group
-            report = twostate.check_batch(gammas[index % 3], rows[group, :k0 + k1],
-                                          rewards[group, :k0 + k1], k0)
+        for part, report in twostate.check_batch(gammas[(start + np.arange(size)) % 3], rows,
+                                                 rewards, counts[:size]):
             worst = max(worst, int(report["max_iterations"].max()))
-            many = k0 + k1 >= 3  # a certificate needs three actions
-            degenerate += many * int(report["degenerate"].sum())
+            many = counts[part].sum(axis=1) >= 3  # a certificate needs three actions
+            degenerate += int((many & report["degenerate"]).sum())
             certified = many & ~report["degenerate"]
             certificates += int(certified.sum())
             margins = report["min_margins"]
             produced = certified & report["produced"]
             chain = certified & ((margins.min(axis=1) < -1e-12) | (margins[:, 1] <= 0.0))
             for b in np.flatnonzero(~report["ok"] | produced | chain).tolist():
-                found = words[int(index[b])] = twostate._bound_words(
+                k0, k1 = counts[part[b]].tolist()
+                found = words[int(part[b])] = twostate._bound_words(
                     k0 + k1, int(report["max_iterations"][b]), report["set_sizes"][b].tolist())
                 if produced[b]:
                     state = int(report["state"][b])
@@ -255,7 +256,7 @@ def run_twostate_suite(n_instances: int, max_actions: int = 12, seed: int = 0) -
                     found.append("certificate chain margins failed")
         for i in sorted(words):
             n_violations += len(words[i])
-            details.extend(f"seed {seed + i}: {v}" for v in words[i][:20 - len(details)])
+            details.extend(f"seed {seed + start + i}: {v}" for v in words[i][:20 - len(details)])
     return {
         "instances": n_instances,
         "max_actions": max_actions,

@@ -87,9 +87,9 @@ def _dense_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, ~(rows.min(axis=-1) >= MIN_ROW_ENTRY) & (n > 1), rewards
 
 
-# numpy's default_rng(seed) for seeds below 2**64, on arrays of seeds: SeedSequence's hash of
-# the seed's two 32-bit words into a pool of four, PCG64 (a 128-bit LCG with XSL-RR output),
-# Lemire's bounded integers and 53-bit doubles
+# numpy's default_rng(seed) on arrays of seeds: SeedSequence's hash of the seed's 32-bit words
+# into a pool of four, PCG64 (a 128-bit LCG with XSL-RR output), Lemire's bounded integers
+# and 53-bit doubles
 _M32, _HASH_A, _HASH_B, _MIX = 0xFFFFFFFF, (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED), (
     0xCA01F9DD, 0x4973F715)
 _PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # the LCG multiplier's two halves
@@ -102,17 +102,33 @@ def _seed_hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, in
     return value ^ value >> 16, const
 
 
-def _pcg64_seeded(seeds: np.ndarray) -> tuple[tuple, tuple]:
-    """The (hi, lo) uint64 state and increment of ``PCG64(seed)`` for each seed."""
-    pool, const = [(seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32)], _HASH_A[0]
-    pool += [np.zeros_like(pool[0])] * 2
-    for i in range(4):
-        pool[i], const = _seed_hash(pool[i], const, _HASH_A[1])
-    for src, dst in itertools.permutations(range(4), 2):  # every word into every other
-        hashed, const = _seed_hash(pool[src], const, _HASH_A[1])
+def _seed_pool(low: np.ndarray, high: int) -> list[np.ndarray]:
+    """SeedSequence's pool of four uint32 words for the seeds ``high << 64 | low``: their
+    first four words hashed in (a missing word as 0), every pool word mixed into every other,
+    then each later word into every pool word."""
+    words = [(low & _M32).astype(np.uint32), (low >> 32).astype(np.uint32)]
+    words += [np.full(low.shape, high >> i & _M32, dtype=np.uint32)
+              for i in range(0, max(high.bit_length(), 64), 32)]
+    pool, const = [], _HASH_A[0]
+    for word in words[:4]:
+        hashed, const = _seed_hash(word, const, _HASH_A[1])
+        pool.append(hashed)
+    for src, dst in [*itertools.permutations(range(4), 2),
+                     *itertools.product(range(4, len(words)), range(4))]:
+        hashed, const = _seed_hash((pool if src < 4 else words)[src], const, _HASH_A[1])
         mixed = pool[dst] * _MIX[0] - hashed * _MIX[1]
         pool[dst] = mixed ^ mixed >> 16
-    words, const = [], _HASH_B[0]
+    return pool
+
+
+def _pcg64_seeded(seed: int, n: int) -> tuple[tuple, tuple]:
+    """The (hi, lo) uint64 state and increment of ``PCG64(seed + j)`` for each j < n."""
+    low = np.arange(n, dtype=np.uint64) + np.uint64(seed % (1 << 64))  # wraps past 2**64 - 1
+    carry = min((1 << 64) - seed % (1 << 64), n)  # from here one more above the low words
+    parts = [_seed_pool(low[:carry], seed >> 64)]
+    if carry < n:
+        parts.append(_seed_pool(low[carry:], (seed >> 64) + 1))
+    pool, words, const = [np.concatenate(p) for p in zip(*parts)], [], _HASH_B[0]
     for i in range(8):
         word, const = _seed_hash(pool[i % 4], const, _HASH_B[1])
         words.append(word.astype(np.uint64))
@@ -151,11 +167,10 @@ def _same_as_numpy(seed: int, k: int, counts: np.ndarray, uniforms: np.ndarray) 
 def _dense_pair_draws(seed: int, k: int, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Fill ``counts[j]`` and ``uniforms[j]`` as ``rng = default_rng(seed + j)``,
     ``rng.integers(1, k + 1, size=2)`` and ``rng.random(out=...)`` would, stepping the block's
-    generators together, and return the instances not reproduced: a rejected count word, a
-    seed of 2**64 or more, or all if the first other one differs from numpy's draws."""
+    generators together, and return the instances not reproduced: a rejected count word, or
+    all if the first other one differs from numpy's draws."""
     n = len(counts)
-    redo = np.arange(n) >= min(max((1 << 64) - seed, 0), n)  # more seed words; theirs wrap
-    state, inc = _pcg64_seeded(np.arange(n, dtype=np.uint64) + np.uint64(seed % (1 << 64)))
+    redo, (state, inc) = np.zeros(n, dtype=bool), _pcg64_seeded(seed, n)
     if k == 1:  # numpy draws nothing for a range of one value
         counts[:] = 1
     else:

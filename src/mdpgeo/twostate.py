@@ -9,17 +9,21 @@ witnessed constructively: two auxiliary self-loop actions pinned to the
 extreme-slope policies sandwich one concrete action's advantage below a
 surviving action's advantage on every formed policy.
 
-Everything runs on one pair core over a batch of models with equal action
+Everything runs on one pair core over a batch of models with equal row
 counts (one model is a batch of one), with ``Policy`` objects only at the
 boundary: each policy is a pair of action rows with closed-form values and
 every action's advantage at them.  An action set is a boolean mask per state,
 producing one maximum per pair column, Howard's improvement an int map on pairs.
+``check_batch`` checks models of any action counts in a few padded shape
+classes: a model's last row at each state is repeated up to its class's row
+count, and the masks keep the repeated rows out of the sets and the starts.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -49,9 +53,8 @@ def _advantages(gamma, P, rewards, state_of, values) -> np.ndarray:
     return rewards[:, :, None] + c @ values.transpose(0, 2, 1)
 
 
-def _core(gamma, P, rewards, state_of, rows):
-    """The (B, pairs, 2) closed-form values and per state the (B, k_s, pairs)
-    advantages of models sharing ``state_of`` and ``rows`` (per state, its rows
+def _values(gamma, P, rewards, rows) -> np.ndarray:
+    """The (B, pairs, 2) closed-form values of models sharing ``rows`` (per state, its rows
     in id order); pair ``i * k1 + j`` takes row i of state 0 and row j of state 1."""
     g = gamma[:, None]
     (p0, r0), (p1, r1) = ((P[:, k], rewards[:, k]) for k in rows)
@@ -62,20 +65,21 @@ def _core(gamma, P, rewards, state_of, rows):
     det = a00 * b11 - a01 * b10
     v0 = (r0[:, :, None] * b11 + a01 * r1[:, None, :]) / det
     v1 = (r1[:, None, :] * a00 + b10 * r0[:, :, None]) / det
-    values = np.stack([v0.reshape(len(g), -1), v1.reshape(len(g), -1)], axis=2)
-    adv = _advantages(gamma, P, rewards, state_of, values)
-    return values, (adv[:, rows[0]], adv[:, rows[1]])
+    return np.stack([v0.reshape(len(g), -1), v1.reshape(len(g), -1)], axis=2)
 
 
-@functools.lru_cache(maxsize=1)  # one model's checks share its core; holds one model alive
+@functools.lru_cache(maxsize=1)  # one model's checks share its pairs; holds one model alive
 def _pairs(mdp: Mdp) -> tuple[tuple[tuple[str, ...], ...], np.ndarray, tuple[np.ndarray, ...]]:
-    """Per state the action ids in id order, then the model's core as a batch of one."""
+    """Per state the action ids in id order, then the model's (1, pairs, 2) values and per
+    state its (1, k_s, pairs) advantages at them, as a batch of one."""
     if mdp.n_states != 2:
         raise ModelError(f"operation is defined for 2-state MDPs, got n={mdp.n_states}")
     validate(mdp)
-    rows = mdp.state_rows
+    rows, gamma, P, rewards = mdp.state_rows, np.array([mdp.gamma]), mdp.P[None], mdp.rewards[None]
     ids = tuple(tuple(mdp.ids[k] for k in r.tolist()) for r in rows)
-    return ids, *_core(np.array([mdp.gamma]), mdp.P[None], mdp.rewards[None], mdp.state_of, rows)
+    values = _values(gamma, P, rewards, rows)
+    adv = _advantages(gamma, P, rewards, mdp.state_of, values)
+    return ids, values, (adv[:, rows[0]], adv[:, rows[1]])
 
 
 def _members(mdp: Mdp, action_ids) -> tuple[np.ndarray, np.ndarray]:
@@ -100,24 +104,31 @@ def _chosen(ids, masks) -> list[list[str]]:
     return [list(itertools.compress(i, m[0].tolist())) for i, m in zip(ids, masks)]
 
 
-def _produce(adv, masks, formed) -> tuple[np.ndarray, np.ndarray]:
+def _produce(adv, masks, formed, models) -> tuple[np.ndarray, np.ndarray]:
     """Per state, the set's rows within ``TIE_TOL`` of the set's best advantage
-    at one of the ``formed`` pairs."""
+    at one of the ``formed`` pairs, for the sets of the given ``models`` of ``adv``."""
     out = []
     for a, mask in zip(adv, masks):
-        a = np.where(mask[:, :, None], a, -np.inf)
+        a = a[models]  # a copy, masked in place
+        np.copyto(a, -np.inf, where=~mask[:, :, None])
         out.append(((a >= a.max(axis=1, keepdims=True) - TIE_TOL) & formed[:, None]).any(axis=2))
     return tuple(out)
 
 
 def _dynamics(adv, masks) -> tuple[list, np.ndarray]:
-    """Rounds of produce(form(.)), and (B, rounds) set sizes until they stop shrinking."""
+    """Rounds of produce(form(.)), and (B, rounds) set sizes until they stop shrinking.  A
+    round runs on the models whose sets still shrink and copies the others' sets."""
     rounds, sizes = [masks], [sum(m.sum(axis=1) for m in masks)]
-    live = sizes[0] > 2
-    while live.any():
-        rounds.append(_produce(adv, rounds[-1], _formed(rounds[-1])))
-        sizes.append(np.where(live, sum(m.sum(axis=1) for m in rounds[-1]), 0))
-        live &= (sizes[-1] > 2) & (sizes[-1] < sizes[-2])
+    live, keep = np.arange(len(sizes[0])), sizes[0] > 2
+    while keep.any():
+        live = live[keep]
+        sets = tuple(m[live] for m in rounds[-1])
+        rounds.append(tuple(m.copy() for m in rounds[-1]))
+        sizes.append(np.zeros_like(sizes[0]))
+        for m, made in zip(rounds[-1], _produce(adv, sets, _formed(sets), live)):
+            m[live] = made
+            sizes[-1][live] += made.sum(axis=1)
+        keep = (sizes[-1][live] > 2) & (sizes[-1][live] < sizes[-2][live])
     return rounds, np.stack(sizes, axis=1)
 
 
@@ -139,7 +150,8 @@ def produced_actions(mdp: Mdp, policies, action_ids) -> frozenset[str]:
     masks = _members(mdp, action_ids)
     values = np.array([p.values for p in policies], dtype=np.float64).reshape(1, -1, 2)
     adv = _advantages(np.array([mdp.gamma]), mdp.P[None], mdp.rewards[None], mdp.state_of, values)
-    produced = _produce([adv[:, rows] for rows in mdp.state_rows], masks, np.ones((1, 1), bool))
+    produced = _produce([adv[:, rows] for rows in mdp.state_rows], masks, np.ones((1, 1), bool),
+                        [0])
     return frozenset(itertools.chain(*_chosen(ids, produced)))
 
 
@@ -196,12 +208,15 @@ def _choose(gamma, v, adv, masks):
     state = (v[b, lo, 1] - v[b, hi, 1] >= v[b, hi, 0] - v[b, lo, 0]).astype(int)
     pair = np.where(state == 1, np.stack([hi, lo]), np.stack([lo, hi]))
     pos = divmod(pair, adv[1].shape[1])  # per state, the two policies' rows there
-    ends = np.where(state[:, None] == 1, adv[1][b, pos[1]], adv[0][b, pos[0]])
+    chain = np.empty((4, *slopes.shape))  # per pair: dropped, aux low, aux high, kept
+    chain[::3] = adv[0][b, pos[0]]
+    np.copyto(chain[::3], adv[1][b, pos[1]], where=state[:, None] == 1)
     at_state = np.where(state[:, None] == 1, v[..., 1], v[..., 0])
     aux = (1.0 - gamma)[:, None] * at_state[b[:, None], pair.T]
-    loops = aux[:, :, None] + ((gamma - 1.0)[:, None] * at_state)[:, None]  # self-loops
-    chain = np.concatenate([ends[:1], loops.transpose(1, 0, 2), ends[1:]])
-    margins = np.where(formed, np.diff(chain, axis=0), np.inf).min(axis=2).T
+    np.add(aux.T[:, :, None], (gamma - 1.0)[:, None] * at_state, out=chain[1:3])  # self-loops
+    steps = np.diff(chain, axis=0)
+    steps[:, ~formed] = np.inf
+    margins = steps.min(axis=2).T
     return slopes[b, hi] - slopes[b, lo], state, pair, chain, aux, margins
 
 
@@ -260,9 +275,10 @@ class PiBoundReport:
         return not self.violations
 
 
-def _depths(adv, cycle_depth: int) -> np.ndarray:
-    """(B, pairs) Howard iterations from every start, 1 at a fixed point and
-    ``cycle_depth`` for a start whose improvements never reach one."""
+def _depths(adv, cycle_depth, starts=True) -> np.ndarray:
+    """(B, pairs) Howard iterations from every start, 1 at a fixed point and the model's
+    ``cycle_depth`` (one for all, or (B,)) for a start whose improvements never reach one;
+    0 at a pair that ``starts`` (B, pairs) leaves out."""
     # Howard's improvement as a map over pairs: per state, the incumbent is
     # kept within TIE_TOL of the best, else the first best row is taken
     k1, pairs = adv[1].shape[1], np.arange(adv[0].shape[2])
@@ -272,16 +288,17 @@ def _depths(adv, cycle_depth: int) -> np.ndarray:
     cur, depth = np.broadcast_to(pairs, nxt.shape), np.ones(nxt.shape, int)
     for _ in pairs:  # a path without a cycle makes fewer steps
         if not (moved := (step := nxt[b, cur]) != cur).any():
-            return depth
+            break
         depth, cur = depth + moved, step
-    # still moving: an improvement cycle, impossible without exact value ties
-    return np.where(nxt[b, cur] != cur, cycle_depth, depth)
+    else:  # still moving: an improvement cycle, impossible without exact value ties
+        depth = np.where(nxt[b, cur] != cur, np.reshape(cycle_depth, (-1, 1)), depth)
+    return np.where(starts, depth, 0)
 
 
-def _bound_broken(m: int, worst, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """The bound per model of a batch, from the worst Howard depths (B,) and the set
-    sizes (B, rounds), padded with 0: whether Howard took more than ``m`` iterations,
-    and which rounds held more than two actions and lost none."""
+def _bound_broken(m, worst, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """The bound per model of a batch of ``m`` actions (one for all, or (B,)), from the worst
+    Howard depths (B,) and the set sizes (B, rounds), padded with 0: whether Howard took more
+    than m iterations, and which rounds held more than two actions and lost none."""
     return worst > m, (sizes[:, :-1] > 2) & (sizes[:, 1:] >= sizes[:, :-1])
 
 
@@ -317,19 +334,72 @@ def verify_pi_bound(mdp: Mdp) -> PiBoundReport:
     )
 
 
-def check_batch(gamma, P, rewards, k0: int) -> dict[str, np.ndarray]:
-    """Per model of discounts (B,), ``P`` (B, m, 2) and rewards (B, m) (rows in id order,
-    the first k0 at state 0): verify_pi_bound (set sizes padded with 0), the full set's
-    certificate (its low and high pair), and whether round 1 produces the named action."""
-    size, m = rewards.shape
-    rows = (np.arange(k0), np.arange(k0, m))
-    values, adv = _core(gamma, P, rewards, np.repeat([0, 1], [k0, m - k0]), rows)
-    worst = _depths(adv, m + 1).max(axis=1)
-    full = (np.ones((size, k0), dtype=bool), np.ones((size, m - k0), dtype=bool))
-    rounds, sizes = _dynamics(adv, full)
-    gap, state, pair, _, _, margins = _choose(gamma, values, adv, full)
-    (i, j), b, first = divmod(pair[0], m - k0), np.arange(size), rounds[min(1, len(rounds) - 1)]
-    over, lost_none = _bound_broken(m, worst, sizes)
+_CLASS_PAIRS = 5120  # a shape class's models' pairs checked at a time: bounds its arrays
+_OWN_SHAPE = 128  # this many models with equal counts cost more padded than as their own class
+
+
+@functools.lru_cache
+def _layout(k0: int, k1: int, c0: int, c1: int) -> tuple[np.ndarray, ...]:
+    """A model of k0 + k1 actions padded to c0 + c1 rows, the last real row of a state
+    repeated: its rows' states, its pairs' padded pairs, and per padded (row, pair) cell the
+    flat index of the real one it copies."""
+    i, j = np.minimum(np.arange(c0), k0 - 1), np.minimum(np.arange(c1), k1 - 1)
+    rows, pairs = np.concatenate([i, k0 + j]), (i[:, None] * k1 + j).ravel()
+    return (np.repeat([0, 1], [k0, k1]), (np.arange(k0)[:, None] * c1 + np.arange(k1)).ravel(),
+            (rows[:, None] * (k0 * k1) + pairs).ravel())
+
+
+def _check_class(gamma, P, rewards, counts, shape) -> dict[str, np.ndarray]:
+    """``check_batch`` on models of at most ``shape`` (c0, c1) actions per state, each padded
+    to c0 + c1 rows by ``_layout``.  A padded row ties the row it copies, so the first best row
+    and Howard's kept or taken rows are real, and masks keep it out of the sets and starts.
+    Each model's advantages are its own product: a run of models with equal counts forms
+    them in one ``_advantages`` call, then copies them to the padded rows and pairs."""
+    (c0, c1), (k0, k1), b = shape, counts.T, np.arange(len(gamma))
+    index = np.concatenate([np.minimum(np.arange(c0), k0[:, None] - 1),
+                            k0[:, None] + np.minimum(np.arange(c1), k1[:, None] - 1)], axis=1)
+    values = _values(gamma, P[b[:, None], index], rewards[b[:, None], index],
+                     (np.arange(c0), np.arange(c0, c0 + c1)))
+    adv = np.empty((len(b), c0 + c1, c0 * c1))
+    ends = (np.flatnonzero((counts[1:] != counts[:-1]).any(axis=1)) + 1).tolist()
+    for lo, hi in zip([0, *ends], [*ends, len(b)]):
+        g0, g1 = counts[lo].tolist()
+        state_of, real, cells = _layout(g0, g1, c0, c1)
+        exact = _advantages(gamma[lo:hi], P[lo:hi, :g0 + g1], rewards[lo:hi, :g0 + g1],
+                            state_of, values[lo:hi, real])
+        np.take(exact.reshape(hi - lo, -1), cells, axis=1, out=adv[lo:hi].reshape(hi - lo, -1),
+                mode="clip")  # a flat index is in range: no bounds check
+    adv, masks = (adv[:, :c0], adv[:, c0:]), (np.arange(c0) < k0[:, None],
+                                              np.arange(c1) < k1[:, None])
+    worst = _depths(adv, k0 + k1 + 1, _formed(masks)).max(axis=1)
+    rounds, sizes = _dynamics(adv, masks)
+    gap, state, pair, _, _, margins = _choose(gamma, values, adv, masks)
+    (i, j), first = divmod(pair, c1), rounds[min(1, len(rounds) - 1)]
+    over, lost_none = _bound_broken(k0 + k1, worst, sizes)
     return dict(ok=~over & ~lost_none.any(axis=1), max_iterations=worst, set_sizes=sizes,
-                degenerate=gap <= DEGENERATE_TOL, state=state, pair=pair, min_margins=margins,
-                produced=np.where(state == 1, first[1][b, j], first[0][b, i]))
+                degenerate=gap <= DEGENERATE_TOL, state=state, pair=i * k1 + j,
+                min_margins=margins, produced=np.where(state == 1, first[1][b, j[0]],
+                                                       first[0][b, i[0]]))
+
+
+def check_batch(gamma, P, rewards, counts) -> Iterator[tuple[np.ndarray, dict[str, np.ndarray]]]:
+    """Check models of discounts (B,), ``P`` (B, w, 2) and rewards (B, w) (rows in id order,
+    ``counts[b]`` (k0, k1) of them at states 0 and 1, the rest unread) in slices, yielding per
+    slice its models' indices and their report: verify_pi_bound (set sizes padded with 0),
+    the full set's certificate (its low and high pair, (2, b)), and whether round 1 produces
+    the named action.  With k the largest count, a model is padded to ceil(k / 2) or k rows
+    per state, four shape classes at most, unless at least ``_OWN_SHAPE`` models share its
+    counts: those keep their shape.  A class is checked in slices of at most ``_CLASS_PAIRS``
+    pairs."""
+    top = int(counts.max())
+    half = -(-top // 2)
+    exact = counts[:, 0] * (top + 1) + counts[:, 1]
+    own = np.bincount(exact)[exact] >= _OWN_SHAPE
+    shape = np.where(own[:, None], counts, np.where(counts > half, top, half))
+    key = shape[:, 0] * (top + 1) + shape[:, 1]
+    order = np.argsort(key * (top + 1) ** 2 + exact, kind="stable")  # by class, then by counts
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        c0, c1 = shape[group[0]].tolist()
+        for part in np.array_split(group, -(-len(group) * c0 * c1 // _CLASS_PAIRS)):
+            yield part, _check_class(gamma[part], P[part, :c0 + c1], rewards[part, :c0 + c1],
+                                     counts[part], (c0, c1))

@@ -253,13 +253,17 @@ def test_pair_draws_are_default_rngs_draws(k, seeds):
         assert uniforms[j].tobytes() == numpy_uniforms.tobytes()
 
 
+@pytest.mark.parametrize("seed", [2**64 - 1, 2**64, 2**96, 2**128 - 1, 2**128, 2**200])
 @pytest.mark.parametrize("k", [1, 6])
-def test_seeds_past_two_to_the_64_are_returned(k):
-    counts, uniforms = np.empty((6, 2), dtype=np.int64), np.empty((6, 2 * k, 3))
-    assert gen._dense_pair_draws(2**64 - 3, k, counts, uniforms).tolist() == [3, 4, 5]
-    for j in range(3):
-        assert uniforms[j].tobytes() == _numpy_pair_draws(2**64 - 3 + j, k)[1].tobytes()
-    assert gen._dense_pair_draws(2**128 - 1, k, counts, uniforms).tolist() == list(range(6))
+def test_wide_seeds_are_default_rngs_draws(k, seed):
+    # three to seven 32-bit seed words; each block starts two seeds lower, so the low
+    # 64 bits of 2**64 - 1, 2**128 - 1 and 2**128 carry into the words above them
+    counts, uniforms = np.empty((5, 2), dtype=np.int64), np.empty((5, 2 * k, 3))
+    assert gen._dense_pair_draws(seed - 2, k, counts, uniforms).tolist() == []
+    for j in range(5):
+        numpy_counts, numpy_uniforms = _numpy_pair_draws(seed - 2 + j, k)
+        assert counts[j].tolist() == numpy_counts.tolist()
+        assert uniforms[j].tobytes() == numpy_uniforms.tobytes()
 
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645

@@ -346,17 +346,29 @@ def _single_fields(mdp) -> list:
     return fields
 
 
+def _model_reports(slices) -> list[dict]:
+    """Each model's fields from the slices a check yields, in model order."""
+    out = {}
+    for part, report in slices:
+        for b, i in enumerate(part.tolist()):
+            out[i] = {name: field[..., b] if name == "pair" else field[b]
+                      for name, field in report.items()}
+    return [out[i] for i in range(len(out))]
+
+
 def _batch_fields(mdps) -> list[list]:
-    """The same, from one batch over models with the same action counts."""
+    """The same, from one batch over the models."""
     order = [np.concatenate(mdp.state_rows) for mdp in mdps]
-    report = twostate.check_batch(np.array([mdp.gamma for mdp in mdps]),
-                                  np.stack([mdp.P[k] for mdp, k in zip(mdps, order)]),
-                                  np.stack([mdp.rewards[k] for mdp, k in zip(mdps, order)]),
-                                  len(mdps[0].state_rows[0]))
+    width = max(mdp.m for mdp in mdps)
+    P, rewards = np.ones((len(mdps), width, 2)), np.ones((len(mdps), width))
+    for b, (mdp, k) in enumerate(zip(mdps, order)):
+        P[b, :mdp.m], rewards[b, :mdp.m] = mdp.P[k], mdp.rewards[k]
+    reports = _model_reports(twostate.check_batch(
+        np.array([mdp.gamma for mdp in mdps]), P, rewards,
+        np.array([[len(r) for r in mdp.state_rows] for mdp in mdps])))
     out = []
-    for b, mdp in enumerate(mdps):
+    for r, mdp in zip(reports, mdps):
         ids = [[mdp.ids[k] for k in rows] for rows in mdp.state_rows]
-        r = {name: field[..., b] if name == "pair" else field[b] for name, field in report.items()}
         fields = [int(r["max_iterations"]), [int(s) for s in r["set_sizes"] if s], bool(r["ok"])]
         if mdp.m >= 3:
             fields.append(bool(r["degenerate"]))
@@ -369,15 +381,97 @@ def _batch_fields(mdps) -> list[list]:
     return out
 
 
+def _suite_models(max_actions: int, first: int, n: int) -> list[Mdp]:
+    """The suite's specs, all three discounts."""
+    return [generate(GenSpec(n_states=2, gamma=(0.5, 0.9, 0.99)[i % 3], seed=first + i,
+                             structure="dense", max_actions=min(max_actions // 2, 6)))
+            for i in range(n)]
+
+
 @pytest.mark.parametrize("max_actions,first", [(4, 0), (6, 100_000), (12, 200_000)])
 def test_batches_match_single_model_reports(max_actions, first):
-    groups: dict[tuple[int, ...], list[Mdp]] = {}
-    for i in range(3_400):  # the suite's specs, all three discounts
-        mdp = generate(GenSpec(n_states=2, gamma=(0.5, 0.9, 0.99)[i % 3], seed=first + i,
-                               structure="dense", max_actions=min(max_actions // 2, 6)))
-        groups.setdefault(tuple(map(len, mdp.state_rows)), []).append(mdp)
-    for group in groups.values():
-        assert _batch_fields(group) == [_single_fields(mdp) for mdp in group]
+    mdps = _suite_models(max_actions, first, 3_400)
+    assert _batch_fields(mdps) == [_single_fields(mdp) for mdp in mdps]
+
+
+def _tied(mdp: Mdp, copies: int) -> Mdp:
+    """``mdp`` with the last action of each state repeated ``copies`` times: exact ties."""
+    extra = [Action(f"{a.id}_{c}", a.state, a.probs, a.reward) for rows in mdp.state_rows
+             for a in [mdp.actions[int(rows[-1])]] for c in range(copies)]
+    return Mdp(2, (*mdp.actions, *extra), mdp.gamma)
+
+
+def _flat(mdp: Mdp) -> Mdp:
+    """Every action of a state a copy of its first: one slope, so degenerate."""
+    return Mdp(2, tuple(Action(a.id, a.state, mdp.actions[int(mdp.state_rows[a.state][0])].probs,
+                               mdp.actions[int(mdp.state_rows[a.state][0])].reward)
+                        for a in mdp.actions), mdp.gamma)
+
+
+def _report_rows(slices) -> list[tuple]:
+    """Each model's report fields as bytes, set sizes without their padding zeros."""
+    return [tuple(np.trim_zeros(field).tobytes() if name == "set_sizes" else
+                  np.asarray(field).tobytes() for name, field in sorted(report.items()))
+            for report in _model_reports(slices)]
+
+
+def _padded_and_exact(mdps) -> tuple[list[tuple], list[tuple]]:
+    """Each model's ``check_batch`` fields from the padded shape classes, and from one
+    exact-shape ``_check_class`` per pair of action counts."""
+    order = [np.concatenate(mdp.state_rows) for mdp in mdps]
+    gamma = np.array([mdp.gamma for mdp in mdps])
+    P, rewards = np.ones((len(mdps), 12, 2)), np.ones((len(mdps), 12))
+    for b, (mdp, k) in enumerate(zip(mdps, order)):
+        P[b, :mdp.m], rewards[b, :mdp.m] = mdp.P[k], mdp.rewards[k]
+    counts = np.array([[len(r) for r in mdp.state_rows] for mdp in mdps])
+    padded = _report_rows(twostate.check_batch(gamma, P, rewards, counts))
+    exact = [None] * len(mdps)
+    for shape in {tuple(c) for c in counts.tolist()}:
+        group = np.flatnonzero((counts == shape).all(axis=1))
+        rows = _report_rows([(np.arange(len(group)), twostate._check_class(
+            gamma[group], P[group], rewards[group], counts[group], shape))])
+        for b, row in zip(group.tolist(), rows):
+            exact[b] = row
+    return padded, exact
+
+
+@pytest.mark.parametrize("max_actions,first", [(4, 300_000), (6, 400_000), (12, 500_000)])
+def test_padded_classes_match_exact_shapes_bit_for_bit(monkeypatch, max_actions, first):
+    # the suite's models, some with exact ties and some degenerate, in one batch, every
+    # model padded however many share its counts
+    monkeypatch.setattr(twostate, "_OWN_SHAPE", 10**9)
+    mdps = _suite_models(max_actions, first, 600)
+    mdps += [_tied(mdp, 1) for mdp in mdps[:60] if mdp.m <= 10]
+    mdps += [_flat(mdp) for mdp in mdps[60:120]]
+    padded, exact = _padded_and_exact(mdps)
+    assert padded == exact
+    assert any(_single_fields(mdp)[3] for mdp in mdps if mdp.m >= 3)  # a degenerate one
+
+
+def test_padded_classes_match_exact_shapes_when_every_action_ties(monkeypatch):
+    # within a tie tolerance of 1e9 no round loses an action: every model is flagged
+    monkeypatch.setattr(twostate, "TIE_TOL", 1e9)
+    monkeypatch.setattr(twostate, "_OWN_SHAPE", 10**9)
+    mdps = _suite_models(12, 600_000, 400)
+    padded, exact = _padded_and_exact(mdps)
+    assert padded == exact
+    assert all(not _single_fields(mdp)[2] for mdp in mdps if mdp.m >= 3)
+
+
+def test_a_block_is_checked_in_four_classes_unless_many_models_share_their_counts(monkeypatch):
+    shapes, check = collections.Counter(), twostate._check_class
+
+    def spy(gamma, P, rewards, counts, shape):
+        shapes[shape] += len(gamma)
+        return check(gamma, P, rewards, counts, shape)
+
+    monkeypatch.setattr(twostate, "_check_class", spy)
+    expected = run_twostate_suite(1000, 12, 7)  # about 28 models per pair of counts
+    assert set(shapes) == {(3, 3), (3, 6), (6, 3), (6, 6)} and shapes.total() == 1000
+    shapes.clear()
+    monkeypatch.setattr(twostate, "_OWN_SHAPE", 20)
+    assert run_twostate_suite(1000, 12, 7) == expected
+    assert len(shapes) > 20 and shapes.total() == 1000
 
 
 def _depth_reference(nxt: list[int], cycle_depth: int) -> list[int]:
@@ -400,6 +494,14 @@ def _advantages_improving_to(nxt, k0, k1):
                  for k, target in zip((k0, k1), divmod(nxt, k1)))
 
 
+def _padded_advantages(adv, k0, k1, c0, c1):
+    """Per state, advantages of a k0 + k1 model padded to c0 + c1 rows as the suite pads:
+    the last real row of a state repeated, and each padded pair a copy of its real pair."""
+    i, j = np.minimum(np.arange(c0), k0 - 1), np.minimum(np.arange(c1), k1 - 1)
+    pairs = (i[:, None] * k1 + j).ravel()
+    return adv[0][:, i][:, :, pairs], adv[1][:, j][:, :, pairs]
+
+
 @pytest.mark.parametrize("k0,k1", [(1, 1), (1, 2), (3, 1), (2, 3), (6, 6)])
 def test_depths_match_the_walk_with_and_without_cycles(k0, k1):
     rng, pairs = np.random.default_rng(k0 * k1), k0 * k1
@@ -413,6 +515,15 @@ def test_depths_match_the_walk_with_and_without_cycles(k0, k1):
             assert depth == _depth_reference(row, 99)
             cycles += max(depth) >= 99
     assert cycles or pairs == 1
+    # padded to 6 + 6 rows, each model with its own cycle depth: a padded start counts 0
+    real = (np.arange(6)[:, None] < k0) & (np.arange(6) < k1)
+    cycle_depth = 90 + np.arange(len(nxt)) % 7
+    got = twostate._depths(_padded_advantages(_advantages_improving_to(nxt, k0, k1),
+                                              k0, k1, 6, 6),
+                           cycle_depth, np.broadcast_to(real.ravel(), (len(nxt), 36)))
+    for row, depth, cycle in zip(nxt.tolist(), got, cycle_depth.tolist()):
+        assert depth[real.ravel()].tolist() == _depth_reference(row, cycle)
+        assert not depth[~real.ravel()].any()
 
 
 def test_a_cycle_gives_every_start_that_enters_it_the_same_depth():
@@ -483,7 +594,9 @@ def test_broken_bounds_and_chains_are_worded_as_the_one_model_loop(monkeypatch, 
 
     def broken(*args):
         out = real(*args)
-        return np.full_like(out, args[1]) if kernel == "_depths" else (*out[:5], out[5] - 1.0)
+        if kernel == "_depths":  # each model's cycle depth at every start it walks
+            return np.where(out > 0, np.reshape(args[1], (-1, 1)), 0)
+        return (*out[:5], out[5] - 1.0)
 
     monkeypatch.setattr(twostate, kernel, broken)
     got = run_twostate_suite(100, 12, 3)
@@ -510,8 +623,8 @@ def test_flagging_every_instance_changes_nothing(monkeypatch):
     batch = twostate.check_batch
 
     def flag_all(*args):
-        report = batch(*args)
-        return {**report, "ok": np.zeros_like(report["ok"])}
+        return ((part, {**report, "ok": np.zeros_like(report["ok"])})
+                for part, report in batch(*args))
 
     expected = run_twostate_suite(300, 12, 9)
     monkeypatch.setattr(twostate, "check_batch", flag_all)
@@ -547,32 +660,47 @@ def test_block_draws_give_each_instance_its_own_draw(monkeypatch, max_actions, b
     rejecting = (s for s in itertools.count() if _rejects(_suite_spec(max_actions, s)))
     n = list(itertools.islice(rejecting, 3))[-1] + 1
     draws = [gen._draw(np.random.default_rng(i), _suite_spec(max_actions, i)) for i in range(n)]
-    expected = collections.Counter()
-    for start in range(0, n, block):  # a block's batches: one per count pair, in seed order
-        groups = collections.defaultdict(list)
-        for i in range(start, min(start + block, n)):
-            groups[tuple(draws[i][0].tolist())].append(i)
-        for (k0, _), index in groups.items():
-            expected[k0, np.array([(0.5, 0.9, 0.99)[i % 3] for i in index]).tobytes(),
-                     np.array([draws[i][2] for i in index]).tobytes(),
-                     np.array([draws[i][3] for i in index]).tobytes()] += 1
+    expected = collections.Counter(
+        (tuple(draws[i][0].tolist()), (0.5, 0.9, 0.99)[i % 3], draws[i][2].tobytes(),
+         draws[i][3].tobytes()) for i in range(n))
     got, fallbacks, draw, check = collections.Counter(), [], gen._draw, twostate.check_batch
 
     def spy_draw(rng, spec):
         fallbacks.append(spec)
         return draw(rng, spec)
 
-    def spy_check(gamma, P, rewards, k0):
-        got[k0, gamma.tobytes(), P.tobytes(), rewards.tobytes()] += 1
-        return check(gamma, P, rewards, k0)
+    def spy_check(gamma, P, rewards, counts):  # one call per block
+        for b, (k0, k1) in enumerate(counts.tolist()):
+            got[(k0, k1), float(gamma[b]), P[b, :k0 + k1].tobytes(),
+                rewards[b, :k0 + k1].tobytes()] += 1
+        got["calls"] += 1
+        return check(gamma, P, rewards, counts)
 
     monkeypatch.setattr(acceptance, "_SUITE_BLOCK", block)
+    monkeypatch.setattr(acceptance, "_PAIR_DRAWS_FROM", 1)  # every block through the kernel
     monkeypatch.setattr(gen, "_draw", spy_draw)
     monkeypatch.setattr(twostate, "check_batch", spy_check)
     run_twostate_suite(n, max_actions, 0)
+    assert got.pop("calls") == -(-n // block)
     assert got == expected
     assert len(fallbacks) == 3
     assert all(spec.max_actions == _suite_spec(max_actions, 0).max_actions for spec in fallbacks)
+
+
+@pytest.mark.parametrize("n", [1, 5, 23, 24, 30])
+def test_suites_below_the_crossover_draw_each_instance_alone(monkeypatch, n):
+    calls, kernel = [], gen._dense_pair_draws
+
+    def spy(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    expected = _suite_reference(n, 12, 7)
+    monkeypatch.setattr(gen, "_dense_pair_draws", spy)
+    seeds = _spy_draw_seeds(monkeypatch)
+    assert run_twostate_suite(n, 12, 7) == expected
+    assert calls == ([7] if n >= acceptance._PAIR_DRAWS_FROM else [])
+    assert n >= acceptance._PAIR_DRAWS_FROM or seeds == list(range(7, 7 + n))
 
 
 def _spy_draw_seeds(monkeypatch) -> list[int]:
@@ -588,13 +716,16 @@ def _spy_draw_seeds(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("max_actions", [2, 12])
-@pytest.mark.parametrize("seed", [2**64 - 20, 2**128 - 1])
-def test_seeds_past_two_to_the_64_go_through_draw(monkeypatch, seed, max_actions):
-    # the first block straddles 2**64 (or lies wholly past it), the second does not
+@pytest.mark.parametrize("seed", [2**64 - 20, 2**128 - 20, 2**128 - 1])
+def test_seeds_past_two_to_the_64_are_drawn_in_blocks(monkeypatch, seed, max_actions):
+    # the first block straddles 2**64 or 2**128 (or lies wholly past them), the second does
+    # not; only instances with a rejected row are drawn again
     monkeypatch.setattr(acceptance, "_SUITE_BLOCK", 30)
+    monkeypatch.setattr(acceptance, "_PAIR_DRAWS_FROM", 1)
+    rejecting = [s for s in range(seed, seed + 40) if _rejects(_suite_spec(max_actions, s))]
     seeds = _spy_draw_seeds(monkeypatch)
     got = run_twostate_suite(40, max_actions, seed)
-    assert {s for s in range(seed, seed + 40) if s >= 2**64} <= set(seeds)
+    assert seeds == rejecting
     assert got == _suite_reference(40, max_actions, seed)
 
 
