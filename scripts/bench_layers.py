@@ -7,6 +7,8 @@ max_actions=8, gamma=0.95)`` and times these layers on it, each over a fixed
 number of repeats:
 
 - ``bellman_optimal``: one greedy backup at random values;
+- ``greedy_sparse``: the greedy kernel alone (``core.greedy``) on that
+  backup's ``q_values``, a median of 200 calls;
 - ``vi_iteration``: the marginal cost of one synchronous value-iteration
   step, from runs of 1 and 21 steps;
 - ``vi_filtered_iteration``: the same for a run with the action filter,
@@ -100,6 +102,10 @@ Two layers run the certificate's checks:
   on the normalized ``GenSpec(structure="wielandt", n_states=50,
   min_actions=3, max_actions=3, gamma=0.999)`` model is a synchronous greedy
   run, as ``certify`` makes it;
+- ``vi_wielandt_2402``: that whole time-stopped run, from the same random
+  start, as a median of 7 runs;
+- ``greedy_wielandt_50``: the greedy kernel on that model's ``q_values`` at
+  the run's start, a median of 200 calls;
 - ``trace_from_csv_2402``: reading that run's trace CSV (2,403 rows of 50
   values), the read ``certify`` makes.
 
@@ -145,7 +151,7 @@ from mdpgeo.analysis import _verify_sync_recurrence, primitivity, wielandt_bound
 from mdpgeo.cli import _load_mdp
 from mdpgeo.cli import main as cli_main
 from mdpgeo.cli import mdp_from_json, mdp_to_json, trace_from_csv, trace_to_csv
-from mdpgeo.core import Mdp, bellman_optimal, validate
+from mdpgeo.core import Mdp, bellman_optimal, greedy, q_values, validate
 from mdpgeo import cli, core, gen
 from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import (
@@ -168,6 +174,7 @@ READ_DENSE_N = 200
 TWOSTATE_REPEATS = 50
 SUITE_REPEATS = 21  # a median of 5 moved by +-40 % between runs of the script
 SPARSE_REPEATS = 15  # the same for the sparse model's generate and write rows
+GREEDY_REPEATS = 200
 
 
 def _compact(n: int, ids, state_of, P, rewards) -> str:
@@ -305,6 +312,7 @@ def main() -> None:
     mdp = generate(spec)
     v = np.random.default_rng([args.seed, 1]).uniform(0.0, 1.0, size=mdp.n_states)
     bellman_optimal(mdp, v)  # fills the model's cached arrays
+    q = q_values(mdp, v)
 
     def steps(t: int, **filtered) -> float:
         t0 = time.perf_counter()
@@ -319,6 +327,7 @@ def main() -> None:
     active = np.ones(mdp.m, dtype=bool)
     layers = {
         "bellman_optimal": _summary(_times(lambda: bellman_optimal(mdp, v), 50)),
+        "greedy_sparse": _summary(_times(lambda: greedy(mdp, q), GREEDY_REPEATS)),
         "vi_iteration": _summary(vi),
         "vi_filtered_iteration": _summary(vi_filtered),
         "filter_appendix": _summary(_times(lambda: filter_appendix(mdp, 100, v100, active), 20)),
@@ -376,8 +385,12 @@ def main() -> None:
                                             seed=args.seed, structure="wielandt",
                                             min_actions=3, max_actions=3)))
     v0 = np.random.default_rng([args.seed, 3]).uniform(0.0, 1.0, size=WIELANDT_TRACE_N)
-    run = value_iteration(wiel, ViConfig(stop="time", t_max=wielandt_bound(WIELANDT_TRACE_N),
-                                         v0="given", v0_values=tuple(v0)))
+    wiel_cfg = ViConfig(stop="time", t_max=wielandt_bound(WIELANDT_TRACE_N), v0="given",
+                        v0_values=tuple(v0))
+    run = value_iteration(wiel, wiel_cfg)
+    layers["vi_wielandt_2402"] = _summary(_times(lambda: value_iteration(wiel, wiel_cfg), 7))
+    wiel_q = q_values(wiel, v0)
+    layers["greedy_wielandt_50"] = _summary(_times(lambda: greedy(wiel, wiel_q), GREEDY_REPEATS))
     layers["verify_recurrence"] = _summary(
         _times(lambda: _verify_sync_recurrence(wiel, run.values, 1.0), 5))
     trace_text = trace_to_csv(run)

@@ -179,7 +179,9 @@ def _verify_sync_recurrence(mdp: Mdp, values: np.ndarray, alpha: float) -> np.nd
     Returns the per-step residuals max |V_{t+1} - (1-alpha) V_t - alpha u_t|,
     u_t the greedy backup of V_t.  Steps are checked RECURRENCE_BLOCK at a
     time, one ``P @ V.T`` gemm and one greedy pass each, so the work memory
-    stays at RECURRENCE_BLOCK * m floats; the first failing step is reported.
+    stays at a few times RECURRENCE_BLOCK * m floats (the product, its columns
+    laid out for the kernel and the kernel's gather of them); the first
+    failing step is reported.
     A referee's own product: judged at RECURRENCE_TOL, it needs no run's bits.
     """
     if values.ndim != 2 or values.shape[1] != mdp.n_states:

@@ -13,9 +13,15 @@ action's advantage at those values.  The (m, n) matrix of all coefficients,
 one action's row is formed alone (:func:`action_vector`, :func:`advantage`).
 
 Every greedy backup runs on one kernel, :func:`greedy`, over the action rows
-grouped by state in id order (``Mdp.groups``, built once per model): a
-``np.maximum.reduceat`` per-state maximum, then the first row attaining it,
-so ties go to the lowest action id exactly as ``np.argmax`` per state would.
+grouped by state in id order (``Mdp.groups``) and laid out once per model as
+padded tables (``Mdp.bands``): a row per state, filled up with copies of the
+state's first row.  States are banded by size so that pads never outnumber
+rows, and the tables hold at most 2m indices whatever the group sizes.  Per
+table, one gather from ``q`` and one ``argmax`` along the rows give each
+state's first best row, so ties go to the lowest action id (and NaN to the
+first NaN) exactly as ``np.argmax`` per state would; the maximum is ``q`` at
+that row.  A zero maximum takes its sign from numpy's max reduction over the
+state's rows, which picks among equal zeros by how its SIMD lanes split them.
 
 All types are immutable after construction and every operation here is a
 pure function of its inputs, so instances can be shared freely across
@@ -127,9 +133,10 @@ class Mdp:
     ``Mdp(n_states, actions, gamma)`` or by :meth:`from_arrays`; both check
     shapes only, so call :func:`validate` for the full invariant check.
     :func:`validate` reads the arrays at every call, while what is derived
-    from them (own-state probabilities, per-state rows sorted by action id,
-    the id index, the ``actions`` records, ``twostate``'s per-model core) is
-    formed once, so an array handed to a model must not change afterwards.
+    from them (own-state probabilities, per-state rows sorted by action id
+    and their padded tables, the id index, the ``actions`` records,
+    ``twostate``'s per-model core) is formed once, so an array handed to a
+    model must not change afterwards.
     The coefficient matrix ``coeffs`` is as large as ``P`` and is formed at
     each access instead.
     """
@@ -201,6 +208,32 @@ class Mdp:
         order = order[(self.state_of[order] >= 0) & (self.state_of[order] < self.n_states)]
         sizes = np.bincount(self.state_of[order], minlength=self.n_states)
         return _freeze(order), _freeze(np.cumsum(sizes) - sizes), _freeze(sizes)
+
+    @cached_property
+    def bands(self) -> tuple[tuple[np.ndarray | slice, np.ndarray], ...]:
+        """``groups`` as padded tables: ``(states, table)`` pairs where row i of
+        the (len(states), w) ``table`` holds the rows of state ``states[i]`` in
+        id order, then copies of its first row up to width w.  Largest first, a
+        band takes states while they average at least w/2 rows, so pads never
+        outnumber rows (at most 2m entries in all) and each band is under half
+        as wide as the one before.  ``states`` is ``slice(None)`` when one table
+        holds every state in order; states without rows are in no table."""
+        order, starts, sizes = self.groups
+        by_size = np.argsort(-sizes, kind="stable")
+        by_size = by_size[sizes[by_size] > 0]
+        out, i = [], 0
+        while i < by_size.size:
+            k = sizes[by_size[i:]]
+            w = int(k[0])
+            j = i + int(np.count_nonzero(2 * np.cumsum(k) >= w * np.arange(1, k.size + 1)))
+            states = np.sort(by_size[i:j])
+            cols = np.arange(w)
+            table = order[starts[states, None] + np.where(cols < sizes[states, None], cols, 0)]
+            out.append((states, _freeze(table)))
+            i = j
+        if len(out) == 1 and out[0][0].size == self.n_states:
+            out = [(slice(None), out[0][1])]
+        return tuple(out)
 
     @cached_property
     def state_rows(self) -> tuple[np.ndarray, ...]:
@@ -355,21 +388,27 @@ def greedy(mdp: Mdp, q: np.ndarray, error=ModelError) -> tuple[np.ndarray, np.nd
 
     ``q`` holds one entry per action row, shape ``(m,)``, or one column per
     value vector, shape ``(m, k)``; the results have shape ``(n,)`` resp.
-    ``(n, k)``.  Ties go to the lowest action id.  Inactive rows are marked
-    -inf; a state with no rows, or with only -inf entries, raises ``error``.
+    ``(n, k)``, and column j of them is the result for ``q[:, j]``.  Ties go
+    to the lowest action id.  Inactive rows are marked -inf; a state with no
+    rows, or with only -inf entries, raises ``error``.
     """
     order, starts, sizes = mdp.groups
-    if not sizes.all():  # reduceat reads an element, not the identity, on empty runs
+    if np.count_nonzero(sizes) < mdp.n_states:
         raise error(f"state {int(np.argmin(sizes))} has no actions")
-    qs = q[order]
-    u = np.maximum.reduceat(qs, starts)
-    if (u == -np.inf).any():
+    x = q if q.ndim == 1 else np.ascontiguousarray(q.T)  # each column a contiguous row
+    pos = np.empty(x.shape[:-1] + (mdp.n_states,), dtype=np.intp)
+    for states, table in mdp.bands:
+        pos[..., states] = x.take(table, axis=-1).argmax(axis=-1)
+    rows = order[starts + pos]
+    u = x[rows] if x.ndim == 1 else np.take_along_axis(x, rows, axis=-1)
+    if np.count_nonzero(u) < u.size:
+        # equal zeros may differ in sign: a zero maximum takes the sign that
+        # numpy's max reduction over the state's rows picks
+        zero = u == 0.0
+        u[zero] = np.maximum.reduceat(x.take(order, axis=-1), starts, axis=-1)[zero]
+    u, rows = u.T, rows.T
+    if np.count_nonzero(u == -np.inf):
         raise error(f"state {int(np.nonzero(u == -np.inf)[0][0])} has no active action")
-    hit = (qs == u.repeat(sizes, axis=0)) | np.isnan(qs)  # np.argmax picks the first NaN
-    pos = np.arange(len(qs))
-    if qs.ndim == 2:
-        pos = pos[:, None]
-    rows = order[np.minimum.reduceat(np.where(hit, pos, len(qs)), starts)]
     return u, rows
 
 

@@ -315,11 +315,13 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
     with np.errstate(over="ignore"):  # a row at -inf beside a finite one is never chosen
         q = q_values(mdp, v)  # shared by the filter at v and the next greedy pass
     overflow = lambda _: ModelError("value vector has non-finite entries")  # noqa: E731
+    filtering, sync = cfg.filter == "appendix", cfg.schedule == "sync"
     active = np.ones(mdp.m, dtype=bool)
     cap = None if cfg.stop == "time" else hard_iteration_cap(gamma)
 
     values = [v]
-    counts = [mdp.m]
+    count = mdp.m
+    counts = [count]
     rows: list[np.ndarray] = []
     filtered: list[tuple[str, ...]] = []
     fallbacks = 0
@@ -334,10 +336,10 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
         if cfg.stop == "time":
             return "time" if t == cfg.t_max else None
         if cfg.stop == "span":
-            return "span" if t >= 1 and span(values[t] - values[t - 1]) <= threshold else None
+            return "span" if t >= 1 and span(v - values[-2]) <= threshold else None
         if cfg.stop == "value_span":
-            return "value_span" if span(values[t]) < threshold else None
-        return "actions" if counts[t] == n else None
+            return "value_span" if span(v) < threshold else None
+        return "actions" if count == n else None
 
     t = 0
     stop_reason = None
@@ -349,19 +351,24 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
             stop_reason = "cap"
             break
         t0 = time.perf_counter() if cfg.record_wall_clock else 0.0
-        sel = cfg.states_for(t, n)
-        u, best = greedy(mdp, np.where(active, q, -np.inf), error=overflow)
-        v_new = v.copy()
-        v_new[sel] = (1.0 - alpha) * v[sel] + alpha * u[sel]
-        as_values(v_new, n)  # ModelError on an inf or NaN entry
+        u, best = greedy(mdp, np.where(active, q, -np.inf) if filtering else q, error=overflow)
+        if sync:
+            v_new = (1.0 - alpha) * v + alpha * u
+        else:
+            sel = cfg.states_for(t, n)
+            v_new = v.copy()
+            v_new[sel] = (1.0 - alpha) * v[sel] + alpha * u[sel]
+        if np.count_nonzero(np.isfinite(v_new)) < n:
+            raise ModelError("value vector has non-finite entries")
         with np.errstate(over="ignore"):
             q = q_values(mdp, v_new)
         removed: tuple[str, ...] = ()
-        if cfg.filter == "appendix":
+        if filtering:
             active, removed, fell_back = filter_appendix(mdp, t + 1, v_new, active, q)
             fallbacks += fell_back
+            count = int(active.sum())
         values.append(v_new)
-        counts.append(int(active.sum()))
+        counts.append(count)
         rows.append(best.astype(np.int32))
         filtered.append(removed)
         if cfg.record_wall_clock:
@@ -369,7 +376,7 @@ def value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
         v = v_new
         t += 1
 
-    _, best = greedy(mdp, np.where(active, q, -np.inf), error=overflow)
+    _, best = greedy(mdp, np.where(active, q, -np.inf) if filtering else q, error=overflow)
     return RunTrace(
         values=np.vstack(values),
         active_counts=np.array(counts, dtype=np.intp),

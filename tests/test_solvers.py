@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from math import ceil, log
 from unittest import mock
@@ -6,7 +7,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 
 from mdpgeo import solvers
 from mdpgeo.core import (
@@ -15,6 +16,8 @@ from mdpgeo.core import (
     ModelError,
     Policy,
     advantages,
+    as_values,
+    greedy,
     policy_from_ids,
     q_values,
     span,
@@ -560,3 +563,148 @@ class TestSolveExact:
         np.testing.assert_allclose(
             mdp.rewards[rows] + 0.9 * mdp.P[rows] @ v, v, atol=1e-10
         )
+
+
+# The value-iteration loop as it was before its step was pruned to the work
+# the step needs, verbatim but for its name: every trace field of the
+# pruned loop must be its bits.
+def reference_value_iteration(mdp: Mdp, cfg: ViConfig) -> RunTrace:
+    """Run the general value-iteration loop until a stop rule fires.
+
+    Each iteration greedily backs up the current values over the active
+    action set, blends with the learning rate on the scheduled states, then
+    applies the filter.  Non-time stops are additionally guarded by a hard
+    iteration cap; hitting it ends the run with stop_reason="cap".  An
+    iterate with an inf or NaN entry ends the run at once in ModelError.
+    """
+    validate(mdp)
+    cfg.validate_for(mdp)
+    n = mdp.n_states
+    gamma, alpha = mdp.gamma, cfg.alpha
+
+    v = cfg.initial_values(mdp)
+    with np.errstate(over="ignore"):  # a row at -inf beside a finite one is never chosen
+        q = q_values(mdp, v)  # shared by the filter at v and the next greedy pass
+    overflow = lambda _: ModelError("value vector has non-finite entries")  # noqa: E731
+    active = np.ones(mdp.m, dtype=bool)
+    cap = None if cfg.stop == "time" else hard_iteration_cap(gamma)
+
+    values = [v]
+    counts = [mdp.m]
+    rows: list[np.ndarray] = []
+    filtered: list[tuple[str, ...]] = []
+    fallbacks = 0
+    wall: list[float] = []
+
+    if cfg.stop == "span":
+        threshold = cfg.epsilon * (1.0 - gamma) / gamma
+    elif cfg.stop == "value_span":
+        threshold = cfg.epsilon * (1.0 - gamma) / (gamma * (1.0 + gamma))
+
+    def should_stop(t: int) -> str | None:
+        if cfg.stop == "time":
+            return "time" if t == cfg.t_max else None
+        if cfg.stop == "span":
+            return "span" if t >= 1 and span(values[t] - values[t - 1]) <= threshold else None
+        if cfg.stop == "value_span":
+            return "value_span" if span(values[t]) < threshold else None
+        return "actions" if counts[t] == n else None
+
+    t = 0
+    stop_reason = None
+    while True:
+        stop_reason = should_stop(t)
+        if stop_reason is not None:
+            break
+        if cap is not None and t >= cap:
+            stop_reason = "cap"
+            break
+        t0 = time.perf_counter() if cfg.record_wall_clock else 0.0
+        sel = cfg.states_for(t, n)
+        u, best = greedy(mdp, np.where(active, q, -np.inf), error=overflow)
+        v_new = v.copy()
+        v_new[sel] = (1.0 - alpha) * v[sel] + alpha * u[sel]
+        as_values(v_new, n)  # ModelError on an inf or NaN entry
+        with np.errstate(over="ignore"):
+            q = q_values(mdp, v_new)
+        removed: tuple[str, ...] = ()
+        if cfg.filter == "appendix":
+            active, removed, fell_back = filter_appendix(mdp, t + 1, v_new, active, q)
+            fallbacks += fell_back
+        values.append(v_new)
+        counts.append(int(active.sum()))
+        rows.append(best.astype(np.int32))
+        filtered.append(removed)
+        if cfg.record_wall_clock:
+            wall.append(time.perf_counter() - t0)
+        v = v_new
+        t += 1
+
+    _, best = greedy(mdp, np.where(active, q, -np.inf), error=overflow)
+    return RunTrace(
+        values=np.vstack(values),
+        active_counts=np.array(counts, dtype=np.intp),
+        rows=np.array(rows, dtype=np.int32).reshape(len(rows), n),
+        ids=mdp.ids,
+        filtered=tuple(filtered),
+        stop_reason=stop_reason,
+        final_policy=Policy(choice=tuple(mdp.ids[k] for k in best)),
+        filter_fallbacks=fallbacks,
+        wall_clock=np.array(wall) if cfg.record_wall_clock else None,
+    )
+
+
+@st.composite
+def vi_cases(draw):
+    """A model and a configuration over every schedule, rate, stop and filter
+    the loop accepts; a filtered run clips the rewards into [0, 1]."""
+    mdp = draw(mdps(max_states=5))
+    gamma = draw(st.sampled_from([0.3, 0.5, 0.9]))  # caps of 180 to 3,430 steps
+    rewards = mdp.rewards
+    filtered = draw(st.booleans())
+    if filtered:
+        rewards = np.clip(rewards, 0.0, 1.0)
+        kw = dict(filter="appendix", v0="upper_bound")
+        stop = draw(st.sampled_from(["time", "span", "value_span", "actions"]))
+    else:
+        kw = dict(alpha=draw(st.sampled_from([1.0, 0.5])),
+                  schedule=draw(st.sampled_from(["sync", "round_robin", "explicit"])),
+                  v0=draw(st.sampled_from(["zeros", "upper_bound"])))
+        stop = draw(st.sampled_from(["time", "span", "value_span"]))
+    n = mdp.n_states
+    if kw.get("schedule") == "round_robin":
+        kw["round_robin_k"] = draw(st.integers(1, n))
+    if kw.get("schedule") == "explicit":
+        kw["explicit_sets"] = tuple(draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n).map(tuple),
+            min_size=1, max_size=3)))
+    if stop == "time":
+        kw["t_max"] = draw(st.integers(0, 30))
+    elif stop != "actions":
+        kw["epsilon"] = draw(st.sampled_from([1e-1, 1e-4]))
+    mdp = Mdp.from_arrays(n, gamma, mdp.ids, mdp.state_of, mdp.P, rewards)
+    return mdp, ViConfig(stop=stop, **kw)
+
+
+_APART = Mdp(2, (Action("a", 0, (1.0, 0.0), 0.0), Action("b", 1, (0.0, 1.0), 1.0)), 0.3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vi_cases())
+@example((_APART, ViConfig(stop="value_span", epsilon=1e-4, v0="given",
+                           v0_values=(0.0, 1.0))))  # the span tends to 1/0.7: a cap stop
+def test_pruned_loop_is_the_reference_loop_bit_for_bit(case):
+    mdp, cfg = case
+    got, expect = value_iteration(mdp, cfg), reference_value_iteration(mdp, cfg)
+    event(f"{cfg.stop} stop ends in {expect.stop_reason}")
+    assert got.values.tobytes() == expect.values.tobytes()
+    assert got.values.shape == expect.values.shape
+    assert got.rows.dtype == expect.rows.dtype == np.int32
+    assert got.rows.tobytes() == expect.rows.tobytes() and got.rows.shape == expect.rows.shape
+    assert got.active_counts.tobytes() == expect.active_counts.tobytes()
+    assert got.filtered == expect.filtered
+    assert got.stop_reason == expect.stop_reason
+    assert got.final_policy == expect.final_policy
+    assert got.filter_fallbacks == expect.filter_fallbacks
+    assert got.wall_clock is expect.wall_clock is None
+    assert got.content_hash() == expect.content_hash()
