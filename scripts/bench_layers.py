@@ -107,7 +107,11 @@ Two layers run the certificate's checks:
 - ``greedy_wielandt_50``: the greedy kernel on that model's ``q_values`` at
   the run's start, a median of 200 calls;
 - ``trace_from_csv_2402``: reading that run's trace CSV (2,403 rows of 50
-  values), the read ``certify`` makes.
+  values), the read ``certify`` makes;
+- ``trace_to_csv_2402``: writing that run's trace CSV as text, the trace
+  ``solve-vi --trace`` writes (``trace_to_csv``), as a median of 7;
+- ``trace_to_csv_sparse_100``: the same for a 100-step time-stopped run of
+  value iteration on the sparse model above (101 rows of 1,000 values).
 
 Two more peaks, in MiB, show what the readers hold beyond their input:
 ``dense_read_peak_mib`` is the ``tracemalloc`` peak of ``mdp_from_json`` on
@@ -395,6 +399,9 @@ def main() -> None:
         _times(lambda: _verify_sync_recurrence(wiel, run.values, 1.0), 5))
     trace_text = trace_to_csv(run)
     layers["trace_from_csv_2402"] = _summary(_times(lambda: trace_from_csv(trace_text), 7))
+    layers["trace_to_csv_2402"] = _summary(_times(lambda: trace_to_csv(run), 7))
+    sparse_run = value_iteration(mdp, ViConfig(stop="time", t_max=100))
+    layers["trace_to_csv_sparse_100"] = _summary(_times(lambda: trace_to_csv(sparse_run), 7))
     read_peaks = {"dense_read_peak_mib": _peak_mib(lambda: mdp_from_json(dense_text)),
                   "trace_read_peak_mib": _peak_mib(lambda: trace_from_csv(trace_text))}
     # last: a large allocation and free here would change how fast later rows allocate

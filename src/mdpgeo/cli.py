@@ -25,9 +25,9 @@ into arrays allocated once, converting the values ``_BLOCK`` rows at a time: no
 reader holds a Python object per number beyond one row or one block.
 
 The writers stream: a model or trace file goes to disk in UTF-8 blocks of at
-most 64 actions or rows, each fed to sha256 as it is written, so no whole
-output file is ever held in memory.  Files are still written atomically (temp
-file + rename); ``output_hash`` is the digest of the bytes written.
+most 64 actions or rows (fewer rows of over 128 values), each fed to sha256 as
+it is written, so no whole output file is ever held in memory.  Files are still
+written atomically (temp file + rename); ``output_hash`` is the bytes' digest.
 
 Every command emits a deterministic JSON summary
 on stdout carrying the sha256 of its input files' bytes; timestamps never enter
@@ -429,19 +429,128 @@ def mdp_from_json(source, digest=None) -> Mdp:
 
 
 _TRACE_HEADER = ["t", "span_v", "span_dv", "active_actions", "stop_reason_final"]
+_G17_VALUES = 8192  # trace values printed at a time: bounds the kernel's arrays
+
+
+def _g17_tables() -> tuple:
+    """``_g17``'s tables: 10**j and its halves; 4-digit groups in ASCII and their last nonzero
+    digits; per class c = X + 6 (23: fallback) the point's and prefix's words and the bytes
+    kept per significant digits; per tail (``,``/newline after ``e-0X``?) and end, its words."""
+    p10, g = np.array([float(10**j) for j in range(23)]), np.arange(10000)  # exact
+    hi = 134217729.0 * p10 - (134217729.0 * p10 - p10)  # Veltkamp's split: 2**27 + 1
+    four = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    sig = np.where(g > 0, 4 - np.argmax(four[:, ::-1] > 0, axis=1), 0)
+    dots, heads, kept = np.zeros((24, 72), np.uint8), np.zeros((2, 48), np.uint64), []
+    for c, X in enumerate(range(-6, 18)):
+        t = X + 1 if X >= 0 else 1 if X < -4 else 24  # the point's byte: after digit X, or d0
+        dots[c, :t], dots[c, 25 + t:48], dots[c, 48 + t:49 + t] = 255, 255, ord(".")
+        kept.append([(m := max(d, X + 1, 1)) + (m > t) if c < 23 else 0 for d in range(18)])
+        for neg in (0, 1):
+            pre = b"-" * neg + b"0.000"[:1 - X] * (-4 <= X < 0) if c < 23 else b""
+            heads[:, 24 * neg + c] = 8 * len(pre), int.from_bytes(pre, "little")
+    tails = np.zeros((6, 24, 48), np.uint8)
+    for kind, tail in enumerate([b",", b"\n", b"e-06,", b"e-06\n", b"e-05,", b"e-05\n"]):
+        for end in range(25 - len(tail)):
+            tails[kind, end, :end], tails[kind, end, 24 + end:24 + end + len(tail)] = 255, [*tail]
+    return (np.stack([p10, hi, p10 - hi]),
+            (48 + four).astype(np.uint8).view("<u4").astype(np.uint64).ravel(),
+            ((np.arange(4)[:, None] * 4 + sig) * (sig > 0)).astype(np.int8),
+            dots.view("<u8").T.copy(), heads, np.array(kept).ravel(),
+            tails.reshape(144, 48).view("<u8").T.copy(), np.arange(24) < np.arange(25)[:, None])
+
+
+_P10S, _DIGITS, _SIGS, _DOTS, _HEADS, _KEPT, _TAILS, _MASKS = _g17_tables()
+
+
+def _g17_digits(x: np.ndarray) -> tuple:
+    """Per value its class, its significant digits, its 17 digits with the point as
+    three little-endian words; the indices of the fallbacks."""
+    a = np.abs(x)
+    nz = (a > 1e-6) & (a < 1e16)
+    a[~nz] = 1.0
+    k = np.clip(np.floor(np.log10(a)), -6, 15).astype(np.int64)
+    q, fl, at = np.empty_like(k), np.empty_like(k), slice(None)
+    for _ in range(2):  # a floor out of [10**16, 10**17) moves k by one, then falls back
+        b, bh, bl = (row.take(16 - k[at]) for row in _P10S)
+        p, c = a[at] * b, 134217729.0 * a[at]
+        ah = c - (c - a[at])
+        al = a[at] - ah
+        err = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # a * 10**j - p, exactly
+        floor = np.floor(err)
+        fl[at] = np.minimum(p, 2.0**62).astype(np.int64)  # p and floor in int64 range
+        fl[at] += np.clip(floor, -1024, 1024).astype(np.int64)
+        q[at] = fl[at] + ((err - floor > 0.5) | ((err - floor == 0.5) & (fl[at] & 1 == 1)))
+        miss = nz & ((fl < 10**16) | (fl >= 10**17))
+        at = np.flatnonzero(miss)
+        k[at] = np.clip(k[at] - np.where(fl[at] < 10**16, 1, -1), -6, 15)
+    fall = np.flatnonzero(miss | ~nz & (x != 0))
+    q *= nz & ~miss  # ±0 prints as the one digit 0
+    carry = q == 10**17
+    q[carry], k[fall] = 10**16, 17
+    g = []
+    for d in (10**16, 10**12, 10**8, 10**4):  # not %: floor division by a constant is SIMD
+        g.append(q // d)
+        q -= g[-1] * d
+    lead, g = g[0], g[1:] + [q]
+    t1, t2, t3, t4 = (_DIGITS.take(gi) for gi in g)
+    nd = np.max([sig.take(gi) for sig, gi in zip(_SIGS, g)], axis=0)
+    c = k + carry + 6
+    s = [(lead.view(np.uint64) + 48) | (t1 << 8) | (t2 << 40),  # digits 0-7, 8-15, 16
+         (t2 >> 24) | (t3 << 8) | (t4 << 40), t4 >> 24]
+    for i in (2, 1, 0):  # the point at byte t: the digits from t on move up a byte
+        up = (s[i] << 8) | (s[i - 1] >> 56) if i else s[0] << 8
+        s[i] = (s[i] & _DOTS[i].take(c)) | (up & _DOTS[3 + i].take(c)) | _DOTS[6 + i].take(c)
+    return c, nd + 1, s, fall
+
+
+def _g17(values: np.ndarray) -> list:
+    """Each row of ``values`` as ``'%.17g'`` prints its numbers, ``,`` between and a newline
+    after; ``%`` prints a row holding a fallback, a value not ±0 or in 1e-6 < |x| < 1e16.
+
+    k estimates X = floor(log10|x|), and j = 16 - k lies in [1, 22], so 10**j is exact.
+    Where |x| * 10**j >= 10**16 > 2**53, p = fl(|x| * 10**j) is an integer; Dekker's
+    product gives its exact error e, so the exact floor is p + floor(e).  It is checked
+    to lie in [10**16, 10**17) in int64, else k moves by one and a second miss falls
+    back, so no output depends on the bits of ``log10``.  There e, a multiple of
+    ulp(|x|) * 2**j >= 2**-51 below 8, and frac(e) are exact: the 17 digits round half to
+    even as ``'%.17g'`` does; a carry to 10**17 moves X up.  Fixed for -4 <= X < 17."""
+    x, n = values.ravel(), values.shape[1]
+    c, nd, s, fall = _g17_digits(x)
+    sh, pre = (head.take(np.signbit(x) * 24 + c) for head in _HEADS)
+    end = _KEPT.take(c * 18 + nd) + (sh >> 3).view(np.int64)
+    kind = (2 + 2 * c) * (c < 2)
+    kind.reshape(-1, n)[:, -1] += 1  # e-06, e-05 or neither; a newline ends each row
+    at = kind * 24 + end
+    w = np.empty((len(x), 3), "<u8")
+    for i in (2, 1, 0):  # the prefix goes first, then the tail at byte ``end``
+        word = (s[i] << sh) | (s[i - 1] >> (64 - sh)) if i else (s[0] << sh) | pre
+        w[:, i] = word & _TAILS[i].take(at) | _TAILS[3 + i].take(at)
+    end += 1 + 4 * (c < 2)
+    body = w.view(np.uint8).ravel()[_MASKS.take(end, axis=0).ravel()]
+    bounds = [0] + np.cumsum(end.reshape(-1, n).sum(axis=1)).tolist()
+    rows = [body[a:b] for a, b in zip(bounds, bounds[1:])]
+    for r in dict.fromkeys((fall // n).tolist()):  # not np.unique: it imports numpy.ma
+        rows[r] = (",".join(["%.17g"] * n) + "\n").encode() % tuple(values[r].tolist())
+    return rows
 
 
 def _trace_csv_blocks(trace: RunTrace) -> Iterator[bytes]:
-    """``trace_to_csv(trace)`` as UTF-8 bytes, ``_BLOCK`` lines a block."""
+    """``trace_to_csv(trace)`` as UTF-8 bytes, at most ``_BLOCK`` lines a block: fewer
+    when that many rows hold more than ``_G17_VALUES`` values."""
     n = trace.values.shape[1]
-    row = ",".join(["%d", "%.17g", "%.17g", "%d", "%s"] + ["%.17g"] * n) + "\n"
-    lines = itertools.chain([",".join(_TRACE_HEADER + [f"value_{i}" for i in range(n)]) + "\n"], (
-        row % (t, span_v, span_dv, active, trace.stop_reason, *values.tolist())
-        for t, (span_v, span_dv, active, values) in enumerate(zip(
-            trace.span_v.tolist(), trace.span_dv.tolist(), trace.active_counts.tolist(),
-            trace.values))))
-    while block := "".join(itertools.islice(lines, _BLOCK)):
-        yield block.encode()
+    row = "%d,%.17g,%.17g,%d,%s" + ("," if n else "\n")
+    header = ",".join(_TRACE_HEADER + [f"value_{i}" for i in range(n)]) + "\n"
+    heads = (row % fields for fields in zip(
+        itertools.count(), trace.span_v.tolist(), trace.span_dv.tolist(),
+        trace.active_counts.tolist(), itertools.repeat(trace.stop_reason)))
+    step = max(1, _G17_VALUES // max(n, 1))  # rows printed at a time
+    values = itertools.chain.from_iterable(_g17(trace.values[r:r + step]) for r in range(
+        0, len(trace.values), step)) if n else itertools.repeat(b"")
+    pieces = itertools.chain((header.encode(), b""), itertools.chain.from_iterable(
+        zip(map(str.encode, heads), values)))
+    size = 2 * min(_BLOCK, step)  # two pieces a line
+    while block := b"".join(itertools.islice(pieces, size)):
+        yield block
 
 
 def trace_to_csv(trace: RunTrace) -> str:

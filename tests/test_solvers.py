@@ -237,6 +237,23 @@ class TestFilter:
                 for aid in batch:
                     assert adv[mdp.row_of[aid]] < 0.0
 
+    def test_a_filtered_run_never_steps_on_a_dropped_row(self):
+        # state 1's rows a2 and a3 tie at V* = (1.5, 1.5); once the filter's slack is at
+        # rounding level it drops a3, and a step later a3's rounded q is the larger, so
+        # only the mask of dropped rows keeps the greedy step off it
+        a = np.array([0.1, 0.9, 0.0, 0.1])
+        mdp = Mdp.from_arrays(2, 0.5, ("a0", "a1", "a2", "a3"), np.array([0, 0, 1, 1]),
+                              np.stack([a, 1.0 - a], axis=1), np.array([0.75, 0.25, 0.75, 0.75]))
+        runs = [value_iteration(mdp, ViConfig(stop="time", t_max=60, v0="upper_bound", **kw))
+                for kw in ({"filter": "appendix"}, {})]
+        dropped, stepped_on = set(), []
+        for t, removed in enumerate(runs[0].filtered):
+            steps = [{mdp.ids[k] for k in run.rows[t]} & dropped for run in runs]
+            assert not steps[0], f"step {t} takes dropped rows {steps[0]}"
+            stepped_on += steps[1]
+            dropped.update(removed)
+        assert "a3" in stepped_on  # the unfiltered run from the same start takes a3
+
     def test_dominated_twin_filtered_by_predicted_time(self):
         probs = np.array([0.3, 0.7, 0.0])
         base = [
