@@ -72,7 +72,10 @@ And one layer on a compact dense model that numpy builds (``n=200``, four
 actions per state, every probability positive), since the dense generator
 does not finish at that size:
 
-- ``mdp_from_json_compact_dense``: reading its JSON text.
+- ``mdp_from_json_compact_dense``: reading its JSON text;
+- ``mdp_from_json_indented_dense``: reading the same model as ``mdp_to_json``
+  writes it (indented, one number a line), the layout of the normalized dense
+  model that the benchmark's dense ``solve-vi`` and ``certify`` read.
 
 Seven layers run the two-state checks:
 
@@ -357,6 +360,9 @@ def main() -> None:
         layers["load_mdp_compact_sparse"] = _summary(_times(lambda: _load_mdp(path), 5))
     dense_text = _dense_text(args.seed)
     layers["mdp_from_json_compact_dense"] = _summary(_times(lambda: mdp_from_json(dense_text), 7))
+    indented_text = mdp_to_json(mdp_from_json(dense_text))
+    layers["mdp_from_json_indented_dense"] = _summary(
+        _times(lambda: mdp_from_json(indented_text), 7))
     checked = Mdp.from_arrays(mdp.n_states, mdp.gamma, mdp.ids, mdp.state_of, mdp.P.copy(),
                               mdp.rewards)
     layers["validate"] = _summary(_times(lambda: validate(checked), 20))

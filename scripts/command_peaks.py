@@ -15,10 +15,12 @@ measures that one) on three pipelines, in a temporary directory:
 - a compact dense model (n = 200, four actions per state, every probability
   positive, gamma = 0.95) that this script writes with numpy, as
   ``bench_layers.py`` does, since the dense generator does not finish at that
-  size; its first action per state earns 0 and the others less, so it is
-  normalized (every optimal value is 0).  Then ``gamma-eff``, a 20-step
-  ``solve-vi --trace`` from random values and ``certify`` on it: their peaks
-  are those of the dense model reader;
+  size; its first action per state earns 0 and the others less, so every
+  optimal value is 0.  Then ``gamma-eff`` on it, ``normalize``, and, as the
+  benchmark runs them, a 20-step ``solve-vi --trace`` from random values and
+  ``certify`` on the normalized model that ``normalize`` writes (indented, one
+  number a line): their peaks are those of the dense model reader on both
+  layouts;
 
 and on its own, ``twostate --suite 100000 --max-actions 12`` (instances from
 ``--seed``), whose peak shows whether the suite's memory grows with its size.
@@ -69,7 +71,7 @@ def _pipeline(d: str, seed: int) -> list[tuple[str, list[str]]]:
     p = lambda name: os.path.join(d, name)  # noqa: E731
     grid, wiel, norm = p("sparse.json"), p("wielandt.json"), p("normalized.json")
     _write_dense(d, seed)
-    dense = p("dense.json")
+    dense, dense_norm = p("dense.json"), p("dense_normalized.json")
     return [
         ("generate", ["generate", "--seed", str(seed), "--structure", "sparse",
                       "--n-states", "1000", "--sparse-k", "5", "--max-actions", "8",
@@ -84,9 +86,10 @@ def _pipeline(d: str, seed: int) -> list[tuple[str, list[str]]]:
                                "--trace", p("wielandt.csv")]),
         ("certify", ["certify", "--mdp", norm, "--trace", p("wielandt.csv")]),
         ("gamma-eff-dense", ["gamma-eff", "--mdp", dense]),
-        ("solve-vi-dense", ["solve-vi", "--mdp", dense, "--stop", "time:20",
+        ("normalize-dense", ["normalize", "--mdp", dense, "--out", dense_norm]),
+        ("solve-vi-dense", ["solve-vi", "--mdp", dense_norm, "--stop", "time:20",
                             "--v0", f"file:{p('dense_v0.json')}", "--trace", p("dense.csv")]),
-        ("certify-dense", ["certify", "--mdp", dense, "--trace", p("dense.csv")]),
+        ("certify-dense", ["certify", "--mdp", dense_norm, "--trace", p("dense.csv")]),
         ("twostate-suite", ["twostate", "--suite", "100000", "--max-actions", "12",
                             "--seed", str(seed)]),
     ]

@@ -14,15 +14,28 @@ that straddles a block's end; ``json`` parses the skeleton.  The second fills a
 preallocated ``P`` a chunk of rows at a time, read at the bodies' offsets.  When
 more than 3/4 of the fields of a sample of rows are ``0`` or ``0.0``, it skips
 each 8-byte word of the file that is a phase of a run of ``0.0`` fields, as both
-its neighbours are (it holds two whole zero fields); numpy checks the rest
-(every row has ``n_states`` fields, no whitespace splits a number) and ``json``
-converts its other fields; otherwise ``json`` converts each row where it stands.
-``P`` holds the very floats ``json.loads`` gives.  A message that names places in
-the file (bad UTF-8, a body holding a ``]``) comes from the whole file read again;
-a file whose size or mtime moves between the passes exits 65, and a stream that
-cannot seek is read into memory.  The trace reader walks its text line by line
-into arrays allocated once, converting the values ``_BLOCK`` rows at a time: no
-reader holds a Python object per number beyond one row or one block.
+its neighbours are (it holds two whole zero fields), and a chunk holds up to
+``_CHUNK`` bytes; otherwise a chunk holds at most ``_D2F_VALUES`` numbers.
+numpy checks the rest (every row has ``n_states`` fields, no whitespace splits a
+number) and finds its fields other than ``0`` and ``0.0``; ``_d2f`` converts them
+with ``mdpgeo.d2f``, an array kernel that turns decimal text into the float64
+``float`` gives (Eisel and Lemire's algorithm on 64-bit halves), ``_D2F_VALUES``
+at a time.  A chunk holding a number outside the kernel's class (more than 19
+significant digits, a value w * 10**q with q outside ``d2f.Q``, -96 to 31, so
+below about 1e-80 or above 1e47 for 17 digits, or any other spelling than
+JSON's) or fewer than ``_D2F_MIN`` numbers goes to ``json``, as does every chunk
+where numpy finds a problem in a model whose sample is not mostly zeros: ``json``
+reads its rows where they stand and names the problem.  ``P`` holds the
+very floats ``json.loads`` gives.  A message that names places in the file (bad
+UTF-8, a body holding a ``]``) comes from the whole file read again; a file whose
+size or mtime moves between the passes exits 65, and a stream that cannot seek is
+read into memory.  The trace reader walks its text line by line into arrays
+allocated once, a block of at most ``_D2F_VALUES`` fields at a time: ``_d2f``
+converts a block whose rows are well formed and whose numbers are in its class,
+and ``float`` the rows of any other, one row's head at a time; a number field
+holding an underscore or a character outside ASCII, which ``int`` and ``float``
+read (``1_0`` as 10), is malformed.  No reader holds a Python object per number
+beyond one row or one block.
 
 The writers stream: a model or trace file goes to disk in UTF-8 blocks of at
 most 64 actions or rows (fewer rows of over 128 values), each fed to sha256 as
@@ -90,7 +103,7 @@ _SPEC_TYPES = typing.get_type_hints(GenSpec)
 # file formats
 
 
-_BLOCK = 64  # model actions or trace rows per block written or read: bounds the text held
+_BLOCK = 64  # model actions or trace rows per block written: bounds the text held
 _ITEM = ",\n        "  # between two probabilities at indent=2
 _PROBS = json.JSONEncoder(separators=(_ITEM, ": "))  # no indent: json's C encoder
 _STRIDE = len("0.0" + _ITEM)
@@ -187,6 +200,30 @@ _CHUNK = 1 << 19  # bytes of probs text per fill step: bounds the text held and 
 # the 8-byte words of a run of "0.0" fields, at each phase; each holds two commas
 _ZERO_RUN = np.array([int.from_bytes(w, "little")
                      for w in (b",0.0,0.0", b"0.0,0.0,", b".0,0.0,0", b"0,0.0,0.")], dtype="<u8")
+
+
+_D2F_VALUES = 4096  # numbers read at a time: bounds the kernel's arrays
+_D2F_MIN = 1024  # fewer numbers are read faster by json or float than by the kernel
+
+
+def _d2f(data: bytes, first: np.ndarray, last: np.ndarray, json_ints: bool = False):
+    """The float64 of each field ``data[first[i]:last[i]]`` as ``float`` reads it (as
+    ``json`` does where ``json_ints``), read by ``mdpgeo.d2f`` ``_D2F_VALUES`` at a
+    time; None when a field is outside its class, or there are fewer than ``_D2F_MIN``.
+    The kernel's module is imported on the first read that uses it: compiled with
+    ``cli``, it would add about 1 MB to the memory of every process, also of those
+    that read no large model or trace."""
+    if len(first) < _D2F_MIN:
+        return None
+    from . import d2f
+
+    out = np.empty(len(first))
+    for k in range(0, len(first), _D2F_VALUES):
+        part = d2f.read(data, first[k:k + _D2F_VALUES], last[k:k + _D2F_VALUES], json_ints)
+        if part is None:
+            return None
+        out[k:k + _D2F_VALUES] = part
+    return out
 
 
 def _read_at(fh, a: int = 0, b: int | None = None) -> bytes:
@@ -296,18 +333,20 @@ def _zero_runs(words: np.ndarray, spans: np.ndarray) -> tuple[np.ndarray, ...]:
     return start[inside], stop[inside], body[inside], 2 * (last - first)[inside]
 
 
-def _fill_skipping_zeros(out: np.ndarray, data: bytes, rows: list[tuple[int, int]],
-                         n: int) -> None:
-    """Cut the proven zero runs (``_zero_runs``) out of the bodies and join what
-    is left, each body with its closing ``]``; numpy checks that text and finds
-    its fields that are exactly ``0`` or ``0.0``; ``json`` converts the others."""
+def _fill_with_numpy(out: np.ndarray, data: bytes, rows: list[tuple[int, int]], n: int,
+                     cut_runs: bool) -> None:
+    """Cut the proven zero runs (``_zero_runs``) out of the bodies where ``cut_runs``
+    and join what is left, each body with its closing ``]``; numpy checks that text and
+    finds its fields that are exactly ``0`` or ``0.0``; ``_d2f`` converts the others,
+    or ``json`` where one is outside its class."""
     spans = np.array(rows, dtype=np.int64)
     cut_start, cut_stop, cut_row, cut_fields = _zero_runs(
-        np.frombuffer(data, "<u8", len(data) // 8), spans)
-    body_ends = spans[:, 1] + 1
-    body_ends[-1] -= 1  # no "]" after the last body
-    starts = np.sort(np.concatenate((spans[:, 0], cut_stop)))
-    stops = np.sort(np.concatenate((body_ends, cut_start)))
+        np.frombuffer(data, "<u8", len(data) // 8), spans) if cut_runs else [np.empty(0, int)] * 4
+    starts, stops = spans[:, 0], spans[:, 1] + 1
+    stops[-1] -= 1  # no "]" after the last body
+    if cut_start.size:
+        starts = np.sort(np.concatenate((starts, cut_stop)))
+        stops = np.sort(np.concatenate((stops, cut_start)))
     raw = b"".join([data[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
     spaced = any(w in raw for w in (b" ", b"\n", b"\t", b"\r"))
     c = raw.translate(None, _WS) if spaced else raw
@@ -332,35 +371,41 @@ def _fill_skipping_zeros(out: np.ndarray, data: bytes, rows: list[tuple[int, int
         digit = ((w > ord(",")) | (w == ord("+"))) & (w != ord("]"))
         if np.count_nonzero(digit[1:] > digit[:-1]) + digit[0] != size.size:
             raise ModelError("action probs must hold one number between commas")
+        del digit
     keep = (size != 1) | (u[start] != ord("0"))
     three = size == 3
     at = start[three]
     keep[three] = (u[at] != ord("0")) | (u[at + 1] != ord(".")) | (u[at + 2] != ord("0"))
-    # each kept field with the separator before it; the first one becomes "["
-    picked = np.frombuffer(b"]" + c, np.uint8)[np.repeat(keep, size + 1)]
-    picked[picked == ord("]")] = ord(",")
-    try:
-        values = json.loads(b"[" + picked[1:].tobytes() + b"]")
-    except ValueError as exc:
-        raise ModelError(f"action probs must be JSON numbers: {exc}") from None
-    # the field that touches a cut is a zero, so a kept field comes after exactly the
-    # cuts with fewer separators before them than it has
-    if spaced:
-        sep = np.flatnonzero((w == ord(",")) | (w == ord("]")))
-    at_cut = np.cumsum(stops - starts)[np.searchsorted(stops, cut_start)]
     field = np.flatnonzero(keep)
-    before = np.searchsorted(np.searchsorted(sep, at_cut), field)
-    out[field + np.concatenate(([0], np.cumsum(cut_fields)))[before]] = _floats(
-        values, field.size)
+    if field.size < size.size:  # each kept field with the separator before it
+        c = np.frombuffer(b"]" + c, np.uint8)[np.repeat(keep, size + 1)].tobytes()[1:]
+        size = size[field]
+        start = np.cumsum(size + 1) - size - 1
+    del u, keep, three, at
+    values = _d2f(c, start, start + size, json_ints=True)
+    if values is None:  # json reads them, "," between
+        try:
+            values = _floats(json.loads(b"[" + c.replace(b"]", b",") + b"]"), field.size)
+        except ValueError as exc:
+            raise ModelError(f"action probs must be JSON numbers: {exc}") from None
+    if cut_start.size:  # the field that touches a cut is a zero, so a kept field comes
+        # after exactly the cuts with fewer separators before them than it has
+        if spaced:
+            sep = np.flatnonzero((w == ord(",")) | (w == ord("]")))
+        at_cut = np.cumsum(stops - starts)[np.searchsorted(stops, cut_start)]
+        before = np.searchsorted(np.searchsorted(sep, at_cut), field)
+        field += np.concatenate(([0], np.cumsum(cut_fields)))[before]
+    out[field] = values
 
 
 def _probs_matrix(fh, spans: list[tuple[int, int]], n: int) -> np.ndarray:
     """The (len(spans), n) matrix whose row k holds the numbers of bytes ``a:b``
     of ``fh`` for ``(a, b) = spans[k]``; ModelError unless each body is exactly n
-    JSON numbers separated by commas.  The zeros are skipped when they are more
-    than 3/4 of the fields of eight rows spread over the model: about where the
-    two fills cost the same (2/3 of the fields for compact text, 4/5 for indented).
-    A chunk is read from the 8-byte word of its first ``[`` to its last ``]``."""
+    JSON numbers separated by commas.  Runs of zeros are cut when zeros are more
+    than 3/4 of the fields of eight rows spread over the model, and numpy's checks
+    then name a problem; otherwise ``_fill_with_json`` reads a chunk in which they
+    find one, and names it as ``json`` does.  A chunk is read from the 8-byte word
+    of its first ``[`` to its last ``]``."""
     if n < 0 or any(b - a < 2 * n - 1 for a, b in spans):
         raise ModelError(f"every action's probs must hold n_states={n} numbers")
     try:
@@ -371,14 +416,18 @@ def _probs_matrix(fh, spans: list[tuple[int, int]], n: int) -> np.ndarray:
     fields = [f.strip(_WS) for a, b in sample for f in _read_at(fh, a, b).split(b",")]
     skip = 4 * (fields.count(b"0") + fields.count(b"0.0")) > 3 * len(sample) * n
     ends, r0 = np.array([b for _, b in spans]), 0
+    rows_at_once = len(spans) if skip else max(1, _D2F_VALUES // max(n, 1))
     while r0 < len(spans):  # the rows whose text fits in _CHUNK bytes, or one row
         r1 = max(r0 + 1, int(np.searchsorted(ends, spans[r0][0] + _CHUNK, "right")))
+        r1 = min(r1, r0 + rows_at_once)
         base, end = (spans[r0][0] - 1) // 8 * 8, spans[r1 - 1][1]
         data = _read_at(fh, base, max(end + 1, -(-end // 8) * 8))
         out, rows = P[r0:r1].reshape(-1), [(a - base, b - base) for a, b in spans[r0:r1]]
-        if skip:
-            _fill_skipping_zeros(out, data, rows, n)
-        else:
+        try:
+            _fill_with_numpy(out, data, rows, n, skip)
+        except ModelError:
+            if skip:
+                raise
             _fill_with_json(out, data, rows, n, lambda: (_read_at(fh), base))  # noqa: B023
         r0, data = r1, None  # one window at a time
     return P
@@ -560,34 +609,116 @@ def trace_to_csv(trace: RunTrace) -> str:
 _LINE = re.compile(r"[^\n]++")
 
 
+def _ascii_number(field: str) -> str:
+    """``field``, or ValueError where it holds an underscore or a character outside
+    ASCII: Python's number parsers read ``1_0`` as 10 and other scripts' digits."""
+    if "_" in field or not field.isascii():
+        raise ValueError(f"{field!r} is not a number in ASCII")
+    return field
+
+
 def _block_values(out: np.ndarray, tails: list[str], t0: int) -> None:
     """Write the comma-separated numbers of ``tails``, rows ``t0``, ``t0 + 1``, ...,
-    into ``out``, each converted by ``float``; every tail holds ``out.shape[1]``
-    fields, and ``out`` has a row for each tail unless a number fails to convert
-    (a row whose numbers convert is well formed, and the text has room for it)."""
-    if not tails or not out.shape[1]:
+    into ``out``, each converted by ``_d2f`` or else by ``float``; every tail holds
+    ``out.shape[1]`` fields, and ``out`` has a row for each tail unless a number fails
+    to convert (a row whose numbers convert is well formed, and the text has room for it)."""
+    rows, n = len(tails), out.shape[1]
+    if not rows or not n:
         return
+    data = ",".join(tails).encode()
+    sep = np.flatnonzero(np.frombuffer(data, np.uint8) == ord(","))
+    values = _d2f(data, np.concatenate(([0], sep + 1)), np.append(sep, len(data)))
+    if values is not None:
+        out[:] = values.reshape(rows, n)
+        return
+    del sep
     try:
-        out[:] = np.fromiter(map(float, ",".join(tails).split(",")), np.float64,
-                             len(tails) * out.shape[1]).reshape(len(tails), -1)
+        if b"_" in data or not data.isascii():
+            raise ValueError
+        out[:] = np.fromiter(map(float, data.split(b",")), np.float64, rows * n).reshape(rows, n)
     except ValueError:  # rescan to name the first bad row
         for t, tail in enumerate(tails, t0):
             try:
-                list(map(float, tail.split(",")))
+                for field in tail.split(","):
+                    float(_ascii_number(field))
             except ValueError as exc:
                 raise ModelError(f"trace row {t} is malformed: {exc}") from None
         raise
 
 
+def _rows_at_once(lines: list[str], t0: int, width: int):
+    """The values, counts and stop reason of ``lines``, rows ``t0``, ``t0 + 1``, ...;
+    None unless each holds ``width`` fields, its t is its number and its count a number
+    below 2**53, both in ASCII digits, and its spans, count and values are in ``_d2f``'s
+    class, as in every trace the writer prints."""
+    text = "\n".join(lines) + "\n"
+    if not text.isascii():
+        return None
+    data = (text + "\0" * (64 - len(text) % 32)).encode()  # room for d2f.marks
+    del text
+    u = np.frombuffer(data, np.uint8)
+    ends, rows = np.flatnonzero((u == ord(",")) | (u == ord("\n"))), len(lines)
+    if ends.size != rows * width or (u[ends[width - 1::width]] != ord("\n")).any():
+        return None
+    numbers = np.r_[0:4, 5:width]
+    if rows * numbers.size < _D2F_MIN:
+        return None
+    from . import d2f
+
+    ends = ends.reshape(rows, width)
+    starts = np.empty_like(ends)
+    starts[:, 1:], starts[1:, 0], starts[0, 0] = ends[:, :-1] + 1, ends[:-1, -1] + 1, 0
+    whole = starts[:, [0, 3]].ravel()  # t and the count
+    whole = d2f.marks((u - 48) > 9, d2f.fields_at(whole, ends[:, [0, 3]].ravel() - whole))
+    stop = data[starts[-1, 4]:ends[-1, 4]].decode()
+    first, last = starts[:, numbers].ravel(), ends[:, numbers].ravel()
+    del u, starts, ends
+    x = _d2f(data, first, last)
+    if x is None or whole.any():
+        return None
+    x = x.reshape(rows, -1)
+    if (x[:, 0] != np.arange(t0, t0 + rows)).any() or (x[:, 3] >= 2**53).any():
+        return None
+    return x[:, 4:], x[:, 3].astype(np.intp), stop
+
+
+def _rows_one_by_one(lines: list[str], t0: int, width: int, values: np.ndarray,
+                     counts: np.ndarray) -> tuple:
+    """Read ``lines``, rows ``t0``, ``t0 + 1``, ..., into ``values`` and ``counts`` up to
+    the first row with a problem: each row's first five fields are checked in turn, the
+    spans only as numbers, then the values of the rows before it are converted.  The
+    problem, or None, and the last stop reason read, or None."""
+    tails, pending, stop_reason, problem = [], [], None, None
+    for t, ln in enumerate(lines, t0):
+        fields = ln.count(",") + 1
+        if fields != width:
+            problem = f"trace row {t} has {fields} fields, expected {width}"
+            break
+        parts = ln.split(",", len(_TRACE_HEADER))
+        try:
+            if int(_ascii_number(parts[0])) != t:
+                raise ValueError(f"t={parts[0]}, expected {t}")
+            float(_ascii_number(parts[1])), float(_ascii_number(parts[2]))
+            pending.append(np.intp(_ascii_number(parts[3])))
+        except (ValueError, OverflowError) as exc:
+            problem = f"trace row {t} is malformed: {exc}"
+            break
+        stop_reason = parts[4]
+        tails.append(parts[-1])
+    _block_values(values[t0:t0 + len(pending)], tails, t0)
+    counts[t0:t0 + len(pending)] = pending
+    return problem, stop_reason
+
+
 def trace_from_csv(text: str) -> RunTrace:
     """Rebuild a trace from CSV; greedy rows are not stored on disk, so it has none.
 
-    The text is walked line by line into arrays allocated once.  Each row's
-    first five fields are checked in turn, the spans only as numbers; the value
-    fields are converted ``_BLOCK`` rows at a time, so a problem in them is
-    reported ahead of any problem in a later row, as a row-by-row read would.
-    A well-formed row holds at least ``2 * width - 1`` characters with the line
-    end before it, so the arrays hold no more rows than the text has room for:
+    The text is walked line by line into arrays allocated once, a block of lines
+    holding at most ``_D2F_VALUES`` fields at a time: ``_rows_at_once`` reads a block
+    of well-formed rows, and ``_rows_one_by_one`` any other, so a problem in a row's
+    values is reported ahead of any problem in a later row, as a row-by-row read
+    would.  A well-formed row holds at least ``2 * width - 1`` characters with the
+    line end before it, so the arrays hold no more rows than the text has room for:
     a wide header over short rows reaches its first short row, not a huge
     allocation."""
     lines = _LINE.finditer(text)
@@ -600,33 +731,19 @@ def trace_from_csv(text: str) -> RunTrace:
     size = sum(1 for _ in _LINE.finditer(text, first.end()))
     rows = min(size, (len(text) - first.end()) // (2 * width - 1))
     values, counts = np.empty((rows, n)), np.empty(rows, dtype=np.intp)
-    # the value fields and counts of the rows from t0 on, written once the values convert
-    tails, pending, t0, stop_reason, problem = [], [], 0, "", None
-    for t, line in enumerate(lines):
-        ln = line[0]
-        fields = ln.count(",") + 1
-        if fields != width:
-            problem = f"trace row {t} has {fields} fields, expected {width}"
+    t0, stop_reason = 0, ""  # row 0 alone: its span_dv is nan
+    for step in itertools.chain([1], itertools.repeat(max(1, _D2F_VALUES // width))):
+        if not (block := [line[0] for line in itertools.islice(lines, step)]):
             break
-        parts = ln.split(",", len(_TRACE_HEADER))
-        try:
-            if int(parts[0]) != t:
-                raise ValueError(f"t={parts[0]}, expected {t}")
-            float(parts[1]), float(parts[2])
-            pending.append(np.intp(parts[3]))
-        except (ValueError, OverflowError) as exc:
-            problem = f"trace row {t} is malformed: {exc}"
-            break
-        stop_reason = parts[4]
-        tails.append(parts[-1])
-        if len(tails) == _BLOCK:
-            _block_values(values[t0:t + 1], tails, t0)
-            counts[t0:t + 1] = pending
-            tails, pending, t0 = [], [], t + 1
-    _block_values(values[t0:t0 + len(tails)], tails, t0)
-    counts[t0:t0 + len(tails)] = pending
-    if problem:
-        raise ModelError(problem)
+        read = _rows_at_once(block, t0, width)
+        if read is None:
+            problem, last = _rows_one_by_one(block, t0, width, values, counts)
+            stop_reason = stop_reason if last is None else last
+            if problem:
+                raise ModelError(problem)
+        else:
+            values[t0:t0 + len(block)], counts[t0:t0 + len(block)], stop_reason = read
+        t0 += len(block)
     if not size:
         raise ModelError("trace file has no data rows")
     if not np.isfinite(values).all():

@@ -711,6 +711,12 @@ MALFORMED_TRACES = {
     "non_numeric_step": lambda ls: _set_field(ls, 4, 0, "x3"),
     "oversized_action_count": lambda ls: _set_field(ls, 1, 3, "9" * 30),
     "empty_file": lambda ls: [],
+    # Python's int and float read these as 10, 1, 12 and 2
+    "underscore_in_a_value": lambda ls: _set_field(ls, 3, -1, "1_0"),
+    "underscore_in_a_span": lambda ls: _set_field(ls, 3, 2, "1_0"),
+    "underscore_in_t": lambda ls: _set_field(ls, 2, 0, "0_1"),
+    "other_script_digits_in_a_value": lambda ls: _set_field(ls, 3, -1, "\u0661\u0662"),
+    "other_script_digit_as_a_count": lambda ls: _set_field(ls, 2, 3, "\u0662"),
 }
 
 
@@ -783,6 +789,17 @@ class TestMalformedInput:
             assert code == EX_OK and trace_hash in cap.out
             outs.append(cap.out.replace(trace_hash, "<trace>"))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("col, text", [(0, "0_1"), (1, "1_0"), (3, "\u0662"), (5, "1_0"),
+                                           (-1, "\u0661\u0662")])
+    def test_odd_digits_name_their_row(self, col, text, tmp_path, capsys):
+        model, lines = _trace_lines(tmp_path)
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(ln + "\n" for ln in _set_field(lines, 2, col, text)))
+        code, cap = run(capsys, "certify", "--mdp", model, "--trace", str(path))
+        assert (code, cap.out) == (EX_DATAERR, "")
+        assert cap.err == (f"error:ModelError:trace row 1 is malformed: {text!r} is not a "
+                           "number in ASCII\n")
 
     @pytest.mark.parametrize("col", [1, 2])
     def test_non_numeric_span_field_names_its_row(self, col, tmp_path, capsys):
@@ -1085,6 +1102,14 @@ class TestInputHashes:
 # streamed writers
 
 
+def _ascii(field: str) -> str:
+    """``field`` as the trace reader takes it: one holding an underscore or a
+    character outside ASCII, which Python's number parsers accept, is refused."""
+    if "_" in field or not field.isascii():
+        raise ValueError(f"{field!r} is not a number in ASCII")
+    return field
+
+
 def _reference_trace_read(text: str):
     """The row-by-row trace reader: every field converted where it stands.  The
     first problem's message, or the value matrix."""
@@ -1096,10 +1121,10 @@ def _reference_trace_read(text: str):
         if len(parts) != len(header):
             return f"trace row {t} has {len(parts)} fields, expected {len(header)}"
         try:
-            if int(parts[0]) != t:
+            if int(_ascii(parts[0])) != t:
                 raise ValueError(f"t={parts[0]}, expected {t}")
-            float(parts[1]), float(parts[2]), np.intp(parts[3])
-            values.append([float(x) for x in parts[5:]])
+            float(_ascii(parts[1])), float(_ascii(parts[2])), np.intp(_ascii(parts[3]))
+            values.append([float(_ascii(x)) for x in parts[5:]])
         except (ValueError, OverflowError) as exc:
             return f"trace row {t} is malformed: {exc}"
     return np.array(values)
@@ -1221,7 +1246,8 @@ class TestStreamedWriters:
 
     @settings(max_examples=200, deadline=None)
     @given(edits=st.lists(st.tuples(st.integers(1, 11), st.integers(0, 6),
-                                    st.sampled_from(["abc", "", "x3", "1_0", " 2", "0.5", "7"])),
+                                    st.sampled_from(["abc", "", "x3", "1_0", " 2", "0.5", "7",
+                                                     "\u0662"])),
                           max_size=3),
            cut=st.none() | st.integers(1, 11))
     def test_trace_reader_reports_what_a_row_by_row_read_does(self, edits, cut):
@@ -1328,7 +1354,8 @@ def _dense_model_bytes(n: int = 200, m: int = 800) -> bytes:
 
 # spellings a trace value field may hold, read or refused as float does
 _VALUE_FIELDS = ("1e", ".5", "+1", "1.", "1_0", " 2", "nan", "inf", "-0", "1e-400", "1e400",
-                 "", "-", ".", "e5", "1e+", "1..2", "0.30000000000000004", "5e-324")
+                 "", "-", ".", "e5", "1e+", "1..2", "0.30000000000000004", "5e-324",
+                 "\u0661\u0662", "1\u00b2")
 
 
 class TestReadersHoldNoObjectPerNumber:
@@ -1357,7 +1384,7 @@ class TestReadersHoldNoObjectPerNumber:
         expected, message = np.empty((len(rows), len(rows[0]))), None
         for t, r in enumerate(rows):
             try:
-                expected[t] = [float(x) for x in r]
+                expected[t] = [float(_ascii(x)) for x in r]
             except ValueError as exc:
                 message = f"trace row {t} is malformed: {exc}"
                 break
