@@ -17,19 +17,18 @@ each 8-byte word of the file that is a phase of a run of ``0.0`` fields, as both
 its neighbours are (it holds two whole zero fields), and a chunk holds up to
 ``_CHUNK`` bytes; otherwise a chunk holds at most ``_D2F_VALUES`` numbers.
 numpy checks the rest (every row has ``n_states`` fields, no whitespace splits a
-number) and finds its fields other than ``0`` and ``0.0``; ``_d2f`` converts them
-with ``mdpgeo.d2f``, an array kernel that turns decimal text into the float64
-``float`` gives (Eisel and Lemire's algorithm on 64-bit halves), ``_D2F_VALUES``
-at a time.  A chunk holding a number outside the kernel's class (more than 19
-significant digits, a value w * 10**q with q outside ``d2f.Q``, -96 to 31, so
-below about 1e-80 or above 1e47 for 17 digits, or any other spelling than
-JSON's) or fewer than ``_D2F_MIN`` numbers goes to ``json``, as does every chunk
-where numpy finds a problem in a model whose sample is not mostly zeros: ``json``
-reads its rows where they stand and names the problem.  ``P`` holds the
-very floats ``json.loads`` gives.  A message that names places in the file (bad
-UTF-8, a body holding a ``]``) comes from the whole file read again; a file whose
-size or mtime moves between the passes exits 65, and a stream that cannot seek is
-read into memory.  The trace reader walks its text line by line into arrays
+number) and finds its fields other than ``0``, ``-0`` and ``0.0``; ``_d2f``
+converts them with ``mdpgeo.d2f``, an array kernel that turns decimal text into the
+float64 ``float`` gives (Eisel and Lemire's algorithm on 64-bit halves),
+``_D2F_VALUES`` at a time.  A chunk holding a number outside the kernel's class
+(more than 19 significant digits, a value that is no finite normal double, or any
+other spelling than JSON's) or fewer than ``_D2F_MIN`` numbers goes to ``json``,
+as does every chunk where numpy finds a problem in a model whose sample is not
+mostly zeros: ``json`` reads its rows where they stand and names the problem.
+``P`` holds the very floats ``json.loads`` gives.  A message that names places in
+the file (bad UTF-8, a body holding a ``]``) comes from the whole file read again;
+a file whose size or mtime moves between the passes exits 65, and a stream that
+cannot seek is read into memory.  The trace reader walks its text line by line into arrays
 allocated once, a block of at most ``_D2F_VALUES`` fields at a time: ``_d2f``
 converts a block whose rows are well formed and whose numbers are in its class,
 and ``float`` the rows of any other, one row's head at a time; a number field
@@ -206,10 +205,10 @@ _D2F_VALUES = 4096  # numbers read at a time: bounds the kernel's arrays
 _D2F_MIN = 1024  # fewer numbers are read faster by json or float than by the kernel
 
 
-def _d2f(data: bytes, first: np.ndarray, last: np.ndarray, json_ints: bool = False):
-    """The float64 of each field ``data[first[i]:last[i]]`` as ``float`` reads it (as
-    ``json`` does where ``json_ints``), read by ``mdpgeo.d2f`` ``_D2F_VALUES`` at a
-    time; None when a field is outside its class, or there are fewer than ``_D2F_MIN``.
+def _d2f(data: bytes, first: np.ndarray, last: np.ndarray, plain=None):
+    """The float64 of each field ``data[first[i]:last[i]]`` as ``float`` reads it, read by
+    ``mdpgeo.d2f`` ``_D2F_VALUES`` at a time; None when a field is outside its class or,
+    where ``plain[i]``, holds anything but ASCII digits, or there are fewer than ``_D2F_MIN``.
     The kernel's module is imported on the first read that uses it: compiled with
     ``cli``, it would add about 1 MB to the memory of every process, also of those
     that read no large model or trace."""
@@ -219,7 +218,8 @@ def _d2f(data: bytes, first: np.ndarray, last: np.ndarray, json_ints: bool = Fal
 
     out = np.empty(len(first))
     for k in range(0, len(first), _D2F_VALUES):
-        part = d2f.read(data, first[k:k + _D2F_VALUES], last[k:k + _D2F_VALUES], json_ints)
+        part = d2f.read(data, first[k:k + _D2F_VALUES], last[k:k + _D2F_VALUES],
+                        None if plain is None else plain[k:k + _D2F_VALUES])
         if part is None:
             return None
         out[k:k + _D2F_VALUES] = part
@@ -337,8 +337,8 @@ def _fill_with_numpy(out: np.ndarray, data: bytes, rows: list[tuple[int, int]], 
                      cut_runs: bool) -> None:
     """Cut the proven zero runs (``_zero_runs``) out of the bodies where ``cut_runs``
     and join what is left, each body with its closing ``]``; numpy checks that text and
-    finds its fields that are exactly ``0`` or ``0.0``; ``_d2f`` converts the others,
-    or ``json`` where one is outside its class."""
+    finds its fields that are exactly ``0``, ``-0`` (json's int 0) or ``0.0``; ``_d2f``
+    converts the others, or ``json`` where one is outside its class."""
     spans = np.array(rows, dtype=np.int64)
     cut_start, cut_stop, cut_row, cut_fields = _zero_runs(
         np.frombuffer(data, "<u8", len(data) // 8), spans) if cut_runs else [np.empty(0, int)] * 4
@@ -373,7 +373,9 @@ def _fill_with_numpy(out: np.ndarray, data: bytes, rows: list[tuple[int, int]], 
             raise ModelError("action probs must hold one number between commas")
         del digit
     keep = (size != 1) | (u[start] != ord("0"))
-    three = size == 3
+    two, three = size == 2, size == 3
+    at = start[two]
+    keep[two] = (u[at] != ord("-")) | (u[at + 1] != ord("0"))
     at = start[three]
     keep[three] = (u[at] != ord("0")) | (u[at + 1] != ord(".")) | (u[at + 2] != ord("0"))
     field = np.flatnonzero(keep)
@@ -381,8 +383,8 @@ def _fill_with_numpy(out: np.ndarray, data: bytes, rows: list[tuple[int, int]], 
         c = np.frombuffer(b"]" + c, np.uint8)[np.repeat(keep, size + 1)].tobytes()[1:]
         size = size[field]
         start = np.cumsum(size + 1) - size - 1
-    del u, keep, three, at
-    values = _d2f(c, start, start + size, json_ints=True)
+    del u, keep, two, three, at
+    values = _d2f(c, start, start + size)
     if values is None:  # json reads them, "," between
         try:
             values = _floats(json.loads(b"[" + c.replace(b"]", b",") + b"]"), field.size)
@@ -619,23 +621,17 @@ def _ascii_number(field: str) -> str:
 
 def _block_values(out: np.ndarray, tails: list[str], t0: int) -> None:
     """Write the comma-separated numbers of ``tails``, rows ``t0``, ``t0 + 1``, ...,
-    into ``out``, each converted by ``_d2f`` or else by ``float``; every tail holds
-    ``out.shape[1]`` fields, and ``out`` has a row for each tail unless a number fails
-    to convert (a row whose numbers convert is well formed, and the text has room for it)."""
-    rows, n = len(tails), out.shape[1]
-    if not rows or not n:
+    into ``out``, each converted by ``float``; every tail holds ``out.shape[1]`` fields,
+    and ``out`` has a row for each tail unless a number fails to convert (a row whose
+    numbers convert is well formed, and the text has room for it)."""
+    if not tails or not out.shape[1]:
         return
-    data = ",".join(tails).encode()
-    sep = np.flatnonzero(np.frombuffer(data, np.uint8) == ord(","))
-    values = _d2f(data, np.concatenate(([0], sep + 1)), np.append(sep, len(data)))
-    if values is not None:
-        out[:] = values.reshape(rows, n)
-        return
-    del sep
+    text = ",".join(tails)
     try:
-        if b"_" in data or not data.isascii():
+        if "_" in text or not text.isascii():
             raise ValueError
-        out[:] = np.fromiter(map(float, data.split(b",")), np.float64, rows * n).reshape(rows, n)
+        out[:] = np.fromiter(map(float, text.split(",")), np.float64,
+                             len(tails) * out.shape[1]).reshape(len(tails), -1)
     except ValueError:  # rescan to name the first bad row
         for t, tail in enumerate(tails, t0):
             try:
@@ -650,31 +646,28 @@ def _rows_at_once(lines: list[str], t0: int, width: int):
     """The values, counts and stop reason of ``lines``, rows ``t0``, ``t0 + 1``, ...;
     None unless each holds ``width`` fields, its t is its number and its count a number
     below 2**53, both in ASCII digits, and its spans, count and values are in ``_d2f``'s
-    class, as in every trace the writer prints."""
+    class: that of every trace the writer prints, unless a value is subnormal."""
     text = "\n".join(lines) + "\n"
     if not text.isascii():
         return None
-    data = (text + "\0" * (64 - len(text) % 32)).encode()  # room for d2f.marks
+    data = text.encode()
     del text
     u = np.frombuffer(data, np.uint8)
     ends, rows = np.flatnonzero((u == ord(",")) | (u == ord("\n"))), len(lines)
     if ends.size != rows * width or (u[ends[width - 1::width]] != ord("\n")).any():
         return None
-    numbers = np.r_[0:4, 5:width]
-    if rows * numbers.size < _D2F_MIN:
-        return None
-    from . import d2f
-
+    del u
     ends = ends.reshape(rows, width)
     starts = np.empty_like(ends)
     starts[:, 1:], starts[1:, 0], starts[0, 0] = ends[:, :-1] + 1, ends[:-1, -1] + 1, 0
-    whole = starts[:, [0, 3]].ravel()  # t and the count
-    whole = d2f.marks((u - 48) > 9, d2f.fields_at(whole, ends[:, [0, 3]].ravel() - whole))
     stop = data[starts[-1, 4]:ends[-1, 4]].decode()
+    numbers = np.r_[0:4, 5:width]
+    plain = np.zeros((rows, numbers.size), bool)
+    plain[:, [0, 3]] = True  # t and the count
     first, last = starts[:, numbers].ravel(), ends[:, numbers].ravel()
-    del u, starts, ends
-    x = _d2f(data, first, last)
-    if x is None or whole.any():
+    del starts, ends
+    x = _d2f(data, first, last, plain.ravel())
+    if x is None:
         return None
     x = x.reshape(rows, -1)
     if (x[:, 0] != np.arange(t0, t0 + rows)).any() or (x[:, 3] >= 2**53).any():
