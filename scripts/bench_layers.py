@@ -75,7 +75,12 @@ does not finish at that size:
 - ``mdp_from_json_compact_dense``: reading its JSON text;
 - ``mdp_from_json_indented_dense``: reading the same model as ``mdp_to_json``
   writes it (indented, one number a line), the layout of the normalized dense
-  model that the benchmark's dense ``solve-vi`` and ``certify`` read.
+  model that the benchmark's dense ``solve-vi`` and ``certify`` read;
+- ``mdp_to_json_dense``: writing that model, normalized, as JSON text (160,800
+  numbers, every probability positive), as a median of 7;
+- ``write_model_dense``: the CLI's model writer on the normalized model, to a
+  file in a temporary directory, as ``write_model_sparse`` does: the write that
+  the benchmark's dense ``normalize`` makes.
 
 Seven layers run the two-state checks:
 
@@ -363,6 +368,9 @@ def main() -> None:
     indented_text = mdp_to_json(mdp_from_json(dense_text))
     layers["mdp_from_json_indented_dense"] = _summary(
         _times(lambda: mdp_from_json(indented_text), 7))
+    dense_normalized = normalize(mdp_from_json(dense_text))[0]
+    layers["mdp_to_json_dense"] = _summary(_times(lambda: mdp_to_json(dense_normalized), 7))
+    layers["write_model_dense"] = _summary(_write_model_times(dense_normalized))
     checked = Mdp.from_arrays(mdp.n_states, mdp.gamma, mdp.ids, mdp.state_of, mdp.P.copy(),
                               mdp.rewards)
     layers["validate"] = _summary(_times(lambda: validate(checked), 20))

@@ -18,7 +18,7 @@ its neighbours are (it holds two whole zero fields), and a chunk holds up to
 ``_CHUNK`` bytes; otherwise a chunk holds at most ``_D2F_VALUES`` numbers.
 numpy checks the rest (every row has ``n_states`` fields, no whitespace splits a
 number) and finds its fields other than ``0``, ``-0`` and ``0.0``; ``_d2f``
-converts them with ``mdpgeo.d2f``, an array kernel that turns decimal text into the
+converts them with ``mdpgeo.floattext``, an array kernel that turns decimal text into the
 float64 ``float`` gives (Eisel and Lemire's algorithm on 64-bit halves),
 ``_D2F_VALUES`` at a time.  A chunk holding a number outside the kernel's class
 (more than 19 significant digits, a value that is no finite normal double, or any
@@ -38,8 +38,11 @@ beyond one row or one block.
 
 The writers stream: a model or trace file goes to disk in UTF-8 blocks of at
 most 64 actions or rows (fewer rows of over 128 values), each fed to sha256 as
-it is written, so no whole output file is ever held in memory.  Files are still
-written atomically (temp file + rename); ``output_hash`` is the bytes' digest.
+it is written, so no whole output file is ever held in memory.  Their numbers come
+from ``mdpgeo.floattext``: a model's from ``reprs``, the bytes ``repr`` (so ``json``)
+prints, unless it has fewer than ``_REPR_MIN`` probabilities; a trace's from ``g17``,
+the bytes of ``'%.17g'``.  Files are still written atomically (temp file + rename);
+``output_hash`` is the bytes' digest.
 
 Every command emits a deterministic JSON summary
 on stdout carrying the sha256 of its input files' bytes; timestamps never enter
@@ -103,45 +106,82 @@ _SPEC_TYPES = typing.get_type_hints(GenSpec)
 
 
 _BLOCK = 64  # model actions or trace rows per block written: bounds the text held
-_ITEM = ",\n        "  # between two probabilities at indent=2
-_PROBS = json.JSONEncoder(separators=(_ITEM, ": "))  # no indent: json's C encoder
-_STRIDE = len("0.0" + _ITEM)
+_ITEM = b",\n        "  # between two probabilities at indent=2
+_PROBS = json.JSONEncoder(separators=(_ITEM.decode(), ": "))  # no indent: json's C encoder
+_STRIDE = len(b"0.0" + _ITEM)
+_REPR_VALUES = 8192  # numbers printed at a time, over as many blocks as hold them
+_REPR_MIN = 1024  # a model with fewer probabilities is printed faster by json
+
+
+def _json_reprs(x: np.ndarray, cut: np.ndarray) -> list:
+    """``floattext.reprs(x, _ITEM, cut)`` from one call of json's C encoder."""
+    items = _PROBS.encode(x.tolist())[1:-1].encode().split(_ITEM)
+    bounds = [0, *(np.flatnonzero(cut[1:]) + 1).tolist(), len(items)]
+    return [_ITEM.join(items[a:z]) for a, z in zip(bounds, bounds[1:])]
+
+
+def _kernel_reprs(x: np.ndarray, cut: np.ndarray) -> list:
+    """``floattext.reprs(x, _ITEM, cut)``, through json where a value is not finite.  The
+    kernel's module is imported on the first model that uses it, as ``_d2f`` does."""
+    from . import floattext
+
+    return floattext.reprs(x, _ITEM, cut) if np.isfinite(x).all() else _json_reprs(x, cut)
+
+
+def _printed(mdp: Mdp) -> Iterator[tuple]:
+    """Per block of ``_BLOCK`` actions: its first action, its rewards' texts, and per run
+    of entries other than +0.0 side by side in a row, its row, first and last column
+    and text.  A model of at least ``_REPR_MIN`` probabilities is printed by the kernel,
+    for as many blocks at a time as hold ``_REPR_VALUES`` numbers; json prints a smaller
+    one.  An entry +0.0 is no number printed: its bits are all 0."""
+    reprs = _kernel_reprs if mdp.P.size >= _REPR_MIN else _json_reprs
+    pending, values, cuts, count = [], [], [], 0
+    for b in range(0, mdp.m, _BLOCK):
+        P = mdp.P[b:b + _BLOCK]
+        at = np.flatnonzero(P.view(np.int64) != 0)
+        rows, cols = np.divmod(at, mdp.n_states or 1)
+        cut = np.ones(len(P) + at.size, bool)  # each reward, then each run, is a piece
+        cut[len(P) + 1:] = (np.diff(at) != 1) | (cols[1:] == 0)
+        first = np.flatnonzero(cut[len(P):])
+        last = np.append(first[1:], at.size)[:first.size] - 1
+        pending.append((b, len(P), rows[first], cols[first], cols[last]))
+        values += [mdp.rewards[b:b + _BLOCK], P.ravel()[at]]
+        cuts.append(cut)
+        count += cut.size
+        if count >= _REPR_VALUES or b + _BLOCK >= mdp.m:
+            texts = iter(reprs(np.concatenate(values), np.concatenate(cuts)))
+            for start, size, row, a, z in pending:
+                yield start, list(itertools.islice(texts, size)), row, a, z, list(
+                    itertools.islice(texts, row.size))
+            pending, values, cuts, count = [], [], [], 0
 
 
 def _mdp_json_blocks(mdp: Mdp) -> Iterator[bytes]:
     """``mdp_to_json(mdp)`` as ASCII bytes: the head, a block per ``_BLOCK`` actions, the tail.
 
-    A block's frames take ids through ``encode_basestring_ascii`` and states through
-    ``str``.  Its rewards, and the entries other than +0.0 of its rows that hold a +0.0,
-    are one encoder call each; these entries go between slices of a row of zeros, item k
-    at ``k * _STRIDE``.  A row with no +0.0 is encoded on its own."""
-    n, zeros = mdp.n_states, memoryview(_ITEM.encode().join([b"0.0"] * mdp.n_states))
+    A block's frames take ids through ``encode_basestring_ascii``, states through ``str``
+    and rewards from ``_printed``.  Each run of entries other than +0.0 of a row is one
+    text from ``_printed``; runs go between slices of a row of zeros, entry k at
+    ``k * _STRIDE``."""
+    n, zeros = mdp.n_states, memoryview(_ITEM.join([b"0.0"] * mdp.n_states))
     opening, closing = ("[\n        ", "\n      ]") if n else ("[", "]")
     yield (f'{{\n  "version": 1,\n  "n_states": {json.dumps(n)},\n'
            f'  "gamma": {json.dumps(mdp.gamma)},\n  "actions": [').encode()
-    for b in range(0, mdp.m, _BLOCK):
-        P, block = mdp.P[b:b + _BLOCK], slice(b, b + _BLOCK)
+    for b, rewards, row, first, last, runs in _printed(mdp):
+        block = slice(b, b + _BLOCK)
         frames = ((",\n" if b else "\n") + ",\n".join(
             f'    {{\n      "id": {aid},\n      "state": {state},\n      "probs": {opening}\0'
             f'{closing},\n      "reward": {reward}\n    }}' for aid, state, reward in zip(
                 map(json.encoder.encode_basestring_ascii, mdp.ids[block]),
-                mdp.state_of[block].tolist(),
-                _PROBS.encode(mdp.rewards[block].tolist())[1:-1].split(_ITEM)))
+                mdp.state_of[block].tolist(), map(bytes.decode, rewards)))
         ).encode().split(b"\0")  # at each row's place: an escaped id holds no NUL
-        nz = P.view(np.int64) != 0  # every entry but +0.0, whose bits are all 0
-        full = nz.all(axis=1).tolist()
-        nz[full] = False  # a full row is encoded on its own
-        rows, cols = np.divmod(np.flatnonzero(nz), n or 1)
-        items = _PROBS.encode(P[rows, cols].tolist())[1:-1].encode().split(_ITEM.encode())
-        # texts: each row's frame, then its items; zs[j], a slice of zeros, follows texts[j]
-        slot, cut, size = np.arange(rows.size) + rows, cols * _STRIDE, rows.size + len(P)
+        # texts: each row's frame, then its runs; zs[j], a slice of zeros, follows texts[j]
+        slot, size = np.arange(row.size) + row, row.size + len(rewards)
         starts, ends = np.zeros(size, np.intp), np.full(size, len(zeros))
-        ends[slot], starts[slot + 1] = cut, cut + 3  # slot: the index of the text before item
+        ends[slot], starts[slot + 1] = first * _STRIDE, last * _STRIDE + 3
         zs, texts, e = [zeros[a:z] for a, z in zip(starts.tolist(), ends.tolist())], [], 0
-        for r, count in enumerate(np.bincount(rows, minlength=len(P)).tolist()):
-            if full[r]:  # its own text for its one slice, the whole row of zeros
-                zs[e + r] = _PROBS.encode(P[r].tolist())[1:-1].encode()
-            texts += (frames[r], *items[e:e + count])
+        for r, count in enumerate(np.bincount(row, minlength=len(rewards)).tolist()):
+            texts += (frames[r], *runs[e:e + count])
             e += count
         parts = [frames[-1]] * (2 * size + 1)
         parts[:-1:2], parts[1::2] = texts, zs
@@ -207,19 +247,20 @@ _D2F_MIN = 1024  # fewer numbers are read faster by json or float than by the ke
 
 def _d2f(data: bytes, first: np.ndarray, last: np.ndarray, plain=None):
     """The float64 of each field ``data[first[i]:last[i]]`` as ``float`` reads it, read by
-    ``mdpgeo.d2f`` ``_D2F_VALUES`` at a time; None when a field is outside its class or,
-    where ``plain[i]``, holds anything but ASCII digits, or there are fewer than ``_D2F_MIN``.
+    ``floattext.read`` ``_D2F_VALUES`` at a time; None when a field is outside its class
+    or, where ``plain[i]``, holds anything but ASCII digits, or there are fewer than
+    ``_D2F_MIN``.
     The kernel's module is imported on the first read that uses it: compiled with
     ``cli``, it would add about 1 MB to the memory of every process, also of those
     that read no large model or trace."""
     if len(first) < _D2F_MIN:
         return None
-    from . import d2f
+    from . import floattext
 
     out = np.empty(len(first))
     for k in range(0, len(first), _D2F_VALUES):
-        part = d2f.read(data, first[k:k + _D2F_VALUES], last[k:k + _D2F_VALUES],
-                        None if plain is None else plain[k:k + _D2F_VALUES])
+        part = floattext.read(data, first[k:k + _D2F_VALUES], last[k:k + _D2F_VALUES],
+                              None if plain is None else plain[k:k + _D2F_VALUES])
         if part is None:
             return None
         out[k:k + _D2F_VALUES] = part
@@ -483,108 +524,6 @@ _TRACE_HEADER = ["t", "span_v", "span_dv", "active_actions", "stop_reason_final"
 _G17_VALUES = 8192  # trace values printed at a time: bounds the kernel's arrays
 
 
-def _g17_tables() -> tuple:
-    """``_g17``'s tables: 10**j and its halves; 4-digit groups in ASCII and their last nonzero
-    digits; per class c = X + 6 (23: fallback) the point's and prefix's words and the bytes
-    kept per significant digits; per tail (``,``/newline after ``e-0X``?) and end, its words."""
-    p10, g = np.array([float(10**j) for j in range(23)]), np.arange(10000)  # exact
-    hi = 134217729.0 * p10 - (134217729.0 * p10 - p10)  # Veltkamp's split: 2**27 + 1
-    four = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
-    sig = np.where(g > 0, 4 - np.argmax(four[:, ::-1] > 0, axis=1), 0)
-    dots, heads, kept = np.zeros((24, 72), np.uint8), np.zeros((2, 48), np.uint64), []
-    for c, X in enumerate(range(-6, 18)):
-        t = X + 1 if X >= 0 else 1 if X < -4 else 24  # the point's byte: after digit X, or d0
-        dots[c, :t], dots[c, 25 + t:48], dots[c, 48 + t:49 + t] = 255, 255, ord(".")
-        kept.append([(m := max(d, X + 1, 1)) + (m > t) if c < 23 else 0 for d in range(18)])
-        for neg in (0, 1):
-            pre = b"-" * neg + b"0.000"[:1 - X] * (-4 <= X < 0) if c < 23 else b""
-            heads[:, 24 * neg + c] = 8 * len(pre), int.from_bytes(pre, "little")
-    tails = np.zeros((6, 24, 48), np.uint8)
-    for kind, tail in enumerate([b",", b"\n", b"e-06,", b"e-06\n", b"e-05,", b"e-05\n"]):
-        for end in range(25 - len(tail)):
-            tails[kind, end, :end], tails[kind, end, 24 + end:24 + end + len(tail)] = 255, [*tail]
-    return (np.stack([p10, hi, p10 - hi]),
-            (48 + four).astype(np.uint8).view("<u4").astype(np.uint64).ravel(),
-            ((np.arange(4)[:, None] * 4 + sig) * (sig > 0)).astype(np.int8),
-            dots.view("<u8").T.copy(), heads, np.array(kept).ravel(),
-            tails.reshape(144, 48).view("<u8").T.copy(), np.arange(24) < np.arange(25)[:, None])
-
-
-_P10S, _DIGITS, _SIGS, _DOTS, _HEADS, _KEPT, _TAILS, _MASKS = _g17_tables()
-
-
-def _g17_digits(x: np.ndarray) -> tuple:
-    """Per value its class, its significant digits, its 17 digits with the point as
-    three little-endian words; the indices of the fallbacks."""
-    a = np.abs(x)
-    nz = (a > 1e-6) & (a < 1e16)
-    a[~nz] = 1.0
-    k = np.clip(np.floor(np.log10(a)), -6, 15).astype(np.int64)
-    q, fl, at = np.empty_like(k), np.empty_like(k), slice(None)
-    for _ in range(2):  # a floor out of [10**16, 10**17) moves k by one, then falls back
-        b, bh, bl = (row.take(16 - k[at]) for row in _P10S)
-        p, c = a[at] * b, 134217729.0 * a[at]
-        ah = c - (c - a[at])
-        al = a[at] - ah
-        err = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # a * 10**j - p, exactly
-        floor = np.floor(err)
-        fl[at] = np.minimum(p, 2.0**62).astype(np.int64)  # p and floor in int64 range
-        fl[at] += np.clip(floor, -1024, 1024).astype(np.int64)
-        q[at] = fl[at] + ((err - floor > 0.5) | ((err - floor == 0.5) & (fl[at] & 1 == 1)))
-        miss = nz & ((fl < 10**16) | (fl >= 10**17))
-        at = np.flatnonzero(miss)
-        k[at] = np.clip(k[at] - np.where(fl[at] < 10**16, 1, -1), -6, 15)
-    fall = np.flatnonzero(miss | ~nz & (x != 0))
-    q *= nz & ~miss  # ±0 prints as the one digit 0
-    carry = q == 10**17
-    q[carry], k[fall] = 10**16, 17
-    g = []
-    for d in (10**16, 10**12, 10**8, 10**4):  # not %: floor division by a constant is SIMD
-        g.append(q // d)
-        q -= g[-1] * d
-    lead, g = g[0], g[1:] + [q]
-    t1, t2, t3, t4 = (_DIGITS.take(gi) for gi in g)
-    nd = np.max([sig.take(gi) for sig, gi in zip(_SIGS, g)], axis=0)
-    c = k + carry + 6
-    s = [(lead.view(np.uint64) + 48) | (t1 << 8) | (t2 << 40),  # digits 0-7, 8-15, 16
-         (t2 >> 24) | (t3 << 8) | (t4 << 40), t4 >> 24]
-    for i in (2, 1, 0):  # the point at byte t: the digits from t on move up a byte
-        up = (s[i] << 8) | (s[i - 1] >> 56) if i else s[0] << 8
-        s[i] = (s[i] & _DOTS[i].take(c)) | (up & _DOTS[3 + i].take(c)) | _DOTS[6 + i].take(c)
-    return c, nd + 1, s, fall
-
-
-def _g17(values: np.ndarray) -> list:
-    """Each row of ``values`` as ``'%.17g'`` prints its numbers, ``,`` between and a newline
-    after; ``%`` prints a row holding a fallback, a value not ±0 or in 1e-6 < |x| < 1e16.
-
-    k estimates X = floor(log10|x|), and j = 16 - k lies in [1, 22], so 10**j is exact.
-    Where |x| * 10**j >= 10**16 > 2**53, p = fl(|x| * 10**j) is an integer; Dekker's
-    product gives its exact error e, so the exact floor is p + floor(e).  It is checked
-    to lie in [10**16, 10**17) in int64, else k moves by one and a second miss falls
-    back, so no output depends on the bits of ``log10``.  There e, a multiple of
-    ulp(|x|) * 2**j >= 2**-51 below 8, and frac(e) are exact: the 17 digits round half to
-    even as ``'%.17g'`` does; a carry to 10**17 moves X up.  Fixed for -4 <= X < 17."""
-    x, n = values.ravel(), values.shape[1]
-    c, nd, s, fall = _g17_digits(x)
-    sh, pre = (head.take(np.signbit(x) * 24 + c) for head in _HEADS)
-    end = _KEPT.take(c * 18 + nd) + (sh >> 3).view(np.int64)
-    kind = (2 + 2 * c) * (c < 2)
-    kind.reshape(-1, n)[:, -1] += 1  # e-06, e-05 or neither; a newline ends each row
-    at = kind * 24 + end
-    w = np.empty((len(x), 3), "<u8")
-    for i in (2, 1, 0):  # the prefix goes first, then the tail at byte ``end``
-        word = (s[i] << sh) | (s[i - 1] >> (64 - sh)) if i else (s[0] << sh) | pre
-        w[:, i] = word & _TAILS[i].take(at) | _TAILS[3 + i].take(at)
-    end += 1 + 4 * (c < 2)
-    body = w.view(np.uint8).ravel()[_MASKS.take(end, axis=0).ravel()]
-    bounds = [0] + np.cumsum(end.reshape(-1, n).sum(axis=1)).tolist()
-    rows = [body[a:b] for a, b in zip(bounds, bounds[1:])]
-    for r in dict.fromkeys((fall // n).tolist()):  # not np.unique: it imports numpy.ma
-        rows[r] = (",".join(["%.17g"] * n) + "\n").encode() % tuple(values[r].tolist())
-    return rows
-
-
 def _trace_csv_blocks(trace: RunTrace) -> Iterator[bytes]:
     """``trace_to_csv(trace)`` as UTF-8 bytes, at most ``_BLOCK`` lines a block: fewer
     when that many rows hold more than ``_G17_VALUES`` values."""
@@ -595,7 +534,9 @@ def _trace_csv_blocks(trace: RunTrace) -> Iterator[bytes]:
         itertools.count(), trace.span_v.tolist(), trace.span_dv.tolist(),
         trace.active_counts.tolist(), itertools.repeat(trace.stop_reason)))
     step = max(1, _G17_VALUES // max(n, 1))  # rows printed at a time
-    values = itertools.chain.from_iterable(_g17(trace.values[r:r + step]) for r in range(
+    from .floattext import g17  # imported here, as ``_d2f`` imports its module
+
+    values = itertools.chain.from_iterable(g17(trace.values[r:r + step]) for r in range(
         0, len(trace.values), step)) if n else itertools.repeat(b"")
     pieces = itertools.chain((header.encode(), b""), itertools.chain.from_iterable(
         zip(map(str.encode, heads), values)))
@@ -703,17 +644,28 @@ def _rows_one_by_one(lines: list[str], t0: int, width: int, values: np.ndarray,
     return problem, stop_reason
 
 
+def _rows_held(text: str, start: int) -> int:
+    """1 + the t of the last line of ``text`` after ``start`` that is not empty: the rows
+    a well-formed trace holds.  0 where that line has no such t or there is none."""
+    end = len(text)
+    while end > start and text[end - 1] == "\n":
+        end -= 1
+    t = text[max(text.rfind("\n", start, end) + 1, start):end].split(",", 1)[0]
+    return int(t) + 1 if t.isascii() and t.isdigit() else 0
+
+
 def trace_from_csv(text: str) -> RunTrace:
     """Rebuild a trace from CSV; greedy rows are not stored on disk, so it has none.
 
-    The text is walked line by line into arrays allocated once, a block of lines
-    holding at most ``_D2F_VALUES`` fields at a time: ``_rows_at_once`` reads a block
-    of well-formed rows, and ``_rows_one_by_one`` any other, so a problem in a row's
-    values is reported ahead of any problem in a later row, as a row-by-row read
-    would.  A well-formed row holds at least ``2 * width - 1`` characters with the
-    line end before it, so the arrays hold no more rows than the text has room for:
-    a wide header over short rows reaches its first short row, not a huge
-    allocation."""
+    The text is walked line by line into arrays, a block of lines holding at most
+    ``_D2F_VALUES`` fields at a time: ``_rows_at_once`` reads a block of well-formed
+    rows, and ``_rows_one_by_one`` any other, so a problem in a row's values is
+    reported ahead of any problem in a later row, as a row-by-row read would.  The
+    arrays are sized once from the t of the last line, the rows of a well-formed
+    trace, and grow where the rows outrun it.  A well-formed row holds at least
+    ``2 * width - 1`` characters with the line end before it, so the arrays hold no
+    more rows than the text has room for: a wide header over short rows reaches its
+    first short row, not a huge allocation."""
     lines = _LINE.finditer(text)
     first = next(lines, None)
     header = first[0].split(",", len(_TRACE_HEADER)) if first else []
@@ -721,13 +673,17 @@ def trace_from_csv(text: str) -> RunTrace:
         raise ModelError("trace file has an unexpected header")
     width = first[0].count(",") + 1
     n = width - len(_TRACE_HEADER)
-    size = sum(1 for _ in _LINE.finditer(text, first.end()))
-    rows = min(size, (len(text) - first.end()) // (2 * width - 1))
+    room = (len(text) - first.end()) // (2 * width - 1)
+    rows = min(_rows_held(text, first.end()), room)
     values, counts = np.empty((rows, n)), np.empty(rows, dtype=np.intp)
     t0, stop_reason = 0, ""  # row 0 alone: its span_dv is nan
     for step in itertools.chain([1], itertools.repeat(max(1, _D2F_VALUES // width))):
         if not (block := [line[0] for line in itertools.islice(lines, step)]):
             break
+        if t0 + len(block) > rows:  # the last line's t undercounts: a malformed trace
+            rows = min(max(2 * rows, t0 + len(block)), room)
+            values = np.concatenate([values[:t0], np.empty((rows - t0, n))])
+            counts = np.concatenate([counts[:t0], np.empty(rows - t0, dtype=np.intp)])
         read = _rows_at_once(block, t0, width)
         if read is None:
             problem, last = _rows_one_by_one(block, t0, width, values, counts)
@@ -737,8 +693,10 @@ def trace_from_csv(text: str) -> RunTrace:
         else:
             values[t0:t0 + len(block)], counts[t0:t0 + len(block)], stop_reason = read
         t0 += len(block)
-    if not size:
+    if not t0:
         raise ModelError("trace file has no data rows")
+    if t0 < rows:
+        values, counts = values[:t0], counts[:t0]
     if not np.isfinite(values).all():
         raise ModelError("trace file has non-finite values")
     return RunTrace(

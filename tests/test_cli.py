@@ -818,6 +818,28 @@ class TestMalformedInput:
         code, _ = run(capsys, "certify", "--mdp", model, "--trace", str(path))
         assert code == EX_OK
 
+    @pytest.mark.parametrize("tail", ["", "\n", "\n\n\n"])
+    def test_a_header_alone_has_no_data_rows(self, tail, tmp_path):
+        _, lines = _trace_lines(tmp_path)
+        with pytest.raises(ModelError, match="^trace file has no data rows$"):
+            trace_from_csv(lines[0] + tail)
+
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        _, lines = _trace_lines(tmp_path)
+        plain = trace_from_csv("".join(ln + "\n" for ln in lines))
+        spaced = trace_from_csv("\n\n".join(lines) + "\n\n\n")
+        assert spaced.values.tobytes() == plain.values.tobytes()
+        assert spaced.active_counts.tolist() == plain.active_counts.tolist()
+        assert spaced.stop_reason == plain.stop_reason
+
+    @pytest.mark.parametrize("t", ["0", "3", "x", ""])
+    def test_a_last_row_whose_t_undercounts_fails_as_row_by_row(self, t, tmp_path):
+        """The arrays are sized from the last row's t, and grow past a wrong one."""
+        _, lines = _trace_lines(tmp_path)
+        text = "".join(ln + "\n" for ln in _set_field(lines, len(lines) - 1, 0, t))
+        with pytest.raises(ModelError, match=f"^{re.escape(_reference_trace_read(text))}$"):
+            trace_from_csv(text)
+
     @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         field=st.sampled_from(["version", "n_states", "gamma", "actions",

@@ -1,4 +1,4 @@
-"""The readers' numbers: the array kernel ``mdpgeo.d2f`` reads what ``float`` and ``json`` do."""
+"""The readers' numbers: ``mdpgeo.floattext.read`` reads what ``float`` and ``json`` do."""
 
 import io
 import json
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdpgeo import cli, d2f
+from mdpgeo import cli, floattext
 from mdpgeo.cli import mdp_from_json, trace_from_csv, trace_to_csv
 from mdpgeo.solvers import RunTrace
 
@@ -29,7 +29,7 @@ def _in_class(field: str) -> bool:
     whole, frac, exp = match.group(1), (match.group(2) or ".")[1:], match.group(3)
     digits = whole + frac
     w, q = int(digits), (int(exp[1:]) if exp else 0) - len(frac)
-    if len(digits) > 24 or w >= 10**19 or q not in d2f.Q:
+    if len(digits) > 24 or w >= 10**19 or q not in floattext.Q:
         return False
     if q < 0:  # 0 or a finite normal double
         return w == 0 or w << 1022 >= 10**-q
@@ -151,7 +151,7 @@ def test_powers_of_ten_and_the_edges_of_the_class():
     exponent outside ``Q``, goes to the fallback."""
     fields = [f"1e{k}" for k in range(-307, 309)] + [f"-1E{k}" for k in range(-307, 309)]
     fields += ["9999999999999999999e289", "17976931348623157e292", "22250738585072014e-324",
-               f"0e{d2f.Q.start}", f"1E+{d2f.Q.stop - 1}"]
+               f"0e{floattext.Q.start}", f"1E+{floattext.Q.stop - 1}"]
     for k in range(-307, 309):
         x = 10.0**k
         for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)):
@@ -160,8 +160,24 @@ def test_powers_of_ten_and_the_edges_of_the_class():
     assert len(inside) == len(fields)
     _assert_reads(inside)
     for edge in ("1e-308", "22250738585072011e-324", "17976931348623159e292", "1e309",
-                 f"1e{d2f.Q.start - 1}", f"0e{d2f.Q.stop}", f"10e{d2f.Q.stop - 1}"):
+                 f"1e{floattext.Q.start - 1}", f"0e{floattext.Q.stop}",
+                 f"10e{floattext.Q.stop - 1}"):
         assert not _in_class(edge) and _read(["1.5", edge]) is None
+
+
+@pytest.mark.parametrize("field, early", [("12e-310", True), ("9.99e-309", True),
+                                          ("1.2345678901234567e-310", True),
+                                          ("0.0012e-306", False), ("1e-308", False)])
+def test_a_subnormal_is_refused_before_significands_are_built(field, early, monkeypatch):
+    """Where its digits bound a field below 10**-308 and its first digit is no 0, the
+    block goes to the fallback before the significands are read; other subnormals are
+    refused at the binary exponent."""
+    calls, digits = [], floattext._eight_digits
+    monkeypatch.setattr(floattext, "_eight_digits", lambda v: calls.append(1) or digits(v))
+    assert not _in_class(field) and _read(["1.5", "2e-3", field]) is None
+    assert len(calls) == (1 if early else 2)  # the exponents, then the significands
+    calls.clear()
+    assert _read(["1.5", "2e-3", "0e-330", "0.000e-310"]).tolist() == [1.5, 0.002, 0.0, 0.0]
 
 
 def test_zero_spellings_and_integers():
@@ -212,8 +228,8 @@ def test_model_bodies_across_slices_and_chunks(values, chunk, monkeypatch):
     monkeypatch.setattr(cli, "_CHUNK", chunk)
     text = _dense_model()
     calls = []
-    kernel = d2f.read
-    monkeypatch.setattr(d2f, "read", lambda *a: calls.append(1) or kernel(*a))
+    kernel = floattext.read
+    monkeypatch.setattr(floattext, "read", lambda *a: calls.append(1) or kernel(*a))
     P = np.array([a["probs"] for a in json.loads(text)["actions"]])
     for source in (text, io.BytesIO(text.encode())):
         assert mdp_from_json(source).P.tobytes() == P.tobytes()
@@ -245,7 +261,7 @@ def test_trace_values_across_slices(values, monkeypatch):
 _CHILD = """
 import sys
 sys.path[:0] = {paths!r}
-from mdpgeo import cli, d2f
+from mdpgeo import cli, floattext
 cli._D2F_MIN = 1
 from test_number_reader import _assert_reads, _bit_patterns, _in_class
 for form in (repr, "%.17g".__mod__):
@@ -263,3 +279,30 @@ def test_values_do_not_depend_on_numpys_simd_target(disabled):
     proc = subprocess.run([sys.executable, "-c", _CHILD.format(paths=paths)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+# numpy functions and types the number module may use: each is in numpy 1.24, the
+# oldest numpy that pyproject.toml allows (``np.bitwise_count``, for one, came in 2.0)
+_NUMPY_1_24 = {
+    "abs", "arange", "argmax", "array", "bitwise_or", "clip", "cumsum", "empty",
+    "empty_like", "equal", "flatnonzero", "float64", "floor", "frexp", "frombuffer",
+    "greater", "int8", "int16", "int64", "intp", "log10", "max", "maximum", "minimum",
+    "ndarray", "negative", "packbits", "repeat", "searchsorted", "signbit", "stack",
+    "uint8", "uint32", "uint64", "where", "zeros",
+}
+
+
+def test_the_number_module_uses_only_numpy_1_24():
+    """Every ``np.`` attribute of ``mdpgeo.floattext`` is on the list, and numpy is
+    imported only as ``np``, so no name escapes the walk."""
+    import ast
+
+    tree = ast.parse(Path(floattext.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(not isinstance(node, ast.ImportFrom) or not (node.module or "").startswith("numpy")
+               for node in imports)
+    assert all(alias.asname == "np" for node in imports if isinstance(node, ast.Import)
+               for alias in node.names if alias.name.startswith("numpy"))
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "np"}
+    assert used and used - _NUMPY_1_24 == set()

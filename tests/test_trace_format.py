@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdpgeo import cli
+from mdpgeo import cli, floattext
 from mdpgeo.cli import trace_to_csv
 from mdpgeo.solvers import RunTrace
 
@@ -19,7 +19,7 @@ from mdpgeo.solvers import RunTrace
 def _printed(values: np.ndarray) -> bytes:
     step = max(1, cli._G17_VALUES // values.shape[1])
     return b"".join(bytes(row) for r in range(0, len(values), step)
-                    for row in cli._g17(values[r:r + step]))
+                    for row in floattext.g17(values[r:r + step]))
 
 
 def _expected(values: np.ndarray) -> bytes:
@@ -105,7 +105,7 @@ def test_powers_of_ten_and_window_edges():
     _assert_prints(np.concatenate([values, -values]), 7)
     inside = values[(values > 1e-6) & (values < 1e16)]
     assert (np.floor(np.log10(inside)) != [Decimal(v).adjusted() for v in inside]).any()
-    assert cli._g17_digits(inside)[3].size == 0
+    assert floattext._g17_digits(inside)[3].size == 0
 
 
 def test_a_trace_row_that_mixes_kernel_and_fallback_values():
