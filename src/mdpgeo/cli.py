@@ -41,8 +41,8 @@ most 64 actions or rows (fewer rows of over 128 values), each fed to sha256 as
 it is written, so no whole output file is ever held in memory.  Their numbers come
 from ``mdpgeo.floattext``: a model's from ``reprs``, the bytes ``repr`` (so ``json``)
 prints, unless it has fewer than ``_REPR_MIN`` probabilities; a trace's from ``g17``,
-the bytes of ``'%.17g'``.  Files are still written atomically (temp file + rename);
-``output_hash`` is the bytes' digest.
+the bytes of ``'%.17g'`` (a row holding ``inf`` or ``nan`` from ``%``).  Files are
+still written atomically (temp file + rename); ``output_hash`` is the bytes' digest.
 
 Every command emits a deterministic JSON summary
 on stdout carrying the sha256 of its input files' bytes; timestamps never enter
@@ -644,14 +644,16 @@ def _rows_one_by_one(lines: list[str], t0: int, width: int, values: np.ndarray,
     return problem, stop_reason
 
 
-def _rows_held(text: str, start: int) -> int:
-    """1 + the t of the last line of ``text`` after ``start`` that is not empty: the rows
-    a well-formed trace holds.  0 where that line has no such t or there is none."""
+def _rows_held(text: str, start: int, room: int) -> int:
+    """1 + the t of the last line of ``text`` after ``start`` that is not empty, at most
+    ``room``: the rows a well-formed trace holds.  0 where that line has no such t, one
+    of more digits than ``room``, or there is none."""
     end = len(text)
     while end > start and text[end - 1] == "\n":
         end -= 1
     t = text[max(text.rfind("\n", start, end) + 1, start):end].split(",", 1)[0]
-    return int(t) + 1 if t.isascii() and t.isdigit() else 0
+    fits = t.isascii() and t.isdigit() and len(t) <= len(str(room))
+    return min(int(t) + 1, room) if fits else 0
 
 
 def trace_from_csv(text: str) -> RunTrace:
@@ -674,7 +676,7 @@ def trace_from_csv(text: str) -> RunTrace:
     width = first[0].count(",") + 1
     n = width - len(_TRACE_HEADER)
     room = (len(text) - first.end()) // (2 * width - 1)
-    rows = min(_rows_held(text, first.end()), room)
+    rows = _rows_held(text, first.end(), room)
     values, counts = np.empty((rows, n)), np.empty(rows, dtype=np.intp)
     t0, stop_reason = 0, ""  # row 0 alone: its span_dv is nan
     for step in itertools.chain([1], itertools.repeat(max(1, _D2F_VALUES // width))):

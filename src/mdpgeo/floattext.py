@@ -2,8 +2,8 @@
 number fields into the floats ``float`` gives, ``reprs`` prints floats as ``repr`` (so
 also ``json``) prints them, and ``g17`` prints rows of them as ``'%.17g'`` does.  No
 Python loop runs per number, no numpy function newer than 1.24 is used, and no output
-depends on numpy's SIMD target.  ``read`` and ``reprs`` take their powers of five from
-one table, built on import with Python integers.
+depends on numpy's SIMD target.  All three take their powers of five from one table,
+built on import with Python integers.
 
 ``read``'s class is a JSON number ``-?(0|[1-9][0-9]*)(\\.[0-9]+)?([eE][-+]?[0-9]{1,3})?``
 of at most 32 bytes whose digits w (at most 24 of them, and w < 10**19) and
@@ -33,11 +33,18 @@ that integer comparisons decide which of the multiples of 10**(k+1), then of 10*
 next to x read back as x: a bound counts only for an even c.  One such multiple of
 10**(k+1) is the shortest; else the one of s and s + 1 that reads back, or the
 closer of both, the even one on a tie.  That is CPython's choice (Gay's ``dtoa``
-mode 0) for every finite double, ``5e-324`` included.  The digits go into 17 ASCII
-bytes, the point, sign and exponent around them as ``repr`` places them: fixed for
-10**-4 <= |x| < 10**16 with ``.0`` after an integer, else ``d.ddde-XX``.
+mode 0) for every finite double, ``5e-324`` included.
 
-``g17``: see its docstring.
+``g17`` takes 17 digits from the same table and rounding: for x = c * 2**q, c in [2**52,
+2**53) (a subnormal's shifted up) and k = floor(log10(2**q)) - 1, 4 * x * 10**-k rounded
+to odd is 4 * s + r: s holds the 17 or 18 digits of x * 10**-k, r says if the rest is 0,
+below a half, a half or above.  17 digits round half to even; of 18 the last goes, up
+above 5 or at 5 when more follows or the digit before is odd.  The rop is exact unless
+the product's error (below 2**-64) takes the fraction below 2**-63 or to 1: for every q,
+``scripts/g17_exactness.py`` finds the three doubles where it does and checks their
+digits.  Both printers place digits, point, sign and exponent alike (``_text``): fixed
+for 10**-4 <= |x| < 10**16 (``repr``, ``.0`` after an integer) or 10**17 (``'%.17g'``),
+else ``d.ddde-XX``; ``g17`` prints a row holding an infinity or a NaN by ``%``.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from __future__ import annotations
 import numpy as np
 
 Q = range(-342, 309)  # the decimal exponents q of w * 10**q that ``read`` takes
-_E = range(Q.start, 325)  # the table's exponents: Q and -k for every double's k
+_E = range(Q.start, 341)  # the table's exponents: Q, and -k for both printers' k
 _U = np.uint64
 
 
@@ -54,8 +61,8 @@ def _tables() -> tuple:
     set; truncated, or 2**b // 5**-e + 1 below e = 0) as two words, and the binary
     exponent it brings; per word of a 24-byte window and per (p, d) = (byte after the
     point, first digit), the bytes kept from the window, those kept from it moved up a
-    byte, and the ASCII zeros that fill the bytes before the first digit.  Then
-    ``reprs``'s Schubfach g = floor(5**e * 2**r) + 1 in [2**125, 2**126), from the same
+    byte, and the ASCII zeros that fill the bytes before the first digit.  Then the
+    printers' Schubfach g = floor(5**e * 2**r) + 1 in [2**125, 2**126), from the same
     quotient, as its top 63 bits and its low 63."""
     t, g = [], []
     for e in _E:
@@ -273,45 +280,39 @@ def read(data: bytes, first: np.ndarray, last: np.ndarray, plain=None):
 
 
 def _print_tables() -> tuple:
-    """``g17``'s tables: 10**j and its halves; 4-digit groups in ASCII and their last nonzero
-    digits; per class c = X + 6 (23: fallback) the point's and prefix's words and the bytes
-    kept per significant digits; per tail (``,``/newline after ``e-0X``?) and end, its words.
-    Then ``reprs``'s: 10**j as integers; per class (0: exponent notation) and significant
-    digits the bytes kept; per X, ``e`` and X's sign and at least two digits, and their
-    length; per word, the bytes before each end."""
-    p10, g = np.array([float(10**j) for j in range(23)]), np.arange(10000)  # exact
-    hi = 134217729.0 * p10 - (134217729.0 * p10 - p10)  # Veltkamp's split: 2**27 + 1
-    four = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
-    sig = np.where(g > 0, 4 - np.argmax(four[:, ::-1] > 0, axis=1), 0)
-    dots, heads, kept = np.zeros((24, 72), np.uint8), np.zeros((2, 48), np.uint64), []
-    for c, X in enumerate(range(-6, 18)):
-        t = X + 1 if X >= 0 else 1 if X < -4 else 24  # the point's byte: after digit X, or d0
+    """The printers' tables: 4-digit groups in ASCII and their last nonzero digits; per
+    class c (0: exponent notation, else X + 5 for the first digit's exponent X) the point's
+    words and per sign the prefix's; per style, class and significant digits the bytes
+    kept; 10**j; per X, ``e``, X's sign and two or three digits, and their length; per
+    word, the bytes before each end; per length, the bytes of a ``g17`` record."""
+    g = np.arange(10000, dtype=np.uint32)
+    four = (g // 1000 | g // 100 % 10 << 8 | g // 10 % 10 << 16 | g % 10 << 24) + 0x30303030
+    sig = np.full(10000, 4, np.int8)  # a group's digits up to its last nonzero one
+    for j in (1, 2, 3):
+        sig[::10**j] = 4 - j
+    sig[0] = 0
+    dots, heads = np.zeros((22, 72), np.uint8), np.zeros((2, 44), np.uint64)
+    for c in range(22):
+        t = c - 4 if c > 4 else 24 if c else 1  # the point's byte: after digit X, or d0
         dots[c, :t], dots[c, 25 + t:48], dots[c, 48 + t:49 + t] = 255, 255, ord(".")
-        kept.append([(m := max(d, X + 1, 1)) + (m > t) if c < 23 else 0 for d in range(18)])
         for neg in (0, 1):
-            pre = b"-" * neg + b"0.000"[:1 - X] * (-4 <= X < 0) if c < 23 else b""
-            heads[:, 24 * neg + c] = 8 * len(pre), int.from_bytes(pre, "little")
-    tails = np.zeros((6, 24, 48), np.uint8)
-    for kind, tail in enumerate([b",", b"\n", b"e-06,", b"e-06\n", b"e-05,", b"e-05\n"]):
-        for end in range(25 - len(tail)):
-            tails[kind, end, :end], tails[kind, end, 24 + end:24 + end + len(tail)] = 255, [*tail]
+            pre = b"-" * neg + b"0.000"[:6 - c] * (0 < c < 5)
+            heads[:, 22 * neg + c] = 8 * len(pre), int.from_bytes(pre, "little")
+    kept = [[d + (d > 1) if c == 0 else d if c < 5 else max(d, c - 3) + 1 if style == 0
+             else max(d, c - 4) + (d > c - 4) for c in range(22) for d in range(18)]
+            for style in (0, 1)]
     exps = [b"e%+03d" % X for X in range(-324, 309)]
     below = np.array([[(1 << 8 * max(0, min(end - 8 * i, 8))) - 1 for end in range(25)]
                       for i in range(3)], np.uint64)
-    return (np.stack([p10, hi, p10 - hi]),
-            (48 + four).astype(np.uint8).view("<u4").astype(np.uint64).ravel(),
-            ((np.arange(4)[:, None] * 4 + sig) * (sig > 0)).astype(np.int8),
-            dots.view("<u8").T.copy(), heads, np.array(kept).ravel(),
-            tails.reshape(144, 48).view("<u8").T.copy(), np.arange(24) < np.arange(25)[:, None],
+    return (four.astype(np.uint64), (np.arange(0, 16, 4, dtype=np.int8)[:, None] + sig) * (sig > 0),
+            dots.view("<u8").T.copy(), heads, np.array(kept),
             np.array([10**j for j in range(18)], np.uint64),
-            np.array([[d + (d > 1) if c == 0 else d if c < 6 else max(d, c - 4) + 1
-                       for d in range(18)] for c in range(22)]).ravel(),
             np.array([int.from_bytes(e, "little") for e in exps], np.uint64),
-            np.array([len(e) for e in exps]), below)
+            np.array([len(e) for e in exps]), below,
+            np.arange(32) <= np.arange(25)[:, None])
 
 
-(_P10S, _DIGITS, _SIGS, _DOTS, _HEADS, _KEPT, _TAILS, _MASKS, _P10, _REPR_KEPT, _EXPS, _EXP_SIZES,
- _BELOW) = _print_tables()
+_DIGITS, _SIGS, _DOTS, _HEADS, _KEPT, _P10, _EXPS, _EXP_SIZES, _BELOW, _MASKS = _print_tables()
 
 
 def _ascii17(q: np.ndarray, c: np.ndarray) -> tuple:
@@ -333,68 +334,31 @@ def _ascii17(q: np.ndarray, c: np.ndarray) -> tuple:
     return s, nd + 1
 
 
-def _g17_digits(x: np.ndarray) -> tuple:
-    """Per value its class, its significant digits, its 17 digits with the point as
-    three little-endian words; the indices of the fallbacks."""
-    a = np.abs(x)
-    nz = (a > 1e-6) & (a < 1e16)
-    a[~nz] = 1.0
-    k = np.clip(np.floor(np.log10(a)), -6, 15).astype(np.int64)
-    q, fl, at = np.empty_like(k), np.empty_like(k), slice(None)
-    for _ in range(2):  # a floor out of [10**16, 10**17) moves k by one, then falls back
-        b, bh, bl = (row.take(16 - k[at]) for row in _P10S)
-        p, c = a[at] * b, 134217729.0 * a[at]
-        ah = c - (c - a[at])
-        al = a[at] - ah
-        err = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # a * 10**j - p, exactly
-        floor = np.floor(err)
-        fl[at] = np.minimum(p, 2.0**62).astype(np.int64)  # p and floor in int64 range
-        fl[at] += np.clip(floor, -1024, 1024).astype(np.int64)
-        q[at] = fl[at] + ((err - floor > 0.5) | ((err - floor == 0.5) & (fl[at] & 1 == 1)))
-        miss = nz & ((fl < 10**16) | (fl >= 10**17))
-        at = np.flatnonzero(miss)
-        k[at] = np.clip(k[at] - np.where(fl[at] < 10**16, 1, -1), -6, 15)
-    fall = np.flatnonzero(miss | ~nz & (x != 0))
-    q *= nz & ~miss  # ±0 prints as the one digit 0
-    carry = q == 10**17
-    q[carry], k[fall] = 10**16, 17
-    c = k + carry + 6
-    s, nd = _ascii17(q, c)
-    return c, nd, s, fall
-
-
-def g17(values: np.ndarray) -> list:
-    """Each row of ``values`` as ``'%.17g'`` prints its numbers, ``,`` between and a newline
-    after; ``%`` prints a row holding a fallback, a value not ±0 or in 1e-6 < |x| < 1e16.
-
-    k estimates X = floor(log10|x|), and j = 16 - k lies in [1, 22], so 10**j is exact.
-    Where |x| * 10**j >= 10**16 > 2**53, p = fl(|x| * 10**j) is an integer; Dekker's
-    product gives its exact error e, so the exact floor is p + floor(e).  It is checked
-    to lie in [10**16, 10**17) in int64, else k moves by one and a second miss falls
-    back, so no output depends on the bits of ``log10``.  There e, a multiple of
-    ulp(|x|) * 2**j >= 2**-51 below 8, and frac(e) are exact: the 17 digits round half to
-    even as ``'%.17g'`` does; a carry to 10**17 moves X up.  Fixed for -4 <= X < 17."""
-    x, n = values.ravel(), values.shape[1]
-    c, nd, s, fall = _g17_digits(x)
-    sh, pre = (head.take(np.signbit(x) * 24 + c) for head in _HEADS)
-    end = _KEPT.take(c * 18 + nd) + (sh >> 3).view(np.int64)
-    kind = (2 + 2 * c) * (c < 2)
-    kind.reshape(-1, n)[:, -1] += 1  # e-06, e-05 or neither; a newline ends each row
-    at = kind * 24 + end
-    w = np.empty((len(x), 3), "<u8")
-    for i in (2, 1, 0):  # the prefix goes first, then the tail at byte ``end``
-        word = (s[i] << sh) | (s[i - 1] >> (64 - sh)) if i else (s[0] << sh) | pre
-        w[:, i] = word & _TAILS[i].take(at) | _TAILS[3 + i].take(at)
-    end += 1 + 4 * (c < 2)
-    body = w.view(np.uint8).ravel()[_MASKS.take(end, axis=0).ravel()]
-    bounds = [0] + np.cumsum(end.reshape(-1, n).sum(axis=1)).tolist()
-    rows = [body[a:b] for a, b in zip(bounds, bounds[1:])]
-    for r in dict.fromkeys((fall // n).tolist()):  # not np.unique: it imports numpy.ma
-        rows[r] = (",".join(["%.17g"] * n) + "\n").encode() % tuple(values[r].tolist())
-    return rows
-
-
-REPR_VALUES = 8192  # values ``reprs`` prints at a time: bounds its arrays
+def _text(x: np.ndarray, d: np.ndarray, X: np.ndarray, style: int, first: int) -> tuple:
+    """Each value of sign x's, digits d (17 of them, int64, reused; 0 for ±0) and first
+    digit's exponent X as ``repr`` (style 0) or ``'%.17g'`` (style 1) prints it: fixed
+    for -4 <= X < 16 (``repr``, with ``.0`` after an integer) or X < 17 (``'%.17g'``),
+    else ``d.ddde-XX``, trailing zeros dropped.  Little-endian in words ``first`` to
+    ``first + 2`` of four a value, and the length."""
+    fixed = (X >= -4) & (X < 16 + style)
+    c = np.where(fixed, X + 5, 0)
+    s, nd = _ascii17(d, c)
+    end = _KEPT[style].take(c * 18 + nd)
+    at = np.flatnonzero(~fixed)
+    if at.size:  # e, X's sign and digits from byte ``end`` on
+        tail, e = _EXPS.take(X[at] + 324), end[at]
+        for i in range(3):
+            place = 8 * (e - 8 * i)  # the tail's place in this word, in bits
+            s[i][at] = (s[i][at] & _BELOW[i].take(e)) | (
+                tail >> np.maximum(-place, 0).astype(_U) << np.maximum(place, 0).astype(_U))
+        end[at] += _EXP_SIZES.take(X[at] + 324)
+    c += np.signbit(x) * 22  # the prefix's row: per sign and class
+    sh, pre = (head.take(c) for head in _HEADS)
+    end += (sh >> _U(3)).view(np.int64)
+    w, back = np.empty((len(x), 4), _U), _U(64) - sh
+    for i in (0, 1, 2):  # the prefix goes first
+        w[:, first + i] = (s[i] << sh) | (s[i - 1] >> back if i else pre)
+    return w, end
 
 
 def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
@@ -414,17 +378,73 @@ def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
     return y1
 
 
-def _shortest(bits: np.ndarray) -> tuple:
-    """Per double (its bits; not ±0), the digits d and the k of d * 10**k, the closest of
-    the shortest decimals that read back as it (see the module's docstring)."""
-    t = bits & _U(2**52 - 1)
+def _parts(x: np.ndarray) -> tuple:
+    """Each double |x| as c * 2**q, c < 2**53 and q >= -1074, c >= 2**52 where q > -1074
+    (infinities and NaNs give q = 972)."""
+    bits = x.view(_U)
     be = (bits >> _U(52)).view(np.int64) & 0x7FF
-    c = t | (be > 0).astype(_U) << _U(52)
-    q = np.maximum(be, 1) - 1075  # the double is c * 2**q
-    narrow = (t == 0) & (be > 1)  # its lower gap is half the upper one
+    return bits & _U(2**52 - 1) | (be > 0).astype(_U) << _U(52), np.maximum(be, 1) - 1075
+
+
+def _power(q: np.ndarray, k: np.ndarray) -> tuple:
+    """10**-k as the table's g1 and g0, and h = q + floor(log2(10**-k)) + 2: ``_rop(g1, g0,
+    b << h)`` is b * 2**q * 10**-k rounded to odd for the pairs both printers take."""
+    i = -k - _E.start
+    return _G1.take(i), _G0.take(i), (q + ((-k * 913_124_641_741) >> 38) + 2).astype(_U)
+
+
+def _round17(x: np.ndarray) -> tuple:
+    """Per double its 17 digits d (0 for ±0) and the exponent X of the first: ±d *
+    10**(X - 16) is x rounded to 17 significant digits, half to even."""
+    c, q = _parts(x)
+    at = np.flatnonzero(c < _U(2**52))  # ±0 and subnormals: c normalized, q lowered
+    if at.size:
+        lz = 53 - np.frexp((c[at] | _U(1)).astype(np.float64))[1]  # c | 1: 0 keeps q in range
+        c[at] <<= lz.astype(_U)
+        q[at] -= lz
+    k = ((q * 661_971_961_083) >> 41) - 1  # floor(log10(2**q)) - 1
+    g1, g0, h = _power(q, k)
+    vb = _rop(g1, g0, c << (h + _U(2)))  # 4 * |x| * 10**-k, rounded to odd
+    s = vb >> _U(2)  # 17 or 18 digits
+    long = s >= _U(10**17)
+    d = np.where(long, s // _U(10), s)  # 18: the last one goes
+    half = np.where(long, _U(20), _U(2))  # half the last digit kept, in quarters
+    rest = vb - d * (half + half)
+    d += rest + (d & _U(1)) > half  # above half, or at half when d is odd
+    carry = d == _U(10**17)
+    d[carry] = 10**16
+    return d.view(np.int64), (k + 16 + long + carry) * (d > 0)
+
+
+def g17(values: np.ndarray) -> list:
+    """Each row of ``values`` as ``'%.17g'`` prints its numbers, ``,`` between and a newline
+    after (see the module's docstring); ``%`` prints a row holding an infinity or a NaN.
+    A value takes at most 24 bytes, so it and its separator fit in 32."""
+    x, n = values.ravel(), values.shape[1]
+    w, end = _text(x, *_round17(x), 1, 0)
+    text, at = w.view(np.uint8).ravel(), np.arange(0, 32 * len(x), 32) + end
+    text[at] = ord(",")  # right after the value: a record is a prefix of its 32 bytes
+    text[at[n - 1::n]] = ord("\n")
+    body = text[_MASKS.take(end, axis=0).ravel()]
+    bounds = [0] + np.cumsum(end.reshape(-1, n).sum(axis=1) + n).tolist()
+    rows = [body[a:b] for a, b in zip(bounds, bounds[1:])]
+    inf_nan = np.flatnonzero(~np.isfinite(x)) // n
+    for r in dict.fromkeys(inf_nan.tolist()):  # not np.unique: it imports numpy.ma
+        rows[r] = (",".join(["%.17g"] * n) + "\n").encode() % tuple(values[r].tolist())
+    return rows
+
+
+REPR_VALUES = 8192  # values ``reprs`` prints at a time: bounds its arrays
+
+
+def _shortest(x: np.ndarray) -> tuple:
+    """Per double its digits d, zeros after them up to 17 (0 for ±0), and the exponent X of
+    the first: ±d * 10**(X - 16) is the closest of the shortest decimals that read back as
+    x (see the module's docstring)."""
+    c, q = _parts(x)
+    narrow = (c == _U(2**52)) & (q > -1074)  # its lower gap is half the upper one
     k = (q * 661_971_961_083 - narrow * 274_743_187_321) >> 41  # floor(log10 of the gap)
-    h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(_U)  # q + floor(log2(10**-k)) + 2
-    g1, g0 = _G1.take(-k - _E.start), _G0.take(-k - _E.start)
+    g1, g0, h = _power(q, k)
     cb = c << _U(2)
     vb = _rop(g1, g0, cb << h)
     low = _rop(g1, g0, (cb - _U(2) + narrow.astype(_U)) << h)  # bounds count for an even c
@@ -439,36 +459,10 @@ def _shortest(bits: np.ndarray) -> tuple:
     vb &= _U(3)  # 4 * (x * 10**-k - s), rounded to odd: 2 on a tie
     on_t &= ~on_s | (vb == 3) | (vb == 2) & (s & _U(1) == 1)  # the closer, the even on a tie
     s += on_t
-    return np.where(coarse, s10 + _U(10) * up10, s), k
-
-
-def _repr_words(x: np.ndarray) -> tuple:
-    """Each value as ``repr`` prints it, in three little-endian words, and its length."""
-    bits = x.view(_U)
-    zero = bits << _U(1) == 0
-    d, k = _shortest(bits)
-    d[zero] = 0
+    d = np.where(coarse, s10 + _U(10) * up10, s) * (c > 0)
     nd = np.searchsorted(_P10, d, side="right")  # d's digits; 0 for 0
-    X = k + nd - 1  # the exponent of the first digit
-    X[zero] = 0
     d *= _P10.take(17 - nd)
-    fixed = (X >= -4) & (X < 16)
-    c = np.where(fixed, X + 6, 0)  # ``g17``'s classes, and 0 for exponent notation
-    s, nd = _ascii17(d.view(np.int64), c)
-    sh, pre = (head.take(np.signbit(x) * 24 + c) for head in _HEADS)
-    end = _REPR_KEPT.take(c * 18 + nd) + (sh >> 3).view(np.int64)
-    w = np.empty((len(x), 4), _U)  # a byte before the text: ``reprs``'s mark
-    for i in (2, 1, 0):  # the prefix goes first
-        w[:, 1 + i] = (s[i] << sh) | (s[i - 1] >> (64 - sh)) if i else (s[0] << sh) | pre
-    at = np.flatnonzero(~fixed)
-    if at.size:  # e, its sign and digits after byte ``end``
-        tail, e = _EXPS.take(X[at] + 324), end[at]
-        for i in (1, 2, 3):
-            place = 8 * (e - 8 * i + 8)  # the tail's place in this word, in bits
-            w[at, i] &= _BELOW[i - 1].take(e)
-            w[at, i] |= tail >> np.maximum(-place, 0).astype(_U) << np.maximum(place, 0).astype(_U)
-        end[at] += _EXP_SIZES.take(X[at] + 324)
-    return w, end
+    return d.view(np.int64), (k + nd - 1) * (c > 0)
 
 
 _KEEP = (np.arange(32) >= 7) & (np.arange(32) < 8 + np.arange(25)[:, None])
@@ -480,7 +474,8 @@ def reprs(x: np.ndarray, sep: bytes, cut: np.ndarray) -> list:
     holds no NUL."""
     texts = []
     for a in range(0, len(x), REPR_VALUES):
-        w, size = _repr_words(x[a:a + REPR_VALUES])
+        part = x[a:a + REPR_VALUES]
+        w, size = _text(part, *_shortest(part), 0, 1)
         mark = np.where(cut[a:a + REPR_VALUES], _U(0), _U(ord(",") << 56))  # NUL: a piece starts
         mark[0] *= a > 0
         w[:, 0] = mark

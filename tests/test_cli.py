@@ -717,6 +717,9 @@ MALFORMED_TRACES = {
     "underscore_in_t": lambda ls: _set_field(ls, 2, 0, "0_1"),
     "other_script_digits_in_a_value": lambda ls: _set_field(ls, 3, -1, "\u0661\u0662"),
     "other_script_digit_as_a_count": lambda ls: _set_field(ls, 2, 3, "\u0662"),
+    # more digits than Python's int reads from a string
+    "huge_t_on_the_last_row": lambda ls: _set_field(ls, -1, 0, "9" * 5000),
+    "huge_t_alone": lambda ls: ls + ["9" * 5000],
 }
 
 

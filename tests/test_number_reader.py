@@ -250,12 +250,24 @@ def test_minus_zero_in_a_model_reads_as_json_does(monkeypatch):
 
 @pytest.mark.parametrize("values", [7, 50, 4096])
 def test_trace_values_across_slices(values, monkeypatch):
+    """Traces round-trip bit for bit: values of ordinary size, and values at every binary
+    exponent, subnormals included, which the writer's kernel prints and the reader takes
+    through ``float`` in the blocks that hold a subnormal."""
     monkeypatch.setattr(cli, "_D2F_VALUES", values)
     rng = np.random.default_rng(5)
-    rows = rng.normal(0.0, 1e3, size=(90, 11)) * 10.0 ** rng.integers(-30, 10, size=(90, 11))
-    trace = RunTrace(values=rows, active_counts=np.arange(90), rows=np.empty((0, 11), np.int32),
-                     ids=(), filtered=(), stop_reason="time", final_policy=None)
-    assert trace_from_csv(trace_to_csv(trace)).values.tobytes() == rows.tobytes()
+    ordinary = rng.normal(0.0, 1e3, size=(90, 11)) * 10.0 ** rng.integers(-30, 10, size=(90, 11))
+    tops = np.arange(52 + 2046, dtype=np.uint64).repeat(2)  # the top bit: 51 is 2**-1023
+    bits = np.where(tops < 52, np.uint64(1) << tops, (tops - np.uint64(51)) << np.uint64(52))
+    bits |= rng.integers(0, 2**52, tops.size, dtype=np.uint64) & (bits - np.uint64(1))
+    # rows of growing values, so no span overflows
+    every = np.concatenate([np.zeros(-tops.size % 11), bits.view(np.float64)]).reshape(-1, 11)
+    assert ((every != 0) & (every < 2.0**-1022)).sum() == 104 and np.isfinite(every).all()
+    assert len(set(np.frexp(every[every != 0])[1].tolist())) == 2098
+    for rows in (ordinary, every, -every):
+        trace = RunTrace(values=rows, active_counts=np.arange(len(rows)),
+                         rows=np.empty((0, 11), np.int32), ids=(), filtered=(),
+                         stop_reason="time", final_policy=None)
+        assert trace_from_csv(trace_to_csv(trace)).values.tobytes() == rows.tobytes()
 
 
 _CHILD = """
@@ -284,17 +296,16 @@ def test_values_do_not_depend_on_numpys_simd_target(disabled):
 # numpy functions and types the number module may use: each is in numpy 1.24, the
 # oldest numpy that pyproject.toml allows (``np.bitwise_count``, for one, came in 2.0)
 _NUMPY_1_24 = {
-    "abs", "arange", "argmax", "array", "bitwise_or", "clip", "cumsum", "empty",
-    "empty_like", "equal", "flatnonzero", "float64", "floor", "frexp", "frombuffer",
-    "greater", "int8", "int16", "int64", "intp", "log10", "max", "maximum", "minimum",
-    "ndarray", "negative", "packbits", "repeat", "searchsorted", "signbit", "stack",
-    "uint8", "uint32", "uint64", "where", "zeros",
+    "arange", "array", "bitwise_or", "cumsum", "empty", "equal", "flatnonzero", "float64",
+    "frexp", "frombuffer", "full", "greater", "int8", "int16", "int64", "intp", "isfinite",
+    "max", "maximum", "minimum", "ndarray", "negative", "packbits", "repeat", "searchsorted",
+    "signbit", "uint8", "uint32", "uint64", "where", "zeros",
 }
 
 
 def test_the_number_module_uses_only_numpy_1_24():
-    """Every ``np.`` attribute of ``mdpgeo.floattext`` is on the list, and numpy is
-    imported only as ``np``, so no name escapes the walk."""
+    """The ``np.`` attributes of ``mdpgeo.floattext`` are the list, no more and no fewer,
+    and numpy is imported only as ``np``, so no name escapes the walk."""
     import ast
 
     tree = ast.parse(Path(floattext.__file__).read_text())
@@ -305,4 +316,5 @@ def test_the_number_module_uses_only_numpy_1_24():
                for alias in node.names if alias.name.startswith("numpy"))
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == "np"}
-    assert used and used - _NUMPY_1_24 == set()
+    assert used - _NUMPY_1_24 == set()
+    assert _NUMPY_1_24 - used == set()  # a name the module no longer uses leaves the list

@@ -16,27 +16,33 @@ from mdpgeo.cli import trace_to_csv
 from mdpgeo.solvers import RunTrace
 
 
-def _printed(values: np.ndarray) -> bytes:
+def _printed(values: np.ndarray) -> tuple:
+    """The kernel's text of ``values``, and the rows it left to ``%``."""
     step = max(1, cli._G17_VALUES // values.shape[1])
-    return b"".join(bytes(row) for r in range(0, len(values), step)
-                    for row in floattext.g17(values[r:r + step]))
+    rows = [row for r in range(0, len(values), step) for row in floattext.g17(values[r:r + step])]
+    return b"".join(bytes(row) for row in rows), [r for r, row in enumerate(rows)
+                                                  if isinstance(row, bytes)]
 
 
 def _expected(values: np.ndarray) -> bytes:
     return "".join(",".join("%.17g" % v for v in row) + "\n" for row in values.tolist()).encode()
 
 
-def _assert_prints(values, n: int = 50) -> None:
+def _assert_prints(values, n: int = 50) -> int:
+    """``values``, n a row, print as ``'%.17g'`` prints them, and only rows holding an
+    infinity or a NaN go through ``%``; their number."""
     values = np.asarray(values, dtype=np.float64).ravel()
     values = np.concatenate([values, np.zeros(-len(values) % n)]).reshape(-1, n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _printed(values)
+        got, by_percent = _printed(values)
+    assert by_percent == np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist()
     want = _expected(values)
     if got != want:
         pairs = zip(got.replace(b"\n", b",").split(b","), want.replace(b"\n", b",").split(b","))
         assert [(g, w) for g, w in pairs if g != w][:5] == []
     assert got == want
+    return len(by_percent)
 
 
 def _digits(x: float) -> int:
@@ -45,8 +51,9 @@ def _digits(x: float) -> int:
 
 
 def _oracle_values(seed: int, size: int) -> np.ndarray:
-    """Random doubles of every magnitude in the kernel's window and around it, both
-    signs, some with trailing zeros, and powers of ten with their neighbours."""
+    """Random doubles from 1e-8 to 1e18, across both switches between fixed and exponent
+    notation, both signs, some with trailing zeros, and powers of ten with their
+    neighbours."""
     rng = np.random.default_rng(seed)
     scaled = rng.uniform(1.0, 10.0, size) * 10.0 ** rng.integers(-8, 18, size)
     short = np.concatenate([np.round(rng.uniform(-1e4, 1e4, size // 48), d) for d in range(12)])
@@ -57,12 +64,14 @@ def _oracle_values(seed: int, size: int) -> np.ndarray:
 
 
 def test_random_bit_patterns():
-    """Every kind of double: subnormals, ±0, ±inf, NaNs with payloads, huge and tiny."""
+    """Every kind of double: subnormals, ±0, ±inf, NaNs with payloads, huge and tiny.
+    Only the rows holding an infinity or a NaN are printed by ``%``."""
     bits = np.random.default_rng(11).integers(0, 2**64, 10**6, dtype=np.uint64)
     special = np.array([0, 1, 2**52 - 1, 2**52, 0x7FF0000000000000, 0x7FF0000000000001,
                         0x7FF8000000000000, 0x7FFFFFFFFFFFFFFF, 0x3FF0000000000000], np.uint64)
-    _assert_prints(np.concatenate([bits, special, special | np.uint64(2**63)]).view(np.float64),
-                   1000)
+    values = np.concatenate([bits, special, special | np.uint64(2**63)]).view(np.float64)
+    assert _assert_prints(values, 1000) > 300  # one value in 2,048 is inf or NaN
+    assert _assert_prints(values[np.isfinite(values)], 1000) == 0
 
 
 def test_values_of_every_length_in_the_window():
@@ -75,11 +84,14 @@ def test_row_lengths(n):
 
 
 def test_ties_round_half_to_even():
-    """Every 17-digit tie 2**-k and 3 * 2**-k (all below the window, so printed by
-    ``%``) and ties m * 2**-e inside it, whose exact value has 18 digits."""
+    """Every 2**-k and 3 * 2**-k, 103 of them subnormal, among them every 17-digit tie
+    (all below 1e-6), and ties m * 2**-e above 1e-6, whose exact value has 18 digits:
+    the kernel prints them all (``_assert_prints`` checks that no row goes through
+    ``%``)."""
     powers = [m * 2.0**-k for k in range(1, 1075) for m in (1, 3) if m * 2.0**-k > 0]
     ties = [x for x in powers if _digits(x) == 18]
-    assert 2.0**-25 in ties and 3 * 2.0**-24 in ties
+    assert 2.0**-25 in ties and 3 * 2.0**-24 in ties and max(ties) < 1e-6
+    assert sum(x < 2.0**-1022 for x in powers) == 103
     rng = np.random.default_rng(3)
     inside = []
     for e in range(2, 24):
@@ -93,19 +105,38 @@ def test_ties_round_half_to_even():
 
 
 def test_powers_of_ten_and_window_edges():
-    """Each power of ten from 1e-7 to 1e17 and the window's edges, with three neighbours
-    on each side: below a power of ten ``np.log10`` often rounds up to it, and the
-    kernel's second pass, not the fallback, prints those values."""
-    down = up = np.concatenate([10.0 ** np.arange(-7, 18), [1e-6, 1e16]])
+    """Every power of two and of ten that is a double, 1e-6 and 1e16 among them, with
+    three neighbours on each side, both signs: at a power of ten x * 10**-k turns from
+    17 digits to 18, and at a power of two the scale moves."""
+    powers = [2.0**e for e in range(-1074, 1024)] + [float(f"1e{j}") for j in range(-323, 309)]
+    down = up = np.array(powers)
     near = [down]
     for _ in range(3):
         down, up = np.nextafter(down, 0), np.nextafter(up, np.inf)
         near += [down, up]
     values = np.concatenate(near)
+    assert np.isfinite(values).all() and values.size == 7 * (2098 + 632)
     _assert_prints(np.concatenate([values, -values]), 7)
-    inside = values[(values > 1e-6) & (values < 1e16)]
-    assert (np.floor(np.log10(inside)) != [Decimal(v).adjusted() for v in inside]).any()
-    assert floattext._g17_digits(inside)[3].size == 0
+
+
+def test_doubles_whose_product_misses_its_sticky_bit():
+    """The three doubles for which the rounded-to-odd 4 * x * 10**-k loses its sticky
+    bit (``scripts/g17_exactness.py``): the 18th digit they drop is 9, so they print
+    right all the same."""
+    values = [8887055249355788 * 2.0**665, 6665291437016841 * 2.0**666,
+              8887055249355788 * 2.0**666]
+    assert ["%.17g" % x for x in values] == [
+        "1.3605202075612124e+216", "2.0407803113418186e+216", "2.7210404151224248e+216"]
+    _assert_prints(values + [-x for x in values], 3)
+
+
+def test_the_script_checks_the_product_at_every_binary_exponent():
+    """``scripts/g17_exactness.py`` runs to its end against this tree's kernel and names
+    no double but the three above."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "g17_exactness.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         timeout=300, check=True).stdout
+    assert "leaves [2**-63, 1) for 3 doubles:" in out and "three at each q" in out
 
 
 def test_a_trace_row_that_mixes_kernel_and_fallback_values():
@@ -128,6 +159,7 @@ def test_rows_and_fallbacks_across_kernel_chunks(monkeypatch, n):
     monkeypatch.setattr(cli, "_G17_VALUES", 7)
     values = _oracle_values(8, 2_000)
     values[::13] = 1e300
+    values[::29] = np.nan  # a row printed by ``%``
     values = values[:len(values) // n * n].reshape(-1, n)
     trace = RunTrace(values=values, active_counts=np.arange(len(values)),
                      rows=np.zeros((0, n), np.int32), ids=(), filtered=(),
@@ -149,8 +181,8 @@ _assert_prints(_oracle_values(9, 100_000))
 @pytest.mark.parametrize("disabled", ["X86_V4 AVX512_ICL AVX512_SPR",
                                       "X86_V4 AVX512_ICL AVX512_SPR X86_V3"])
 def test_output_does_not_depend_on_numpys_simd_target(disabled):
-    """``np.log10`` returns other bits when numpy dispatches to other SIMD targets; the
-    kernel's check makes the bytes the same."""
+    """The kernel uses integer arithmetic and exact float operations only, so numpy's
+    other SIMD targets print the same bytes."""
     here = Path(__file__).resolve().parent
     paths = [str(here), str(here.parent / "src")]
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled}
