@@ -4,11 +4,15 @@
 
 Runs ``python -m mdpgeo.cli`` with ``PYTHONPATH=DIR`` (default: the ``src``
 of the checkout holding this script, so ``--src`` of another checkout
-measures that one) on three pipelines, in a temporary directory:
+measures that one) on four pipelines, in a temporary directory:
 
 - ``generate`` of the sparse 1000-state model of the benchmark's
   ``large_sparse_solve`` (``--sparse-k 5 --max-actions 8``), then
   ``solve-vi --trace`` and ``solve-pi`` on it;
+- the benchmark's 1024-state torus gridworld (``perfbench/inputs.py``), a
+  span-stopped ``solve-vi --trace`` on it and ``certify`` against that trace,
+  the largest any benchmark pipeline writes (264 rows of 1,024 values at seed
+  7, 5.1 MB);
 - ``generate`` of a Wielandt model (n = 50, three actions per state,
   gamma = 0.999), ``normalize``, a 2,402-step ``solve-vi --trace`` and
   ``certify`` on the normalized model;
@@ -72,12 +76,20 @@ def _pipeline(d: str, seed: int) -> list[tuple[str, list[str]]]:
     grid, wiel, norm = p("sparse.json"), p("wielandt.json"), p("normalized.json")
     _write_dense(d, seed)
     dense, dense_norm = p("dense.json"), p("dense_normalized.json")
+    torus = p("torus.json")  # written by a child: the parent's memory would count in each peak
+    subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                    "from inputs import gridworld; open(sys.argv[2], 'w').write("
+                    "gridworld(int(sys.argv[3])).to_json())", str(ROOT / "perfbench"), torus,
+                    str(seed)], check=True)
     return [
         ("generate", ["generate", "--seed", str(seed), "--structure", "sparse",
                       "--n-states", "1000", "--sparse-k", "5", "--max-actions", "8",
                       "--out", grid]),
         ("solve-vi", ["solve-vi", "--mdp", grid, "--stop", "span:1e-6", "--trace", p("vi.csv")]),
         ("solve-pi", ["solve-pi", "--mdp", grid]),
+        ("solve-vi-grid", ["solve-vi", "--mdp", torus, "--stop", "span:1e-6",
+                           "--trace", p("torus.csv")]),
+        ("certify-grid", ["certify", "--mdp", torus, "--trace", p("torus.csv")]),
         ("generate-wielandt", ["generate", "--seed", str(seed), "--structure", "wielandt",
                                "--n-states", "50", "--min-actions", "3", "--max-actions", "3",
                                "--gamma", "0.999", "--out", wiel]),

@@ -28,13 +28,15 @@ mostly zeros: ``json`` reads its rows where they stand and names the problem.
 ``P`` holds the very floats ``json.loads`` gives.  A message that names places in
 the file (bad UTF-8, a body holding a ``]``) comes from the whole file read again;
 a file whose size or mtime moves between the passes exits 65, and a stream that
-cannot seek is read into memory.  The trace reader walks its text line by line into arrays
-allocated once, a block of at most ``_D2F_VALUES`` fields at a time: ``_d2f``
-converts a block whose rows are well formed and whose numbers are in its class,
-and ``float`` the rows of any other, one row's head at a time; a number field
-holding an underscore or a character outside ASCII, which ``int`` and ``float``
-read (``1_0`` as 10), is malformed.  No reader holds a Python object per number
-beyond one row or one block.
+cannot seek is read into memory.  ``trace_from_csv`` reads a trace the same way.  Its
+first pass hashes and checks the blocks and finds the header and the last line, whose t
+sizes the arrays, allocated once for at most the rows the file has room for (a row that
+reads holds ``2 * width - 1`` bytes and a line end).  The second cuts whole lines out of
+windows of ``_READ`` bytes, row 0 alone; ``_d2f`` converts a window whose rows are well
+formed and whose numbers are in its class, and ``float`` the rows of any other, one at a
+time; a number field holding an underscore or a character outside ASCII, which ``int``
+and ``float`` read (``1_0`` as 10), is malformed.  No reader holds a Python object per
+number beyond one row or one block.
 
 The writers stream: a model or trace file goes to disk in UTF-8 blocks of at
 most 64 actions or rows (fewer rows of over 128 values), each fed to sha256 as
@@ -65,6 +67,7 @@ import hashlib
 import io
 import itertools
 import json
+import operator
 import os
 import re
 import sys
@@ -268,40 +271,49 @@ def _d2f(data: bytes, first: np.ndarray, last: np.ndarray, plain=None):
 
 
 def _read_at(fh, a: int = 0, b: int | None = None) -> bytes:
-    """Bytes ``a:b`` of ``fh``; all of them for a message that names places in them."""
+    """Bytes ``a:b`` of ``fh``; all from ``a`` for a message that names places in them."""
     fh.seek(a)
     return fh.read(-1 if b is None else b - a)
 
 
-def _cut_probs(fh, digest) -> tuple[bytes, list[tuple[int, int]]]:
-    """The bytes of ``fh`` with the body of their k-th ``"probs"`` list replaced by
-    ``k``, and the ``(start, end)`` offsets of every body, read in blocks that go to
-    ``digest`` and are checked as UTF-8 unless it is None; a block carries to the
-    next only the skeleton from its first string that it cannot decide."""
-    parts, spans, data, base, start = [], [], b"", 0, None
+def _blocks(at, digest) -> Iterator[bytes]:
+    """The bytes ``at(a, b)`` gives, ``_READ`` at a time from the start, each fed to
+    ``digest`` and checked as UTF-8 unless it is None (text in memory came from a
+    str); a byte that is not UTF-8 is reported with its place in the whole file."""
     decode = codecs.getincrementaldecoder("utf-8")().decode
     try:
-        for block in iter(functools.partial(fh.read, _READ), b""):
-            if digest is not None:  # a file; text in memory came from a str
+        for block in itertools.takewhile(len, (at(a, a + _READ)
+                                               for a in itertools.count(0, _READ))):
+            if digest is not None:
                 digest.update(block)
                 decode(block)
-            data, pos = data + block, 0
-            while start is None or (end := data.find(b"]", pos)) >= 0:
-                if start is not None:  # a body ends at its first "]"
-                    spans.append((start, base + end))
-                    pos, start = end, None
-                if not (opens := _PROBS_LIST.match(data, pos)):
-                    break
-                parts += (data[pos:opens.end()], b"%d" % len(spans))
-                pos, start = opens.end(), base + opens.end()
-            stop = len(data) if start is not None else _DECIDED.match(data, pos).end()
-            if start is None:
-                parts.append(data[pos:stop])
-            data, base = data[stop:], base + stop
+            yield block
         decode(b"", True)
-    except UnicodeDecodeError:  # the message with its place in the whole text
-        _read_at(fh).decode("utf-8")
+    except UnicodeDecodeError:
+        at(0, None).decode("utf-8")
         raise
+
+
+def _cut_probs(fh, digest) -> tuple[bytes, list[tuple[int, int]]]:
+    """The bytes of ``fh`` with the body of their k-th ``"probs"`` list replaced by
+    ``k``, and the ``(start, end)`` offsets of every body, read by ``_blocks``; a
+    block carries to the next only the skeleton from its first string that it
+    cannot decide."""
+    parts, spans, data, base, start = [], [], b"", 0, None
+    for block in _blocks(functools.partial(_read_at, fh), digest):
+        data, pos = data + block, 0
+        while start is None or (end := data.find(b"]", pos)) >= 0:
+            if start is not None:  # a body ends at its first "]"
+                spans.append((start, base + end))
+                pos, start = end, None
+            if not (opens := _PROBS_LIST.match(data, pos)):
+                break
+            parts += (data[pos:opens.end()], b"%d" % len(spans))
+            pos, start = opens.end(), base + opens.end()
+        stop = len(data) if start is not None else _DECIDED.match(data, pos).end()
+        if start is None:
+            parts.append(data[pos:stop])
+        data, base = data[stop:], base + stop
     if start is not None:
         raise ModelError("model file is not valid JSON: a probs list is not closed")
     return b"".join(parts) + data, spans  # what is left holds no list
@@ -502,12 +514,22 @@ def mdp_from_json(source, digest=None) -> Mdp:
         raise ModelError("model actions must be a JSON list")
     n = _typed(doc["n_states"], int, "model n_states")
     gamma = _typed(doc["gamma"], float, "model gamma")
-    ids, states, rewards = [], [], []
-    for k, entry in enumerate(doc["actions"]):
+    actions = doc["actions"]
+    try:  # the whole list at once: the four keys, their types, every probs list cut in order
+        ids, states, rewards, probs = (list(map(operator.itemgetter(key), actions))
+                                       for key in ("id", "state", "reward", "probs"))
+        whole = (spans is not None and sum(map(len, actions)) == 4 * len(actions)
+                 and set(map(type, ids)) <= {str} and set(map(type, states)) <= {int}
+                 and set(map(type, rewards)) <= {int, float}
+                 and probs == [[k] for k in range(len(probs))])
+        rewards = list(map(float, rewards))
+    except (KeyError, TypeError, ValueError, OverflowError):  # the loop names the problem
+        whole = False
+    for k, entry in enumerate(() if whole else actions):  # raises at the first bad entry
         _fields(entry, _ACTION_KEYS, "action")
-        ids.append(_typed(entry["id"], str, "action id"))
-        states.append(_typed(entry["state"], int, f"action {entry['id']!r} state"))
-        rewards.append(_typed(entry["reward"], float, f"action {entry['id']!r} reward"))
+        _typed(entry["id"], str, "action id")
+        _typed(entry["state"], int, f"action {entry['id']!r} state")
+        _typed(entry["reward"], float, f"action {entry['id']!r} reward")
         # every list-valued "probs" key was cut, in order; in the file's own reading,
         # json kept no list that holds a "]"
         if not (entry["probs"] == [k] if spans is not None else entry["probs"] is True):
@@ -549,7 +571,9 @@ def trace_to_csv(trace: RunTrace) -> str:
     return b"".join(_trace_csv_blocks(trace)).decode()
 
 
-_LINE = re.compile(r"[^\n]++")
+_HEADER = ",".join(_TRACE_HEADER).encode()
+_BREAK = re.compile(rb"[\r\n]")
+_TEXT = re.compile(rb"[^\r\n]")
 
 
 def _ascii_number(field: str) -> str:
@@ -560,54 +584,25 @@ def _ascii_number(field: str) -> str:
     return field
 
 
-def _block_values(out: np.ndarray, tails: list[str], t0: int) -> None:
-    """Write the comma-separated numbers of ``tails``, rows ``t0``, ``t0 + 1``, ...,
-    into ``out``, each converted by ``float``; every tail holds ``out.shape[1]`` fields,
-    and ``out`` has a row for each tail unless a number fails to convert (a row whose
-    numbers convert is well formed, and the text has room for it)."""
-    if not tails or not out.shape[1]:
-        return
-    text = ",".join(tails)
-    try:
-        if "_" in text or not text.isascii():
-            raise ValueError
-        out[:] = np.fromiter(map(float, text.split(",")), np.float64,
-                             len(tails) * out.shape[1]).reshape(len(tails), -1)
-    except ValueError:  # rescan to name the first bad row
-        for t, tail in enumerate(tails, t0):
-            try:
-                for field in tail.split(","):
-                    float(_ascii_number(field))
-            except ValueError as exc:
-                raise ModelError(f"trace row {t} is malformed: {exc}") from None
-        raise
-
-
-def _rows_at_once(lines: list[str], t0: int, width: int):
-    """The values, counts and stop reason of ``lines``, rows ``t0``, ``t0 + 1``, ...;
-    None unless each holds ``width`` fields, its t is its number and its count a number
-    below 2**53, both in ASCII digits, and its spans, count and values are in ``_d2f``'s
-    class: that of every trace the writer prints, unless a value is subnormal."""
-    text = "\n".join(lines) + "\n"
-    if not text.isascii():
+def _rows_at_once(data: bytes, t0: int, width: int):
+    """The values, counts and stop reason of the lines of ``data``, each ended by ``\\n``,
+    rows ``t0``, ``t0 + 1``, ...; None unless each holds ``width`` fields, its t is its
+    number and its count a number below 2**53, both in ASCII digits, and its spans, count
+    and values are in ``_d2f``'s class: every trace the writer prints but subnormals."""
+    if not data.isascii():
         return None
-    data = text.encode()
-    del text
     u = np.frombuffer(data, np.uint8)
-    ends, rows = np.flatnonzero((u == ord(",")) | (u == ord("\n"))), len(lines)
-    if ends.size != rows * width or (u[ends[width - 1::width]] != ord("\n")).any():
+    ends = np.flatnonzero((u == ord(",")) | (line_end := u == ord("\n")))
+    rows = ends.size // width
+    if ends.size != rows * width or np.count_nonzero(line_end) != rows or (
+            u[ends[width - 1::width]] != ord("\n")).any():
         return None
-    del u
+    starts = np.concatenate(([0], ends[:-1] + 1)).reshape(rows, width)
     ends = ends.reshape(rows, width)
-    starts = np.empty_like(ends)
-    starts[:, 1:], starts[1:, 0], starts[0, 0] = ends[:, :-1] + 1, ends[:-1, -1] + 1, 0
     stop = data[starts[-1, 4]:ends[-1, 4]].decode()
     numbers = np.r_[0:4, 5:width]
-    plain = np.zeros((rows, numbers.size), bool)
-    plain[:, [0, 3]] = True  # t and the count
-    first, last = starts[:, numbers].ravel(), ends[:, numbers].ravel()
-    del starts, ends
-    x = _d2f(data, first, last, plain.ravel())
+    plain = np.tile((numbers == 0) | (numbers == 3), rows)  # t and the count
+    x = _d2f(data, starts[:, numbers].ravel(), ends[:, numbers].ravel(), plain)
     if x is None:
         return None
     x = x.reshape(rows, -1)
@@ -617,99 +612,112 @@ def _rows_at_once(lines: list[str], t0: int, width: int):
 
 
 def _rows_one_by_one(lines: list[str], t0: int, width: int, values: np.ndarray,
-                     counts: np.ndarray) -> tuple:
-    """Read ``lines``, rows ``t0``, ``t0 + 1``, ..., into ``values`` and ``counts`` up to
-    the first row with a problem: each row's first five fields are checked in turn, the
-    spans only as numbers, then the values of the rows before it are converted.  The
-    problem, or None, and the last stop reason read, or None."""
-    tails, pending, stop_reason, problem = [], [], None, None
+                     counts: np.ndarray) -> str:
+    """Read ``lines``, rows ``t0``, ``t0 + 1``, ..., into ``values`` and ``counts``, each
+    row's fields in turn (the spans only as numbers, the values by ``float``), and return
+    the last one's stop reason.  ModelError names the first row with a problem."""
     for t, ln in enumerate(lines, t0):
-        fields = ln.count(",") + 1
-        if fields != width:
-            problem = f"trace row {t} has {fields} fields, expected {width}"
-            break
+        if (fields := ln.count(",") + 1) != width:
+            raise ModelError(f"trace row {t} has {fields} fields, expected {width}")
         parts = ln.split(",", len(_TRACE_HEADER))
         try:
             if int(_ascii_number(parts[0])) != t:
                 raise ValueError(f"t={parts[0]}, expected {t}")
             float(_ascii_number(parts[1])), float(_ascii_number(parts[2]))
-            pending.append(np.intp(_ascii_number(parts[3])))
+            count = np.intp(_ascii_number(parts[3]))
+            if width > len(_TRACE_HEADER):  # each field checked as ASCII where one may not be
+                tail, odd = parts[-1].split(","), "_" in parts[-1] or not parts[-1].isascii()
+                values[t] = np.fromiter(map(float, map(_ascii_number, tail) if odd else tail),
+                                        np.float64, len(tail))
         except (ValueError, OverflowError) as exc:
-            problem = f"trace row {t} is malformed: {exc}"
+            raise ModelError(f"trace row {t} is malformed: {exc}") from None
+        counts[t] = count  # a row that reads holds 2 * width - 1 bytes: the arrays have room
+    return parts[4]
+
+
+def _bytes_at(source):
+    """``at(a, b)``, the bytes ``a:b`` of ``source`` (all from ``a`` where ``b`` is None),
+    text or a seekable binary stream; ASCII text is encoded a slice at a time."""
+    if isinstance(source, str) and source.isascii():
+        return lambda a, b: source[a:b].encode()
+    return functools.partial(_read_at, io.BytesIO(source.encode("utf-8", "surrogatepass"))
+                             if isinstance(source, str) else source)
+
+
+def _scan(at, digest) -> tuple:
+    """The first pass, by ``_blocks``: the size; the start (None for none), end and commas
+    of the first line that is not empty, the header; the start and end of the last."""
+    size, head, end, commas, last, stop = 0, None, None, 0, 0, 0
+    for block in _blocks(at, digest):
+        lo = 0
+        if head is None and (found := _TEXT.search(block)):
+            head = size + (lo := found.start())
+        if head is not None and end is None:
+            found = _BREAK.search(block, lo)
+            commas += block.count(b",", lo, found.start() if found else len(block))
+            end = size + found.start() if found else None
+        if text := block.rstrip(b"\r\n"):  # the last line starts after the line end before
+            cut = max(text.rfind(b"\n"), text.rfind(b"\r"))  # it, here or in an earlier block
+            last, stop = size + cut + 1 if cut >= 0 or stop < size else last, size + len(text)
+        size += len(block)
+    return size, head, size if end is None else end, commas, last, stop
+
+
+def _lines(at, pos: int, end: int) -> Iterator[bytes]:
+    """Whole lines of bytes ``pos:end``, each ended by ``\\n``: the first that is not empty
+    alone, then as many as ``_READ`` bytes hold, or one longer line.  ``\\r\\n`` and ``\\r``
+    end a line as ``\\n`` does; a window may hold empty lines, but not only those."""
+    size, first = _READ, True
+    while pos < end:
+        stop = end if end - pos < 2 * size else pos + size  # no short window at the end
+        if len(data := at(pos, stop)) < stop - pos:  # the file shrank
             break
-        stop_reason = parts[4]
-        tails.append(parts[-1])
-    _block_values(values[t0:t0 + len(pending)], tails, t0)
-    counts[t0:t0 + len(pending)] = pending
-    return problem, stop_reason
+        cut = len(data) if stop == end else 1 + (
+            i if (i := data.rfind(b"\n")) >= 0 else data.rfind(b"\r"))
+        if not cut:  # one line longer than the window
+            size *= 2
+            continue
+        pos, size, data = pos + cut, _READ, data[:cut]
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        data = data.lstrip(b"\n") + (b"" if data.endswith(b"\n") else b"\n")  # the last may not
+        k = data.index(b"\n") + 1 if first and data else 0  # row 0 alone: its span_dv is nan
+        first = first and not data
+        yield from filter(None, (data[:k], data[k:].lstrip(b"\n")))
 
 
-def _rows_held(text: str, start: int, room: int) -> int:
-    """1 + the t of the last line of ``text`` after ``start`` that is not empty, at most
-    ``room``: the rows a well-formed trace holds.  0 where that line has no such t, one
-    of more digits than ``room``, or there is none."""
-    end = len(text)
-    while end > start and text[end - 1] == "\n":
-        end -= 1
-    t = text[max(text.rfind("\n", start, end) + 1, start):end].split(",", 1)[0]
-    fits = t.isascii() and t.isdigit() and len(t) <= len(str(room))
-    return min(int(t) + 1, room) if fits else 0
-
-
-def trace_from_csv(text: str) -> RunTrace:
-    """Rebuild a trace from CSV; greedy rows are not stored on disk, so it has none.
-
-    The text is walked line by line into arrays, a block of lines holding at most
-    ``_D2F_VALUES`` fields at a time: ``_rows_at_once`` reads a block of well-formed
-    rows, and ``_rows_one_by_one`` any other, so a problem in a row's values is
-    reported ahead of any problem in a later row, as a row-by-row read would.  The
-    arrays are sized once from the t of the last line, the rows of a well-formed
-    trace, and grow where the rows outrun it.  A well-formed row holds at least
-    ``2 * width - 1`` characters with the line end before it, so the arrays hold no
-    more rows than the text has room for: a wide header over short rows reaches its
-    first short row, not a huge allocation."""
-    lines = _LINE.finditer(text)
-    first = next(lines, None)
-    header = first[0].split(",", len(_TRACE_HEADER)) if first else []
-    if header[:len(_TRACE_HEADER)] != _TRACE_HEADER:
+def trace_from_csv(source, digest=None) -> RunTrace:
+    """Rebuild a trace from CSV text or a seekable binary stream, whose bytes feed
+    ``digest``, in the two passes the module's docstring describes; greedy rows are not
+    stored on disk, so it has none."""
+    at = _bytes_at(source)
+    size, head, end, commas, last, stop = _scan(at, digest)
+    if head is None or at(head, min(end, head + len(_HEADER) + 1)).rstrip(b",") != _HEADER:
         raise ModelError("trace file has an unexpected header")
-    width = first[0].count(",") + 1
-    n = width - len(_TRACE_HEADER)
-    room = (len(text) - first.end()) // (2 * width - 1)
-    rows = _rows_held(text, first.end(), room)
+    n, room = (width := commas + 1) - len(_TRACE_HEADER), (size - end) // (2 * width - 1)
+    t = at(last, min(stop, last + len(str(room)) + 1)).split(b",", 1)[0]
+    rows = min(int(t) + 1, room) if t.isdigit() and len(t) <= len(str(room)) else 0
     values, counts = np.empty((rows, n)), np.empty(rows, dtype=np.intp)
-    t0, stop_reason = 0, ""  # row 0 alone: its span_dv is nan
-    for step in itertools.chain([1], itertools.repeat(max(1, _D2F_VALUES // width))):
-        if not (block := [line[0] for line in itertools.islice(lines, step)]):
-            break
-        if t0 + len(block) > rows:  # the last line's t undercounts: a malformed trace
-            rows = min(max(2 * rows, t0 + len(block)), room)
+    t0, stop_reason = 0, ""
+    for data in _lines(at, end, size):
+        lines = [] if (read := _rows_at_once(data, t0, width)) else [
+            ln for ln in data.decode("utf-8", "surrogatepass").split("\n") if ln]
+        if t0 + (k := len(read[1]) if read else len(lines)) > rows:  # the last line's t
+            rows = min(max(2 * rows, t0 + k), room)  # undercounts: a malformed trace
             values = np.concatenate([values[:t0], np.empty((rows - t0, n))])
             counts = np.concatenate([counts[:t0], np.empty(rows - t0, dtype=np.intp)])
-        read = _rows_at_once(block, t0, width)
-        if read is None:
-            problem, last = _rows_one_by_one(block, t0, width, values, counts)
-            stop_reason = stop_reason if last is None else last
-            if problem:
-                raise ModelError(problem)
+        if read:
+            values[t0:t0 + k], counts[t0:t0 + k], stop_reason = read
         else:
-            values[t0:t0 + len(block)], counts[t0:t0 + len(block)], stop_reason = read
-        t0 += len(block)
+            stop_reason = _rows_one_by_one(lines, t0, width, values, counts)
+        t0 += k
     if not t0:
         raise ModelError("trace file has no data rows")
-    if t0 < rows:
-        values, counts = values[:t0], counts[:t0]
+    values, counts = values[:t0], counts[:t0]
     if not np.isfinite(values).all():
         raise ModelError("trace file has non-finite values")
-    return RunTrace(
-        values=values,
-        active_counts=counts,
-        rows=np.empty((0, n), dtype=np.int32),
-        ids=(),
-        filtered=(),
-        stop_reason=stop_reason,
-        final_policy=None,
-    )
+    return RunTrace(values=values, active_counts=counts, rows=np.empty((0, n), dtype=np.int32),
+                    ids=(), filtered=(), stop_reason=stop_reason, final_policy=None)
 
 
 # ---------------------------------------------------------------------------
@@ -777,22 +785,32 @@ def _read_list(path: str, what: str, kind: type) -> tuple:
     return tuple(_typed(x, kind, f"{what} entry") for x in doc)
 
 
-def _load_mdp(path: str) -> tuple[Mdp, str]:
-    """The model in ``path``, read by ``mdp_from_json``, and the sha256 of its bytes."""
+def _load(path: str, read, what: str) -> tuple:
+    """What ``read`` makes of the file ``path``, and the sha256 of its bytes.  A file
+    whose size or mtime moves while it is read exits 65; one that cannot seek is read
+    into memory."""
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
             if not fh.seekable():
-                return mdp_from_json(io.BytesIO(fh.read()), digest), digest.hexdigest()
+                return read(io.BytesIO(fh.read()), digest), digest.hexdigest()
             before = os.fstat(fh.fileno())
             try:
-                return mdp_from_json(fh, digest), digest.hexdigest()
+                return read(fh, digest), digest.hexdigest()
             finally:  # the change, not what it broke, is reported
                 after = os.fstat(fh.fileno())
                 if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
-                    raise ModelError(f"model file {path} changed while it was read")
+                    raise ModelError(f"{what} file {path} changed while it was read")
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_mdp(path: str) -> tuple[Mdp, str]:
+    return _load(path, mdp_from_json, "model")
+
+
+def _load_trace(path: str) -> tuple[RunTrace, str]:
+    return _load(path, trace_from_csv, "trace")
 
 
 def _emit(args, fields: dict, inputs: dict | None = None, tail: dict | None = None,
@@ -873,26 +891,13 @@ def _cmd_generate(args) -> int:
         doc.setdefault("seed", args.seed)
         spec = GenSpec(**{k: _typed(v, _SPEC_TYPES[k], f"spec {k}") for k, v in doc.items()})
     else:
-        spec = GenSpec(
-            n_states=args.n_states,
-            gamma=args.gamma,
-            seed=args.seed,
-            structure=args.structure,
-            min_actions=args.min_actions,
-            max_actions=args.max_actions,
-            sparse_k=args.sparse_k,
-            bonus_beta=args.beta,
-        )
+        spec = GenSpec(n_states=args.n_states, gamma=args.gamma, seed=args.seed,
+                       structure=args.structure, min_actions=args.min_actions,
+                       max_actions=args.max_actions, sparse_k=args.sparse_k, bonus_beta=args.beta)
     mdp = generate(spec)
     output_hash = _write_chunks(args.out, _mdp_json_blocks(mdp))
-    _emit(args, {
-        "seed": spec.seed,
-        "structure": spec.structure,
-        "n_states": mdp.n_states,
-        "n_actions": mdp.m,
-        "gamma": mdp.gamma,
-        "output_hash": output_hash,
-    })
+    _emit(args, {"seed": spec.seed, "structure": spec.structure, "n_states": mdp.n_states,
+                 "n_actions": mdp.m, "gamma": mdp.gamma, "output_hash": output_hash})
     return EX_OK
 
 
@@ -940,9 +945,7 @@ def _cmd_normalize(args) -> int:
     output_hash = _write_chunks(args.out, _mdp_json_blocks(normalized))
     _emit(args, {
         "optimal_policy": list(policy.choice),
-        "shifts": [
-            {"state": step.state, "delta": step.delta} for step in log.steps
-        ],
+        "shifts": [{"state": step.state, "delta": step.delta} for step in log.steps],
         "output_hash": output_hash,
     }, {"mdp": mdp_hash})
     return EX_OK
@@ -955,17 +958,14 @@ def _cmd_gamma_eff(args) -> int:
         "gamma": mdp.gamma,
         "gamma_eff": gamma_eff,
         "clamped": bool(gamma_eff <= GAMMA_FLOOR),
-        "steps": [
-            {"state": s.state, "gamma_to": s.gamma_to} for s in log.steps
-        ],
+        "steps": [{"state": s.state, "gamma_to": s.gamma_to} for s in log.steps],
     }, {"mdp": mdp_hash}, out=args.out)
     return EX_OK
 
 
 def _cmd_certify(args) -> int:
     mdp, mdp_hash = _load_mdp(args.mdp)
-    trace_text, trace_hash = _read_text(args.trace)
-    trace = trace_from_csv(trace_text)
+    trace, trace_hash = _load_trace(args.trace)
     if args.cert_alpha is None:
         cert = certify(mdp, trace, epsilon=args.epsilon)
     else:
