@@ -116,6 +116,8 @@ Two layers run the certificate's checks:
   the run's start, a median of 200 calls;
 - ``trace_from_csv_2402``: reading that run's trace CSV (2,403 rows of 50
   values), the read ``certify`` makes;
+- ``trace_from_csv_subnormal``: the same read of that run's values times
+  1e-310, so that its values and spans are subnormals (or 0);
 - ``trace_to_csv_2402``: writing that run's trace CSV as text, the trace
   ``solve-vi --trace`` writes (``trace_to_csv``), as a median of 7;
 - ``trace_to_csv_sparse_100``: the same for a 100-step time-stopped run of
@@ -170,6 +172,7 @@ from mdpgeo.core import Mdp, bellman_optimal, greedy, q_values, validate
 from mdpgeo import cli, core, gen
 from mdpgeo.gen import GenSpec, generate
 from mdpgeo.solvers import (
+    RunTrace,
     ViConfig,
     filter_appendix,
     max_reward_policy,
@@ -416,6 +419,10 @@ def main() -> None:
         _times(lambda: _verify_sync_recurrence(wiel, run.values, 1.0), 5))
     trace_text = trace_to_csv(run)
     layers["trace_from_csv_2402"] = _summary(_times(lambda: trace_from_csv(trace_text), 7))
+    tiny = trace_to_csv(RunTrace(values=run.values * 1e-310, active_counts=run.active_counts,
+                                 rows=np.empty((0, WIELANDT_TRACE_N), np.int32), ids=(),
+                                 filtered=(), stop_reason=run.stop_reason, final_policy=None))
+    layers["trace_from_csv_subnormal"] = _summary(_times(lambda: trace_from_csv(tiny), 7))
     layers["trace_to_csv_2402"] = _summary(_times(lambda: trace_to_csv(run), 7))
     sparse_run = value_iteration(mdp, ViConfig(stop="time", t_max=100))
     layers["trace_to_csv_sparse_100"] = _summary(_times(lambda: trace_to_csv(sparse_run), 7))

@@ -2,9 +2,9 @@
 
     python scripts/command_peaks.py [--src DIR] [--seed 1] [--repeats 3]
 
-Runs ``python -m mdpgeo.cli`` with ``PYTHONPATH=DIR`` (default: the ``src``
-of the checkout holding this script, so ``--src`` of another checkout
-measures that one) on four pipelines, in a temporary directory:
+Runs ``mdpgeo.cli.main`` in a new Python process with ``PYTHONPATH=DIR``
+(default: the ``src`` of the checkout holding this script, so ``--src`` of
+another checkout measures that one) on four pipelines, in a temporary directory:
 
 - ``generate`` of the sparse 1000-state model of the benchmark's
   ``large_sparse_solve`` (``--sparse-k 5 --max-actions 8``), then
@@ -14,8 +14,9 @@ measures that one) on four pipelines, in a temporary directory:
   the largest any benchmark pipeline writes (264 rows of 1,024 values at seed
   7, 5.1 MB);
 - ``generate`` of a Wielandt model (n = 50, three actions per state,
-  gamma = 0.999), ``normalize``, a 2,402-step ``solve-vi --trace`` and
-  ``certify`` on the normalized model;
+  gamma = 0.999), ``normalize``, a 2,402-step ``solve-vi --trace`` from random
+  values, as the benchmark runs it (a 2.5 MB trace at seed 7), and ``certify``
+  on the normalized model;
 - a compact dense model (n = 200, four actions per state, every probability
   positive, gamma = 0.95) that this script writes with numpy, as
   ``bench_layers.py`` does, since the dense generator does not finish at that
@@ -30,8 +31,12 @@ and on its own, ``twostate --suite 100000 --max-actions 12`` (instances from
 ``--seed``), whose peak shows whether the suite's memory grows with its size.
 
 Each command runs ``--repeats`` times.  Prints one JSON object: per command,
-its exit code, the largest peak RSS of its runs in MB (``ru_maxrss`` from
-``os.wait4``) and the median wall time in seconds.  OpenBLAS runs one thread.
+its exit code, the largest peak RSS of its runs in MB and the median wall time in
+seconds.  OpenBLAS runs one thread.  A run's peak RSS is the ``VmHWM`` of its own
+process, read from ``/proc/self/status`` when the command returns: the high-water
+mark of the address space that ``exec`` started.  ``ru_maxrss`` from ``os.wait4``
+would not do: Linux carries it across ``exec`` from the forked copy of this script,
+so every command would read at least this script's own RSS.  Linux only.
 """
 
 from __future__ import annotations
@@ -75,6 +80,8 @@ def _pipeline(d: str, seed: int) -> list[tuple[str, list[str]]]:
     p = lambda name: os.path.join(d, name)  # noqa: E731
     grid, wiel, norm = p("sparse.json"), p("wielandt.json"), p("normalized.json")
     _write_dense(d, seed)
+    with open(p("wielandt_v0.json"), "w", encoding="utf-8") as fh:
+        json.dump(np.random.default_rng([seed, 3]).uniform(0.0, 1.0, size=50).tolist(), fh)
     dense, dense_norm = p("dense.json"), p("dense_normalized.json")
     torus = p("torus.json")  # written by a child: the parent's memory would count in each peak
     subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
@@ -95,6 +102,7 @@ def _pipeline(d: str, seed: int) -> list[tuple[str, list[str]]]:
                                "--gamma", "0.999", "--out", wiel]),
         ("normalize", ["normalize", "--mdp", wiel, "--out", norm]),
         ("solve-vi-wielandt", ["solve-vi", "--mdp", norm, "--stop", "time:2402",
+                               "--v0", f"file:{p('wielandt_v0.json')}",
                                "--trace", p("wielandt.csv")]),
         ("certify", ["certify", "--mdp", norm, "--trace", p("wielandt.csv")]),
         ("gamma-eff-dense", ["gamma-eff", "--mdp", dense]),
@@ -107,15 +115,25 @@ def _pipeline(d: str, seed: int) -> list[tuple[str, list[str]]]:
     ]
 
 
-def _run(argv: list[str], env: dict) -> tuple[int, float, float]:
-    """Exit code, peak RSS in MB and wall seconds of one command in a new process."""
+# runs the command, then writes its process's VmHWM (kB) to the file named first
+_CHILD = """import sys
+from mdpgeo.cli import main
+code = main(sys.argv[2:])
+with open("/proc/self/status") as status, open(sys.argv[1], "w") as out:
+    out.write(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+def _run(argv: list[str], env: dict, hwm: str) -> tuple[int, float, float]:
+    """Exit code, peak RSS in MB and wall seconds of one command in a new process;
+    ``hwm`` is the file the child writes its peak to."""
     t0 = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "mdpgeo.cli", *argv], env=env,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
+    code = subprocess.run([sys.executable, "-c", _CHILD, hwm, *argv], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
     wall = time.perf_counter() - t0
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    return proc.returncode, usage.ru_maxrss / 1024.0, wall
+    with open(hwm, encoding="ascii") as fh:
+        return code, int(fh.read()) / 1024.0, wall
 
 
 def main() -> int:
@@ -130,7 +148,7 @@ def main() -> int:
     commands = {}
     with tempfile.TemporaryDirectory() as d:
         for name, argv in _pipeline(d, args.seed):
-            runs = [_run(argv, env) for _ in range(args.repeats)]
+            runs = [_run(argv, env, os.path.join(d, "vmhwm")) for _ in range(args.repeats)]
             commands[name] = {"exit": runs[-1][0], "peak_rss_mb": max(r[1] for r in runs),
                               "wall_s": statistics.median(r[2] for r in runs)}
     print(json.dumps({"src": str(args.src.resolve()), "seed": args.seed,

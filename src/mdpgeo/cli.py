@@ -15,20 +15,19 @@ preallocated ``P`` a chunk of rows at a time, read at the bodies' offsets.  When
 more than 3/4 of the fields of a sample of rows are ``0`` or ``0.0``, it skips
 each 8-byte word of the file that is a phase of a run of ``0.0`` fields, as both
 its neighbours are (it holds two whole zero fields), and a chunk holds up to
-``_CHUNK`` bytes; otherwise a chunk holds at most ``_D2F_VALUES`` numbers.
+``_CHUNK`` bytes; otherwise a chunk holds at most ``_VALUES`` numbers.
 numpy checks the rest (every row has ``n_states`` fields, no whitespace splits a
 number) and finds its fields other than ``0``, ``-0`` and ``0.0``; ``_d2f``
-converts them with ``mdpgeo.floattext``, an array kernel that turns decimal text into the
-float64 ``float`` gives (Eisel and Lemire's algorithm on 64-bit halves),
-``_D2F_VALUES`` at a time.  A chunk holding a number outside the kernel's class
-(more than 19 significant digits, a value that is no finite normal double, or any
-other spelling than JSON's) or fewer than ``_D2F_MIN`` numbers goes to ``json``,
-as does every chunk where numpy finds a problem in a model whose sample is not
-mostly zeros: ``json`` reads its rows where they stand and names the problem.
-``P`` holds the very floats ``json.loads`` gives.  A message that names places in
-the file (bad UTF-8, a body holding a ``]``) comes from the whole file read again;
-a file whose size or mtime moves between the passes exits 65, and a stream that
-cannot seek is read into memory.  ``trace_from_csv`` reads a trace the same way.  Its
+converts them, ``_VALUES`` at a time, from their joined text in place, with
+``mdpgeo.floattext``, an array kernel that turns decimal text into the float64 ``float``
+gives.  A chunk holding a number outside its class (more than 19 significant digits, a
+value that rounds to infinity, or another spelling than JSON's) or fewer than
+``_D2F_MIN`` numbers goes to ``json``, as does every chunk where numpy finds a problem
+in a model whose sample is not mostly zeros: ``json`` reads its rows where they stand
+and names the problem.  ``P`` holds the very floats ``json.loads`` gives.  A message that
+names places in the file (bad UTF-8, a body holding a ``]``) comes from the whole file
+read again; a file whose size or mtime moves between the passes exits 65, and a stream
+that cannot seek is read into memory.  ``trace_from_csv`` reads a trace the same way.  Its
 first pass hashes and checks the blocks and finds the header and the last line, whose t
 sizes the arrays, allocated once for at most the rows the file has room for (a row that
 reads holds ``2 * width - 1`` bytes and a line end).  The second cuts whole lines out of
@@ -112,7 +111,7 @@ _BLOCK = 64  # model actions or trace rows per block written: bounds the text he
 _ITEM = b",\n        "  # between two probabilities at indent=2
 _PROBS = json.JSONEncoder(separators=(_ITEM.decode(), ": "))  # no indent: json's C encoder
 _STRIDE = len(b"0.0" + _ITEM)
-_REPR_VALUES = 8192  # numbers printed at a time, over as many blocks as hold them
+_VALUES = 8192  # numbers each number kernel reads or prints a call: bounds its arrays
 _REPR_MIN = 1024  # a model with fewer probabilities is printed faster by json
 
 
@@ -135,7 +134,7 @@ def _printed(mdp: Mdp) -> Iterator[tuple]:
     """Per block of ``_BLOCK`` actions: its first action, its rewards' texts, and per run
     of entries other than +0.0 side by side in a row, its row, first and last column
     and text.  A model of at least ``_REPR_MIN`` probabilities is printed by the kernel,
-    for as many blocks at a time as hold ``_REPR_VALUES`` numbers; json prints a smaller
+    for as many blocks at a time as hold ``_VALUES`` numbers; json prints a smaller
     one.  An entry +0.0 is no number printed: its bits are all 0."""
     reprs = _kernel_reprs if mdp.P.size >= _REPR_MIN else _json_reprs
     pending, values, cuts, count = [], [], [], 0
@@ -151,7 +150,7 @@ def _printed(mdp: Mdp) -> Iterator[tuple]:
         values += [mdp.rewards[b:b + _BLOCK], P.ravel()[at]]
         cuts.append(cut)
         count += cut.size
-        if count >= _REPR_VALUES or b + _BLOCK >= mdp.m:
+        if count >= _VALUES or b + _BLOCK >= mdp.m:
             texts = iter(reprs(np.concatenate(values), np.concatenate(cuts)))
             for start, size, row, a, z in pending:
                 yield start, list(itertools.islice(texts, size)), row, a, z, list(
@@ -244,29 +243,26 @@ _ZERO_RUN = np.array([int.from_bytes(w, "little")
                      for w in (b",0.0,0.0", b"0.0,0.0,", b".0,0.0,0", b"0,0.0,0.")], dtype="<u8")
 
 
-_D2F_VALUES = 4096  # numbers read at a time: bounds the kernel's arrays
 _D2F_MIN = 1024  # fewer numbers are read faster by json or float than by the kernel
 
 
-def _d2f(data: bytes, first: np.ndarray, last: np.ndarray, plain=None):
+def _d2f(data: bytes, first: np.ndarray, last: np.ndarray, plain=None, out=None):
     """The float64 of each field ``data[first[i]:last[i]]`` as ``float`` reads it, read by
-    ``floattext.read`` ``_D2F_VALUES`` at a time; None when a field is outside its class
-    or, where ``plain[i]``, holds anything but ASCII digits, or there are fewer than
-    ``_D2F_MIN``.
-    The kernel's module is imported on the first read that uses it: compiled with
-    ``cli``, it would add about 1 MB to the memory of every process, also of those
-    that read no large model or trace."""
+    ``floattext.read`` ``_VALUES`` at a time into ``out`` (new if None); None when a field
+    is outside its class or, where ``plain[i]``, holds anything but ASCII digits, or there
+    are fewer than ``_D2F_MIN``.  The kernel's module is imported on first use: with ``cli``
+    it would add about 1 MB to every process, also to those that read no large file."""
     if len(first) < _D2F_MIN:
         return None
     from . import floattext
 
-    out = np.empty(len(first))
-    for k in range(0, len(first), _D2F_VALUES):
-        part = floattext.read(data, first[k:k + _D2F_VALUES], last[k:k + _D2F_VALUES],
-                              None if plain is None else plain[k:k + _D2F_VALUES])
+    out = np.empty(len(first)) if out is None else out
+    for k in range(0, len(first), _VALUES):
+        part = floattext.read(data, first[k:k + _VALUES], last[k:k + _VALUES],
+                              None if plain is None else plain[k:k + _VALUES])
         if part is None:
             return None
-        out[k:k + _D2F_VALUES] = part
+        out[k:k + _VALUES] = part
     return out
 
 
@@ -386,12 +382,13 @@ def _zero_runs(words: np.ndarray, spans: np.ndarray) -> tuple[np.ndarray, ...]:
     return start[inside], stop[inside], body[inside], 2 * (last - first)[inside]
 
 
-def _fill_with_numpy(out: np.ndarray, data: bytes, rows: list[tuple[int, int]], n: int,
+def _fill_with_numpy(out: np.ndarray, window, rows: list[tuple[int, int]], n: int,
                      cut_runs: bool) -> None:
-    """Cut the proven zero runs (``_zero_runs``) out of the bodies where ``cut_runs``
-    and join what is left, each body with its closing ``]``; numpy checks that text and
-    finds its fields that are exactly ``0``, ``-0`` (json's int 0) or ``0.0``; ``_d2f``
-    converts the others, or ``json`` where one is outside its class."""
+    """Cut the proven zero runs (``_zero_runs``) out of the bodies in ``window()`` where
+    ``cut_runs`` and they hold no whitespace, and join what is left, each body with its ``]``;
+    numpy checks that text and finds its fields that are exactly ``0``, ``-0`` (json's int
+    0) or ``0.0``; ``_d2f`` converts the others, or ``json`` where one is outside its class."""
+    data = window()
     spans = np.array(rows, dtype=np.int64)
     cut_start, cut_stop, cut_row, cut_fields = _zero_runs(
         np.frombuffer(data, "<u8", len(data) // 8), spans) if cut_runs else [np.empty(0, int)] * 4
@@ -400,9 +397,18 @@ def _fill_with_numpy(out: np.ndarray, data: bytes, rows: list[tuple[int, int]], 
     if cut_start.size:
         starts = np.sort(np.concatenate((starts, cut_stop)))
         stops = np.sort(np.concatenate((stops, cut_start)))
-    raw = b"".join([data[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
-    spaced = any(w in raw for w in (b" ", b"\n", b"\t", b"\r"))
-    c = raw.translate(None, _WS) if spaced else raw
+    c = b"".join([data[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
+    del data
+    if (spaced := any(w in c for w in (b" ", b"\n", b"\t", b"\r"))) and cut_start.size:
+        return _fill_with_numpy(out, window, rows, n, False)  # no runs cut: c holds whitespace
+    if spaced:  # whitespace may surround a number, never split one: the runs of number bytes,
+        raw, c, runs = c, c.translate(None, _WS), 0  # counted a block at a time with the
+        w = np.frombuffer(raw, np.uint8)  # byte before it, are the fields (below)
+        for k in range(0, w.size, _READ):
+            digit = ((part := w[max(k - 1, 0):k + _READ]) > ord(",")) | (part == ord("+"))
+            digit &= part != ord("]")
+            runs += np.count_nonzero(digit[1:] > digit[:-1]) + (digit[0] and not k)
+        del raw, w, part, digit
     if c.translate(None, _NUMBER + b",];"):
         raise ModelError("action probs may hold only JSON numbers, commas and whitespace")
     u = np.frombuffer(c, np.uint8)
@@ -417,14 +423,8 @@ def _fill_with_numpy(out: np.ndarray, data: bytes, rows: list[tuple[int, int]], 
         raise ModelError(f"every action's probs must hold n_states={n} numbers")
     start = np.concatenate(([0], sep + 1))
     size = np.concatenate((sep, [u.size])) - start
-    if not size.all():
+    if not size.all() or spaced and runs != size.size:
         raise ModelError("action probs must hold one number between commas")
-    if spaced:  # whitespace may surround a number, never split one
-        w = np.frombuffer(raw, np.uint8)
-        digit = ((w > ord(",")) | (w == ord("+"))) & (w != ord("]"))
-        if np.count_nonzero(digit[1:] > digit[:-1]) + digit[0] != size.size:
-            raise ModelError("action probs must hold one number between commas")
-        del digit
     keep = (size != 1) | (u[start] != ord("0"))
     two, three = size == 2, size == 3
     at = start[two]
@@ -436,21 +436,22 @@ def _fill_with_numpy(out: np.ndarray, data: bytes, rows: list[tuple[int, int]], 
         c = np.frombuffer(b"]" + c, np.uint8)[np.repeat(keep, size + 1)].tobytes()[1:]
         size = size[field]
         start = np.cumsum(size + 1) - size - 1
-    del u, keep, two, three, at
-    values = _d2f(c, start, start + size)
-    if values is None:  # json reads them, "," between
-        try:
-            values = _floats(json.loads(b"[" + c.replace(b"]", b",") + b"]"), field.size)
-        except ValueError as exc:
-            raise ModelError(f"action probs must be JSON numbers: {exc}") from None
     if cut_start.size:  # the field that touches a cut is a zero, so a kept field comes
         # after exactly the cuts with fewer separators before them than it has
-        if spaced:
-            sep = np.flatnonzero((w == ord(",")) | (w == ord("]")))
         at_cut = np.cumsum(stops - starts)[np.searchsorted(stops, cut_start)]
         before = np.searchsorted(np.searchsorted(sep, at_cut), field)
         field += np.concatenate(([0], np.cumsum(cut_fields)))[before]
-    out[field] = values
+    field = slice(None) if (whole := field.size == out.size) else field  # all, in order
+    del u, keep, sep, two, three, at  # the kernel reads c in place, in ``floattext.ROOM``
+    c, at = bytes(24) + c + bytes(64), np.int32 if len(c) < 2**31 else np.intp
+    start, size = (start + 24).astype(at), size.astype(at)
+    values = _d2f(c, start, np.add(start, size, out=size), None, out if whole else None)
+    if values is None:  # json reads them, "," between
+        try:
+            values = _floats(json.loads(b"[" + c[24:-64].replace(b"]", b",") + b"]"), len(start))
+        except ValueError as exc:
+            raise ModelError(f"action probs must be JSON numbers: {exc}") from None
+    out[field] = values  # nothing to do where the kernel filled ``out``
 
 
 def _probs_matrix(fh, spans: list[tuple[int, int]], n: int) -> np.ndarray:
@@ -471,20 +472,20 @@ def _probs_matrix(fh, spans: list[tuple[int, int]], n: int) -> np.ndarray:
     fields = [f.strip(_WS) for a, b in sample for f in _read_at(fh, a, b).split(b",")]
     skip = 4 * (fields.count(b"0") + fields.count(b"0.0")) > 3 * len(sample) * n
     ends, r0 = np.array([b for _, b in spans]), 0
-    rows_at_once = len(spans) if skip else max(1, _D2F_VALUES // max(n, 1))
+    rows_at_once = len(spans) if skip else max(1, _VALUES // max(n, 1))
     while r0 < len(spans):  # the rows whose text fits in _CHUNK bytes, or one row
         r1 = max(r0 + 1, int(np.searchsorted(ends, spans[r0][0] + _CHUNK, "right")))
         r1 = min(r1, r0 + rows_at_once)
         base, end = (spans[r0][0] - 1) // 8 * 8, spans[r1 - 1][1]
-        data = _read_at(fh, base, max(end + 1, -(-end // 8) * 8))
+        window = functools.partial(_read_at, fh, base, max(end + 1, -(-end // 8) * 8))
         out, rows = P[r0:r1].reshape(-1), [(a - base, b - base) for a, b in spans[r0:r1]]
         try:
-            _fill_with_numpy(out, data, rows, n, skip)
+            _fill_with_numpy(out, window, rows, n, skip)
         except ModelError:
             if skip:
                 raise
-            _fill_with_json(out, data, rows, n, lambda: (_read_at(fh), base))  # noqa: B023
-        r0, data = r1, None  # one window at a time
+            _fill_with_json(out, window(), rows, n, lambda: (_read_at(fh), base))  # noqa: B023
+        r0 = r1
     return P
 
 
@@ -543,19 +544,18 @@ def mdp_from_json(source, digest=None) -> Mdp:
 
 
 _TRACE_HEADER = ["t", "span_v", "span_dv", "active_actions", "stop_reason_final"]
-_G17_VALUES = 8192  # trace values printed at a time: bounds the kernel's arrays
 
 
 def _trace_csv_blocks(trace: RunTrace) -> Iterator[bytes]:
     """``trace_to_csv(trace)`` as UTF-8 bytes, at most ``_BLOCK`` lines a block: fewer
-    when that many rows hold more than ``_G17_VALUES`` values."""
+    when that many rows hold more than ``_VALUES`` values."""
     n = trace.values.shape[1]
     row = "%d,%.17g,%.17g,%d,%s" + ("," if n else "\n")
     header = ",".join(_TRACE_HEADER + [f"value_{i}" for i in range(n)]) + "\n"
     heads = (row % fields for fields in zip(
         itertools.count(), trace.span_v.tolist(), trace.span_dv.tolist(),
         trace.active_counts.tolist(), itertools.repeat(trace.stop_reason)))
-    step = max(1, _G17_VALUES // max(n, 1))  # rows printed at a time
+    step = max(1, _VALUES // max(n, 1))  # rows printed at a time
     from .floattext import g17  # imported here, as ``_d2f`` imports its module
 
     values = itertools.chain.from_iterable(g17(trace.values[r:r + step]) for r in range(
@@ -588,7 +588,7 @@ def _rows_at_once(data: bytes, t0: int, width: int):
     """The values, counts and stop reason of the lines of ``data``, each ended by ``\\n``,
     rows ``t0``, ``t0 + 1``, ...; None unless each holds ``width`` fields, its t is its
     number and its count a number below 2**53, both in ASCII digits, and its spans, count
-    and values are in ``_d2f``'s class: every trace the writer prints but subnormals."""
+    and values are in ``_d2f``'s class: every trace the writer prints."""
     if not data.isascii():
         return None
     u = np.frombuffer(data, np.uint8)

@@ -8,22 +8,24 @@ built on import with Python integers.
 ``read``'s class is a JSON number ``-?(0|[1-9][0-9]*)(\\.[0-9]+)?([eE][-+]?[0-9]{1,3})?``
 of at most 32 bytes whose digits w (at most 24 of them, and w < 10**19) and
 exponent give w * 10**q with q in ``Q`` (the exponents of Eisel and Lemire's
-table), and whose value is 0 or a finite normal double.  Per field, numpy finds the
-point, the exponent mark and the bytes that are no digit from bit masks of the
-block (``packbits``), and checks the grammar from them: the bytes that are no digit
-must be the first point, the first exponent mark and the signs that may stand where
-they do.  It reads q next, so a block holding a field with q outside ``Q``, or one
-whose digits bound it below 10**-308 (so below 2**-1022: a subnormal) and whose
-first digit is no 0, is refused before any significand is built.  The 24 bytes before the
-exponent, the point taken out, make three words of eight ASCII digits;
-``_eight_digits`` gives w.  Eisel and Lemire's algorithm (Lemire, *Number Parsing at
+table), and whose value rounds to a finite double (a signed 0 below 2**-1075).  Per
+field, numpy finds the point, the exponent mark and the bytes that are no digit from
+bit masks of the block (``packbits``), and checks the grammar from them: the bytes
+that are no digit must be the first point, the first exponent mark and the signs that
+may stand where they do.  It reads q next, so a block holding a field with q outside
+``Q`` is refused before any significand is built.  The 24 bytes before the exponent,
+the point taken out, make three words of eight ASCII digits; ``_eight_digits`` adds
+each to w as it is built.  Eisel and Lemire's algorithm (Lemire, *Number Parsing at
 a Gigabyte per Second*, 2021) multiplies w, shifted to its top bit, by the high word
 of a 128-bit 5**q, from 32-bit halves; where the product's 9 bits below the 55 it
 keeps are all ones, the low word's product may carry into them and is added.  Those
 55 bits round to the double, half to even; Mushtak and Lemire (*Fast Number Parsing
-Without Fallback*, 2023) prove that this is exact for every w < 2**64.  A block
-holding any other value below 2**-1022 or one that rounds to infinity is refused at
-the binary exponent.
+Without Fallback*, 2023) prove that this is exact for every w < 2**64.  Below
+2**-1022 they are shifted to a subnormal's place and rounded once, as fast_float's
+``compute_float`` does (no exact half is left there: it would take more digits).  A
+block holding a value that rounds to infinity is refused at the binary exponent.  A
+call holds about 80 bytes a field at its peak, besides ``data``, which it reads where
+it stands when it holds ``ROOM`` bytes around the fields, and copies otherwise.
 
 ``reprs`` is Giulietti's Schubfach (*The Schubfach way to render doubles*, 2020):
 for x = c * 2**q, k = floor(log10) of the gap below x (3/4 of 2**q just above a
@@ -54,6 +56,7 @@ import numpy as np
 Q = range(-342, 309)  # the decimal exponents q of w * 10**q that ``read`` takes
 _E = range(Q.start, 341)  # the table's exponents: Q, and -k for both printers' k
 _U = np.uint64
+ROOM = 24, 64  # bytes before the first field and after the last that ``read`` reads in place
 
 
 def _tables() -> tuple:
@@ -85,14 +88,14 @@ _T5HI, _T5LO, _POW2, _FROM_X, _FROM_Y, _ZEROS, _G1, _G0 = _tables()
 
 
 def _high(ah, al, bh, bl) -> np.ndarray:
-    """The high word of each 128-bit a * b, from the 32-bit halves of a and b."""
+    """The high word of each 128-bit a * b, from the 32-bit halves of a and b (any uint)."""
     m = _U(0xFFFFFFFF)
-    mid, x, t = ah * bl, al * bh, al * bl
+    mid, x, t = (np.multiply(u, v, dtype=_U) for u, v in ((ah, bl), (al, bh), (al, bl)))
     t >>= _U(32)
     t += mid & m
     t += x & m
     t >>= _U(32)
-    a = ah * bh
+    a = np.multiply(ah, bh, dtype=_U)
     a += mid >> _U(32)
     a += x >> _U(32)
     a += t
@@ -100,9 +103,9 @@ def _high(ah, al, bh, bl) -> np.ndarray:
 
 
 def _mul_high(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The high word of each 128-bit product a * b."""
-    m = _U(0xFFFFFFFF)
-    return _high(a >> _U(32), a & m, b >> _U(32), b & m)
+    """The high word of each 128-bit product a * b, from views of their 32-bit halves."""
+    a, b = a.view(np.uint32), b.view(np.uint32)
+    return _high(a[1::2], a[::2], b[1::2], b[::2])
 
 
 def _eight_digits(v: np.ndarray) -> np.ndarray:
@@ -145,33 +148,37 @@ def _marks(hit: np.ndarray, fields: tuple) -> np.ndarray:
 
 
 def _lowest(mark: np.ndarray) -> tuple:
-    """Each mask's lowest set bit (0 where none is), and its place (32 where none is)."""
-    low = np.negative(mark)
-    low &= mark
-    return low, np.frexp((low - np.uint32(1)).astype(np.float64))[1].astype(np.int16)
+    """Each mask's lowest set bit, in place (0 where none is), and its place (32 if none)."""
+    mark &= np.negative(mark)
+    return mark, np.frexp((mark - np.uint32(1)).astype(np.float64))[1].astype(np.int16)
 
 
 def read(data: bytes, first: np.ndarray, last: np.ndarray, plain=None):
     """The float64 of each field ``data[first[i]:last[i]]`` as ``float`` reads it, or None
     when a field is outside the class (see the module's docstring) or, where ``plain[i]``,
-    holds anything but ASCII digits."""
+    holds anything but ASCII digits.  ``data`` is read where it stands when it holds
+    ``ROOM`` bytes around the fields, else from a copy."""
     lo, hi = int(first[0]), int(last[-1])
-    buf = np.zeros(-(-(hi - lo + 40) // 64) * 64 + 64, np.uint8)  # 24 bytes before the text
-    buf[24:24 + hi - lo] = np.frombuffer(data, np.uint8, hi - lo, lo)
-    a, size = first - (lo - 24), last - first
-    n16 = np.minimum(size, 64).astype(np.int16)
-    hits, fields = np.empty(buf.size, bool), _fields_at(a, n16)
-    np.equal(buf, 46, out=hits)
-    allowed, p = _lowest(_marks(hits, fields))  # the first "."
-    np.equal(buf | 32, 101, out=hits)
-    mark, e = _lowest(_marks(hits, fields))  # the first "e" or "E"
-    np.greater(buf - 48, 9, out=hits)
-    no_digit = _marks(hits, fields)
-    del hits, fields
+    size = -(-(hi - lo + 24) // 32) * 32 + 32  # from 24 bytes before the text, whole words
+    if lo >= ROOM[0] and hi + ROOM[1] <= len(data):
+        buf = np.frombuffer(data, np.uint8, size, lo - 24)
+    else:
+        buf = np.zeros(size, np.uint8)
+        buf[24:24 + hi - lo] = np.frombuffer(data, np.uint8, hi - lo, lo)
+    a = (first - (lo - 24)).astype(np.int32 if size < 2**31 else np.intp)
+    n = np.minimum(last - first, 64).astype(np.int16)
+    hits, fields = np.empty(size, bool), _fields_at(a, n)
+    held = hits.view(np.uint8)  # each test's bytes go where its hits will
+    dots = _marks(np.equal(buf, 46, out=hits), fields)  # each "."
+    mark = _marks(np.equal(np.bitwise_or(buf, 32, out=held), 101, out=hits), fields)  # e, E
+    no_digit = _marks(np.greater(np.subtract(buf, 48, out=held), 9, out=hits), fields)
+    del hits, held, fields
+    allowed, p = _lowest(dots)  # the first "."
+    mark, e = _lowest(mark)  # the first "e" or "E"
     has_p, has_e = p < 32, e < 32
-    end = np.minimum(e, n16)  # of the digits before any exponent
+    end = np.minimum(e, n)  # of the digits before any exponent
     neg = buf.take(a) == 45
-    after_e = buf.take(a + np.minimum(e + 1, n16))
+    after_e = buf.take(a + np.minimum(e + 1, n))
     signed = ((after_e == 45) | (after_e == 43)) & has_e
     # the bytes that may be no digit: the first point, the first exponent mark, a sign
     # before the number and one after the mark; none in a plain field
@@ -183,19 +190,19 @@ def read(data: bytes, first: np.ndarray, last: np.ndarray, plain=None):
         allowed[plain] = 0
     ok = no_digit == allowed
     whole = np.minimum(p, end)  # end of the integer part
-    ok &= (whole > neg) & ((buf.take(a + neg) != 48) | (whole == neg + 1)) & (n16 <= 32)
+    ok &= (whole > neg) & ((buf.take(a + neg) != 48) | (whole == neg + 1)) & (n <= 32)
     ok &= ~has_p | (end > p + 1)
-    exp_digits = n16 - e - 1 - signed
+    exp_digits = n - e - 1 - signed
     ok &= ~has_e | ((exp_digits >= 1) & (exp_digits <= 3))
     digits = end - neg - has_p
     ok &= digits <= 24
     if not ok.all():
         return None
     del ok, allowed, mark, no_digit, whole
-    A, q = buf.view("<u8"), -np.where(has_p, end - p - 1, 0).astype(np.int64)
+    A, q = buf.view("<u8"), np.where(has_p, p + 1 - end, 0).astype(np.int16)
     at = np.flatnonzero(has_e)
     if at.size:  # the exponent: the word before the field's end
-        exp_end = a[at] + size[at] - 8
+        exp_end = a[at] + n[at] - 8
         i, s = exp_end >> 3, ((exp_end & 7) << 3).astype(_U)
         x = A.take(i) >> s
         x |= A.take(i + 1) << (_U(64) - s)
@@ -207,17 +214,15 @@ def read(data: bytes, first: np.ndarray, last: np.ndarray, plain=None):
         q[at] += ev
     if not ((q >= Q.start) & (q < Q.stop)).all():
         return None
-    if ((q + digits <= -308) & (buf.take(a + neg) != 48)).any():  # below 10**-308 and not 0
-        return None
-    del at, size, e, after_e, exp_digits
+    del at, n, e, after_e, exp_digits, signed
     # the 24 bytes before ``end`` as three words, the point taken out (the bytes before it
-    # move up a byte) and ASCII zeros before the digits
+    # move up a byte) and ASCII zeros before the digits; each word's digits go into w
     o = a + (end - 24)
-    del a
-    s = ((o & 7) << 3).astype(_U)
-    i, r = o >> 3, _U(64) - s
-    pick = np.where(has_p, 25 - (end - p), 0).astype(np.intp) * 25 + (24 - digits)
-    words, touched, below = np.empty((3, len(o)), _U), A.take(i), None
+    i, s = o >> 3, ((o & 7) << 3).astype(np.uint8)
+    r, touched = np.subtract(64, s, dtype=np.uint8), A.take(i)
+    pick = np.where(has_p, 25 - (end - p), 0).astype(np.int32) * 25 + (24 - digits)
+    del a, o, p, end, digits, has_p, has_e
+    w = np.zeros(len(pick), _U)
     for k in range(3):  # from the four aligned words the window touches
         word = touched >> s
         i += 1
@@ -230,26 +235,23 @@ def read(data: bytes, first: np.ndarray, last: np.ndarray, plain=None):
         word &= _FROM_X[k].take(pick)
         moved &= _FROM_Y[k].take(pick)
         word |= moved
-        np.bitwise_or(word, _ZEROS[k].take(pick), out=words[k])
-    del o, s, r, i, touched, word, moved, below, pick
-    g = _eight_digits(words)
-    w = g[0] * _U(10**16)
-    w += g[1] * _U(10**8)
-    w += g[2]
-    if (g[0] >= 1000).any():  # w < 10**19
-        return None
-    del g, words, buf, A, p, end, digits
+        word |= _ZEROS[k].take(pick)
+        w *= _U(10**8)
+        w += _eight_digits(word)
+        if not k and (w >= _U(1000)).any():  # w < 10**19
+            return None
+    del i, s, r, pick, touched, word, moved, below, A, buf
     zero = w == 0
     # Eisel-Lemire: w normalized times 5**q, its top 55 bits rounded to 53, half to even
     idx = q - Q.start
-    lz = (64 - np.frexp(w.astype(np.float64))[1]).astype(_U)
+    lz = (64 - np.frexp(w.astype(np.float64))[1]).astype(np.uint8)
     w <<= lz
-    short = (w >> _U(63)) ^ _U(1)  # the float rounded w up past a power of two
+    short = w < _U(2**63)  # the float rounded w up past a power of two
     w <<= short
     lz += short
     t5 = _T5HI.take(idx)
-    low = w * t5
     high = _mul_high(w, t5)
+    low = w * t5
     at = np.flatnonzero((high & _U(0x1FF)) == _U(0x1FF))  # the low word may carry in
     if at.size:
         second = _mul_high(w[at], _T5LO.take(idx[at]))
@@ -258,14 +260,18 @@ def read(data: bytes, first: np.ndarray, last: np.ndarray, plain=None):
         low[at] = carried
     upper = high >> _U(63)
     bits = _POW2.take(idx) + (upper - lz).view(np.int64)  # the exponent, less 1: mant adds it
-    if ((bits < 0) & ~zero).any():  # a value below 2**-1022: no normal double
-        return None
     mant = high >> (upper + _U(9))
     at = np.flatnonzero(low <= 1)
     if at.size:  # an exact product that ends halfway rounds to even
         m, shift = mant[at], upper[at] + _U(9)
         mant[at] = m - ((q[at] >= -4) & (q[at] <= 23) & ((m & _U(3)) == 1)
                         & ((m << shift) == high[at]))
+    del w, t5, low, high, upper
+    sub = np.flatnonzero(bits < 0)  # below 2**-1022: shifted to a subnormal's place
+    if sub.size:  # (no exact half is left here: it would need more digits)
+        m = mant[sub] >> np.minimum(-bits[sub], 63).astype(_U)
+        m += m & _U(1)
+        m >>= _U(1)
     mant += mant & _U(1)
     over = mant >> _U(54)
     mant >>= over + _U(1)
@@ -274,6 +280,8 @@ def read(data: bytes, first: np.ndarray, last: np.ndarray, plain=None):
         return None
     bits <<= 52
     bits += mant.view(np.int64)
+    if sub.size:
+        bits[sub] = m.view(np.int64)
     bits *= ~zero
     bits |= neg.astype(np.int64) << 63
     return bits.view(np.float64)

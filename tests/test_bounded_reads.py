@@ -322,6 +322,10 @@ MEMORY_BOUNDS = {
     "solve-vi": (3, 1 * MiB),
     "certify": (1, 2 * MiB),
 }
+# A dense model read holds P and what the reader held beyond it when the number kernel
+# read 4,096 numbers a call: 1.42 MiB for the compact n = 200 model below, 1.60 MiB
+# indented.  Its windows and the kernel's arrays grow with the numbers read at a time.
+DENSE_READ = 1.45 * MiB
 
 
 @pytest.fixture(scope="module")
@@ -349,7 +353,38 @@ def wielandt(tmp_path_factory) -> dict:
     return out
 
 
+@pytest.fixture(scope="module")
+def dense_models(tmp_path_factory) -> dict:
+    """A dense model, n = 200 and 800 actions, every probability positive, in the compact
+    layout and in the indented one the writer prints."""
+    d, rng = tmp_path_factory.mktemp("dense"), np.random.default_rng([7, 2])
+    P = rng.uniform(1e-3, 1.0, size=(800, 200))
+    P /= P.sum(axis=1, keepdims=True)
+    doc = {"version": 1, "n_states": 200, "gamma": 0.95, "actions": [
+        {"id": f"a{k}", "state": k // 4, "probs": p, "reward": 0.5}
+        for k, p in enumerate(P.tolist())]}
+    out = {"P": P}
+    for layout, text in (("compact", json.dumps(doc, separators=(",", ":"))),
+                         ("indented", json.dumps(doc, indent=2) + "\n")):
+        out[layout] = str(d / f"{layout}.json")
+        with open(out[layout], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return out
+
+
 class TestMemoryBoundPerCommand:
+    @pytest.mark.parametrize("layout", ["compact", "indented"])
+    def test_a_dense_model_read_holds_P_and_a_block(self, dense_models, layout):
+        cli._load_mdp(dense_models[layout])  # the kernel's module is imported first
+        tracemalloc.start()
+        try:
+            mdp = cli._load_mdp(dense_models[layout])[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mdp.P.tobytes() == dense_models["P"].tobytes()
+        assert peak <= mdp.P.nbytes + DENSE_READ
+
     @pytest.mark.parametrize("steps", [2402, 9602])
     def test_certify_holds_the_trace_arrays_and_a_block(self, wielandt, steps):
         k, c = MEMORY_BOUNDS["certify"]

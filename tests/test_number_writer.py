@@ -43,11 +43,11 @@ def _finite_bit_patterns(seed: int, size: int) -> np.ndarray:
 
 
 def test_random_bit_patterns():
-    """10**6 random finite doubles, subnormals among them; the normal ones read back."""
+    """10**6 random finite doubles, subnormals among them; they read back."""
     x = _finite_bit_patterns(1, 1_000_000)
     assert x.size > 990_000 and (np.abs(x) < 2.0**-1022).sum() > 400
     _assert_prints(x, pieces=False)
-    x = x[(np.abs(x) >= 2.0**-1022) | (x == 0)][:100_000]  # read takes no subnormal
+    x = x[:100_000]
     text = floattext.reprs(x, b",", np.zeros(x.size, bool))[0]
     ends = np.flatnonzero(np.frombuffer(text + b",", np.uint8) == ord(","))
     first = np.r_[0, ends[:-1] + 1]

@@ -18,7 +18,7 @@ from mdpgeo.solvers import RunTrace
 
 def _printed(values: np.ndarray) -> tuple:
     """The kernel's text of ``values``, and the rows it left to ``%``."""
-    step = max(1, cli._G17_VALUES // values.shape[1])
+    step = max(1, cli._VALUES // values.shape[1])
     rows = [row for r in range(0, len(values), step) for row in floattext.g17(values[r:r + step])]
     return b"".join(bytes(row) for row in rows), [r for r, row in enumerate(rows)
                                                   if isinstance(row, bytes)]
@@ -156,7 +156,7 @@ def test_a_trace_row_that_mixes_kernel_and_fallback_values():
 
 @pytest.mark.parametrize("n", [3, 10])
 def test_rows_and_fallbacks_across_kernel_chunks(monkeypatch, n):
-    monkeypatch.setattr(cli, "_G17_VALUES", 7)
+    monkeypatch.setattr(cli, "_VALUES", 7)
     values = _oracle_values(8, 2_000)
     values[::13] = 1e300
     values[::29] = np.nan  # a row printed by ``%``
